@@ -1,12 +1,15 @@
 """Scorer shoot-out on a zipf-term / lognormal-length corpus — the shape
 where block maxima genuinely vary and pruning can pay off.
 
-Generates (once, cached under /tmp) a corpus with a heavily skewed term
-distribution, builds the index, then times exhaustive / wand / bmax /
-auto on a query mix (hot, rare, hot+rare) and asserts all scorers return
-bitwise-identical rankings. Results feed the BASELINE.md shoot-out table.
+Generates (once, cached under ``--root``) a corpus with a heavily skewed
+term distribution, builds the index, then times exhaustive / bmax / auto
+on a query mix (hot, rare, hot+rare, many near-uniform hot terms) and
+asserts all methods return bitwise-identical rankings. Results feed the
+BASELINE.md shoot-out table and the BENCH/scorer_shootout_*.json
+artifacts.
 
     python scripts/scorer_shootout.py [--n-docs 200000] [--repeats 5]
+        [--root /tmp/zipf_shootout]
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import numpy as np
 
 
 QUERIES = {
+    "hot1": "t00000",
     "hot2": "t00000 t00001",
     "hot+rare": "t00000 t09000",
     "rare2": "t09000 t11000",
     "hot3+rare": "t00000 t00002 t00005 t12000",
     "mid2": "t00300 t00500",
+    "hot8": " ".join(f"t{i:05d}" for i in range(8)),
 }
 
 
@@ -57,13 +62,16 @@ def main() -> int:
     p.add_argument("--n-docs", type=int, default=200_000)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--k", type=int, default=10)
+    p.add_argument("--root", default="/tmp/zipf_shootout",
+                   help="cache directory for the corpus and index")
     args = p.parse_args()
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+        ray.init(address="local",
+                 num_cpus=min(8, len(os.sched_getaffinity(0))),
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -72,7 +80,7 @@ def main() -> int:
     from stacksearch_ray.query import QueryEngine
     from stacksearch_ray.schema import INDEX_FORMAT_VERSION
 
-    root = f"/tmp/zipf_shootout/n{args.n_docs}"
+    root = os.path.join(args.root, f"n{args.n_docs}")
     corpus = os.path.join(root, "docs.parquet")
     index_dir = os.path.join(root, f"index_v{INDEX_FORMAT_VERSION}")
     if not os.path.exists(corpus):
@@ -87,7 +95,7 @@ def main() -> int:
     for qname, q in QUERIES.items():
         ref = None
         row: dict[str, float] = {}
-        for method in ("exhaustive", "bmax"):  # "wand" is a bmax alias now
+        for method in ("exhaustive", "bmax", "auto"):  # "wand" = bmax
             # warm (decode caches shared across methods — measure compute)
             eng.search(q, args.k, method=method)
             times = []

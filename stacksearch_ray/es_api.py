@@ -14,7 +14,8 @@ approximations of ES semantics are how migrations rot).
 Supported query subset (single text field — this engine indexes one
 analyzed field, like the reference):
 
-- ``match`` (operator and/or, minimum_should_match)
+- ``match`` (operator and/or, minimum_should_match as an integer,
+  negative integer, percentage or negative percentage)
 - ``match_phrase`` (slop) / ``match_bool_prefix``
 - ``term`` / ``terms`` (text-field token semantics)
 - ``bool`` with one level of term/match/terms clauses in
@@ -33,6 +34,7 @@ Works identically over a ``ShardedQueryEngine`` (same method names).
 
 from __future__ import annotations
 
+import re
 import time
 from typing import Any
 
@@ -96,6 +98,25 @@ def _terms_of(text: str, what: str) -> list[str]:
     return toks
 
 
+_MSM = re.compile(r"(-?)(\d+)(%?)")
+
+
+def _min_should_match(msm: Any, n: int) -> int:
+    """ES ``minimum_should_match`` over ``n`` optional clauses: ``3``
+    (a count), ``-1`` (all but one), ``"75%"`` (n·75% rounded down) or
+    ``"-25%"`` (all but n·25% rounded down); numbers may also come as
+    strings. A result below 1 means any clause matches, one above
+    ``n`` matches nothing (Lucene's behaviour). Combinations such as
+    ``"3<90%"`` raise."""
+    m = (None if isinstance(msm, bool) or not isinstance(msm, (int, str))
+         else _MSM.fullmatch(str(msm).strip()))
+    if m is None:
+        raise UnsupportedEsQuery(f"minimum_should_match {msm!r}")
+    neg, num, pct = m.groups()
+    v = n * int(num) // 100 if pct else int(num)
+    return n - v if neg else v
+
+
 def _leaf_terms(q: dict, what: str) -> list[str]:
     """Fold a term/terms/match leaf into its analyzed token list —
     the shape bool clauses combine."""
@@ -137,8 +158,8 @@ def _run_query(engine, q: dict, k: int) -> list[tuple[int, float]]:
             return engine.search_boosted(
                 {t: float(boost) for t in terms}, k)
         if msm is not None:
-            return engine.search_min_should_match(" ".join(terms),
-                                                  int(msm), k)
+            return engine.search_min_should_match(
+                " ".join(terms), _min_should_match(msm, len(set(terms))), k)
         if op == "and":
             return engine.search_min_should_match(" ".join(terms),
                                                   len(set(terms)), k)

@@ -23,7 +23,7 @@ def _all_tokens(content: pa.Array) -> tuple[pa.ListArray, np.ndarray]:
     """Cleaned whitespace tokens per row BEFORE stopword drop (list array +
     per-row counts, '' removed)."""
     cleaned = pc.ascii_lower(pc.replace_substring_regex(content, CLEAN_PATTERN, ""))
-    toks = pc.utf8_split_whitespace(cleaned)
+    toks = pc.ascii_split_whitespace(cleaned)  # pure ASCII post-regex
     toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
     toks = toks.fill_null([])
     flat = toks.flatten()

@@ -9,17 +9,22 @@ Two scorers, verified rank-identical in tests:
 - ``bmax``: vectorized block-max pruning (SURVEY.md §2.6 T1/T2) — doc
   space partitioned into segments at block boundaries, scored best-first
   in growing batches via precomputed segment slice offsets (multi-range
-  gather, no per-block or per-doc Python), sound early exit — candidate
-  pruning with exact re-scoring, the analog of the reference's
-  LSH-candidates → exact Jaccard re-rank
-  (/root/reference/index/index_new.py:65-72). On zipf corpora it prunes
-  hot-term queries ~10× below TAAT; on score-uniform corpora nothing
-  can prune and TAAT keeps a small edge (hence the ``auto`` threshold).
-  ``method="wand"`` is an alias — the classic per-doc Python DAAT pivot
-  loop was retired after bmax beat it in every measured shape
-  (scripts/scorer_shootout.py); block-skip binary search lives on in
-  the segment-offset searchsorted of bmax and the skip-metadata block
-  decode (_decoded_block).
+  gather into the same dense accumulator exhaustive uses, no per-block
+  or per-doc Python), sound early exit — candidate pruning with exact
+  re-scoring, the analog of the reference's LSH-candidates → exact
+  Jaccard re-rank (reference index/index_new.py:65-72). Bounds
+  that cannot cut are pure overhead, so bmax stops using them: when,
+  after its first batch, more than half of the first shard's postings
+  still sit under bounds ≥ θ (the k-th best score) it hands the query
+  to ``exhaustive``, and once a finished shard has scored more than half
+  of its postings the remaining shards are swept term-at-a-time.
+  Measured on the 200k-doc zipf corpus (scripts/scorer_shootout.py,
+  BENCH/scorer_shootout_r6.json, p50 ms bmax vs exhaustive): hot1 1.8
+  vs 7.4, hot2 2.9 vs 9.9, hot8 26 vs 25 (the fallback; 128 before it),
+  hot3+rare 12 vs 11. ``method="wand"`` is an alias — the classic
+  per-doc Python DAAT pivot loop was retired after bmax beat it in every
+  measured shape; block-skip binary search lives on in the
+  segment-offset searchsorted of bmax.
 
 Scoring: float64, idf = ln((N-df+0.5)/(df+0.5)+1) from GLOBAL stats only,
 contributions accumulated in sorted-term order so scores are bitwise
@@ -45,7 +50,6 @@ from .build import idf as idf_fn
 from .build import load_stats
 from .codec import (
     bm25_tf_part,
-    decode_block,
     decode_doc_ids,
     decode_positions,
     decode_tfs,
@@ -228,7 +232,7 @@ class QueryEngine:
         self._pos_cache: dict[str, tuple] = {}
         self._df_cache: dict[str, int] = {}
         self._dec_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._blk_cache: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._blk_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         # ES-style request cache: memoize full search() results, LRU
         # over ``request_cache`` entries (0 = off). Correct BY
         # CONSTRUCTION: an open engine's view is frozen (mutations
@@ -252,21 +256,24 @@ class QueryEngine:
         # suggests
         self.wand_min_postings = 20_000_000
         # Skew-sensing fast path (measured, scripts/scorer_shootout.py on
-        # the zipf corpus): bmax's block pruning wins BELOW the general
-        # threshold when the query's term dfs are NEAR-UNIFORM and large
-        # (hot1 1.9 vs 4.7 ms, hot2 6.2 vs 7.2 ms at 200–390k postings),
-        # and loses badly when a rare term joins a hot one (hot+rare 18.9
-        # vs 5.4 ms, hot3+rare 40 vs 9 ms) — the opposite of classic WAND
-        # lore, because the vectorized TAAT only scans the rare term's
-        # short candidate rows while bmax pays per-segment setup on the
-        # hot term. Route bmax early only when df skew ≤ 4 AND the
-        # corpus's doc-length dispersion says pruning can pay: with flat
-        # doc lengths every posting scores alike, the top-k threshold
-        # never clears block upper bounds, and bmax pays overhead for
-        # nothing (measured: uniform-corpus "def import" bmax 66 ms vs
-        # TAAT 30 ms at cv=0.45; zipf hot1 bmax 1.9 vs 4.7 ms at
-        # cv=1.15 — block-max METADATA spread is flat on both, so
-        # doc-length cv is the discriminating signal).
+        # the 200k-doc zipf corpus, BENCH/scorer_shootout_r6.json, p50
+        # ms bmax vs exhaustive): bmax's block pruning wins BELOW the
+        # general threshold when the query's term dfs are NEAR-UNIFORM
+        # and large (hot1 1.8 vs 7.4, hot2 2.9 vs 9.9 at 200–390k
+        # postings), and still loses a little when a rare term joins a
+        # hot one (hot+rare 9.1 vs 8.5, hot3+rare 12.1 vs 11.3) — the
+        # vectorized TAAT only scans the rare term's short candidate
+        # rows while bmax pays per-segment setup on the hot term. Route
+        # bmax early only when df skew ≤ 4 AND the corpus's doc-length
+        # dispersion says pruning can pay: with flat doc lengths every
+        # posting scores alike and the top-k threshold never clears the
+        # block bounds (uniform-corpus "def import": bmax 66 ms vs TAAT
+        # 30 ms at cv=0.45 before the fallback; block-max METADATA
+        # spread is flat on both corpora, so doc-length cv is the
+        # discriminating signal). Near-uniform shapes whose bounds still
+        # cannot prune (hot8: 8 hot terms) are caught inside bmax, which
+        # falls back to exhaustive after one batch (26 vs 25 ms; 128 ms
+        # before the fallback) — see _search_bmax.
         self.bmax_uniform_min_postings = 100_000
         self.bmax_uniform_max_skew = 4.0
         self.bmax_min_dl_cv = 0.8
@@ -1373,7 +1380,7 @@ class QueryEngine:
             amask[pos[self.doclens.ids[pos] == allowed[ok]]] = True
             hit &= amask
         cand = np.flatnonzero(hit)
-        if len(cand) == 0:
+        if len(cand) == 0 or k < 1:
             return []
         if len(cand) > 4 * k:
             # partial select, then widen to the full boundary-tie set so
@@ -1392,125 +1399,132 @@ class QueryEngine:
         """Vectorized block-max pruning, batched best-first — no per-doc
         Python anywhere:
 
-        1. Doc-id space is partitioned into segments at the union of
-           block boundaries (per shard); each segment's static upper
-           bound = Σ overlapping block-max contributions (diff+cumsum).
+        1. Per shard, the doc-id space is partitioned into segments at
+           the union of the terms' block boundaries; a segment's upper
+           bound is Σ_t idf_t · block_max(t, segment's block), summed in
+           sorted-term order. Floating-point addition and idf·x are
+           monotone, so every doc's score (the same sum over the terms
+           it holds) is ≤ its segment's bound EXACTLY, ties included.
         2. Per (term, shard) the cached full decode (ids sorted) is
            sliced by segment via ONE ``searchsorted(ids, bounds)`` —
            after that a segment's postings for a term are an index
            range, so scoring any set of segments is a vectorized
-           multi-range gather (repeat+cumsum arange trick), never a
-           per-block or per-doc loop.
+           multi-range gather (repeat+cumsum arange trick).
         3. Segments are consumed best-first in geometrically growing
-           BATCHES with θ re-read between batches; once the next
-           segment's ub < θ nothing remaining can contribute — sound
-           early exit. Top-k lives in numpy arrays merged per batch
-           (docs never repeat across batches: segments partition the
-           doc space, shards are disjoint).
+           BATCHES with θ (the k-th best score so far) re-read between
+           batches; once the next segment's bound is < θ nothing
+           remaining can contribute — sound early exit. Every batch
+           scatters into one dense accumulator over the sorted local
+           doc space through the rows' cached dense index, the way
+           ``_search_exhaustive`` does (segments partition a shard's
+           docs and shards are disjoint, so no doc is scored twice).
+        4. Pruning that cannot cut is pure overhead, so the scorer
+           stops using its bounds when they do not pay: if, after the
+           first batch of the first shard, more than half of that
+           shard's postings sit in segments whose bound is ≥ θ, the
+           query goes to ``_search_exhaustive``; and once a finished
+           shard has scored more than half of its postings, the
+           remaining shards are swept term-at-a-time into the same
+           accumulator.
 
         Contributions accumulate in sorted-term order → bitwise
         identical to exhaustive/oracle (tested)."""
+        if k < 1:
+            return []
         segs = self._segments_for(terms)
         dfs = self._df_global(terms, segs)
         term_idf = {t: idf_fn(self.n_docs, dfs[t]) for t in terms if segs[t]}
-        top_ids = np.empty(0, dtype=np.int64)
-        top_sc = np.empty(0, dtype=np.float64)
-
         by_shard: dict[int, list[tuple[str, int, dict]]] = {}
         for t in terms:
             for i, r in enumerate(segs[t]):
                 by_shard.setdefault(r["shard"], []).append((t, i, r))
-
+        if not by_shard:
+            return []
+        n_local = len(self.doclens.ids)
+        acc = np.zeros(n_local, dtype=np.float64)
+        hit = np.zeros(n_local, dtype=bool)
+        top = np.empty(0, dtype=np.float64)  # the k best scores so far
+        first_batch, sweep = True, False
         for rows in by_shard.values():
-            # block intervals (first_doc, last_doc, ub) across terms
-            blk_t, blk_first, blk_last, blk_ub = [], [], [], []
-            for t, ri, r in rows:
-                first = np.asarray(r["skip_first_doc"], dtype=np.int64)
-                if len(first) == 0:
-                    continue
-                last = np.empty_like(first)
-                last[:-1] = first[1:] - 1
-                last[-1] = np.iinfo(np.int64).max - 1
-                ub = term_idf[t] * np.asarray(r["block_max_score"],
-                                              dtype=np.float64)
-                blk_t.append((t, ri, r))
-                blk_first.append(first)
-                blk_last.append(last)
-                blk_ub.append(ub)
-            if not blk_first:
+            if sweep:
+                for t, ri, r in rows:  # sorted-term order per doc
+                    _, _, _, part, didx = self._decoded(t, ri, r)
+                    acc[didx] += term_idf[t] * part
+                    hit[didx] = True
+                continue
+            blocks = [(t, ri, r) + self._blocks(t, ri, r) for t, ri, r in rows]
+            blocks = [b for b in blocks if len(b[3])]
+            if not blocks:
                 continue
             bounds = np.unique(np.concatenate(
-                [np.concatenate(blk_first),
-                 np.concatenate(blk_last) + 1]))
-            n_seg = len(bounds) - 1
-            if n_seg <= 0:
-                continue
-            seg_ub = np.zeros(n_seg + 1, dtype=np.float64)
-            for first, last, ub in zip(blk_first, blk_last, blk_ub):
-                lo = np.searchsorted(bounds, first)
-                hi = np.searchsorted(bounds, last + 1)
-                np.add.at(seg_ub, lo, ub)
-                np.add.at(seg_ub, hi, -ub)
-            seg_ub = np.cumsum(seg_ub[:-1])
-            order = np.argsort(-seg_ub, kind="stable")
-            # per term: full cached decode + segment slice offsets
+                [b[3] for b in blocks] + [[np.iinfo(np.int64).max]]))
+            starts = bounds[:-1]
+            seg_ub = np.zeros(len(starts), dtype=np.float64)
+            seg_post = np.zeros(len(starts), dtype=np.int64)
             term_dat = []
-            for t, ri, r in blk_t:
-                ids, _tfs, _dls, part, _didx = self._decoded(t, ri, r)
+            for t, ri, r, first, bmax0 in blocks:
+                w = term_idf[t]
+                # block of each segment, +1: index 0 is the zero bound
+                # of segments before the term's first block
+                seg_ub += (w * bmax0)[np.searchsorted(first, starts, "right")]
+                ids, _, _, part, didx = self._decoded(t, ri, r)
                 pos = np.searchsorted(ids, bounds)
-                term_dat.append((term_idf[t], ids, part, pos))
-            i = 0
-            batch_n = 16
+                lens = np.diff(pos)
+                seg_post += lens
+                term_dat.append((w, part, didx, pos, lens))
+            order = np.argsort(-seg_ub, kind="stable")
+            total = int(seg_post.sum())
+            scored = 0
+            i, batch_n = 0, 16
             while i < len(order):
-                theta = (top_sc[-1] if len(top_sc) >= k else -np.inf)
+                theta = top.min() if len(top) >= k else -np.inf
                 if seg_ub[order[i]] < theta:
                     break  # best-first: nothing further can beat theta
                 batch = order[i:i + batch_n]
-                batch = batch[seg_ub[batch] >= theta]
+                batch = np.sort(batch[seg_ub[batch] >= theta])
                 i += batch_n
                 batch_n *= 4  # establish theta cheaply, then go wide
-                if len(batch) == 0:
-                    continue
-                bs = np.sort(batch)
-                id_chunks, sc_chunks = [], []
-                for w, ids, part, pos in term_dat:
-                    lo = pos[bs]
-                    hi = pos[bs + 1]
-                    lens = hi - lo
-                    total = int(lens.sum())
-                    if total == 0:
+                new = []
+                for w, part, didx, pos, lens in term_dat:
+                    lo, ln = pos[batch], lens[batch]
+                    n = int(ln.sum())
+                    if n == 0:
                         continue
-                    cl = np.cumsum(lens)
+                    cl = np.cumsum(ln)
                     # concatenated aranges: [lo0..hi0) + [lo1..hi1) + ...
-                    idx = (np.arange(total, dtype=np.int64)
-                           + np.repeat(lo - np.concatenate(([0], cl[:-1])),
-                                       lens))
-                    id_chunks.append(ids[idx])
-                    sc_chunks.append(w * part[idx])
-                if not id_chunks:
-                    continue
-                all_ids = np.concatenate(id_chunks)
-                all_sc = np.concatenate(sc_chunks)
-                uniq, inv = np.unique(all_ids, return_inverse=True)
-                acc = np.zeros(len(uniq), dtype=np.float64)
-                np.add.at(acc, inv, all_sc)
-                # vectorized top-k merge (no per-doc heap): batch docs are
-                # new by construction, so concat + partial sort suffices
-                cand_ids = np.concatenate([top_ids, uniq])
-                cand_sc = np.concatenate([top_sc, acc])
-                sel = np.lexsort((cand_ids, -cand_sc))[:k]
-                top_ids, top_sc = cand_ids[sel], cand_sc[sel]
-        return [(int(d), float(s)) for d, s in zip(top_ids, top_sc)]
+                    idx = (np.arange(n, dtype=np.int64)
+                           + np.repeat(lo - (cl - ln), ln))
+                    d = didx[idx]
+                    acc[d] += w * part[idx]
+                    fresh = d[~hit[d]]
+                    hit[fresh] = True
+                    new.append(fresh)
+                    scored += n
+                if new:
+                    cand = np.concatenate((top, acc[np.concatenate(new)]))
+                    top = (np.partition(cand, len(cand) - k)[-k:]
+                           if len(cand) > k else cand)
+                if first_batch:
+                    first_batch = False
+                    theta = top.min() if len(top) >= k else -np.inf
+                    if 2 * int(seg_post[seg_ub >= theta].sum()) > total:
+                        return self._search_exhaustive(terms, k)
+            sweep = 2 * scored > total
+        return self._topk_dense(acc, hit, k)
 
-    def _decoded_block(self, term: str, row: dict, b: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        key = (term, row["shard"], b)
+    def _blocks(self, term: str, row_i: int, row: dict
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(first doc id per block as int64, idf-free block-max scores
+        as float64 behind a leading 0.0) for one segment row, cached
+        next to the decode cache so bmax never rebuilds them from the
+        row's Python lists per query. The leading zero lets a segment
+        before the term's first block index its bound without a mask."""
+        key = (term, row_i)
         hit = self._blk_cache.get(key)
         if hit is None:
-            hit = decode_block(row["doc_ids"], row["tfs"],
-                               np.asarray(row["skip_doc_offset"], dtype=np.int32),
-                               np.asarray(row["skip_tf_offset"], dtype=np.int32),
-                               b, int(row["df"]), self.block_size)
+            hit = (np.asarray(row["skip_first_doc"], dtype=np.int64),
+                   np.concatenate(([0.0], np.asarray(row["block_max_score"],
+                                                     dtype=np.float64))))
             if len(self._blk_cache) < self.max_cached_segments:
                 self._blk_cache[key] = hit
         return hit
@@ -1914,7 +1928,8 @@ class QueryEngine:
         method="auto" picks vectorized exhaustive scoring when the
         candidate posting count is small and vectorized block-max
         (``bmax``) otherwise — on skewed (zipf) corpora bmax prunes to
-        ~10× faster than TAAT on hot-term queries
+        ~3-4× faster than TAAT on 1-2-term hot queries, and falls back
+        to TAAT by itself when its bounds cannot prune
         (scripts/scorer_shootout.py). All methods are rank-identical
         (tested).
 
@@ -1951,20 +1966,7 @@ class QueryEngine:
             # exhaustive recomputes exactly under the fresh stats (append.py)
             method = "exhaustive"
         if method == "auto":
-            segs = self._segments_for(terms)
-            dfs = [sum(r["df"] for r in rows) for rows in segs.values()]
-            n_postings = sum(dfs)
-            skew = (max(dfs) / max(1, min(dfs))) if dfs else 1.0
-            # bmax (vectorized block-max) dominates the Python-loop wand
-            # in every measured shape (scripts/scorer_shootout.py); TAAT
-            # stays the small-query default. Below the general threshold
-            # bmax still wins when term dfs are near-uniform and large
-            # (skew-sensing fast path — see the knobs in __init__).
-            method = ("bmax" if n_postings >= self.wand_min_postings
-                      or (n_postings >= self.bmax_uniform_min_postings
-                          and skew <= self.bmax_uniform_max_skew
-                          and self._doclen_cv() >= self.bmax_min_dl_cv)
-                      else "exhaustive")
+            method = self._route_auto(terms, self._segments_for(terms))[0]
         if method == "wand":
             # the classic per-doc Python DAAT loop was retired: bmax is
             # the block-max pruning scorer (rank-identical, measured
@@ -1974,6 +1976,28 @@ class QueryEngine:
         if method == "bmax":
             return self._search_bmax(terms, k)
         return self._search_exhaustive(terms, k)
+
+    def _route_auto(self, terms: list[str], segs: dict[str, list[dict]]
+                    ) -> tuple[str, int, float]:
+        """The ``method="auto"`` decision as (method, physical postings,
+        df skew) — the one rule behind both ``search`` and ``plan``.
+        Appended indexes always score exhaustively (their block-max
+        bounds are stale). Otherwise bmax for very large candidate sets,
+        or below that when term dfs are near-uniform and large and the
+        corpus's doc lengths disperse enough for pruning to pay
+        (skew-sensing fast path — see the knobs in __init__); TAAT is
+        the default. bmax itself falls back to exhaustive scoring when
+        its bounds turn out not to prune (_search_bmax)."""
+        dfs = [sum(r["df"] for r in segs[t]) for t in terms]
+        n_postings = int(sum(dfs))
+        skew = float(max(dfs) / max(1, min(dfs))) if dfs else 1.0
+        if self.stats.get("appended"):
+            return "exhaustive", n_postings, skew
+        bmax = (n_postings >= self.wand_min_postings
+                or (n_postings >= self.bmax_uniform_min_postings
+                    and skew <= self.bmax_uniform_max_skew
+                    and self._doclen_cv() >= self.bmax_min_dl_cv))
+        return ("bmax" if bmax else "exhaustive"), n_postings, skew
 
     def export_matches(self, query: str, scorer: str = "bm25"
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -2063,7 +2087,7 @@ class QueryEngine:
                     ) -> list[list[tuple[int, float]]]:
         """Batched multi-query retrieval (the Elasticsearch ``_msearch``
         shape): one engine call scores a whole query batch. The term
-        caches (_seg_cache / _blk_cache) are shared across the batch, so
+        caches (_seg_cache / _dec_cache) are shared across the batch, so
         a term repeated across queries is read and decoded once; on the
         sharded engine the same batch rides ONE RPC per worker
         (ShardedQueryEngine.search_many). Each element of the result is
@@ -2281,17 +2305,7 @@ class QueryEngine:
         per_term = [{"term": t, "df": int(dfs[t]),
                      "segment_rows": len(segs[t]),
                      "cached": t not in missing} for t in terms]
-        phys = [sum(r["df"] for r in segs[t]) for t in terms]
-        n_postings = int(sum(phys))
-        skew = float(max(phys) / max(1, min(phys))) if phys else 1.0
-        if self.stats.get("appended"):
-            method = "exhaustive"
-        else:
-            method = ("bmax" if n_postings >= self.wand_min_postings
-                      or (n_postings >= self.bmax_uniform_min_postings
-                          and skew <= self.bmax_uniform_max_skew
-                          and self._doclen_cv() >= self.bmax_min_dl_cv)
-                      else "exhaustive")
+        method, n_postings, skew = self._route_auto(terms, segs)
         return {
             "terms": per_term,
             "n_postings": n_postings,
@@ -2686,7 +2700,7 @@ class QueryEngine:
                     acc[ai] += custom(tfs, dls, df_global, t)[src]
                 hit[ai] = True
         cand = np.flatnonzero(hit)
-        if len(cand) == 0:
+        if len(cand) == 0 or k < 1:
             return []
         if len(cand) > 4 * k:
             part_idx = np.argpartition(-acc[cand], k - 1)[:k]

@@ -136,7 +136,10 @@ def tokenize_array(content: pa.Array | pa.ChunkedArray,
     # post-regex the string is pure ASCII, so ascii_lower ≡ utf8_lower
     # (verified) and ~14x faster
     cleaned = pc.ascii_lower(pc.replace_substring_regex(content, CLEAN_PATTERN, ""))
-    tokens = pc.utf8_split_whitespace(cleaned)
+    # likewise ascii_split_whitespace ≡ utf8_split_whitespace here; the
+    # UTF-8 kernel also sometimes keeps the whitespace that ends the
+    # last string of a sliced batch inside a token (tests/test_text.py)
+    tokens = pc.ascii_split_whitespace(cleaned)
     tokens = tokens.combine_chunks() if isinstance(tokens, pa.ChunkedArray) else tokens
     # Null rows → empty token lists so offsets stay monotone.
     tokens = tokens.fill_null([])
@@ -144,7 +147,7 @@ def tokenize_array(content: pa.Array | pa.ChunkedArray,
     offsets = tokens.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     counts = np.diff(offsets)
     doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    # utf8_split_whitespace emits '' for empty input strings; drop those and stopwords.
+    # the split emits '' for empty input strings; drop those and stopwords.
     keep_np = np.asarray(
         pc.and_(
             pc.invert(pc.is_in(flat, value_set=_STOPWORD_ARRAY)),

@@ -1,0 +1,122 @@
+"""The block-max scorer (``method="bmax"``) against exhaustive TAAT and
+the pure-Python oracle, bitwise, on a multi-shard zipf-term /
+lognormal-length corpus: the pruning path, the fallback to exhaustive
+scoring when the block bounds cannot prune, k above the match count,
+and exact score ties at the k boundary."""
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from stacksearch_ray.oracle import OracleBM25
+
+N_DOCS = 20_000
+N_TIES = 12          # docs scoring exactly alike on t00000, spread out
+TIE_TEXT = " ".join(["t00000"] * 40)
+
+
+def _corpus() -> dict[int, str]:
+    rng = np.random.default_rng(11)
+    vocab = np.array([f"t{i:05d}" for i in range(3000)], dtype=object)
+    lens = np.clip(rng.lognormal(3.2, 1.0, N_DOCS).astype(np.int64), 5, 1500)
+    ranks = np.minimum(rng.zipf(1.3, int(lens.sum())), len(vocab)) - 1
+    toks = vocab[ranks]
+    ends = np.cumsum(lens)
+    docs = {i: " ".join(toks[e - n:e]) for i, (e, n) in enumerate(zip(ends, lens))}
+    for i in range(N_TIES):
+        docs[i * (N_DOCS // N_TIES) + 7] = TIE_TEXT
+    return docs
+
+
+@pytest.fixture(scope="module")
+def zipf(ray_session, tmp_path_factory):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.query import QueryEngine
+
+    docs = _corpus()
+    root = tmp_path_factory.mktemp("bmax")
+    src = str(root / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(list(docs), pa.int64()),
+        "text": pa.array(list(docs.values()), pa.string())}), src)
+    idx = str(root / "index")
+    build_index(src, idx, content_col="text", id_col="doc_id",
+                num_shards=4, term_buckets=8)
+    eng = QueryEngine(idx)
+    assert eng._doclen_cv() >= 0.8
+    assert len({r["shard"] for r in eng._segments_for(["t00000"])["t00000"]}) == 4
+    return eng, OracleBM25(docs)
+
+
+def _bmax(eng, q, k):
+    """Forced bmax; also reports whether it fell back to exhaustive."""
+    with mock.patch.object(eng, "_search_exhaustive",
+                           wraps=eng._search_exhaustive) as ex:
+        got = eng.search(q, k, method="bmax")
+    return got, ex.called
+
+
+@pytest.mark.parametrize("q", ["t00000", "t00001", "t00000 t00005"])
+def test_pruning_path_bitwise(zipf, q):
+    eng, oracle = zipf
+    with mock.patch.object(eng, "_topk_dense", wraps=eng._topk_dense) as tk:
+        got, fell_back = _bmax(eng, q, 10)
+    assert not fell_back
+    scored = int(tk.call_args.args[1].sum())  # the docs bmax scored
+    assert scored < len(eng.export_matches(q)[0]) // 2
+    assert got == eng.search(q, 10, method="exhaustive") == oracle.search(q, 10)
+
+
+def test_fallback_path_bitwise(zipf):
+    """Many near-uniform hot terms: the block bounds cannot cut below
+    the k-th score, so bmax hands the query to exhaustive scoring."""
+    eng, oracle = zipf
+    q = " ".join(f"t{i:05d}" for i in range(8))
+    got, fell_back = _bmax(eng, q, 10)
+    assert fell_back
+    assert got == eng.search(q, 10, method="exhaustive") == oracle.search(q, 10)
+
+
+@pytest.mark.parametrize("q", ["t02998", "t02000 t02500", "t00000 t02998"])
+def test_k_above_match_count(zipf, q):
+    eng, oracle = zipf
+    k = 2 * N_DOCS if "t00000" in q else 50
+    want = oracle.search(q, k)
+    assert len(want) < k
+    got, _ = _bmax(eng, q, k)
+    assert got == eng.search(q, k, method="exhaustive") == want
+
+
+@pytest.mark.parametrize("k", [5, 10, 11])
+def test_ties_at_k_boundary(zipf, k):
+    """N_TIES docs share one exact score, the top one for t00000; the
+    cut at k falls inside them, so only doc_id order picks the
+    survivors — bmax must score every tied segment before it stops."""
+    eng, oracle = zipf
+    ref = eng.search("t00000", N_TIES + 1, method="exhaustive")
+    assert len({s for _, s in ref[:N_TIES]}) == 1
+    assert ref[N_TIES][1] < ref[0][1]
+    got, fell_back = _bmax(eng, "t00000", k)
+    assert not fell_back
+    assert got == ref[:k] == oracle.search("t00000", k)
+
+
+def test_auto_matches_plan_and_exhaustive(zipf):
+    """plan() names the method search() runs, and auto is bitwise
+    exhaustive either way (size threshold scaled to this corpus)."""
+    eng, _ = zipf
+    saved = eng.bmax_uniform_min_postings
+    eng.bmax_uniform_min_postings = 1000
+    try:
+        for q in ("t00000", "t00000 t00001", "t00000 t02998",
+                  " ".join(f"t{i:05d}" for i in range(8)), "t02000 t02500"):
+            with mock.patch.object(eng, "_search_bmax",
+                                   wraps=eng._search_bmax) as mb:
+                got = eng.search(q, 10)
+            assert mb.called == (eng.plan(q, 10)["method"] == "bmax"), q
+            assert got == eng.search(q, 10, method="exhaustive"), q
+    finally:
+        eng.bmax_uniform_min_postings = saved

@@ -43,6 +43,26 @@ def test_match_or_and_msm(eng):
     assert hits(got_m2) == want_m2
 
 
+@pytest.mark.parametrize("msm,want", [
+    (2, 2), ("2", 2), (-1, 3), ("-1", 3), ("75%", 3), ("-25%", 3),
+    ("-50%", 2), ("50%", 2), ("100%", 4), (-9, -5), ("0%", 0), (5, 5)])
+def test_match_msm_forms(eng, msm, want):
+    """Every supported ES form, on 4 optional clauses, equals the direct
+    engine call with the count ES derives (bitwise scores)."""
+    q = "merge sort join window"
+    got = es_search(eng, {"query": {"match": {"text": {
+        "query": q, "minimum_should_match": msm}}}})
+    assert hits(got) == eng.search_min_should_match(q, want, 10)
+
+
+@pytest.mark.parametrize("msm", ["3<90%", "2<-25% 9<-3", "1.5", 0.5,
+                                 True, "75 %"])
+def test_match_msm_unsupported_forms_raise(eng, msm):
+    with pytest.raises(UnsupportedEsQuery):
+        es_search(eng, {"query": {"match": {"text": {
+            "query": "merge sort join", "minimum_should_match": msm}}}})
+
+
 def test_phrase_prefix_term_terms(eng):
     assert hits(es_search(eng, {"query": {"match_phrase": {"text": {
         "query": "merge sort", "slop": 1}}}})) == \

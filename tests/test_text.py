@@ -66,6 +66,29 @@ def test_tokenize_array_matches_scalar():
         assert doc_lens[i] == len(expected)
 
 
+
+def test_tokenize_sliced_whitespace_terminated_batches():
+    """Sliced batches whose strings END in whitespace must never yield a
+    token holding that whitespace (the UTF-8 split kept a trailing
+    ' '/'\n' in a token on a few of these slices, e.g. 'new ')."""
+    rng = np.random.default_rng(0)
+    words = np.array(["new", "merge", "sort", "def", "self", "x1"],
+                     dtype=object)
+    docs = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        seps = rng.choice([" ", "\n"], size=n)
+        docs.append("".join(w + s for w, s in zip(rng.choice(words, n), seps)))
+    arr = pa.array(docs, pa.string())
+    for _ in range(4000):
+        off = int(rng.integers(0, len(docs) - 1))
+        part = arr.slice(off, int(rng.integers(1, 64)))
+        flat, _, lens = tokenize_array(part)
+        toks = flat.to_pylist()
+        assert not [t for t in toks if t != t.strip() or " " in t], (off, toks)
+        assert lens.tolist() == [len(clean_query(d))
+                                 for d in part.to_pylist()]
+
 def test_term_frequencies():
     arr = pa.array(["b ax b ax b", "the the the", None, "z"])
     tf = term_frequencies(arr)
