@@ -1093,22 +1093,23 @@ def _deleted_df_counts(seg_dir: str, allt, block_size: int,
     per term PER BATCH, so the driver merge is vocab-bounded and no
     (term → count) shuffle happens (the hash-bucket-vs-native-groupby
     trap doesn't apply: there is no groupby at all)."""
-    import numpy as np
-
-    from .codec import decode_doc_ids
+    from .codec import decode_doc_ids_batch
 
     if threshold is None:
         threshold = _DDF_RAY_THRESHOLD
 
     def batch_counts(rb) -> dict[str, int]:
+        # one batched decode and one searchsorted for the whole batch;
+        # a row's hit count is the hit cumsum across its id span
+        ids, offs = decode_doc_ids_batch(rb.column(1).to_pylist(), block_size)
+        j = np.minimum(np.searchsorted(allt, ids), len(allt) - 1)
+        hits = np.concatenate(([0], np.cumsum(allt[j] == ids)))[offs]
+        per_row = np.diff(hits)
+        rows = np.flatnonzero(per_row)
         out: dict[str, int] = {}
-        for term, blob in zip(rb.column(0).to_pylist(),
-                              rb.column(1).to_pylist()):
-            ids = decode_doc_ids(blob, block_size)
-            j = np.minimum(np.searchsorted(allt, ids), len(allt) - 1)
-            c = int((allt[j] == ids).sum())
-            if c:
-                out[term] = out.get(term, 0) + c
+        for term, c in zip(rb.column(0).take(pa.array(rows)).to_pylist(),
+                           per_row[rows].tolist()):
+            out[term] = out.get(term, 0) + c
         return out
 
     dset = pads.dataset(seg_dir, format="parquet")
@@ -1637,8 +1638,9 @@ def compact_index(index_dir: str, term_buckets: int = 32,
                 from .build import _empty_segments_table
 
                 seg_table = _empty_segments_table(store_positions)
-            # term-sorted rows + small row groups → parquet term-range
-            # stats prune cold reads (same as the checkpoint build)
+            # term-sorted rows + small row groups, as the checkpoint
+            # build writes them (an ``in`` read filter prunes no row
+            # group on pyarrow 16.1; see checkpoint._encode_shards)
             atomic_write_parquet(
                 seg_table, u["seg_path"],
                 row_group_boundaries=list(range(64, seg_table.num_rows,

@@ -49,7 +49,7 @@ from .codec import (
     BM25_B,
     BM25_K1,
     encode_position_lists_arrow,
-    encode_segment,
+    encode_segments,
 )
 from .schema import doc_ids_batch, sha256_batch, shard_of
 from .text import BatchTermFreqs, term_frequencies, tokenize_array
@@ -267,7 +267,8 @@ def make_fused_build_fn(cfg: IndexBuildConfig, docs_dir: str,
 class SegmentEncoder:
     """map_groups fn: one (shard, term-bucket) group of postings → one
     segments row per term. Needs global avgdl (block-max metadata), so the
-    stats aggregate runs first. Vectorized sort + per-term encode."""
+    stats aggregate runs first. Vectorized sort, then one batched encode
+    of every row (``codec.encode_segments``)."""
 
     avgdl: float
     k1: float = BM25_K1
@@ -289,66 +290,30 @@ class SegmentEncoder:
         order = np.lexsort((doc_ids, codes, shards))
         codes, doc_ids, tfs, doc_lens, shards = (
             codes[order], doc_ids[order], tfs[order], doc_lens[order], shards[order])
-        pos_offs = pos_data = None
+        # boundaries where (shard, code) changes
+        change = np.flatnonzero((np.diff(codes) != 0) | (np.diff(shards) != 0)) + 1
+        starts = np.concatenate(([0], change))
+        ends = np.concatenate((change, [len(codes)]))
+        segs = encode_segments(doc_ids, tfs, doc_lens, starts, ends,
+                               avgdl=self.avgdl, k1=self.k1, b=self.b,
+                               block_size=self.block_size)
+        cols = {"term": vocab.take(pa.array(codes[starts])).cast(pa.string()),
+                "shard": pa.array(shards[starts], type=pa.int32()),
+                **segs.arrow_columns()}
         if has_pos:
-            # reorder via take (compacts into fresh contiguous buffers),
-            # then slice segment blobs straight out of the data buffer —
-            # no per-doc Python bytes objects (the previous
-            # to_pylist + b"".join built one per posting)
+            # reorder via take (compacts into fresh contiguous buffers);
+            # per-doc blobs are independently decodable, so a segment
+            # blob is plain concatenation in doc order and the whole
+            # column is the data buffer under the rows' offsets
             parr = group["pos"].combine_chunks().take(pa.array(order))
             if parr.null_count:
                 parr = parr.fill_null(b"")
             pos_offs = np.frombuffer(parr.buffers()[1], dtype=np.int32)[
                 parr.offset:parr.offset + len(parr) + 1]
-            dbuf = parr.buffers()[2]
-            pos_data = (np.frombuffer(dbuf, dtype=np.uint8)
-                        if dbuf is not None else np.empty(0, np.uint8))
-        # boundaries where (shard, code) changes
-        change = np.flatnonzero((np.diff(codes) != 0) | (np.diff(shards) != 0)) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [len(codes)]))
-        out = {k: [] for k in ("term", "shard", "df", "cf", "doc_ids", "tfs",
-                               "skip_first_doc", "skip_doc_offset", "skip_tf_offset",
-                               "block_max_tf", "block_max_score")}
-        if has_pos:
-            out["positions"] = []
-        term_list = vocab.to_pylist()
-        for s, e in zip(starts, ends):
-            seg = encode_segment(doc_ids[s:e], tfs[s:e], doc_lens[s:e],
-                                 avgdl=self.avgdl, k1=self.k1, b=self.b,
-                                 block_size=self.block_size)
-            out["term"].append(term_list[codes[s]])
-            out["shard"].append(int(shards[s]))
-            out["df"].append(seg.df)
-            out["cf"].append(seg.cf)
-            out["doc_ids"].append(seg.doc_ids)
-            out["tfs"].append(seg.tfs)
-            out["skip_first_doc"].append(seg.skip_first_doc.tolist())
-            out["skip_doc_offset"].append(seg.skip_doc_offset.tolist())
-            out["skip_tf_offset"].append(seg.skip_tf_offset.tolist())
-            out["block_max_tf"].append(seg.block_max_tf.tolist())
-            out["block_max_score"].append(seg.block_max_score.tolist())
-            if has_pos:
-                # per-doc blobs are independently decodable, so the
-                # segment blob is plain concatenation in doc order —
-                # rows s:e are contiguous post-take, one buffer slice
-                out["positions"].append(
-                    pos_data[pos_offs[s]:pos_offs[e]].tobytes())
-        cols = {
-            "term": pa.array(out["term"], type=pa.string()),
-            "shard": pa.array(out["shard"], type=pa.int32()),
-            "df": pa.array(out["df"], type=pa.int64()),
-            "cf": pa.array(out["cf"], type=pa.int64()),
-            "doc_ids": pa.array(out["doc_ids"], type=pa.binary()),
-            "tfs": pa.array(out["tfs"], type=pa.binary()),
-            "skip_first_doc": pa.array(out["skip_first_doc"], type=pa.list_(pa.int64())),
-            "skip_doc_offset": pa.array(out["skip_doc_offset"], type=pa.list_(pa.int32())),
-            "skip_tf_offset": pa.array(out["skip_tf_offset"], type=pa.list_(pa.int32())),
-            "block_max_tf": pa.array(out["block_max_tf"], type=pa.list_(pa.int64())),
-            "block_max_score": pa.array(out["block_max_score"], type=pa.list_(pa.float64())),
-        }
-        if has_pos:
-            cols["positions"] = pa.array(out["positions"], type=pa.binary())
+            cols["positions"] = pa.Array.from_buffers(
+                pa.binary(), len(starts),
+                [None, pa.py_buffer(pos_offs[np.append(starts, len(codes))]),
+                 parr.buffers()[2] or pa.py_buffer(b"")])
         return pa.table(cols)
 
 

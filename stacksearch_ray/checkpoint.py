@@ -159,11 +159,13 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
             from .build import _empty_segments_table
 
             seg_table = _empty_segments_table(store_positions)
-        # rows are term-sorted within the shard; small row groups give
-        # parquet term-range statistics real pruning power, so a cold
-        # query decompresses only the matching groups' blob pages
-        # instead of the whole 30+ MB shard file (measured 2.5 s → ms
-        # at 2M docs). 64 rows/group ≈ tens of groups per shard.
+        # rows are term-sorted within the shard, and 64 rows/group gives
+        # each group a narrow term min/max in the footer. A reader that
+        # picks groups from those statistics itself decompresses only
+        # the matching groups' blob pages; pyarrow 16.1's ``("term",
+        # "in", ...)`` read filter does not — it prunes no row group
+        # (equality filters do), so QueryEngine's filtered reads still
+        # scan every group of each candidate file.
         atomic_write_parquet(
             seg_table, seg_path,
             row_group_boundaries=list(range(64, seg_table.num_rows, 64)))

@@ -10,6 +10,10 @@ independently), tfs as plain varints, with one skip entry per block of
 upper bounds for BM25 WAND pruning.
 
 All encode/decode paths are NumPy-vectorized — no Python per-posting loops.
+Encoding is batched per shuffle group as well: ``encode_segments`` encodes
+every (term, shard) row of a group in one pass over the group's flat,
+row-contiguous posting arrays, so there is no Python per-row loop either
+(``encode_segment`` is its one-row adapter).
 
 ``block_max_score`` stores the idf-free part of the BM25 upper bound,
 ``max over block of (k1+1)*tf / (tf + k1*(1-b+b*dl/avgdl))``; the query
@@ -24,7 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_SIZE = 128
-_GROUPS = 10  # max LEB128 bytes for a 64-bit value
+# a value needs k+1 LEB128 bytes when it is >= the k-th threshold 2**7k
+_THRESHOLDS = np.uint64(1) << (np.arange(1, 10, dtype=np.uint64) * np.uint64(7))
+# Arrow binary/list columns and the stored skip offsets are int32: an
+# encode whose byte offsets reach this limit raises instead of wrapping
+INT32_OFFSET_LIMIT = 2**31
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -44,21 +52,31 @@ def gather_ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
             + np.arange(tot, dtype=np.int64) - np.repeat(csum, ln))
 
 
+def _varint_encode_array(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128-encode a uint64 array into one uint8 array, lane by lane:
+    byte counts come from the 9 thresholds 2**7k, then byte j of every
+    value that has one is written by one masked scatter (at most 10),
+    so no n x 10 matrix is materialised. Returns (bytes, byte offsets): value i is
+    ``bytes[offsets[i]:offsets[i+1]]``."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    nbytes = np.searchsorted(_THRESHOLDS, v, side="right") + 1
+    offsets = np.zeros(len(v) + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=offsets[1:])
+    out = np.empty(offsets[-1], dtype=np.uint8)
+    pos = offsets[:-1]
+    while True:
+        # the low byte of v | 0x80 is the low 7 bits plus the continuation bit
+        more = v > np.uint64(0x7F)
+        out[pos] = np.where(more, v | np.uint64(0x80), v).astype(np.uint8)
+        if not more.any():
+            return out, offsets
+        v, pos = v[more] >> np.uint64(7), pos[more] + 1
+
+
 def varint_encode(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """LEB128-encode a uint64 array. Returns (buffer, per-value byte counts)."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b"", np.zeros(0, dtype=np.int64)
-    shifts = (np.arange(_GROUPS, dtype=np.uint64) * np.uint64(7))
-    groups = ((v[:, None] >> shifts[None, :]) & np.uint64(0x7F)).astype(np.uint8)
-    thresh = np.uint64(1) << shifts[1:]
-    nbytes = 1 + (v[:, None] >= thresh[None, :]).sum(axis=1)
-    j = np.arange(_GROUPS)
-    mask = j[None, :] < nbytes[:, None]
-    cont = j[None, :] < (nbytes[:, None] - 1)
-    groups[cont] |= 0x80
-    return groups[mask].tobytes(), nbytes.astype(np.int64)
+    out, offsets = _varint_encode_array(values)
+    return out.tobytes(), np.diff(offsets)
 
 
 def varint_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
@@ -98,50 +116,132 @@ def bm25_tf_part(tf: np.ndarray, doc_len: np.ndarray, avgdl: float,
     return (k1 + 1.0) * tf / (tf + norm)
 
 
+@dataclass
+class EncodedSegments:
+    """Every segment row of one group, back to back: row r's id bytes
+    are ``doc_ids[id_offsets[r]:id_offsets[r+1]]`` (tfs likewise) and
+    its skip blocks are entries ``block_offsets[r]:block_offsets[r+1]``
+    of the per-block arrays."""
+
+    df: np.ndarray               # int64 per row
+    cf: np.ndarray               # int64 per row
+    doc_ids: np.ndarray          # uint8, every row's id varints
+    id_offsets: np.ndarray       # int64 per row + 1
+    tfs: np.ndarray              # uint8, every row's tf varints
+    tf_offsets: np.ndarray       # int64 per row + 1
+    block_offsets: np.ndarray    # int64 per row + 1
+    skip_first_doc: np.ndarray   # int64 per block
+    skip_doc_offset: np.ndarray  # int32 per block, relative to its row
+    skip_tf_offset: np.ndarray   # int32 per block, relative to its row
+    block_max_tf: np.ndarray     # int64 per block
+    block_max_score: np.ndarray  # float64 per block (idf-free upper bound)
+
+    def arrow_columns(self) -> dict:
+        """The ``df`` … ``block_max_score`` segment columns as Arrow
+        arrays built straight from these buffers."""
+        import pyarrow as pa
+
+        def binary(buf, offs):
+            return pa.Array.from_buffers(
+                pa.binary(), len(offs) - 1,
+                [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
+
+        blk_offs = pa.array(self.block_offsets.astype(np.int32))
+
+        def lists(values, typ):
+            return pa.ListArray.from_arrays(blk_offs, pa.array(values, typ))
+
+        return {
+            "df": pa.array(self.df, pa.int64()),
+            "cf": pa.array(self.cf, pa.int64()),
+            "doc_ids": binary(self.doc_ids, self.id_offsets),
+            "tfs": binary(self.tfs, self.tf_offsets),
+            "skip_first_doc": lists(self.skip_first_doc, pa.int64()),
+            "skip_doc_offset": lists(self.skip_doc_offset, pa.int32()),
+            "skip_tf_offset": lists(self.skip_tf_offset, pa.int32()),
+            "block_max_tf": lists(self.block_max_tf, pa.int64()),
+            "block_max_score": lists(self.block_max_score, pa.float64()),
+        }
+
+
+def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndarray,
+                    starts: np.ndarray, ends: np.ndarray, avgdl: float,
+                    k1: float = BM25_K1, b: float = BM25_B,
+                    block_size: int = BLOCK_SIZE) -> EncodedSegments:
+    """Encode many (term, shard) posting lists in one vectorized pass.
+    Row r is postings ``starts[r]:ends[r]`` of the flat arrays; rows
+    must be contiguous and cover them (``starts[0] == 0``, ``starts[r+1]
+    == ends[r]``, ``ends[-1] == len(doc_ids)``), and each row must be
+    doc_id-sorted. Row r's output is byte-identical to encoding it alone."""
+    n = len(doc_ids)
+    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
+    tfs = np.ascontiguousarray(tfs, dtype=np.int64)
+    bounds = np.append(np.asarray(starts, dtype=np.int64), n)
+    if bounds[0] != 0 or not np.array_equal(bounds[1:], ends):
+        raise ValueError("encode_segments needs contiguous rows covering "
+                         "the posting arrays")
+    df = np.diff(bounds)
+    nblocks = (df + (block_size - 1)) // block_size
+    block_offsets = np.zeros(len(df) + 1, dtype=np.int64)
+    np.cumsum(nblocks, out=block_offsets[1:])
+    # block k of row r starts at bounds[r] + block_size * (k - block_offsets[r])
+    block_starts = (np.repeat(bounds[:-1] - block_size * block_offsets[:-1], nblocks)
+                    + block_size * np.arange(block_offsets[-1]))
+    # Within-block deltas; block-start positions hold absolute values
+    # (every row starts a block, so deltas across rows are overwritten).
+    deltas = np.empty(n, dtype=np.uint64)
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:], casting="unsafe")
+    deltas[block_starts] = doc_ids[block_starts]
+    id_buf, id_cum = _varint_encode_array(deltas)
+    tf_buf, tf_cum = _varint_encode_array(tfs)
+    # skip offsets and the Arrow binary columns are int32: a group past
+    # 2 GiB would silently wrap and decode garbage — fail loudly instead
+    # (reachable only with a misconfigured num_shards at very large
+    # scale; the fix is more shards, which also bounds per-task memory)
+    if id_cum[-1] >= INT32_OFFSET_LIMIT or tf_cum[-1] >= INT32_OFFSET_LIMIT:
+        raise ValueError(
+            f"encoded segments exceed int32 offset range "
+            f"({int(id_cum[-1])}/{int(tf_cum[-1])} bytes, {n} postings in "
+            f"{len(df)} rows); increase num_shards so groups shrink")
+    id_offsets, tf_offsets = id_cum[bounds], tf_cum[bounds]
+    tf_sums = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(tfs, out=tf_sums[1:])
+    scores = bm25_tf_part(tfs, doc_lens, avgdl, k1, b)
+    return EncodedSegments(
+        df=df,
+        cf=np.diff(tf_sums[bounds]),
+        doc_ids=id_buf,
+        id_offsets=id_offsets,
+        tfs=tf_buf,
+        tf_offsets=tf_offsets,
+        block_offsets=block_offsets,
+        skip_first_doc=doc_ids[block_starts],
+        skip_doc_offset=(id_cum[block_starts]
+                         - np.repeat(id_offsets[:-1], nblocks)).astype(np.int32),
+        skip_tf_offset=(tf_cum[block_starts]
+                        - np.repeat(tf_offsets[:-1], nblocks)).astype(np.int32),
+        block_max_tf=np.maximum.reduceat(tfs, block_starts),
+        block_max_score=np.maximum.reduceat(scores, block_starts),
+    )
+
+
 def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndarray,
                    avgdl: float, k1: float = BM25_K1, b: float = BM25_B,
                    block_size: int = BLOCK_SIZE) -> EncodedSegment:
     """Encode one (term, shard) posting list. Inputs must be doc_id-sorted."""
     n = len(doc_ids)
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.int64)
-    block_starts = np.arange(0, n, block_size, dtype=np.int64)
-    # Within-block deltas; block-start positions hold absolute values.
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[1:] = (doc_ids[1:] - doc_ids[:-1]).astype(np.uint64)
-    deltas[block_starts] = doc_ids[block_starts].astype(np.uint64)
-    id_buf, id_nbytes = varint_encode(deltas)
-    tf_buf, tf_nbytes = varint_encode(tfs.astype(np.uint64))
-    id_cum = np.concatenate(([0], np.cumsum(id_nbytes)))
-    tf_cum = np.concatenate(([0], np.cumsum(tf_nbytes)))
-    # skip offsets are stored int32: a >2 GiB (term, shard) segment would
-    # silently wrap and decode garbage — fail loudly instead (reachable
-    # only with a misconfigured num_shards at very large scale; the fix
-    # is more shards, which also bounds per-task memory)
-    if id_cum[-1] >= 2**31 or tf_cum[-1] >= 2**31:
-        raise ValueError(
-            f"encoded segment exceeds int32 offset range "
-            f"({int(id_cum[-1])}/{int(tf_cum[-1])} bytes, df={n}); "
-            f"increase num_shards so per-(term,shard) postings shrink")
-    scores = bm25_tf_part(tfs, doc_lens, avgdl, k1, b)
-    if n:
-        block_max_tf = np.maximum.reduceat(tfs, block_starts)
-        block_max_score = np.maximum.reduceat(scores, block_starts)
-        skip_first = doc_ids[block_starts]
-    else:
-        block_max_tf = np.zeros(0, dtype=np.int64)
-        block_max_score = np.zeros(0, dtype=np.float64)
-        skip_first = np.zeros(0, dtype=np.int64)
+    seg = encode_segments(doc_ids, tfs, doc_lens, np.zeros(1, np.int64),
+                          np.array([n]), avgdl, k1, b, block_size)
     return EncodedSegment(
         df=n,
-        cf=int(tfs.sum()),
-        doc_ids=id_buf,
-        tfs=tf_buf,
-        skip_first_doc=skip_first,
-        skip_doc_offset=id_cum[block_starts].astype(np.int32),
-        skip_tf_offset=tf_cum[block_starts].astype(np.int32),
-        block_max_tf=block_max_tf.astype(np.int64),
-        block_max_score=block_max_score.astype(np.float64),
+        cf=int(seg.cf[0]),
+        doc_ids=seg.doc_ids.tobytes(),
+        tfs=seg.tfs.tobytes(),
+        skip_first_doc=seg.skip_first_doc,
+        skip_doc_offset=seg.skip_doc_offset,
+        skip_tf_offset=seg.skip_tf_offset,
+        block_max_tf=seg.block_max_tf,
+        block_max_score=seg.block_max_score,
     )
 
 
@@ -259,9 +359,8 @@ def encode_position_lists(pos_sorted: np.ndarray,
     gaps = np.empty(n, dtype=np.uint64)
     gaps[1:] = (pos_sorted[1:] - pos_sorted[:-1]).astype(np.uint64)
     gaps[starts] = pos_sorted[starts].astype(np.uint64)
-    buf, nbytes = varint_encode(gaps)
-    cum = np.concatenate(([0], np.cumsum(nbytes)))
-    return [bytes(buf[cum[s]:cum[e]]) for s, e in zip(starts, ends)]
+    buf, cum = _varint_encode_array(gaps)
+    return [buf[cum[s]:cum[e]].tobytes() for s, e in zip(starts, ends)]
 
 
 def encode_position_lists_arrow(pos_sorted: np.ndarray,
@@ -288,17 +387,15 @@ def encode_position_lists_arrow(pos_sorted: np.ndarray,
     gaps = np.empty(n, dtype=np.uint64)
     gaps[1:] = (pos_sorted[1:] - pos_sorted[:-1]).astype(np.uint64)
     gaps[starts] = pos_sorted[starts].astype(np.uint64)
-    buf, nbytes = varint_encode(gaps)
-    cum = np.concatenate(([0], np.cumsum(nbytes)))
+    buf, cum = _varint_encode_array(gaps)
     total = int(cum[ends[-1]])
-    if total >= 2**31:
+    if total >= INT32_OFFSET_LIMIT:
         raise ValueError("position blob batch exceeds int32 offsets — "
                          "lower the build batch_size")
     offs = cum[np.concatenate((starts[:1], ends))].astype(np.int32)
     return pa.Array.from_buffers(
         pa.binary(), n_groups,
-        [None, pa.py_buffer(np.ascontiguousarray(offs)),
-         pa.py_buffer(np.ascontiguousarray(buf[:total]))])
+        [None, pa.py_buffer(offs), pa.py_buffer(buf[:total])])
 
 
 def decode_positions(blob: bytes, tfs: np.ndarray) -> np.ndarray:

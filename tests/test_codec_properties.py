@@ -2,17 +2,24 @@
 sorted posting list, not just the seeded samples in test_codec.py."""
 
 import numpy as np
+import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stacksearch_ray import codec
+from stacksearch_ray.build import SegmentEncoder, _empty_segments_table
 from stacksearch_ray.codec import (
+    bm25_tf_part,
     decode_block,
     decode_doc_ids,
     decode_tfs,
     encode_segment,
+    encode_segments,
     varint_decode,
     varint_encode,
 )
+from stacksearch_ray.schema import SEGMENTS_SCHEMA
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,3 +57,192 @@ def test_segment_roundtrip_any(id_set, block_size, data):
     lo, hi = blk * block_size, min(n, (blk + 1) * block_size)
     assert b_ids.tolist() == ids[lo:hi].tolist()
     assert b_tfs.tolist() == tfs[lo:hi].tolist()
+
+
+# --- batched encoder vs the per-row reference ------------------------------
+
+def _leb128(v: int) -> bytes:
+    """Scalar LEB128, one value."""
+    out = bytearray()
+    while True:
+        byte = v & 0x7F
+        v >>= 7
+        if v:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def _ref_encode_segment(doc_ids, tfs, doc_lens, avgdl, k1, b, block_size):
+    """One (term, shard) row, encoded value by value."""
+    n = len(doc_ids)
+    block_starts = list(range(0, n, block_size))
+    id_bytes, tf_bytes, id_offs, tf_offs = b"", b"", [], []
+    for i in range(n):
+        if i in block_starts:
+            id_offs.append(len(id_bytes))
+            tf_offs.append(len(tf_bytes))
+            delta = int(doc_ids[i])
+        else:
+            delta = int(doc_ids[i]) - int(doc_ids[i - 1])
+        id_bytes += _leb128(delta)
+        tf_bytes += _leb128(int(tfs[i]))
+    scores = bm25_tf_part(tfs, doc_lens, avgdl, k1, b)
+    ends = block_starts[1:] + [n]
+    return {
+        "df": n, "cf": int(tfs.sum()), "doc_ids": id_bytes, "tfs": tf_bytes,
+        "skip_first_doc": [int(doc_ids[s]) for s in block_starts],
+        "skip_doc_offset": id_offs, "skip_tf_offset": tf_offs,
+        "block_max_tf": [int(tfs[s:e].max()) for s, e in zip(block_starts, ends)],
+        "block_max_score": [float(scores[s:e].max())
+                            for s, e in zip(block_starts, ends)],
+    }
+
+
+def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
+    """The per-(term, shard) loop SegmentEncoder ran before encoding was
+    batched per group: sort, split into rows, encode each row alone."""
+    has_pos = "pos" in group.column_names
+    if group.num_rows == 0:
+        return _empty_segments_table(has_pos)
+    terms = group["term"].to_pylist()
+    doc_ids = np.asarray(group["doc_id"]).astype(np.int64)
+    tfs = np.asarray(group["tf"]).astype(np.int64)
+    doc_lens = np.asarray(group["doc_len"]).astype(np.int64)
+    shards = np.asarray(group["shard"]).astype(np.int32)
+    pos = group["pos"].to_pylist() if has_pos else None
+    rows: dict = {}
+    for i in sorted(range(len(terms)),
+                    key=lambda i: (int(shards[i]), terms[i], int(doc_ids[i]))):
+        rows.setdefault((int(shards[i]), terms[i]), []).append(i)
+    # codes follow first appearance (dictionary_encode), so rows sort by
+    # (shard, first-appearance rank of the term)
+    rank = {t: r for r, t in reversed(list(enumerate(terms)))}
+    out = {k: [] for k in SEGMENTS_SCHEMA.names}
+    if has_pos:
+        out["positions"] = []
+    for (shard, term), idx in sorted(rows.items(),
+                                     key=lambda kv: (kv[0][0], rank[kv[0][1]])):
+        seg = _ref_encode_segment(doc_ids[idx], tfs[idx], doc_lens[idx],
+                                  avgdl, k1, b, block_size)
+        out["term"].append(term)
+        out["shard"].append(shard)
+        for k, v in seg.items():
+            out[k].append(v)
+        if has_pos:
+            out["positions"].append(b"".join(pos[i] or b"" for i in idx))
+    schema = SEGMENTS_SCHEMA
+    if has_pos:
+        schema = schema.append(pa.field("positions", pa.binary()))
+    return pa.table(out, schema=schema)
+
+
+def _random_group(rng, dfs, n_shards, positions, block_size):
+    """A shuffle group: term t has postings in ``dfs[t]`` distinct docs
+    per shard it appears in, rows shuffled."""
+    cols = {k: [] for k in ("term", "doc_id", "tf", "doc_len", "shard")}
+    pos = []
+    for t, df in enumerate(dfs):
+        for shard in rng.choice(n_shards, size=int(rng.integers(1, n_shards + 1)),
+                                replace=False):
+            ids = rng.choice(2**40, size=df, replace=False) * n_shards + shard
+            tf = rng.integers(1, 300, size=df)
+            cols["term"] += [f"t{t}"] * df
+            cols["doc_id"] += ids.tolist()
+            cols["tf"] += tf.tolist()
+            cols["doc_len"] += rng.integers(1, 5000, size=df).tolist()
+            cols["shard"] += [int(shard)] * df
+            pos += [None if rng.random() < 0.05 else rng.bytes(int(x) % 7)
+                    for x in tf]
+    perm = rng.permutation(len(cols["term"]))
+    table = pa.table({
+        "term": pa.array([cols["term"][i] for i in perm], pa.string()),
+        "doc_id": pa.array(np.asarray(cols["doc_id"], np.int64)[perm]),
+        "tf": pa.array(np.asarray(cols["tf"], np.int64)[perm]),
+        "doc_len": pa.array(np.asarray(cols["doc_len"], np.int64)[perm]),
+        "shard": pa.array(np.asarray(cols["shard"], np.int32)[perm]),
+    })
+    if positions:
+        table = table.append_column(
+            "pos", pa.array([pos[i] for i in perm], pa.binary()))
+    return table
+
+
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("block_size", [4, 128])
+def test_segment_encoder_equals_per_row_reference(positions, block_size):
+    rng = np.random.default_rng(block_size + positions)
+    bs = block_size
+    dfs = [1, bs - 1, bs, bs + 1, 3 * bs + 5, 2, 7]
+    for seed_shards in (1, 3, 8):
+        group = _random_group(rng, dfs, seed_shards, positions, bs)
+        enc = SegmentEncoder(avgdl=417.25, k1=1.1, b=0.6, block_size=bs)
+        got = enc(group)
+        want = _ref_segment_encoder(group, 417.25, 1.1, 0.6, bs)
+        assert got.equals(want)
+        # chunked input (as map_groups hands it over) encodes the same
+        half = group.num_rows // 2
+        chunked = pa.concat_tables([group.slice(0, half), group.slice(half)])
+        assert enc(chunked).equals(want)
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_segment_encoder_empty_group(positions):
+    group = _random_group(np.random.default_rng(0), [1], 1, positions, 128)
+    got = SegmentEncoder(avgdl=10.0)(group.slice(0, 0))
+    assert got.num_rows == 0
+    assert got.equals(_ref_segment_encoder(group.slice(0, 0), 10.0,
+                                           1.2, 0.75, 128))
+
+
+def test_encode_segment_adapter_equals_reference():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 127, 128, 129, 389):
+        ids = np.sort(rng.choice(10**12, size=n, replace=False)).astype(np.int64)
+        tfs = rng.integers(1, 1000, size=n).astype(np.int64)
+        lens = rng.integers(1, 9000, size=n).astype(np.int64)
+        seg = encode_segment(ids, tfs, lens, avgdl=300.0)
+        ref = _ref_encode_segment(ids, tfs, lens, 300.0, 1.2, 0.75, 128)
+        assert (seg.df, seg.cf, seg.doc_ids, seg.tfs) == (
+            ref["df"], ref["cf"], ref["doc_ids"], ref["tfs"])
+        for k in ("skip_first_doc", "skip_doc_offset", "skip_tf_offset",
+                  "block_max_tf", "block_max_score"):
+            assert getattr(seg, k).tolist() == ref[k], k
+        assert seg.skip_doc_offset.dtype == np.int32
+        assert seg.block_max_score.dtype == np.float64
+
+
+def test_encode_segments_rejects_non_contiguous_rows():
+    ids = np.arange(6, dtype=np.int64)
+    one = np.ones(6, np.int64)
+    with pytest.raises(ValueError, match="contiguous"):
+        encode_segments(ids, one, one, np.array([0, 3]), np.array([2, 6]), 5.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        encode_segments(ids, one, one, np.array([0]), np.array([5]), 5.0)
+
+
+def test_varint_encode_matches_scalar_leb128():
+    edges = [0, 1, 127, 128, 129, 2**14 - 1, 2**14, 2**14 + 1,
+             2**21 - 1, 2**21, 2**35, 2**56 - 1, 2**56, 2**63 - 1, 2**63,
+             2**64 - 1]
+    rng = np.random.default_rng(9)
+    rand = [int(x) for x in rng.integers(0, 2**63, size=500, dtype=np.uint64)]
+    for values in (edges, rand, edges[::-1] + rand, []):
+        buf, nbytes = varint_encode(np.array(values, dtype=np.uint64))
+        want = [_leb128(v) for v in values]
+        assert buf == b"".join(want)
+        assert nbytes.tolist() == [len(w) for w in want]
+
+
+def test_encode_offset_guard_raises_past_limit(monkeypatch):
+    """A group whose id or tf bytes reach the int32 limit raises rather
+    than wrapping; the limit is patched down so the test stays small."""
+    group = _random_group(np.random.default_rng(3), [50, 60], 2, False, 128)
+    total = len(b"".join(SegmentEncoder(avgdl=9.0)(group)["doc_ids"]
+                         .to_pylist()))
+    monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total + 1)
+    SegmentEncoder(avgdl=9.0)(group)
+    monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total)
+    with pytest.raises(ValueError, match="int32 offset range"):
+        SegmentEncoder(avgdl=9.0)(group)

@@ -174,6 +174,48 @@ def test_deleted_df_distributed_equals_driver(deleted_setup, ray_session):
     assert a == b and len(a) > 0
 
 
+def test_deleted_df_equals_per_row_reference(ray_session, tmp_path):
+    """On an appended-then-deleted index, both execution strategies of
+    the batched deleted-df scan equal a row-by-row decode of every
+    segment row."""
+    import os
+
+    from stacksearch_ray.append import (
+        _deleted_df_counts,
+        append_to_index,
+        delete_from_index,
+        load_tombstones,
+    )
+    from stacksearch_ray.build import build_index, load_stats
+    from stacksearch_ray.codec import decode_doc_ids
+    from stacksearch_ray.corpus import write_corpus
+
+    full = str(tmp_path / "full")
+    write_corpus(full, 300, rows_per_file=100)
+    idx = str(tmp_path / "idx")
+    build_index([f"{full}/part-0000{i}.parquet" for i in (0, 1)], idx,
+                num_shards=4, term_buckets=4)
+    append_to_index([f"{full}/part-00002.parquet"], idx)
+    ids = pq.read_table(os.path.join(idx, "docs"),
+                        columns=["doc_id"])["doc_id"].to_pylist()
+    delete_from_index(idx, sorted(ids)[::9])
+    st = load_stats(idx)
+    allt = load_tombstones(idx, st)
+    seg = os.path.join(idx, "segments")
+    bs = int(st["block_size"])
+    rows = pq.read_table(seg, columns=["term", "doc_ids"])
+    dead = set(allt.tolist())
+    want: dict[str, int] = {}
+    for term, blob in zip(rows["term"].to_pylist(),
+                          rows["doc_ids"].to_pylist()):
+        c = sum(int(d) in dead for d in decode_doc_ids(blob, bs))
+        if c:
+            want[term] = want.get(term, 0) + c
+    assert len(want) > 0
+    assert _deleted_df_counts(seg, allt, bs, threshold=10**9) == want
+    assert _deleted_df_counts(seg, allt, bs, threshold=0) == want
+
+
 def test_sharded_engine_with_deletes(deleted_setup, ray_session):
     """Sharded serving under tombstones: each worker masks its subset
     and the global deleted-df correction keeps idf identical — fan-out
