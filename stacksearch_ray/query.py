@@ -31,9 +31,14 @@ contributions accumulated in sorted-term order so scores are bitwise
 identical to the oracle (oracle.py). Tie-break: score desc, doc_id asc.
 
 Query fan-out: the index is doc-sharded, so each shard's top-k is
-independent; ``search`` runs shards sequentially on the driver (test scale)
-and ``BM25SearchActor`` is the actor-pool stage (index loaded once per
-actor, /root/reference/models/api.py:30-78 pattern) for batch-query
+independent. ``ShardedQueryEngine`` serves it from long-lived
+``ray.remote(QueryEngine)`` actors, each owning a shard subset: every
+sharded surface is one ``_fanout`` call of the same-named engine method,
+merged by ``_topk`` (score desc, doc_id asc) or, for per-doc arrays, by
+``_concat_by_doc``; ``explain`` and pinned ids go to the one owning
+worker (``_owner``). ``FederatedQueryEngine`` merges independently
+built indexes through the same ``_topk``, and ``BM25SearchActor`` is
+the actor-pool stage (index loaded once per actor) for batch-query
 throughput via ``map_batches``.
 """
 
@@ -166,6 +171,25 @@ def _collapse_walk(ranked: list, per_group: int, k: int) -> list:
         if len(out) == k:
             break
     return out
+
+
+def _topk(parts, k: int | None, key=lambda r: (-r[1], r[0])) -> list:
+    """THE fan-out merge: concatenate per-source result lists over
+    disjoint docs and keep the first ``k`` in ``key`` order — by
+    default the engine's one total order, score desc then doc_id asc.
+    ``k=None`` keeps every row (the sharded collapse re-walks them)."""
+    merged = [r for part in parts for r in part]
+    merged.sort(key=key)
+    return merged[:k]
+
+
+def _concat_by_doc(parts) -> tuple[np.ndarray, ...]:
+    """Merge per-worker column tuples ``(doc_ids, col, ...)`` over
+    disjoint doc sets: concatenate each column, then one stable sort
+    by doc id reproduces the single-engine arrays."""
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(c[order] for c in cols)
 
 
 def open_index(path: str, **kwargs) -> "QueryEngine":
@@ -1300,8 +1324,7 @@ class QueryEngine:
                 for d, x in zip(ids.tolist(), w.tolist())}
         combined = [(d, query_weight * s + rescore_weight * prox.get(d, 0.0))
                     for d, s in ranked]  # window-sized, not corpus-sized
-        combined.sort(key=lambda kv: (-kv[1], kv[0]))
-        return combined[:k]
+        return _topk([combined], k)
 
     def _search_exhaustive(self, terms: list[str], k: int,
                            scorer: str = "bm25",
@@ -2711,86 +2734,9 @@ class QueryEngine:
         lid = self.doclens.ids
         return [(int(lid[apos[i]]), float(acc[i])) for i in sel]
 
-
-class _ShardWorker:
-    """One query-serving worker owning a disjoint shard subset."""
-
-    def __init__(self, index_dir: str, shards: list[int]):
-        self.engine = QueryEngine(index_dir, shard_subset=shards)
-
-    def search(self, query: str, k: int, method: str = "auto",
-               scorer: str = "bm25") -> list[tuple[int, float]]:
-        return self.engine.search(query, k, method=method, scorer=scorer)
-
-    def search_many(self, queries: list[str], k: int, method: str = "auto",
-                    scorer: str = "bm25") -> list[list[tuple[int, float]]]:
-        return [self.engine.search(q, k, method=method, scorer=scorer)
-                for q in queries]
-
-    def warm(self, queries: list[str]) -> int:
-        for q in queries:
-            self.engine.search(q, 10)
-        return 1
-
-    def search_boosted(self, boosts: dict, k: int
-                       ) -> list[tuple[int, float]]:
-        return self.engine.search_boosted(boosts, k)
-
-    def search_synonym_groups(self, groups: list[list[str]], k: int
-                              ) -> list[tuple[int, float]]:
-        return self.engine.search_synonym_groups(groups, k)
-
-    def search_feature_boost(self, query: str, k: int, feature_ref,
-                             weight: float, scorer: str = "bm25"
-                             ) -> list[tuple[int, float]]:
-        import ray
-
-        feats = (ray.get(feature_ref)
-                 if not isinstance(feature_ref, tuple) else feature_ref)
-        return self.engine.search_feature_boost(
-            query, k, feature_ids=feats[0], feature_vals=feats[1],
-            weight=weight, scorer=scorer)
-
-    def search_min_should_match(self, query: str, min_match: int, k: int
-                                ) -> list[tuple[int, float]]:
-        return self.engine.search_min_should_match(query, min_match, k)
-
-    def search_terms_set(self, query: str, msm_fn, k: int
-                         ) -> list[tuple[int, float]]:
-        return self.engine.search_terms_set(query, msm_fn, k)
-
-    def query_string(self, qs: str, k: int) -> list[tuple[int, float]]:
-        return self.engine.search_query_string(qs, k)
-
-    def span_near(self, terms: list[str], k: int, slop: int,
-                  scorer: str = "bm25") -> list[tuple[int, float]]:
-        return self.engine.search_span_near(terms, k, slop=slop,
-                                            scorer=scorer)
-
-    def intervals(self, terms: list[str], k: int, max_gaps: int,
-                  not_containing, scorer: str = "bm25"
-                  ) -> list[tuple[int, float]]:
-        return self.engine.search_intervals(
-            terms, k, max_gaps=max_gaps, not_containing=not_containing,
-            scorer=scorer)
-
-    def span_containing(self, big: list[str], little: str, k: int,
-                        max_gaps: int, scorer: str = "bm25"
-                        ) -> list[tuple[int, float]]:
-        return self.engine.search_span_containing(
-            big, little, k, max_gaps=max_gaps, scorer=scorer)
-
-    def search_after(self, query: str, after_score: float, after_doc: int,
-                     k: int) -> list[tuple[int, float]]:
-        return self.engine.search_after(query, after_score, after_doc, k)
-
-    def explain(self, query: str, doc_id: int,
-                scorer: str = "bm25") -> dict:
-        return self.engine.explain(query, doc_id, scorer)
-
     def term_bucket_bitmap(self, bits: int) -> bytes:
         """``bits``-wide presence bitmap of the term hash-buckets in
-        this worker's shard subset (one term-column scan at call time,
+        this engine's shard subset (one term-column scan at call time,
         unique → hash % bits → packbits). A worker holding ANY posting
         for a term always has that term's bucket set, so the driver
         skipping bitmap-miss workers is exact — a skipped worker could
@@ -2798,11 +2744,10 @@ class _ShardWorker:
         positives (extra fan-out), never misses; size ``bits`` ≳ 32×
         the per-worker vocabulary to keep the false-fan-out rate under
         ~3% per worker."""
-        eng = self.engine
         filters = None
-        if eng.shard_subset is not None:
-            filters = [("shard", "in", list(eng.shard_subset))]
-        t = pq.read_table(eng._seg_dir, columns=["term"], filters=filters)
+        if self.shard_subset is not None:
+            filters = [("shard", "in", list(self.shard_subset))]
+        t = pq.read_table(self._seg_dir, columns=["term"], filters=filters)
         out = np.zeros(bits, dtype=bool)
         uniq = t["term"].combine_chunks().unique()
         if len(uniq):
@@ -2812,111 +2757,6 @@ class _ShardWorker:
                  % np.uint64(bits)).astype(np.int64)
             out[h] = True
         return np.packbits(out).tobytes()
-
-    def search_filtered(self, query: str, k: int, allowed_ref,
-                        plan: str = "auto") -> list[tuple[int, float]]:
-        import ray
-
-        allowed = ray.get(allowed_ref) if not isinstance(
-            allowed_ref, np.ndarray) else allowed_ref
-        return self.engine.search_filtered(query, k,
-                                           allowed_doc_ids=allowed,
-                                           plan=plan)
-
-    def search_span_first(self, query: str, k: int, first_term: str,
-                          limit: int) -> list[tuple[int, float]]:
-        return self.engine.search_span_first(query, k,
-                                             first_term=first_term,
-                                             limit=limit)
-
-    def search_span_not(self, query: str, k: int, include_term: str,
-                        exclude_term: str, dist: int
-                        ) -> list[tuple[int, float]]:
-        return self.engine.search_span_not(query, k,
-                                           include_term=include_term,
-                                           exclude_term=exclude_term,
-                                           dist=dist)
-
-    def export_matches(self, query: str, scorer: str
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        return self.engine.export_matches(query, scorer=scorer)
-
-    def search_phrase_prefix(self, phrase: str, k: int,
-                             max_expansions: int
-                             ) -> list[tuple[int, float]]:
-        return self.engine.search_phrase_prefix(
-            phrase, k, max_expansions=max_expansions)
-
-    def phrase(self, phrase: str) -> tuple[list[int], list[int]]:
-        ids, counts = self.engine.phrase_occurrences(phrase)
-        return ids.tolist(), counts.tolist()
-
-    def near(self, a: str, b: str) -> tuple[list[int], list[int]]:
-        ids, gaps = self.engine.near_min_gaps(a, b)
-        return ids.tolist(), gaps.tolist()
-
-    def ordered_spans(self, terms: list[str]) -> tuple[list[int], list[int]]:
-        ids, spans = self.engine.min_ordered_spans(terms)
-        return ids.tolist(), spans.tolist()
-
-    def proximity_boost(self, query: str, k: int, weight: float,
-                        scorer: str = "bm25") -> list[tuple[int, float]]:
-        return self.engine.search_proximity_boost(query, k, weight, scorer)
-
-    def coord(self, query: str, k: int) -> list[tuple[int, float]]:
-        return self.engine.search_coord(query, k)
-
-    def feature_scale(self, query: str, k: int, feature_ref,
-                      scorer: str = "bm25") -> list[tuple[int, float]]:
-        import ray
-
-        feats = (ray.get(feature_ref)
-                 if not isinstance(feature_ref, tuple) else feature_ref)
-        return self.engine.search_feature_scale(
-            query, k, feature_ids=feats[0], feature_vals=feats[1],
-            scorer=scorer)
-
-    def cover_windows(self, terms: list[str], within_ref
-                      ) -> tuple[list[int], list[int]]:
-        import ray
-
-        within = (ray.get(within_ref)
-                  if not isinstance(within_ref, np.ndarray) else within_ref)
-        ids, w = self.engine.min_cover_windows(terms, within=within)
-        return ids.tolist(), w.tolist()
-
-    def boolean_dsl(self, expr: str) -> list[int]:
-        return self.engine.search_boolean_dsl(expr).tolist()
-
-    def bool_query(self, must, should, must_not, k: int,
-                   scorer: str = "bm25") -> list[tuple[int, float]]:
-        return self.engine.search_bool_query(must, should, must_not,
-                                             k, scorer)
-
-    def phrase_ranked(self, phrase: str, k: int, slop: int,
-                      scorer: str = "bm25") -> list[tuple[int, float]]:
-        return self.engine.search_phrase_ranked(phrase, k, slop, scorer)
-
-    def sorted_by(self, expr: str, k: int, field_ref,
-                  descending: bool) -> list[tuple[int, float]]:
-        import ray
-
-        fi, fv = (ray.get(field_ref) if not isinstance(field_ref, tuple)
-                  else field_ref)
-        return self.engine.search_sorted_by(expr, k, field_ids=fi,
-                                            field_vals=fv,
-                                            descending=descending)
-
-    def collapse(self, query: str, k: int, group_ref, per_group: int,
-                 scorer: str = "bm25") -> list[tuple[int, int, float]]:
-        import ray
-
-        gi, gc = (ray.get(group_ref) if not isinstance(group_ref, tuple)
-                  else group_ref)
-        return self.engine.search_collapse(query, k, group_ids=gi,
-                                           group_codes=gc,
-                                           per_group=per_group,
-                                           scorer=scorer)
 
 
 class ShardedQueryEngine:
@@ -2928,7 +2768,15 @@ class ShardedQueryEngine:
     This is the SURVEY.md E2 fan-out — the one place raw @ray.remote
     actors are justified over the Dataset API (per-query RPC against
     long-lived mutable cache state). Results are bitwise identical to
-    the single-process QueryEngine (global df from term_dict)."""
+    the single-process QueryEngine (global df from term_dict).
+
+    Each worker IS a ``QueryEngine`` over its shard subset
+    (``ray.remote(QueryEngine)``), so a sharded surface is one
+    ``_fanout`` of the engine method of the same name plus a merge:
+    ``_topk`` for ranked lists, ``_concat_by_doc`` for per-doc arrays.
+    Large arrays travel as ``ray.put`` refs in top-level keyword
+    arguments, which Ray resolves on the worker — one object-store copy
+    however many workers read it."""
 
     def __init__(self, index_dir: str, num_workers: int = 8,
                  num_cpus_per_worker: float = 1.0,
@@ -2942,8 +2790,8 @@ class ShardedQueryEngine:
         n_shards = int(stats["num_shards"])
         num_workers = min(num_workers, n_shards)
         chunks = np.array_split(np.arange(n_shards), num_workers)
-        worker_cls = ray.remote(num_cpus=num_cpus_per_worker)(_ShardWorker)
-        self.workers = [worker_cls.remote(index_dir, c.tolist())
+        worker_cls = ray.remote(num_cpus=num_cpus_per_worker)(QueryEngine)
+        self.workers = [worker_cls.remote(index_dir, shard_subset=c.tolist())
                         for c in chunks if len(c)]
         self._n_shards = n_shards
         self._worker_of_shard = {int(s): wi
@@ -2958,6 +2806,26 @@ class ShardedQueryEngine:
         self._req_cache: "OrderedDict[tuple, list]" = OrderedDict()
         if route_terms:
             self.enable_term_routing()
+
+    def _fanout(self, method: str, *args, route: list[str] | None = None,
+                **kwargs) -> list:
+        """Call the engine ``method`` on every worker — or only on the
+        workers term routing keeps for the query texts in ``route`` —
+        and return their results in worker order."""
+        import ray
+
+        workers = (self.workers if route is None
+                   else self._routed_workers(route))
+        return ray.get([getattr(w, method).remote(*args, **kwargs)
+                        for w in workers])
+
+    def _owner(self, doc_id: int):
+        """The ONE worker whose shard subset holds ``doc_id``."""
+        from .schema import shard_of
+
+        shard = int(shard_of(np.asarray([doc_id], dtype=np.int64),
+                             self._n_shards)[0])
+        return self.workers[self._worker_of_shard[shard]]
 
     def clear_request_cache(self) -> None:
         """Drop every cached merged result (the ES clear-cache API)."""
@@ -2978,13 +2846,9 @@ class ShardedQueryEngine:
         proportional to term rarity: rare/cold terms touch 1–2 workers
         instead of all. Hot-term queries still fan out everywhere —
         routing only prunes RPCs that would have returned []."""
-        import ray
-
-        raw = ray.get([w.term_bucket_bitmap.remote(bits)
-                       for w in self.workers])
         self._route_bits = np.stack([
             np.unpackbits(np.frombuffer(b, np.uint8)).astype(bool)
-            for b in raw])
+            for b in self._fanout("term_bucket_bitmap", bits)])
 
     def _routed_workers(self, queries: list[str]) -> list:
         """Workers that can hold ≥1 posting of ≥1 query term (all of
@@ -3004,21 +2868,16 @@ class ShardedQueryEngine:
 
     def search(self, query: str, k: int = 10, method: str = "auto",
                scorer: str = "bm25") -> list[tuple[int, float]]:
-        import ray
-
+        key = (query, k, method, scorer)
         if self._req_cache_size:
-            key = (query, k, method, scorer)
             hit = self._req_cache.get(key)
             if hit is not None:
                 self._req_cache.move_to_end(key)
                 return list(hit)
-        futs = [w.search.remote(query, k, method, scorer)
-                for w in self._routed_workers([query])]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        merged = merged[:k]
+        merged = _topk(self._fanout("search", query, k, method, scorer,
+                                    route=[query]), k)
         if self._req_cache_size:
-            self._req_cache[(query, k, method, scorer)] = list(merged)
+            self._req_cache[key] = list(merged)
             if len(self._req_cache) > self._req_cache_size:
                 self._req_cache.popitem(last=False)
         return merged
@@ -3030,12 +2889,8 @@ class ShardedQueryEngine:
         breakdown is bitwise identical to the full engine's)."""
         import ray
 
-        from .schema import shard_of
-
-        shard = int(shard_of(np.asarray([doc_id], dtype=np.int64),
-                             self._n_shards)[0])
-        w = self.workers[self._worker_of_shard[shard]]
-        return ray.get(w.explain.remote(query, doc_id, scorer))
+        return ray.get(self._owner(doc_id).explain.remote(query, doc_id,
+                                                          scorer))
 
     def search_pinned(self, query: str, pinned_ids, k: int = 10,
                       method: str = "auto", scorer: str = "bm25"
@@ -3048,36 +2903,19 @@ class ShardedQueryEngine:
         the single engine's composition by construction."""
         import ray
 
-        from .schema import shard_of
-
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for d in pinned_ids:
-            di = int(d)
-            if di not in seen:
-                seen.add(di)
-                ordered.append(di)
-        futs = []
-        for di in ordered:
-            shard = int(shard_of(np.asarray([di], dtype=np.int64),
-                                 self._n_shards)[0])
-            w = self.workers[self._worker_of_shard[shard]]
-            futs.append(w.explain.remote(query, di, scorer))
-        pinned: list[tuple[int, float, bool]] = []
-        for di, ex in zip(ordered, ray.get(futs)):
-            if ex["alive"]:
-                pinned.append((di, ex["score"], True))
-            if len(pinned) >= k:
-                break
-        out = pinned[:k]
+        ordered = list(dict.fromkeys(int(d) for d in pinned_ids))
+        explained = ray.get([self._owner(d).explain.remote(query, d, scorer)
+                             for d in ordered])
+        out = [(d, ex["score"], True)
+               for d, ex in zip(ordered, explained) if ex["alive"]][:k]
         if len(out) < k:
+            seen = set(ordered)
             for d, s in self.search(query, k + len(seen), method=method,
                                     scorer=scorer):
                 if len(out) >= k:
                     break
-                if d in seen:
-                    continue
-                out.append((d, s, False))
+                if d not in seen:
+                    out.append((d, s, False))
         return out
 
     def search_many(self, queries: list[str], k: int = 10,
@@ -3086,30 +2924,17 @@ class ShardedQueryEngine:
         """Batched fan-out: ONE RPC per worker for the whole query batch
         (per-query RPC overhead amortized; workers score their shard
         subsets for all queries, driver merges per query)."""
-        import ray
-
-        workers = self._routed_workers(queries)
-        futs = [w.search_many.remote(queries, k, method, scorer)
-                for w in workers]
-        per_worker = ray.get(futs)
-        out = []
-        for qi in range(len(queries)):
-            merged = [r for wres in per_worker for r in wres[qi]]
-            merged.sort(key=lambda x: (-x[1], x[0]))
-            out.append(merged[:k])
-        return out
+        parts = self._fanout("search_many", queries, k, method, scorer,
+                             route=queries)
+        return [_topk([p[qi] for p in parts], k)
+                for qi in range(len(queries))]
 
     def search_boosted(self, boosts: dict, k: int = 10
                        ) -> list[tuple[int, float]]:
         """Distributed boosted search: per-worker exhaustive boosted
         scoring over disjoint shard subsets (global df via term_dict),
         standard top-k merge — bitwise identical to the single engine."""
-        import ray
-
-        futs = [w.search_boosted.remote(boosts, k) for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_boosted", boosts, k), k)
 
     def search_synonym_groups(self, groups: list[list[str]], k: int = 10
                               ) -> list[tuple[int, float]]:
@@ -3117,13 +2942,7 @@ class ShardedQueryEngine:
         are shard-local (a doc's postings live in one shard subset), so
         the fan-out merge is the standard disjoint top-k — bitwise
         identical to the single engine."""
-        import ray
-
-        futs = [w.search_synonym_groups.remote(groups, k)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_synonym_groups", groups, k), k)
 
     def search_feature_boost(self, query: str, k: int = 10, *,
                              feature_ids, feature_vals,
@@ -3137,13 +2956,11 @@ class ShardedQueryEngine:
         single-engine search_feature_boost."""
         import ray
 
-        ref = ray.put((np.asarray(feature_ids, dtype=np.int64),
-                       np.asarray(feature_vals, dtype=np.float64)))
-        futs = [w.search_feature_boost.remote(query, k, ref, weight, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout(
+            "search_feature_boost", query, k,
+            feature_ids=ray.put(np.asarray(feature_ids, dtype=np.int64)),
+            feature_vals=ray.put(np.asarray(feature_vals, dtype=np.float64)),
+            weight=weight, scorer=scorer), k)
 
     def search_min_should_match(self, query: str, min_match: int,
                                 k: int = 10) -> list[tuple[int, float]]:
@@ -3151,13 +2968,8 @@ class ShardedQueryEngine:
         is shard-local (its postings live in one shard subset), so each
         worker filters exactly and the merge is the standard disjoint
         top-k — bitwise identical to the single engine."""
-        import ray
-
-        futs = [w.search_min_should_match.remote(query, min_match, k)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_min_should_match", query,
+                                  min_match, k), k)
 
     def search_terms_set(self, query: str, msm_fn,
                          k: int = 10) -> list[tuple[int, float]]:
@@ -3166,13 +2978,7 @@ class ShardedQueryEngine:
         so each worker gates its own shard subset exactly and the merge
         is the standard disjoint top-k — bitwise identical to the
         single engine."""
-        import ray
-
-        futs = [w.search_terms_set.remote(query, msm_fn, k)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_terms_set", query, msm_fn, k), k)
 
     def search_span_near(self, terms: list[str], k: int = 10, *,
                          slop: int = 2, scorer: str = "bm25"
@@ -3181,13 +2987,8 @@ class ShardedQueryEngine:
         scoring are both worker-local (a doc's positions live in one
         shard; df comes from the term_dict), so the local top-k merge
         is exact — the search_phrase_ranked argument verbatim."""
-        import ray
-
-        futs = [w.span_near.remote(list(terms), k, slop, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_span_near", list(terms), k,
+                                  slop=slop, scorer=scorer), k)
 
     def search_intervals(self, terms: list[str], k: int = 10, *,
                          max_gaps: int = 0,
@@ -3198,14 +2999,10 @@ class ShardedQueryEngine:
         are both worker-local (a doc's positions live in one shard; df
         comes from the global term_dict), so the local top-k merge is
         exact — the search_span_near argument verbatim."""
-        import ray
-
-        futs = [w.intervals.remote(list(terms), k, max_gaps,
-                                   not_containing, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_intervals", list(terms), k,
+                                  max_gaps=max_gaps,
+                                  not_containing=not_containing,
+                                  scorer=scorer), k)
 
     def search_span_containing(self, big: list[str], little: str,
                                k: int = 10, *, max_gaps: int = 0,
@@ -3214,14 +3011,9 @@ class ShardedQueryEngine:
         """Distributed span_containing: gate + filtered scoring are
         worker-local (positions live in one shard; df is global), so
         the disjoint top-k merge is exact."""
-        import ray
-
-        futs = [w.span_containing.remote(list(big), little, k, max_gaps,
-                                         scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_span_containing", list(big),
+                                  little, k, max_gaps=max_gaps,
+                                  scorer=scorer), k)
 
     def search_constant_score(self, expr: str, boost: float = 1.0,
                               k: int = 10) -> list[tuple[int, float]]:
@@ -3255,12 +3047,7 @@ class ShardedQueryEngine:
         fills sort after every scored doc in the same (score desc,
         doc_id asc) total order, so the disjoint top-k merge is exact
         and bitwise identical to the single engine."""
-        import ray
-
-        futs = [w.query_string.remote(qs, k) for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_query_string", qs, k), k)
 
     def search_match_bool_prefix(self, text: str, k: int = 10
                                  ) -> list[tuple[int, float]]:
@@ -3296,12 +3083,9 @@ class ShardedQueryEngine:
         import ray
 
         allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
-        ref = ray.put(allowed)
-        futs = [w.search_filtered.remote(query, k, ref, plan)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_filtered", query, k,
+                                  allowed_doc_ids=ray.put(allowed),
+                                  plan=plan), k)
 
     def search_span_first(self, query: str, k: int = 10, *,
                           first_term: str, limit: int
@@ -3311,13 +3095,8 @@ class ShardedQueryEngine:
         in exactly one worker's shard subset), so each worker gates and
         scores its own docs and the merge is the standard disjoint
         top-k — bitwise identical to the single engine (tested)."""
-        import ray
-
-        futs = [w.search_span_first.remote(query, k, first_term, limit)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_span_first", query, k,
+                                  first_term=first_term, limit=limit), k)
 
     def search_span_not(self, query: str, k: int = 10, *,
                         include_term: str, exclude_term: str, dist: int
@@ -3327,14 +3106,9 @@ class ShardedQueryEngine:
         worker's shard subset), so each worker gates and scores its own
         docs; merge is the standard disjoint top-k — bitwise identical
         to the single engine (tested)."""
-        import ray
-
-        futs = [w.search_span_not.remote(query, k, include_term,
-                                         exclude_term, dist)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_span_not", query, k,
+                                  include_term=include_term,
+                                  exclude_term=exclude_term, dist=dist), k)
 
     def export_matches(self, query: str, scorer: str = "bm25"
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -3346,14 +3120,8 @@ class ShardedQueryEngine:
         single process ever holds more than its shard subset's matched
         set until the driver-side concat (callers that can't afford
         that keep the parts as separate refs)."""
-        import ray
-
-        parts = ray.get([w.export_matches.remote(query, scorer)
-                         for w in self.workers])
-        ids = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        order = np.argsort(ids, kind="stable")  # disjoint → plain sort
-        return ids[order], scores[order]
+        return _concat_by_doc(self._fanout("export_matches", query,
+                                           scorer=scorer))
 
     def search_phrase_prefix(self, phrase: str, k: int = 10, *,
                              max_expansions: int = 50
@@ -3364,28 +3132,26 @@ class ShardedQueryEngine:
         identical across workers; the adjacency gate and scoring are
         doc-local. Merge is the standard disjoint top-k — bitwise
         identical to the single engine (tested)."""
-        import ray
+        return _topk(self._fanout("search_phrase_prefix", phrase, k,
+                                  max_expansions=max_expansions), k)
 
-        futs = [w.search_phrase_prefix.remote(phrase, k, max_expansions)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+    def search_wildcard(self, prefix: str
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distributed wildcard (prefix*) retrieval: each worker unions
+        the matched terms' postings over its shard subset; per-doc
+        (n_terms, n_tokens) are shard-local, so the disjoint concat is
+        bitwise the single-engine search_wildcard."""
+        return _concat_by_doc(self._fanout("search_wildcard", prefix))
+
+    def search_regex(self, pattern: str
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distributed regex retrieval: every worker expands ``pattern``
+        over the index-global term_dict and unions postings over its
+        shard subset; disjoint concat, as search_wildcard."""
+        return _concat_by_doc(self._fanout("search_regex", pattern))
 
     def warm(self, queries: list[str]) -> None:
-        import ray
-
-        ray.get([w.warm.remote(queries) for w in self.workers])
-
-    def _merge_disjoint(self, parts) -> tuple[np.ndarray, np.ndarray]:
-        """Workers own disjoint doc shards, so per-worker positional
-        results never overlap: merge = concat + one sort by doc id."""
-        ids = np.concatenate([np.asarray(p[0], dtype=np.int64)
-                              for p in parts])
-        vals = np.concatenate([np.asarray(p[1], dtype=np.int64)
-                               for p in parts])
-        order = np.argsort(ids, kind="stable")
-        return ids[order], vals[order]
+        self._fanout("search_many", queries, 10)
 
     def phrase_occurrences(self, phrase: str
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -3393,30 +3159,19 @@ class ShardedQueryEngine:
         each worker intersects its own shard subset's position streams;
         the driver merges the disjoint per-shard results. Bitwise
         identical to the single-engine phrase_occurrences (tested)."""
-        import ray
-
-        parts = ray.get([w.phrase.remote(phrase) for w in self.workers])
-        return self._merge_disjoint(parts)
+        return _concat_by_doc(self._fanout("phrase_occurrences", phrase))
 
     def near_min_gaps(self, term_a: str, term_b: str
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Distributed NEAR/k: per-worker min-gap over its shard subset,
         disjoint-merge on the driver."""
-        import ray
-
-        parts = ray.get([w.near.remote(term_a, term_b)
-                         for w in self.workers])
-        return self._merge_disjoint(parts)
+        return _concat_by_doc(self._fanout("near_min_gaps", term_a, term_b))
 
     def min_ordered_spans(self, terms: list[str]
                           ) -> tuple[np.ndarray, np.ndarray]:
         """Distributed sloppy-phrase spans: per-worker ordered-span
         minimum over its shard subset, disjoint-merge on the driver."""
-        import ray
-
-        parts = ray.get([w.ordered_spans.remote(terms)
-                         for w in self.workers])
-        return self._merge_disjoint(parts)
+        return _concat_by_doc(self._fanout("min_ordered_spans", terms))
 
     def search_proximity_boost(self, query: str, k: int = 10,
                                weight: float = 1.0, scorer: str = "bm25"
@@ -3425,26 +3180,16 @@ class ShardedQueryEngine:
         feature is doc-local, so each worker boosts its own shard
         subset (global df via term_dict keeps text scores bitwise);
         driver merges local top-k."""
-        import ray
-
-        futs = [w.proximity_boost.remote(query, k, weight, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_proximity_boost", query, k,
+                                  weight, scorer), k)
 
     def search_coord(self, query: str, k: int = 10
                      ) -> list[tuple[int, float]]:
         """Distributed coord-factor ranking: the matched-terms count is
         doc-local and global df keeps text scores bitwise, so per-worker
         coord top-k merge is exact."""
-        import ray
-
-        futs = [w.coord.remote(query, k)
-                for w in self._routed_workers([query])]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_coord", query, k,
+                                  route=[query]), k)
 
     def search_feature_scale(self, query: str, k: int = 10, *,
                              feature_ids, feature_vals,
@@ -3455,13 +3200,11 @@ class ShardedQueryEngine:
         worker scales its own shard subset. Bitwise == single engine."""
         import ray
 
-        ref = ray.put((np.asarray(feature_ids, dtype=np.int64),
-                       np.asarray(feature_vals, dtype=np.float64)))
-        futs = [w.feature_scale.remote(query, k, ref, scorer)
-                for w in self._routed_workers([query])]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout(
+            "search_feature_scale", query, k,
+            feature_ids=ray.put(np.asarray(feature_ids, dtype=np.int64)),
+            feature_vals=ray.put(np.asarray(feature_vals, dtype=np.float64)),
+            scorer=scorer, route=[query]), k)
 
     def search_rescore(self, query: str, k: int = 10, *,
                        window_size: int = 30, query_weight: float = 1.0,
@@ -3477,25 +3220,21 @@ class ShardedQueryEngine:
         single-engine float order — bitwise identical (tested)."""
         import ray
 
-        workers = self._routed_workers([query])
-        futs = [w.search.remote(query, window_size, "exhaustive", scorer)
-                for w in workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        window = merged[:window_size]
+        window = _topk(self._fanout("search", query, window_size,
+                                    "exhaustive", scorer, route=[query]),
+                       window_size)
         if not window:
             return []
         terms = sorted(set(clean_query(query)))
         win_ids = np.fromiter((d for d, _ in window), np.int64, len(window))
-        ref = ray.put(np.sort(win_ids))
-        parts = ray.get([w.cover_windows.remote(terms, ref)
-                         for w in workers])
+        parts = self._fanout("min_cover_windows", terms,
+                             within=ray.put(np.sort(win_ids)),
+                             route=[query])
         prox = {int(d): 1.0 / (1.0 + float(x))
                 for ids, ws in parts for d, x in zip(ids, ws)}
-        combined = [(d, query_weight * s + rescore_weight * prox.get(d, 0.0))
-                    for d, s in window]
-        combined.sort(key=lambda kv: (-kv[1], kv[0]))
-        return combined[:k]
+        return _topk([[(d, query_weight * s
+                        + rescore_weight * prox.get(d, 0.0))
+                       for d, s in window]], k)
 
     def search_boolean_dsl(self, expr: str) -> np.ndarray:
         """Distributed boolean retrieval: each worker evaluates the
@@ -3503,13 +3242,8 @@ class ShardedQueryEngine:
         worker-LOCAL universe — shards partition docs, so the union of
         local complements IS the global complement); driver concats the
         disjoint results. Bitwise-identical to single-engine (tested)."""
-        import ray
-
-        parts = ray.get([w.boolean_dsl.remote(expr)
-                         for w in self.workers])
-        ids = np.concatenate([np.asarray(p, dtype=np.int64)
-                              for p in parts])
-        return np.sort(ids)
+        return np.sort(np.concatenate(
+            self._fanout("search_boolean_dsl", expr)))
 
     def search_bool_query(self, must, should=(), must_not=(),
                           k: int = 10, scorer: str = "bm25"
@@ -3517,13 +3251,8 @@ class ShardedQueryEngine:
         """Distributed ES-bool query: per-worker set algebra + filtered
         scoring over its shard subset (global df keeps scores bitwise);
         driver merges local top-k."""
-        import ray
-
-        futs = [w.bool_query.remote(must, should, must_not, k, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_bool_query", must, should,
+                                  must_not, k, scorer), k)
 
     def search_phrase_ranked(self, phrase: str, k: int = 10,
                              slop: int = 0, scorer: str = "bm25"
@@ -3532,13 +3261,8 @@ class ShardedQueryEngine:
         scoring are both worker-local (doc windows live in one shard;
         df comes from the term_dict), so the local top-k merge is
         exact and bitwise identical to single-engine."""
-        import ray
-
-        futs = [w.phrase_ranked.remote(phrase, k, slop, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_phrase_ranked", phrase, k, slop,
+                                  scorer), k)
 
     def search_sorted_by(self, expr: str, k: int = 10, *,
                          field_ids, field_vals, descending: bool = True
@@ -3550,15 +3274,13 @@ class ShardedQueryEngine:
         of local top-ks."""
         import ray
 
-        fi = np.asarray(field_ids, dtype=np.int64)
-        fv = np.asarray(field_vals)
-        ref = ray.put((fi, fv))
-        futs = [w.sorted_by.remote(expr, k, ref, descending)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]) if descending
-                    else (x[1], x[0]))
-        return merged[:k]
+        parts = self._fanout(
+            "search_sorted_by", expr, k,
+            field_ids=ray.put(np.asarray(field_ids, dtype=np.int64)),
+            field_vals=ray.put(np.asarray(field_vals)),
+            descending=descending)
+        return _topk(parts, k, key=(lambda x: (-x[1], x[0])) if descending
+                     else (lambda x: (x[1], x[0])))
 
     def search_after(self, query: str, after_score: float, after_doc: int,
                      k: int = 10) -> list[tuple[int, float]]:
@@ -3569,13 +3291,8 @@ class ShardedQueryEngine:
         next-k is contained in the union of local next-ks. Deep pages
         ship at most k rows per worker no matter the offset (the
         offset-paging alternative ships page·k). Term routing applies."""
-        import ray
-
-        futs = [w.search_after.remote(query, after_score, after_doc, k)
-                for w in self._routed_workers([query])]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk(self._fanout("search_after", query, after_score,
+                                  after_doc, k, route=[query]), k)
 
     def search_collapse(self, query: str, k: int = 10, *,
                         group_ids, group_codes, per_group: int = 1,
@@ -3596,12 +3313,11 @@ class ShardedQueryEngine:
         if len(gc) and gc.min() < 0:
             raise ValueError("group_codes must be non-negative "
                              "(-1 is the internal singleton sentinel)")
-        ref = ray.put((gi, gc))
-        futs = [w.collapse.remote(query, k, ref, per_group, scorer)
-                for w in self.workers]
-        merged = [r for part in ray.get(futs) for r in part]
-        merged.sort(key=lambda x: (-x[2], x[0]))
-        return _collapse_walk(merged, per_group, k)
+        parts = self._fanout("search_collapse", query, k,
+                             group_ids=ray.put(gi), group_codes=ray.put(gc),
+                             per_group=per_group, scorer=scorer)
+        return _collapse_walk(_topk(parts, None, key=lambda x: (-x[2], x[0])),
+                              per_group, k)
 
 
 class BM25SearchActor:
@@ -3703,11 +3419,8 @@ class FederatedQueryEngine:
             # w * bm25_tf_part(...) accumulation (idf is the scalar w)
             return idf_map[t] * bm25_tf_part(tfs, dls, avgdl, k1, b)
 
-        merged: list[tuple[int, float]] = []
-        for e in self.engines:
-            merged.extend(e._search_exhaustive(terms, k, fed))
-        merged.sort(key=lambda x: (-x[1], x[0]))
-        return merged[:k]
+        return _topk([e._search_exhaustive(terms, k, fed)
+                      for e in self.engines], k)
 
     def explain(self, query: str, doc_id: int) -> dict:
         """Per-term breakdown under UNION stats for a doc in whichever

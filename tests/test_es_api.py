@@ -155,6 +155,18 @@ def test_sharded_passthrough(ray_session, eng):
     body = {"query": {"bool": {"must": [{"term": {"text": "merge"}}],
                                "should": [{"term": {"text": "stream"}}]}}}
     assert hits(es_search(sh, body)) == hits(es_search(eng, body))
+    # multi-term queries ride the sharded search_wildcard / search_regex
+    for q in ({"prefix": {"text": "mer"}},
+              {"wildcard": {"text": {"value": "mer*", "boost": 2.0}}},
+              {"wildcard": {"text": "m*ge"}},
+              {"regexp": {"text": "mer.e"}}):
+        want = hits(es_search(eng, {"query": q}))
+        assert want and hits(es_search(sh, {"query": q})) == want, q
+    # the two bodies that need the engine's local term_dict / doc
+    # universe are refused on the fan-out engine, never approximated
+    for q in ({"fuzzy": {"text": "mergge"}}, {"match_all": {}}):
+        with pytest.raises(UnsupportedEsQuery):
+            es_search(sh, {"query": q})
 
 
 def test_boost_and_explain(eng):

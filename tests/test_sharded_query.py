@@ -253,3 +253,254 @@ def test_sharded_rescore_identity(pos_index_dir):
                                            rescore_weight=2.0)
                     == eng.search_rescore(q, 10, window_size=w,
                                           rescore_weight=2.0)), (q, w)
+
+
+# ---- one parity table: every public ShardedQueryEngine method ----
+
+Q = "def return var_1"
+QUERIES = [Q, "helper_3 field_7 import", "numpy python", "zzz_missing", ""]
+
+
+@pytest.fixture(scope="module")
+def parity(ray_session, tmp_path_factory):
+    """(index, single engine, 3-worker pool over 4 shards — an uneven
+    split —, the same pool with term routing on)."""
+    import ray
+
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.query import QueryEngine, ShardedQueryEngine
+
+    root = tmp_path_factory.mktemp("parity")
+    corpus = str(root / "corpus")
+    write_corpus(corpus, 300, rows_per_file=100)
+    idx = str(root / "idx")
+    build_index(corpus, idx, num_shards=4, term_buckets=16,
+                store_positions=True)
+    # fractional CPUs: both pools (and the tests' own) fit one session
+    sh = ShardedQueryEngine(idx, num_workers=3, num_cpus_per_worker=0.25)
+    routed = ShardedQueryEngine(idx, num_workers=3, route_terms=True,
+                                num_cpus_per_worker=0.25)
+    yield idx, QueryEngine(idx), sh, routed
+    for w in sh.workers + routed.workers:
+        ray.kill(w)
+
+
+def _terms_set_msm():
+    # an importable module function: the workers unpickle it by name
+    from stacksearch_ray.pipelines.documents import _terms_set_msm
+
+    return _terms_set_msm
+
+
+def _cases(ids):
+    """method name → call(engine); run on both engines, compared
+    bitwise. ``ids`` are the index's doc ids (feature/field tables)."""
+    import numpy as np
+
+    vals = np.log(1.0 + (ids % 97).astype(np.float64))
+
+    def sharded_only(e, name, *args):  # QueryEngine has no such method
+        return getattr(e, name, lambda *a: None)(*args)
+
+    def after(e):
+        c = e.search(Q, 10, method="exhaustive")[-1]
+        return e.search_after(Q, c[1], c[0], 10)
+
+    return {
+        "search": lambda e: [e.search(q, 10) for q in QUERIES]
+        + [e.search(Q, 10, scorer="tfidf")],
+        "search_many": lambda e: e.search_many(QUERIES, 10),
+        "warm": lambda e: (sharded_only(e, "warm", QUERIES),
+                           e.search_many(QUERIES, 10)),
+        "enable_term_routing": lambda e: (
+            sharded_only(e, "enable_term_routing"),
+            [e.search(q, 10) for q in QUERIES]),
+        "clear_request_cache": lambda e: (
+            e.search(Q, 10), sharded_only(e, "clear_request_cache"),
+            e.search(Q, 10)),
+        "explain": lambda e: [e.explain(Q, int(d)) for d in ids[::97]],
+        "search_pinned": lambda e: e.search_pinned(
+            Q, [int(ids[3]), int(ids[200]), int(ids[3])], k=6),
+        "search_boosted": lambda e: e.search_boosted(
+            {"def": 0.3, "return": 2.0, "var1": 1.0}, 10),
+        "search_synonym_groups": lambda e: e.search_synonym_groups(
+            [["def", "return"], ["var1", "helper3"]], 10),
+        "search_feature_boost": lambda e: e.search_feature_boost(
+            Q, 12, feature_ids=ids, feature_vals=vals, weight=0.5),
+        "search_min_should_match": lambda e: [
+            e.search_min_should_match(Q, m, 12) for m in (1, 2, 3)],
+        "search_terms_set": lambda e: e.search_terms_set(
+            Q, _terms_set_msm(), 12),
+        "search_span_near": lambda e: e.search_span_near(
+            ["def", "return"], 10, slop=2),
+        "search_intervals": lambda e: e.search_intervals(
+            ["def", "return"], 10, max_gaps=2, not_containing="import"),
+        "search_span_containing": lambda e: e.search_span_containing(
+            ["def", "return"], "import", 10, max_gaps=10),
+        "search_constant_score": lambda e: e.search_constant_score(
+            "def AND NOT return", 2.5, 10),
+        "search_boosting": lambda e: e.search_boosting(Q, "import", 0.3,
+                                                       10),
+        "search_query_string": lambda e: [
+            e.search_query_string(qs, 10) for qs in
+            ("def AND return", "var_1 OR help*", '"def return"~2',
+             "NOT def", "NOT zzz_missing")],
+        "search_match_bool_prefix": lambda e: [
+            e.search_match_bool_prefix(t, 10)
+            for t in ("def retu", "helper_3 fie", "")],
+        "search_simple_query_string": lambda e: e.search_simple_query_string(
+            "def +return -import", 10),
+        "search_filtered": lambda e: e.search_filtered(
+            Q, 10, allowed_doc_ids=ids[::3]),
+        "search_span_first": lambda e: e.search_span_first(
+            Q, 10, first_term="def", limit=5),
+        "search_span_not": lambda e: e.search_span_not(
+            Q, 10, include_term="def", exclude_term="return", dist=2),
+        "export_matches": lambda e: e.export_matches(Q),
+        "search_phrase_prefix": lambda e: e.search_phrase_prefix(
+            "def ret", 10, max_expansions=5),
+        "search_wildcard": lambda e: e.search_wildcard("help"),
+        "search_regex": lambda e: e.search_regex("var1[0-9]"),
+        "phrase_occurrences": lambda e: e.phrase_occurrences("def return"),
+        "near_min_gaps": lambda e: e.near_min_gaps("def", "return"),
+        "min_ordered_spans": lambda e: e.min_ordered_spans(["def", "return"]),
+        "search_proximity_boost": lambda e: e.search_proximity_boost(
+            Q, 10, weight=2.0),
+        "search_coord": lambda e: [e.search_coord(q, 10) for q in QUERIES],
+        "search_feature_scale": lambda e: e.search_feature_scale(
+            Q, 15, feature_ids=ids[::3], feature_vals=vals[::3]),
+        "search_rescore": lambda e: [
+            e.search_rescore(q, 10, window_size=w, rescore_weight=2.0)
+            for q in (Q, "zzz_missing") for w in (5, 30)],
+        "search_boolean_dsl": lambda e: [
+            e.search_boolean_dsl(x) for x in
+            ("(def AND return) OR NOT import", "NOT def", "NOT zzz_missing")],
+        "search_bool_query": lambda e: e.search_bool_query(
+            ["def"], ["return", "var_1"], ["import"], 10),
+        "search_phrase_ranked": lambda e: e.search_phrase_ranked(
+            "def return", 10, slop=2),
+        "search_sorted_by": lambda e: [e.search_sorted_by(
+            "def AND return", 10, field_ids=ids, field_vals=ids % 13,
+            descending=d) for d in (True, False)],
+        "search_after": after,
+        "search_collapse": lambda e: e.search_collapse(
+            Q, 10, group_ids=ids, group_codes=ids % 7, per_group=2),
+    }
+
+
+# term routing may skip workers only for these (each skipped worker
+# holds no query term); the pure-NOT query_string / boolean DSL cases
+# pin that the surfaces whose results can hold such docs never route
+ROUTED = ("search", "search_many", "search_coord", "search_feature_scale",
+          "search_after", "search_rescore", "enable_term_routing",
+          "search_query_string", "search_boolean_dsl")
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality through lists/tuples/dicts of numpy arrays."""
+    import numpy as np
+
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[x], b[x]) for x in a))
+    return type(a) is type(b) and a == b
+
+
+def test_parity_table_covers_every_public_method():
+    import inspect
+
+    from stacksearch_ray.query import ShardedQueryEngine
+
+    public = {n for n, _ in inspect.getmembers(ShardedQueryEngine,
+                                               inspect.isfunction)
+              if not n.startswith("_")}
+    cases = set(_case_names())
+    assert public - cases == set(), "sharded methods with no parity case"
+    assert cases - public == set()
+    assert set(ROUTED) <= cases
+
+
+def _case_names() -> list[str]:
+    import numpy as np
+
+    return sorted(_cases(np.zeros(1, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("name,route",
+                         [(n, False) for n in _case_names()
+                          if n != "enable_term_routing"]  # would route sh
+                         + [(n, True) for n in ROUTED])
+def test_sharded_parity(parity, name, route):
+    _idx, eng, sh, routed = parity
+    case = _cases(eng.doclens.ids)[name]
+    assert _same(case(routed if route else sh), case(eng)), name
+
+
+def test_array_arguments_ship_once(parity):
+    """The "ships once" docstrings: every array-carrying surface puts
+    the same number of objects whatever the worker count — no per-worker
+    re-serialization."""
+    from unittest import mock
+
+    import numpy as np
+    import ray
+
+    from stacksearch_ray.query import ShardedQueryEngine
+
+    idx, eng, sh3, _ = parity
+    ids = eng.doclens.ids
+    vals = (ids % 5).astype(np.float64)
+    calls = {
+        "search_filtered": lambda e: e.search_filtered(
+            Q, 10, allowed_doc_ids=ids[::2]),
+        "search_feature_boost": lambda e: e.search_feature_boost(
+            Q, 10, feature_ids=ids, feature_vals=vals),
+        "search_feature_scale": lambda e: e.search_feature_scale(
+            Q, 10, feature_ids=ids, feature_vals=vals),
+        "search_sorted_by": lambda e: e.search_sorted_by(
+            "def", 10, field_ids=ids, field_vals=vals),
+        "search_collapse": lambda e: e.search_collapse(
+            Q, 10, group_ids=ids, group_codes=ids % 7),
+        "search_rescore": lambda e: e.search_rescore(Q, 10),
+    }
+    sh2 = ShardedQueryEngine(idx, num_workers=2, num_cpus_per_worker=0.25)
+    try:
+        for name, call in calls.items():
+            puts = []
+            for e in (sh2, sh3):
+                with mock.patch("ray.put", wraps=ray.put) as put:
+                    call(e)
+                puts.append(put.call_count)
+            assert puts[0] == puts[1] > 0, (name, puts)
+    finally:
+        for w in sh2.workers:
+            ray.kill(w)
+
+
+def test_dead_worker_raises_promptly(parity):
+    """A killed worker fails the next fan-out with RayActorError rather
+    than hanging it (no restarts or deadlines yet)."""
+    import time
+
+    import ray
+
+    from stacksearch_ray.query import ShardedQueryEngine
+
+    sh = ShardedQueryEngine(parity[0], num_workers=2,
+                            num_cpus_per_worker=0.25)
+    try:
+        assert sh.search(Q, 10)  # both workers up
+        ray.kill(sh.workers[0])
+        t0 = time.perf_counter()
+        with pytest.raises(ray.exceptions.RayActorError):
+            sh.search(Q, 10)
+        assert time.perf_counter() - t0 < 30
+    finally:
+        for w in sh.workers:
+            ray.kill(w)
