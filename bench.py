@@ -138,7 +138,7 @@ def run_bench() -> dict:
     shutil.rmtree(warm_idx, ignore_errors=True)
     build_index(rd.read_parquet(docs_path).limit(200), warm_idx,
                 content_col="text", id_col="doc_id",
-                meta_cols=("lang", "source"), num_shards=8, term_buckets=32)
+                meta_cols=("lang", "source"), num_shards=8)
     shutil.rmtree(warm_idx, ignore_errors=True)
 
     # ---- index build over the sf documents table ----
@@ -146,7 +146,7 @@ def run_bench() -> dict:
     shutil.rmtree(idx_dir, ignore_errors=True)
     t0 = time.time()
     build_index(docs_path, idx_dir, content_col="text", id_col="doc_id",
-                meta_cols=("lang", "source"), num_shards=8, term_buckets=32)
+                meta_cols=("lang", "source"), num_shards=8)
     timings["build_documents"] = time.time() - t0
 
     # ---- cold first query: fresh engine, no seg cache, no sidecar map

@@ -26,10 +26,10 @@ def main() -> int:
     p.add_argument("--content-col", default="content")
     p.add_argument("--id-col", default=None, help="existing int64 id column")
     p.add_argument("--num-shards", type=int, default=8)
-    p.add_argument("--term-buckets", type=int, default=32)
     p.add_argument("--num-cpus", type=int, default=None)
     p.add_argument("--resumable", action="store_true",
-                   help="checkpointed build with manifest/lineage (restart-safe)")
+                   help="resume an interrupted build in --index-dir (without "
+                        "this flag the build clears the old layout first)")
     p.add_argument("--append", action="store_true",
                    help="append source docs to an EXISTING index (new ids only)")
     p.add_argument("--compact", action="store_true",
@@ -84,7 +84,7 @@ def main() -> int:
 
     t0 = time.time()
     kwargs = dict(content_col=args.content_col, id_col=args.id_col,
-                  num_shards=args.num_shards, term_buckets=args.term_buckets)
+                  num_shards=args.num_shards)
     if args.merge is not None:
         from stacksearch_ray.append import merge_indexes
 
@@ -116,8 +116,7 @@ def main() -> int:
     if args.compact:
         from stacksearch_ray.append import compact_index
 
-        stats = compact_index(args.index_dir, term_buckets=args.term_buckets,
-                              num_shards=args.reshard)
+        stats = compact_index(args.index_dir, num_shards=args.reshard)
         print(json.dumps({"stats": stats,
                           "wall_s": round(time.time() - t0, 2)}))
         ray.shutdown()
@@ -138,7 +137,6 @@ def main() -> int:
         ray.shutdown()
         return 0
     if args.resumable:
-        kwargs.pop("term_buckets")
         stats = build_index_resumable(args.source, args.index_dir,
                                       files_per_partition=args.files_per_partition,
                                       **kwargs)

@@ -70,7 +70,7 @@ def main() -> None:
     shutil.rmtree(IDX, ignore_errors=True)
     t0 = time.perf_counter()
     build_index(docs_dir, IDX, content_col="text", id_col="doc_id",
-                num_shards=8, term_buckets=32)
+                num_shards=8)
     build_s = time.perf_counter() - t0
     n0 = int(load_stats(IDX)["n_docs"])
 

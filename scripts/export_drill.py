@@ -39,7 +39,7 @@ def main() -> None:
             open(marker, "w").write("ok")
         build_index_resumable(sorted(glob.glob(f"{corpus}/*.parquet")),
                               INDEX, content_col="content",
-                              num_shards=128, term_buckets=32,
+                              num_shards=128,
                               concurrency=16)
 
     eng = QueryEngine(INDEX)

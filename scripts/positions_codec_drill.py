@@ -59,8 +59,7 @@ def main() -> None:
     shutil.rmtree(base, ignore_errors=True)
     idx = os.path.join(base, "idx")
     t0 = time.perf_counter()
-    build_index(corpus, idx, store_positions=True, num_shards=32,
-                term_buckets=64)
+    build_index(corpus, idx, store_positions=True, num_shards=32)
     out = {"rows": ROWS,
            "positional_build_s": round(time.perf_counter() - t0, 2)}
 

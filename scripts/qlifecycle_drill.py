@@ -54,7 +54,7 @@ def main() -> None:
     t0 = time.perf_counter()
     build_index(parts, IDX, content_col="content",
                 meta_cols=("lang", "content"),  # stored _source
-                num_shards=64, term_buckets=32)
+                num_shards=64)
     out["build_stored_source_s"] = round(time.perf_counter() - t0, 2)
     base = QueryEngine(IDX)
     before = base.search(QUERY, 10)
@@ -87,7 +87,7 @@ def main() -> None:
     # reindex from the stored _source into a fresh layout (alive view)
     t0 = time.perf_counter()
     reindex_index(IDX, REIDX, content_col="content",
-                  num_shards=64, term_buckets=32,
+                  num_shards=64,
                   meta_cols=("lang",))  # drop _source in the copy
     out["reindex_s"] = round(time.perf_counter() - t0, 2)
     live = QueryEngine(IDX).search(QUERY, 10)

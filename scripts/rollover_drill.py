@@ -61,7 +61,7 @@ def main():
     mono_dir = "/tmp/ssr_rollover_drill/mono"
     shutil.rmtree("/tmp/ssr_rollover_drill", ignore_errors=True)
     t0 = time.perf_counter()
-    build_index(corpus, mono_dir, num_shards=32, term_buckets=64)
+    build_index(corpus, mono_dir, num_shards=32)
     out["monolithic_build_s"] = round(time.perf_counter() - t0, 2)
     mono = QueryEngine(mono_dir)
 
@@ -69,7 +69,7 @@ def main():
         base = f"/tmp/ssr_rollover_drill/roll{gens}"
         t0 = time.perf_counter()
         rollover_ingest(corpus, base, max_docs=ROWS // gens,
-                        num_shards=32, term_buckets=64)
+                        num_shards=32)
         out[f"rollover_ingest_{gens}gens_s"] = round(
             time.perf_counter() - t0, 2)
         fed = open_rollover(base)

@@ -82,7 +82,7 @@ def main():
 
     mono_dir = os.path.join(BASE, "mono")
     t0 = time.perf_counter()
-    build_index(corpus, mono_dir, num_shards=32, term_buckets=64)
+    build_index(corpus, mono_dir, num_shards=32)
     out["monolithic_build_s"] = round(time.perf_counter() - t0, 2)
     mono = QueryEngine(mono_dir)
     mono_top = {q: mono.search(q, 10, method="exhaustive")
@@ -94,7 +94,7 @@ def main():
         base = os.path.join(BASE, f"roll{gens}")
         t0 = time.perf_counter()
         rollover_ingest(corpus, base, max_docs=ROWS // gens,
-                        num_shards=32, term_buckets=64)
+                        num_shards=32)
         ingest_s = time.perf_counter() - t0
         fed = open_rollover(base)
         for q in QUERIES:

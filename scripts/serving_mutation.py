@@ -84,8 +84,7 @@ def main() -> None:
                    for i in range(n_base, total // per_file)]
     shutil.rmtree(INDEX, ignore_errors=True)
     t0 = time.time()
-    build_index(base_files, INDEX, num_shards=32, term_buckets=32,
-                concurrency=16)
+    build_index(base_files, INDEX, num_shards=32)
     build_s = time.time() - t0
 
     eng = QueryEngine(INDEX)

@@ -40,9 +40,9 @@ import ray.data as rd
 from .build import (
     IndexBuildConfig,
     SegmentEncoder,
+    build_config,
     check_doc_id_collisions,
-    make_docs_meta_fn,
-    make_postings_fn,
+    doc_totals,
 )
 
 
@@ -73,6 +73,10 @@ def recover_segments(index_dir: str) -> bool:
 
 
 _FAIL_AT: str | None = None  # test hook: crash injection inside commit
+
+# an append's scratch dirs, each suffixed with the append id: the delta's
+# docs parts, its staged postings, and its encoded segment files
+_APPEND_STAGED = ("docs.staged-", "postings.staged-", "segments.staged-")
 
 
 def _maybe_fail(point: str) -> None:
@@ -122,10 +126,9 @@ def recover_appends(index_dir: str) -> bool:
                 p = os.path.join(segments_dir, name)
                 if os.path.exists(p):
                     os.remove(p)
-        shutil.rmtree(os.path.join(index_dir, f"docs.staged-{aid}"),
-                      ignore_errors=True)
-        shutil.rmtree(os.path.join(index_dir, f"segments.staged-{aid}"),
-                      ignore_errors=True)
+        for staged in _APPEND_STAGED:
+            shutil.rmtree(os.path.join(index_dir, f"{staged}{aid}"),
+                          ignore_errors=True)
         os.remove(jpath)
         acted = True
     return acted
@@ -789,13 +792,13 @@ def reindex_index(src_index: str, out_dir: str, content_col: str,
     docs are excluded via a broadcast sorted-membership mask, so the
     reindexed output equals a rebuild over the source's logical state —
     under whatever new layout/analysis ``cfg_overrides`` selects
-    (num_shards, term_buckets, store_positions, tokenizer, ...).
+    (num_shards, store_positions, meta_cols, ...).
     ``transform_batch`` is the ES _reindex "script": a vectorized
     pa.Table → pa.Table applied to the alive rows before the rebuild
     (rewrite the content, derive/drop stored columns en route).
 
     Scale shape: one streaming docs-sidecar scan feeding the standard
-    fused build; the tombstone set is the only driver-held state."""
+    Dataset build; the tombstone set is the only driver-held state."""
     import ray
 
     from .build import build_index, load_stats
@@ -913,13 +916,7 @@ def append_to_index(source, index_dir: str,
     from .build import load_stats
 
     prev = load_stats(index_dir)
-    cfg = cfg or IndexBuildConfig()
-    if content_col is not None:
-        cfg.content_col = content_col
-    if id_col is not None:
-        cfg.id_col = id_col
-    for k, v in cfg_overrides.items():
-        setattr(cfg, k, v)
+    cfg = build_config(cfg, content_col, id_col, **cfg_overrides)
     # column mapping follows the existing index: appending with a
     # different id_col would silently derive a disjoint id space (the
     # collision check can't catch that), so inherit when the caller
@@ -970,12 +967,13 @@ def append_to_index(source, index_dir: str,
     else:
         src_ds = rd.read_parquet(source)
 
-    # docs pass: STAGE outside docs/ first — the collision check below
-    # may reject this append, and new rows must not pollute the live
-    # docs table until it passes (a failed append leaves the index
+    # STAGE outside docs/ and segments/ first — the collision check
+    # below may reject this append, and new rows must not pollute the
+    # live tables until it passes (a failed append leaves the index
     # exactly as it was)
     import shutil
-    import uuid
+
+    from .checkpoint import shard_phase, stage_dataset
 
     # heal any crashed prior append, then sweep journal-less staged
     # dirs (crash before the journal was written; single-writer
@@ -983,25 +981,22 @@ def append_to_index(source, index_dir: str,
     recover_appends(index_dir)
     recover_purges(index_dir)
     for name in os.listdir(index_dir):
-        if name.startswith(("docs.staged-", "segments.staged-")):
+        if name.startswith(_APPEND_STAGED):
             shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
 
     aid = uuid.uuid4().hex
-    staged_dir = os.path.join(index_dir, f"docs.staged-{aid}")
-    seg_staged = os.path.join(index_dir, f"segments.staged-{aid}")
+    staged_dir, post_staged, seg_staged = (
+        os.path.join(index_dir, f"{staged}{aid}") for staged in _APPEND_STAGED)
     try:
-        src_ds.map_batches(make_docs_meta_fn(cfg), batch_format="pyarrow",
-                           batch_size=cfg.batch_size).write_parquet(staged_dir)
+        for d in (staged_dir, post_staged, seg_staged):
+            os.makedirs(d)
+        # one tokenize per delta batch: docs parts + staged postings
+        stage_dataset(src_ds, cfg, staged_dir, post_staged)
 
-        # refresh stats over the UNION of old + staged docs
-        union = pads.dataset([pads.dataset(docs_dir),
-                              pads.dataset(staged_dir)])
-        n_docs, total_len = 0, 0
-        for rb in union.to_batches(columns=["doc_len"]):
-            n_docs += rb.num_rows
-            total_len += int(pc.sum(rb.column(0)).as_py() or 0)
-        # paths (not the pads dataset) so the beyond-driver-scale
-        # distributed audit path is reachable here too
+        # refresh stats over the UNION of old + staged docs; paths (not
+        # a pads dataset) so the beyond-driver-scale distributed audit
+        # path is reachable here too
+        n_docs, total_len = doc_totals([docs_dir, staged_dir])
         check_doc_id_collisions([docs_dir, staged_dir], n_docs)
 
         # tombstoned rows are physically present until compaction but
@@ -1019,26 +1014,22 @@ def append_to_index(source, index_dir: str,
                       "avgdl": avgdl, "appended": True,
                       "last_append_id": aid})
 
-        # postings pass for the NEW docs only → STAGED segment files
-        # (the live segments/ dir is untouched until the commit below)
+        # encode the NEW docs' postings → one STAGED segment file per
+        # shard the delta touches (the live segments/ dir is untouched
+        # until the commit below)
         encoder = SegmentEncoder(avgdl=avgdl, k1=cfg.k1, b=cfg.b,
                                  block_size=cfg.block_size)
-
-        def encode_group(group: pa.Table) -> pa.Table:
-            return encoder(group)
-
-        from .build import _empty_segments_table
-        from .schema import segment_write_kwargs
-
-        (src_ds.map_batches(make_postings_fn(cfg), batch_format="pyarrow",
-                            batch_size=cfg.batch_size)
-         .groupby("gkey")
-         .map_groups(encode_group, batch_format="pyarrow")
-         .write_parquet(seg_staged, **segment_write_kwargs(
-             _empty_segments_table(cfg.store_positions).schema)))
+        staged = pads.dataset(staged_dir)
+        shards = (np.unique(staged.to_table(columns=["shard"])["shard"]
+                            .to_numpy()).tolist()
+                  if "shard" in staged.schema.names else [])
+        shard_phase(shards, post_staged,
+                    [os.path.join(seg_staged, f"shard-{k:05d}.parquet")
+                     for k in shards], encoder, cfg.store_positions)
+        shutil.rmtree(post_staged)
     except BaseException:
-        shutil.rmtree(staged_dir, ignore_errors=True)
-        shutil.rmtree(seg_staged, ignore_errors=True)
+        for d in (staged_dir, post_staged, seg_staged):
+            shutil.rmtree(d, ignore_errors=True)
         raise
 
     # ---- journaled commit: record the exact final file names FIRST so
@@ -1153,13 +1144,7 @@ def upsert_to_index(source, index_dir: str,
     from .build import load_stats
 
     prev = load_stats(index_dir)
-    cfg = cfg or IndexBuildConfig()
-    if content_col is not None:
-        cfg.content_col = content_col
-    if id_col is not None:
-        cfg.id_col = id_col
-    for k, v in cfg_overrides.items():
-        setattr(cfg, k, v)
+    cfg = build_config(cfg, content_col, id_col, **cfg_overrides)
     # resolve delta ids EXACTLY the way the append will (inherited cols)
     if prev.get("content_col"):
         cfg.content_col = prev["content_col"]
@@ -1194,7 +1179,7 @@ def upsert_to_index(source, index_dir: str,
         delete_from_index(index_dir, existing["doc_id"].to_pylist())
         purge_doc_ids(index_dir, existing["doc_id"].to_pylist())
     # forward the RESOLVED cfg: explicit fields the caller set on their
-    # cfg object (batch_size, term_buckets, ...) must reach the append
+    # cfg object (batch_size, store_positions, ...) must reach the append
     # leg too, not just the id-resolution above; the explicit col kwargs
     # still travel so append's own mismatch check sees caller intent
     return append_to_index(source, index_dir, cfg=cfg,
@@ -1353,8 +1338,29 @@ def _doclens_for_shard(docs_dir: str, shard: int, gen: int = 0):
     return hit
 
 
-def compact_index(index_dir: str, term_buckets: int = 32,
-                  num_shards: int | None = None) -> dict:
+def _split_doc_blobs(positions: pa.ChunkedArray, tfs: np.ndarray,
+                     keep: np.ndarray) -> pa.Array:
+    """Segment-row position blobs → the per-doc blobs a build partition
+    stages, for the postings ``keep`` selects (``tfs``: every posting's
+    tf, in row order). Each doc's first position is absolute
+    (codec.encode_position_lists), so a doc's blob is the byte slice of
+    its row blob ending at the varint that closes its tf-th position:
+    no decode and re-encode."""
+    from .codec import INT32_OFFSET_LIMIT
+
+    buf = np.frombuffer(b"".join(positions.to_pylist()), dtype=np.uint8)
+    varint_ends = np.flatnonzero(buf < 0x80) + 1
+    offs = np.concatenate(([0], varint_ends[np.cumsum(tfs) - 1]))
+    if offs[-1] >= INT32_OFFSET_LIMIT:
+        raise ValueError("position blobs of one compaction task exceed "
+                         "int32 offsets")
+    blobs = pa.Array.from_buffers(
+        pa.binary(), len(tfs),
+        [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
+    return blobs.filter(pa.array(keep))
+
+
+def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     """Segment-merge compaction: decode every (term, shard) posting row,
     re-group, and re-encode exactly ONE row per (term, shard) under the
     index's CURRENT global stats, then clear ``stats["appended"]`` —
@@ -1373,30 +1379,21 @@ def compact_index(index_dir: str, term_buckets: int = 32,
     single-process engine stays correct at every crash point (scoring
     never reads docs.shard); re-open ShardedQueryEngine pools after.
 
-    Ray pipeline (the checkpoint build's staged-spill pattern, not a
-    sort-groupby — the native groupby(gkey) sort measured SLOWER than a
-    full rebuild at 2M docs/256 shards): segment-file tasks decode rows
-    to postings (one batched varint decode per task) and write
-    (shard, term)-sorted staged parquet with shard-aligned row groups;
-    batched per-shard tasks then read their own row groups (predicate
-    pushdown), join doc_len from the shard-pruned docs table (cached
-    per worker), and encode ONE segment file per shard — the build's
-    exact output layout. Temp dir → swap. ``term_buckets`` is accepted
-    for API compatibility; task granularity is now files/shards per
-    task. Output segment rows are bitwise identical to the previous
-    pipeline's (encoder sorts internally; tested vs rebuild)."""
+    Ray pipeline, on the build's own phases (a native groupby sort over
+    the exploded postings measured 117 s against the build's 76 s at 2M
+    docs/256 shards): segment-file tasks decode rows to postings (one
+    batched varint decode per task) and stage them like a build
+    partition (``checkpoint.write_staged_postings``); the build's
+    ``shard_phase`` then encodes ONE segment file per shard, joining
+    doc_len from the shard-pruned docs table (cached per worker). Temp
+    dir → swap. Output segment rows are bitwise identical to a
+    rebuild's (tested)."""
     import shutil
 
     import numpy as np
-    import pandas as pd
 
     from .build import load_stats
-    from .codec import (
-        decode_doc_ids,
-        decode_positions,
-        decode_tfs,
-        encode_position_lists,
-    )
+    from .codec import decode_doc_ids_batch, decode_tfs_batch
     from .schema import shard_of
 
     recover_appends(index_dir)
@@ -1424,107 +1421,66 @@ def compact_index(index_dir: str, term_buckets: int = 32,
         return tomb[j] != ids
 
     def explode(batch: pa.Table) -> pa.Table:
-        terms_u = batch["term"].to_pylist()
-        bucket_u = (pd.util.hash_array(np.asarray(terms_u, dtype=object))
-                    % np.uint64(term_buckets)).astype(np.int64)
-        # bulk-extract once: per-row ChunkedArray[i].as_py() costs ~0.2ms
-        # of overhead each, which dominates when segment rows are small
-        # (fine sharding × small vocab — measured 243 s → 31 s on the
-        # 2M-doc/256-shard compact)
-        shards_l = batch["shard"].to_pylist()
-        docids_l = batch["doc_ids"].to_pylist()
-        tfs_l = batch["tfs"].to_pylist()
-        pos_l = batch["positions"].to_pylist() if store_positions else None
-        t_out, d_out, tf_out, sh_out, gk_out = [], [], [], [], []
-        pos_out: list[bytes] = []
-        if not store_positions and batch.num_rows:
-            # fully vectorized path: ONE batched varint decode for the
-            # whole segments batch (per-row numpy fixed cost dominates
-            # when rows are small — fine sharding × small vocab;
-            # measured 30× on 50k tiny rows), then flat filters/repeats
-            from .codec import decode_doc_ids_batch, decode_tfs_batch
-
-            ids_f, offs = decode_doc_ids_batch(docids_l, block_size)
-            tfs_f, _ = decode_tfs_batch(tfs_l)
-            sizes = np.diff(offs)
-            row_idx = np.repeat(np.arange(batch.num_rows), sizes)
-            if len(tomb):
-                keep = _alive(ids_f)
-                ids_f, tfs_f, row_idx = ids_f[keep], tfs_f[keep], row_idx[keep]
-            if reshard:
-                sh = shard_of(ids_f, s_new).astype(np.int32)
-            else:
-                sh = np.asarray(shards_l, dtype=np.int32)[row_idx]
-            gk = sh.astype(np.int64) * term_buckets + bucket_u[row_idx]
-            return pa.table({
-                "term": pa.array(
-                    np.asarray(terms_u, dtype=object)[row_idx], pa.string()),
-                "doc_id": ids_f.astype(np.int64),
-                "tf": tfs_f.astype(np.int64),
-                "shard": sh,
-                "gkey": gk,
-            })
-        for i in range(batch.num_rows):
-            shard = shards_l[i]
-            ids = decode_doc_ids(docids_l[i], block_size)
-            tfs = decode_tfs(tfs_l[i])
-            blobs = None
-            if store_positions:
-                # segment blob → flat absolute positions → re-split into
-                # per-doc blobs (identity round-trip: varint/gap encode is
-                # deterministic), so the shuffle rows carry the same
-                # ``pos`` column the positional build emits
-                tfs64 = tfs.astype(np.int64)
-                flat = decode_positions(pos_l[i], tfs64)
-                ends_d = np.cumsum(tfs64)
-                blobs = encode_position_lists(flat, ends_d - tfs64, ends_d)
-            if len(tomb):
-                keep = _alive(ids)
-                ids, tfs = ids[keep], tfs[keep]
-                if blobs is not None:
-                    blobs = [bl for bl, k in zip(blobs, keep) if k]
-            n = len(ids)
-            if n == 0:
-                continue
-            t_out.append(np.full(n, terms_u[i], dtype=object))
-            d_out.append(ids)
-            tf_out.append(tfs)
-            if reshard:
-                # shard reassignment happens here, per posting — the
-                # groupby below then merges postings from several old
-                # rows into each new (term, shard) group
-                sh = shard_of(ids, s_new).astype(np.int32)
-            else:
-                sh = np.full(n, shard, dtype=np.int32)
-            sh_out.append(sh)
-            gk_out.append(sh.astype(np.int64) * term_buckets + bucket_u[i])
-            if blobs is not None:
-                pos_out.extend(blobs)
-        if not t_out:
-            cols = {
-                "term": pa.array([], pa.string()),
-                "doc_id": pa.array([], pa.int64()),
-                "tf": pa.array([], pa.int64()),
-                "shard": pa.array([], pa.int32()),
-                "gkey": pa.array([], pa.int64()),
-            }
-            if store_positions:
-                cols["pos"] = pa.array([], pa.binary())
-            return pa.table(cols)
+        # ONE batched varint decode for the whole segments batch (per-row
+        # numpy fixed cost dominates when rows are small — fine sharding
+        # × small vocab; measured 30× on 50k tiny rows), then flat
+        # filters/repeats
+        ids_f, offs = decode_doc_ids_batch(batch["doc_ids"].to_pylist(),
+                                           block_size)
+        tfs, _ = decode_tfs_batch(batch["tfs"].to_pylist())
+        row_idx = np.repeat(np.arange(batch.num_rows), np.diff(offs))
+        keep = _alive(ids_f)
+        ids_f, tfs_f, row_idx = ids_f[keep], tfs[keep], row_idx[keep]
+        if reshard:
+            sh = shard_of(ids_f, s_new).astype(np.int32)
+        else:
+            sh = np.asarray(batch["shard"].to_pylist(), np.int32)[row_idx]
         cols = {
-            "term": pa.array(np.concatenate(t_out), pa.string()),
-            "doc_id": np.concatenate(d_out).astype(np.int64),
-            "tf": np.concatenate(tf_out).astype(np.int64),
-            "shard": np.concatenate(sh_out),
-            "gkey": np.concatenate(gk_out),
+            "term": batch["term"].combine_chunks().take(pa.array(row_idx)),
+            "doc_id": ids_f.astype(np.int64),
+            "tf": tfs_f.astype(np.int64),
+            "shard": sh,
         }
         if store_positions:
-            cols["pos"] = pa.array(pos_out, pa.binary())
+            cols["pos"] = _split_doc_blobs(batch["positions"], tfs, keep)
         return pa.table(cols)
 
     encoder = SegmentEncoder(avgdl=avgdl, k1=k1, b=b, block_size=block_size)
 
     recover_segments(index_dir)  # heal any half-finished prior swap first
+
+    def rewrite_docs(bt: pa.Table) -> pa.Table:
+        ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
+        if len(tomb):
+            keep = _alive(ids)
+            bt = bt.filter(pa.array(keep))
+            ids = ids[keep]
+        if not reshard:
+            return bt
+        i = bt.column_names.index("shard")
+        return bt.set_column(i, "shard",
+                             pa.array(shard_of(ids, s_new), pa.int32()))
+
+    def swap_in(live: str) -> None:
+        # live.compact → live through live.old; recover_segments heals a
+        # crash between the two renames
+        old = live + ".old"
+        shutil.rmtree(old, ignore_errors=True)
+        os.rename(live, old)
+        try:
+            os.rename(live + ".compact", live)
+        except OSError:
+            os.rename(old, live)  # restore — index stays readable
+            raise
+        shutil.rmtree(old)
+
+    def swap_in_docs() -> None:
+        docs_tmp = docs_dir + ".compact"
+        shutil.rmtree(docs_tmp, ignore_errors=True)
+        (rd.read_parquet(docs_dir)
+         .map_batches(rewrite_docs, batch_format="pyarrow")
+         .write_parquet(docs_tmp))
+        swap_in(docs_dir)
 
     if reshard:
         # docs table FIRST: the encode below reads doc_lens shard-pruned
@@ -1532,44 +1488,10 @@ def compact_index(index_dir: str, term_buckets: int = 32,
         # drop in). Crash between here and the final stats write leaves
         # a fully-correct single-process index (scoring never reads
         # docs.shard); re-running compact_index(num_shards=...) heals.
-        docs_tmp = docs_dir + ".compact"
-        shutil.rmtree(docs_tmp, ignore_errors=True)
+        swap_in_docs()
 
-        def rewrite_docs(bt: pa.Table) -> pa.Table:
-            ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
-            if len(tomb):
-                keep = _alive(ids)
-                bt = bt.filter(pa.array(keep))
-                ids = ids[keep]
-            i = bt.column_names.index("shard")
-            return bt.set_column(i, "shard",
-                                 pa.array(shard_of(ids, s_new), pa.int32()))
-
-        (rd.read_parquet(docs_dir)
-         .map_batches(rewrite_docs, batch_format="pyarrow")
-         .write_parquet(docs_tmp))
-        docs_old = docs_dir + ".old"
-        shutil.rmtree(docs_old, ignore_errors=True)
-        os.rename(docs_dir, docs_old)
-        try:
-            os.rename(docs_tmp, docs_dir)
-        except OSError:
-            os.rename(docs_old, docs_dir)
-            raise
-        shutil.rmtree(docs_old)
-
-    # ---- staged-spill re-encode (the checkpoint build's shard-phase
-    # pattern, NOT a sort-based groupby: the native groupby(gkey) sort
-    # over the exploded postings measured 117 s vs the monolithic
-    # build's 76 s at 2M docs/256 shards — explicit staging with
-    # shard-aligned row groups + batched per-shard encode replaces it).
-    # Phase 1: one task per group of segment files explodes rows to
-    # postings, sorts by (shard, term) and writes a staged parquet file
-    # whose row groups align to shard boundaries (pruned reads).
-    # Phase 2: batched shard tasks (one combined scan each) join
-    # doc_len from the shard-pruned docs table and encode one segment
-    # file per shard — exactly the build's layout.
-    from .state.manifest import atomic_write_parquet
+    # ---- staged-spill re-encode (see the docstring) ----
+    from .checkpoint import shard_phase, write_staged_postings
 
     stage_dir = os.path.join(index_dir, "stage", "compact-postings")
     shutil.rmtree(stage_dir, ignore_errors=True)
@@ -1589,14 +1511,7 @@ def compact_index(index_dir: str, term_buckets: int = 32,
             t = pq.read_table(u["files"], use_threads=False)
             postings = explode(t)
             if postings.num_rows:
-                postings = postings.sort_by(
-                    [("shard", "ascending"), ("term", "ascending")])
-                import numpy as _np
-
-                sc = _np.asarray(postings["shard"].combine_chunks())
-                bounds = (_np.flatnonzero(_np.diff(sc)) + 1).tolist()
-                atomic_write_parquet(postings, u["out"],
-                                     row_group_boundaries=bounds)
+                write_staged_postings(postings, u["out"])
             done.append(u["out"])
         return pa.table({"out": pa.array(done, pa.string())})
 
@@ -1608,70 +1523,18 @@ def compact_index(index_dir: str, term_buckets: int = 32,
     tmp = segments_dir + ".compact"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    shard_units = [{"shard": k,
-                    "seg_path": os.path.join(tmp, f"shard-{k:05d}.parquet")}
-                   for k in range(s_new)]
-    shards_per_task = max(1, s_new // 64)
 
-    def run_encode(b: pa.Table) -> pa.Table:
-        pa.set_cpu_count(1)
-        import numpy as _np
-        import pyarrow.dataset as _pads
+    def doc_lens(shard: int, ids: np.ndarray) -> np.ndarray:
+        return _doclens_for_shard(docs_dir, shard, s_new).lookup(ids)
 
-        us = b.to_pylist()
-        shards = [u["shard"] for u in us]
-        dset = _pads.dataset(stage_dir, format="parquet")
-        table = dset.scanner(filter=_pads.field("shard").isin(shards),
-                             use_threads=False).to_table()
-        sc = table["shard"].to_numpy() if table.num_rows else None
-        outs = []
-        for u in us:
-            sub = (table.take(_np.flatnonzero(sc == u["shard"]))
-                   if table.num_rows else table)
-            if sub.num_rows:
-                ids = _np.asarray(sub["doc_id"].combine_chunks()).astype(_np.int64)
-                dls = _doclens_for_shard(docs_dir, u["shard"], s_new).lookup(ids)
-                sub = sub.append_column("doc_len",
-                                        pa.array(dls.astype(_np.int64)))
-                seg_table = encoder(sub)
-            else:
-                from .build import _empty_segments_table
-
-                seg_table = _empty_segments_table(store_positions)
-            # term-sorted rows + small row groups, as the checkpoint
-            # build writes them (an ``in`` read filter prunes no row
-            # group on pyarrow 16.1; see checkpoint._encode_shards)
-            atomic_write_parquet(
-                seg_table, u["seg_path"],
-                row_group_boundaries=list(range(64, seg_table.num_rows,
-                                                64)))
-            outs.append(u["seg_path"])
-        return pa.table({"out": pa.array(outs, pa.string())})
-
-    empty_stage = not any(f.endswith(".parquet")
-                          for f in os.listdir(stage_dir))
-    if empty_stage:
-        # corpus fully tombstoned / empty: emit empty shard files
-        from .build import _empty_segments_table
-
-        for u in shard_units:
-            atomic_write_parquet(_empty_segments_table(store_positions),
-                                 u["seg_path"])
-    else:
-        (rd.from_items(shard_units)
-         .map_batches(run_encode, batch_size=shards_per_task,
-                      batch_format="pyarrow", concurrency=16)
-         .take_all())
+    # a fully tombstoned / empty corpus stages nothing: every shard
+    # file is then written empty
+    shard_phase(list(range(s_new)), stage_dir,
+                [os.path.join(tmp, f"shard-{k:05d}.parquet")
+                 for k in range(s_new)],
+                encoder, store_positions, concurrency=16, doc_lens=doc_lens)
     shutil.rmtree(stage_dir, ignore_errors=True)
-    old = segments_dir + ".old"
-    shutil.rmtree(old, ignore_errors=True)
-    os.rename(segments_dir, old)
-    try:
-        os.rename(tmp, segments_dir)
-    except OSError:
-        os.rename(old, segments_dir)  # restore — index stays readable
-        raise
-    shutil.rmtree(old)
+    swap_in(segments_dir)
 
     from .build import write_stats
 
@@ -1695,25 +1558,7 @@ def compact_index(index_dir: str, term_buckets: int = 32,
         # Ordering keeps every crash point consistent: segments are
         # already purged, but stats still carries tombstones_file until
         # the final write, so engines keep masking (a no-op once purged)
-        docs_tmp = docs_dir + ".compact"
-        shutil.rmtree(docs_tmp, ignore_errors=True)
-
-        def drop_deleted(b: pa.Table) -> pa.Table:
-            ids = np.asarray(b["doc_id"].combine_chunks()).astype(np.int64)
-            return b.filter(pa.array(_alive(ids)))
-
-        (rd.read_parquet(docs_dir)
-         .map_batches(drop_deleted, batch_format="pyarrow")
-         .write_parquet(docs_tmp))
-        docs_old = docs_dir + ".old"
-        shutil.rmtree(docs_old, ignore_errors=True)
-        os.rename(docs_dir, docs_old)
-        try:
-            os.rename(docs_tmp, docs_dir)
-        except OSError:
-            os.rename(docs_old, docs_dir)
-            raise
-        shutil.rmtree(docs_old)
+        swap_in_docs()
 
     from .checkpoint import _write_term_dict
 

@@ -1,36 +1,45 @@
-"""Resumable checkpointed index build (north_rule; SURVEY.md §4, §7 step 8).
+"""The index build pipeline: the one path every build and append runs.
 
-Same result as ``build.build_index`` (verified in tests), different
-execution strategy optimized for restartability at cluster scale:
-
-  phase "partitions": one task per input-file partition, SINGLE tokenize
-      pass emitting both the docs part and the (shard,term)-sorted
-      postings part, written temp-then-rename; lineage (input files, rows,
-      postings, sha256 rollup, wall seconds) recorded in manifest.json.
-  phase "stats": streaming scan of staged docs → stats.json.
-  phase "shards": one task per index shard k, reading staged postings
-      with parquet predicate pushdown on ``shard`` (partition files are
-      shard-sorted so row groups prune), encoding all of shard k's
-      segments, temp-then-rename; per-shard lineage in the manifest.
-  phase "term_dict": groupby(term) Sum(df/cf) over segments.
+  partition: ``stage_partition`` tokenizes a table ONCE and writes a docs
+      part plus a (shard, term)-sorted staged-postings part whose row
+      groups align to shard boundaries, temp-then-rename.
+      ``build_index_resumable`` runs it once per input-file partition and
+      records lineage (input files, rows, postings, sha256 rollup, wall
+      seconds) in manifest.json; ``stage_dataset`` runs it once per batch
+      of a ``ray.data.Dataset`` (``build.build_index`` on a Dataset, and
+      ``append.append_to_index``).
+  stats: streaming scan of the docs parts → n_docs, total_len, avgdl.
+  shards: ``shard_phase`` batches index shards into Ray tasks; each task
+      reads its shards' row groups of the staged postings in one scan
+      (predicate pushdown on ``shard``) and encodes one segment file per
+      shard (``_encode_shards``), temp-then-rename.
+  term_dict: Sum(df/cf) per term over segments.
+  commit: seg_bucket_map.json, then stats.json (the commit point), then
+      the staged postings are deleted.
 
 On restart every phase skips units the manifest marks done (and whose
-outputs exist). ``stop_after_partitions`` injects a deterministic
-interrupt for the resume test (FIXTURES.md F6).
+outputs exist). Once every shard is encoded the partition phase is
+skipped as well, so re-running a committed build does not re-tokenize to
+rebuild the staged postings its commit deleted. ``stop_after_partitions``
+injects a deterministic interrupt for the resume test (FIXTURES.md F6).
 
 Scale notes: tasks are scheduled through Ray Data (`from_items(units) →
 map_batches(worker, batch_size=1)`) so backpressure and retries apply; a
 shard task materializes one shard's postings — choose num_shards so that
 fits a worker (S grows with the corpus). Staged postings are columnar
 parquet (term dictionary-encodes well) — the explicit, restartable analog
-of the shuffle's in-flight state.
+of a shuffle's in-flight state.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import shutil
 import time
+import uuid
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -40,10 +49,25 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .build import IndexBuildConfig, SegmentEncoder, _resolve_doc_ids
+from .build import (
+    IndexBuildConfig,
+    SegmentEncoder,
+    _empty_segments_table,
+    _resolve_doc_ids,
+    _tf_with_positions,
+    build_config,
+    check_doc_id_collisions,
+    doc_totals,
+    index_stats,
+    write_stats,
+)
 from .schema import sha256_batch, shard_of
 from .state.manifest import Manifest, atomic_write_parquet
 from .text import term_frequencies
+
+
+# doc_len lookup for postings staged without it: (shard, doc_ids) → lens
+DocLens = Callable[[int, np.ndarray], np.ndarray]
 
 
 class BuildInterrupted(RuntimeError):
@@ -61,20 +85,27 @@ def _list_parquet_files(source: str | list[str]) -> list[str]:
     return sorted(out)
 
 
-def _process_partition(files: list[str], pid: str, cfg: IndexBuildConfig,
-                       columns: list[str], docs_path: str, postings_path: str) -> dict:
-    t0 = time.time()
-    # one OS thread per task: Ray already runs num_cpus tasks in parallel,
-    # so Arrow's internal pool would only oversubscribe (measured 2.8x
-    # CPU-time inflation at 32 workers before this cap)
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(2)
-    batch = pq.read_table(files, columns=columns, use_threads=False)
-    doc_ids = _resolve_doc_ids(batch, cfg)
+def _source_columns(cfg: IndexBuildConfig, names: list[str]) -> list[str]:
+    """The source columns a build reads, in source order."""
+    need = {cfg.content_col} | set(cfg.meta_cols)
+    need |= {cfg.id_col} if cfg.id_col else set(cfg.key_cols)
+    return [c for c in names if c in need]
+
+
+def stage_partition(batch: pa.Table, cfg: IndexBuildConfig, docs_path: str,
+                    postings_path: str, doc_ids: np.ndarray | None = None
+                    ) -> dict:
+    """Tokenize ``batch`` once and write both of its parts: the docs
+    part (doc_id, meta columns, content sha256, doc_len, shard; empty
+    docs dropped, as the reference's empty-doc filter does) and the
+    staged postings part
+    (term, doc_id, tf, doc_len, shard[, pos]) sorted by (shard, term)
+    with one row group per shard. Returns the partition's counts and
+    content-hash rollup."""
+    if doc_ids is None:
+        doc_ids = _resolve_doc_ids(batch, cfg)
     content = batch[cfg.content_col].combine_chunks()
     if cfg.store_positions:
-        from .build import _tf_with_positions
-
         tf, pos_blobs = _tf_with_positions(content)
     else:
         tf = term_frequencies(content)
@@ -102,38 +133,80 @@ def _process_partition(files: list[str], pid: str, cfg: IndexBuildConfig,
     }
     if cfg.store_positions:
         pcols["pos"] = pos_blobs
-    postings = pa.table(pcols).sort_by(
-        [("shard", "ascending"), ("term", "ascending")])
+    postings = pa.table(pcols)
 
     atomic_write_parquet(docs, docs_path)
-    # row groups aligned to shard boundaries → shard tasks read only
-    # their own row groups via predicate pushdown
-    shard_col = np.asarray(postings["shard"].combine_chunks())
-    bounds = (np.flatnonzero(np.diff(shard_col)) + 1).tolist()
-    atomic_write_parquet(postings, postings_path, row_group_boundaries=bounds)
-
-    rollup = hashlib.sha256("".join(shas).encode()).hexdigest()
+    write_staged_postings(postings, postings_path)
     return {
-        "pid": pid,
-        "input_files": files,
         "rows": batch.num_rows,
         "docs": docs.num_rows,
         "postings": postings.num_rows,
-        "content_sha256_rollup": rollup,
-        "wall_s": round(time.time() - t0, 3),
+        "content_sha256_rollup": hashlib.sha256(
+            "".join(shas).encode()).hexdigest(),
     }
 
 
-def _encode_shard(shard: int, stage_postings_dir: str, seg_path: str,
-                  encoder: SegmentEncoder,
-                  store_positions: bool = False) -> dict:
-    return _encode_shards([shard], stage_postings_dir, [seg_path],
-                          encoder, store_positions)[0]
+def write_staged_postings(postings: pa.Table, path: str) -> None:
+    """Write postings sorted by (shard, term) with one row group per
+    shard, so a shard task reads only its own row groups (predicate
+    pushdown on ``shard``)."""
+    postings = postings.sort_by(
+        [("shard", "ascending"), ("term", "ascending")])
+    shard_col = np.asarray(postings["shard"].combine_chunks())
+    bounds = (np.flatnonzero(np.diff(shard_col)) + 1).tolist()
+    atomic_write_parquet(postings, path, row_group_boundaries=bounds)
+
+
+def _process_partition(files: list[str], pid: str, cfg: IndexBuildConfig,
+                       columns: list[str], docs_path: str,
+                       postings_path: str) -> dict:
+    t0 = time.time()
+    # one OS thread per task: Ray already runs num_cpus tasks in parallel,
+    # so Arrow's internal pool would only oversubscribe (measured 2.8x
+    # CPU-time inflation at 32 workers before this cap)
+    pa.set_cpu_count(1)
+    pa.set_io_thread_count(2)
+    batch = pq.read_table(files, columns=columns, use_threads=False)
+    rec = stage_partition(batch, cfg, docs_path, postings_path)
+    return {"pid": pid, "input_files": files, **rec,
+            "wall_s": round(time.time() - t0, 3)}
+
+
+def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
+                  postings_dir: str) -> list[dict]:
+    """``stage_partition`` once per ``cfg.batch_size``-row batch of
+    ``ds``, task-side; returns one lineage record per written
+    partition. A part is named after its batch's smallest doc id, so
+    the staged file order — and with it the row order inside each
+    segment file — does not depend on which task finishes first."""
+    columns = _source_columns(cfg, ds.schema().names)
+
+    def stage(batch: pa.Table) -> pa.Table:
+        t0 = time.time()
+        pa.set_cpu_count(1)
+        doc_ids = _resolve_doc_ids(batch, cfg)
+        if len(doc_ids) == 0:
+            return pa.table({"lineage": pa.array([], pa.string())})
+        pid = (f"part-{int(doc_ids.min()) & 0xFFFFFFFFFFFFFFFF:016x}"
+               f"-{uuid.uuid4().hex[:8]}")
+        rec = stage_partition(batch, cfg,
+                              os.path.join(docs_dir, f"{pid}.parquet"),
+                              os.path.join(postings_dir, f"{pid}.parquet"),
+                              doc_ids)
+        rec = {"pid": pid, **rec, "wall_s": round(time.time() - t0, 3)}
+        return pa.table({"lineage": [json.dumps(rec)]})
+
+    rows = (ds.select_columns(columns)
+            .map_batches(stage, batch_format="pyarrow",
+                         batch_size=cfg.batch_size)
+            .take_all())
+    return [json.loads(r["lineage"]) for r in rows]
 
 
 def _encode_shards(shards: list[int], stage_postings_dir: str,
                    seg_paths: list[str], encoder: SegmentEncoder,
-                   store_positions: bool = False) -> list[dict]:
+                   store_positions: bool = False,
+                   doc_lens: DocLens | None = None) -> list[dict]:
     """Encode a BATCH of shards from ONE staged-postings scan. With one
     scan per shard, a high shard count pays S × n_partition_files
     parquet opens (measured: 41 s → 106 s shard phase going 256 → 1024
@@ -141,31 +214,36 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
     divides the fixed open cost by the batch size. Row groups are
     shard-aligned spans in shard order within each file, so the
     combined scan filtered per shard yields rows in exactly the order
-    the per-shard scan did — segment output is bitwise unchanged."""
+    the per-shard scan did — segment output is bitwise unchanged.
+    ``doc_lens(shard, doc_ids)`` supplies doc_len for postings staged
+    without it (compaction joins it from the docs table)."""
     t0 = time.time()
     pa.set_cpu_count(1)
     pa.set_io_thread_count(2)
     dset = pads.dataset(stage_postings_dir, format="parquet")
-    table = dset.scanner(filter=pads.field("shard").isin(shards),
-                         use_threads=False).to_table()
+    if "shard" in dset.schema.names:
+        table = dset.scanner(filter=pads.field("shard").isin(shards),
+                             use_threads=False).to_table()
+    else:  # nothing staged (empty source): every shard file is empty
+        table = pa.table({"shard": pa.array([], pa.int32())})
     shard_col = table["shard"].to_numpy() if table.num_rows else None
     out = []
     for shard, seg_path in zip(shards, seg_paths):
         t1 = time.time()
         sub = table.take(np.flatnonzero(shard_col == shard)) \
             if table.num_rows else table
-        seg_table = encoder(sub) if sub.num_rows else None
-        if seg_table is None:
-            from .build import _empty_segments_table
-
-            seg_table = _empty_segments_table(store_positions)
-        # rows are term-sorted within the shard, and 64 rows/group gives
-        # each group a narrow term min/max in the footer. A reader that
-        # picks groups from those statistics itself decompresses only
-        # the matching groups' blob pages; pyarrow 16.1's ``("term",
-        # "in", ...)`` read filter does not — it prunes no row group
-        # (equality filters do), so QueryEngine's filtered reads still
-        # scan every group of each candidate file.
+        if doc_lens is not None and sub.num_rows:
+            ids = np.asarray(sub["doc_id"].combine_chunks()).astype(np.int64)
+            sub = sub.append_column(
+                "doc_len", pa.array(doc_lens(shard, ids).astype(np.int64)))
+        seg_table = (encoder(sub) if sub.num_rows
+                     else _empty_segments_table(store_positions))
+        # rows keep the staged order (the encoder numbers terms by first
+        # appearance): term-sorted within each staged part, a later
+        # part's new terms after an earlier part's. 64 rows/group keeps
+        # each group's footer term min/max narrow for a reader that
+        # picks groups itself; pyarrow 16.1's ``("term", "in", ...)``
+        # read filter prunes no row group (equality filters do).
         atomic_write_parquet(
             seg_table, seg_path,
             row_group_boundaries=list(range(64, seg_table.num_rows, 64)))
@@ -178,37 +256,146 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
     return out
 
 
+def _manifest_config(cfg: IndexBuildConfig, source: str) -> dict:
+    return {
+        "source": source,
+        "num_shards": cfg.num_shards, "block_size": cfg.block_size,
+        "k1": cfg.k1, "b": cfg.b, "content_col": cfg.content_col,
+        "id_col": cfg.id_col,
+        # staged-postings schema changes with the positions sidecar, so
+        # flipping this between an interrupted run and its resume must
+        # fail loudly (prev_cmp filtering keeps old manifests resumable)
+        "store_positions": cfg.store_positions,
+    }
+
+
+def _shard_path(segments_dir: str, shard: int) -> str:
+    return os.path.join(segments_dir, f"shard-{shard:05d}.parquet")
+
+
+def _pending_shards(manifest: Manifest, segments_dir: str,
+                    num_shards: int) -> list[int]:
+    return [k for k in range(num_shards)
+            if not manifest.shard_done(k, [_shard_path(segments_dir, k)])]
+
+
+def shard_phase(shards: list[int], stage_postings: str, seg_paths: list[str],
+                encoder: SegmentEncoder, store_positions: bool,
+                concurrency: int | None = None,
+                doc_lens: DocLens | None = None) -> list[dict]:
+    """Encode ``shards`` from the staged postings into ``seg_paths`` as
+    Ray tasks; returns one lineage record per shard. Shards are batched
+    per task: one task per shard pays S × n_files parquet opens across
+    the phase (fixed cost dominates past ~256 shards at bench scale —
+    see _encode_shards); ≥4 waves per worker keep the load balanced.
+    ``doc_lens`` is passed to ``_encode_shards``."""
+    if not shards:
+        return []
+    units = [{"shard": k, "seg_path": p} for k, p in zip(shards, seg_paths)]
+
+    def run_shard(b: pa.Table) -> pa.Table:
+        us = b.to_pylist()
+        rows = _encode_shards([u["shard"] for u in us], stage_postings,
+                              [u["seg_path"] for u in us],
+                              encoder, store_positions, doc_lens)
+        return pa.table({"lineage": [json.dumps(r) for r in rows]})
+
+    per_task = max(1, len(units) // (max(1, concurrency or 16) * 4))
+    res = (rd.from_items(units)
+           .map_batches(run_shard, batch_size=per_task,
+                        batch_format="pyarrow", concurrency=concurrency)
+           .take_all())
+    return [json.loads(r["lineage"]) for r in res]
+
+
+def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
+                  concurrency: int | None) -> dict:
+    """The phases after partitioning, shared by every build: stats →
+    shards → term_dict → commit. Each skips what the manifest marks
+    done, so a resumed build picks up where it stopped."""
+    from .query import write_seg_bucket_map
+
+    docs_dir = os.path.join(index_dir, "docs")
+    segments_dir = os.path.join(index_dir, "segments")
+    term_dict_dir = os.path.join(index_dir, "term_dict")
+
+    # ---- phase: stats ----
+    n_docs, total_len = doc_totals(docs_dir)
+    check_doc_id_collisions(docs_dir, n_docs)
+    stats = index_stats(cfg, n_docs, total_len)
+    # resume record only — stats.json itself is written LAST (the
+    # commit point readers and _ensure_built key on; a mid-build
+    # stats.json let concurrent openers see a partial index). The
+    # recompute above is deterministic, so a resumed build writes the
+    # identical stats at the end.
+    manifest.mark_phase("stats", n_docs=n_docs, avgdl=stats["avgdl"])
+    manifest.save()
+
+    # ---- phase: shards ----
+    encoder = SegmentEncoder(avgdl=stats["avgdl"], k1=cfg.k1, b=cfg.b,
+                             block_size=cfg.block_size)
+    pending = _pending_shards(manifest, segments_dir, cfg.num_shards)
+    stage_postings = os.path.join(index_dir, "stage", "postings")
+    for rec in shard_phase(pending, stage_postings,
+                           [_shard_path(segments_dir, k) for k in pending],
+                           encoder, cfg.store_positions, concurrency):
+        manifest.mark_shard(rec.pop("shard"), **rec)
+    manifest.save()
+
+    # ---- phase: term_dict ----
+    if not manifest.phase_done("term_dict"):
+        _write_term_dict(segments_dir, term_dict_dir)
+        manifest.mark_phase("term_dict")
+        manifest.save()
+
+    write_seg_bucket_map(index_dir)  # first reader prunes immediately
+    write_stats(index_dir, stats)    # COMMIT POINT: the index now opens
+    # every shard is encoded: the staged postings are spent
+    shutil.rmtree(os.path.join(index_dir, "stage"), ignore_errors=True)
+    return stats
+
+
+def build_index_dataset(ds: rd.Dataset, index_dir: str,
+                        cfg: IndexBuildConfig) -> dict:
+    """The build over a ``ray.data.Dataset``: ``stage_partition`` once
+    per batch, then the same phases as the resumable build. Not
+    resumable — a Dataset has no stable partition identity — so
+    ``build.build_index`` clears ``index_dir`` before calling this."""
+    os.makedirs(os.path.join(index_dir, "docs"), exist_ok=True)
+    stage_postings = os.path.join(index_dir, "stage", "postings")
+    os.makedirs(stage_postings, exist_ok=True)
+    manifest = Manifest.load_or_create(index_dir)
+    manifest.data["config"] = _manifest_config(cfg, "dataset")
+    for rec in stage_dataset(ds, cfg, os.path.join(index_dir, "docs"),
+                             stage_postings):
+        manifest.mark_partition(rec.pop("pid"), **rec)
+    manifest.save()
+    return _finish_build(index_dir, cfg, manifest, None)
+
+
 def build_index_resumable(source: str | list[str], index_dir: str,
                           cfg: IndexBuildConfig | None = None,
                           files_per_partition: int = 1,
                           stop_after_partitions: int | None = None,
                           concurrency: int | None = None,
                           **cfg_overrides) -> dict:
-    """Checkpointed build; safe to re-run after any interruption."""
-    cfg = cfg or IndexBuildConfig()
-    for k, v in cfg_overrides.items():
-        setattr(cfg, k, v)
+    """Checkpointed build over parquet files, one partition per
+    ``files_per_partition`` input files; safe to re-run after any
+    interruption, and a no-op re-run once committed."""
+    cfg = build_config(cfg, **cfg_overrides)
     os.makedirs(index_dir, exist_ok=True)
     docs_dir = os.path.join(index_dir, "docs")
     segments_dir = os.path.join(index_dir, "segments")
     stage_postings = os.path.join(index_dir, "stage", "postings")
-    term_dict_dir = os.path.join(index_dir, "term_dict")
 
     files = _list_parquet_files(source)
     if not files:
         raise FileNotFoundError(f"no parquet files found under {source!r}")
 
-    import hashlib
-
     manifest = Manifest.load_or_create(index_dir)
     new_config = {
-        "num_shards": cfg.num_shards, "block_size": cfg.block_size,
-        "k1": cfg.k1, "b": cfg.b, "content_col": cfg.content_col,
-        "id_col": cfg.id_col, "files_per_partition": files_per_partition,
-        # staged-postings schema changes with the positions sidecar, so
-        # flipping this between an interrupted run and its resume must
-        # fail loudly (prev_cmp filtering keeps old manifests resumable)
-        "store_positions": cfg.store_positions,
+        **_manifest_config(cfg, "files"),
+        "files_per_partition": files_per_partition,
         # pid → files is positional over this sorted list: record its
         # identity so a file added/removed/renamed between an interrupted
         # run and the resume fails loudly instead of silently remapping a
@@ -235,37 +422,31 @@ def build_index_resumable(source: str | list[str], index_dir: str,
     manifest.data["config"] = new_config
     parts = [files[i:i + files_per_partition]
              for i in range(0, len(files), files_per_partition)]
-    need_cols = {cfg.content_col} | set(cfg.meta_cols)
-    if cfg.id_col:
-        need_cols.add(cfg.id_col)
-    else:
-        need_cols |= set(cfg.key_cols)
-    schema = pads.dataset(files[0], format="parquet").schema
-    columns = [c for c in schema.names if c in need_cols]
+    columns = _source_columns(
+        cfg, pads.dataset(files[0], format="parquet").schema.names)
 
-    # ---- phase: partitions ----
+    # ---- phase: partitions ---- skipped once every shard is encoded:
+    # nothing reads the staged postings after that, and the commit
+    # deleted them
     units = []
-    for i, pfiles in enumerate(parts):
-        pid = f"part-{i:05d}"
-        docs_path = os.path.join(docs_dir, f"{pid}.parquet")
-        postings_path = os.path.join(stage_postings, f"{pid}.parquet")
-        if manifest.partition_done(pid, [docs_path, postings_path]):
-            continue
-        units.append({"pid": pid, "files": pfiles,
-                      "docs_path": docs_path, "postings_path": postings_path})
-    if stop_after_partitions is not None:
-        allowed = stop_after_partitions
-    else:
-        allowed = len(units)
+    if _pending_shards(manifest, segments_dir, cfg.num_shards):
+        for i, pfiles in enumerate(parts):
+            pid = f"part-{i:05d}"
+            docs_path = os.path.join(docs_dir, f"{pid}.parquet")
+            postings_path = os.path.join(stage_postings, f"{pid}.parquet")
+            if manifest.partition_done(pid, [docs_path, postings_path]):
+                continue
+            units.append({"pid": pid, "files": pfiles, "docs_path": docs_path,
+                          "postings_path": postings_path})
+    allowed = (len(units) if stop_after_partitions is None
+               else stop_after_partitions)
     todo, deferred = units[:allowed], units[allowed:]
     if todo:
         def run_unit(b: pa.Table) -> pa.Table:
-            rows = []
-            for u in b.to_pylist():
-                rows.append(_process_partition(u["files"], u["pid"], cfg, columns,
-                                               u["docs_path"], u["postings_path"]))
-            return pa.Table.from_pylist([
-                {"pid": r["pid"], "lineage": __import__("json").dumps(r)} for r in rows])
+            recs = [_process_partition(u["files"], u["pid"], cfg, columns,
+                                       u["docs_path"], u["postings_path"])
+                    for u in b.to_pylist()]
+            return pa.table({"lineage": [json.dumps(r) for r in recs]})
 
         res = (
             rd.from_items(todo)
@@ -273,95 +454,15 @@ def build_index_resumable(source: str | list[str], index_dir: str,
                          concurrency=concurrency)
             .take_all()
         )
-        import json as _json
-
         for r in res:
-            rec = _json.loads(r["lineage"])
+            rec = json.loads(r["lineage"])
             manifest.mark_partition(rec.pop("pid"), **rec)
         manifest.save()
     if deferred:
         manifest.save()
         raise BuildInterrupted(
             f"stopped after {allowed} partitions ({len(deferred)} remaining)")
-
-    # ---- phase: stats ----
-    from .build import check_doc_id_collisions
-
-    n_docs, total_len = 0, 0
-    for rb in pads.dataset(docs_dir).to_batches(columns=["doc_len"]):
-        n_docs += rb.num_rows
-        total_len += int(pc.sum(rb.column(0)).as_py() or 0)
-    check_doc_id_collisions(docs_dir, n_docs)
-    avgdl = (total_len / n_docs) if n_docs else 0.0
-    stats = {
-        "n_docs": n_docs, "total_len": total_len, "avgdl": avgdl,
-        "k1": cfg.k1, "b": cfg.b, "num_shards": cfg.num_shards,
-        "block_size": cfg.block_size, "content_col": cfg.content_col,
-        "id_col": cfg.id_col, "store_positions": cfg.store_positions,
-        # same sidecar-column contract as build.py's stats — appends
-        # inherit these, keeping stored-_source indexes reindexable
-        "meta_cols": list(cfg.meta_cols),
-        "key_cols": list(cfg.key_cols),
-    }
-    import json as _json
-
-    from .build import write_stats
-
-    # resume record only — stats.json itself is written LAST (the
-    # commit point readers and _ensure_built key on; a mid-build
-    # stats.json let concurrent openers see a partial index). The
-    # recompute above is deterministic, so a resumed build writes the
-    # identical stats at the end.
-    manifest.mark_phase("stats", n_docs=n_docs, avgdl=avgdl)
-    manifest.save()
-
-    # ---- phase: shards ----
-    encoder = SegmentEncoder(avgdl=avgdl, k1=cfg.k1, b=cfg.b,
-                             block_size=cfg.block_size)
-    shard_units = []
-    for k in range(cfg.num_shards):
-        seg_path = os.path.join(segments_dir, f"shard-{k:05d}.parquet")
-        if manifest.shard_done(k, [seg_path]):
-            continue
-        shard_units.append({"shard": k, "seg_path": seg_path})
-    if shard_units:
-        def run_shard(b: pa.Table) -> pa.Table:
-            units = b.to_pylist()
-            rows = _encode_shards([u["shard"] for u in units],
-                                  stage_postings,
-                                  [u["seg_path"] for u in units],
-                                  encoder, cfg.store_positions)
-            return pa.Table.from_pylist([
-                {"shard": r["shard"], "lineage": _json.dumps(r)} for r in rows])
-
-        # batch shards per task: one task per shard pays S × n_files
-        # parquet opens across the phase (fixed cost dominates past
-        # ~256 shards at bench scale — see _encode_shards); keep ≥4
-        # waves per worker for load balance
-        slots = max(1, concurrency or 16)
-        shards_per_task = max(1, len(shard_units) // (slots * 4))
-        res = (
-            rd.from_items(shard_units)
-            .map_batches(run_shard, batch_size=shards_per_task,
-                         batch_format="pyarrow",
-                         concurrency=concurrency)
-            .take_all()
-        )
-        for r in res:
-            rec = _json.loads(r["lineage"])
-            manifest.mark_shard(rec.pop("shard"), **rec)
-        manifest.save()
-
-    # ---- phase: term_dict ----
-    if not manifest.phase_done("term_dict"):
-        _write_term_dict(segments_dir, term_dict_dir)
-        manifest.mark_phase("term_dict")
-        manifest.save()
-    from .query import write_seg_bucket_map
-
-    write_seg_bucket_map(index_dir)  # first reader prunes immediately
-    write_stats(index_dir, stats)    # COMMIT POINT: the index now opens
-    return stats
+    return _finish_build(index_dir, cfg, manifest, concurrency)
 
 
 # below this row count the Ray groupby's fixed shuffle cost dominates and a

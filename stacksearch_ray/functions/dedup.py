@@ -6,6 +6,8 @@
 - simhash:          64-bit simhash + banded Hamming grouping
 - ngram_jaccard:    exact token-set Jaccard pairs (small-side broadcast;
                     the brute-force oracle for the sketch paths)
+- duplicate_values: the int64 keys that occur more than once across
+                    parquet files (the doc-id uniqueness audit at scale)
 - embedding near-dup lives in similarity.py (cosine_pairs)
 
 Scale notes (SURVEY.md §4): candidate generation is a groupby on
@@ -37,6 +39,48 @@ _MERSENNE = np.uint64((1 << 61) - 1)
 
 
 # ---------------- exact dedup ----------------
+
+def duplicate_values(paths, column: str, num_buckets: int = 64
+                     ) -> np.ndarray:
+    """Sorted distinct values of the int64 ``column`` that occur more
+    than once across the parquet files under ``paths`` (a file, a dir,
+    or a list of either): one column-pruned read, a hash-bucket shuffle
+    of that column only, and a vectorized per-bucket duplicate scan (a
+    native groupby(column).count() at 10⁸+ distinct keys is the
+    measured ~50× trap). Only duplicated values reach the driver —
+    normally none."""
+    import os
+
+    if isinstance(paths, str):
+        paths = [paths]
+    files: list[str] = []  # read_parquet wants files, not a dir list
+    for p in paths:
+        if os.path.isdir(p):
+            for root, _, fs in os.walk(p):
+                files.extend(os.path.join(root, f) for f in fs
+                             if f.endswith(".parquet"))
+        else:
+            files.append(p)
+
+    def bucketize(b: pa.Table) -> pa.Table:
+        vals = np.asarray(b[column].combine_chunks()).astype(np.int64)
+        bk = (pd.util.hash_array(vals.astype(np.uint64))
+              % np.uint64(num_buckets)).astype(np.int64)
+        return pa.table({column: vals, "__b": bk})
+
+    def dups(g: pa.Table) -> pa.Table:
+        vals = np.sort(np.asarray(g[column].combine_chunks())
+                       .astype(np.int64))
+        d = vals[1:][vals[1:] == vals[:-1]]
+        return pa.table({column: pa.array(np.unique(d), pa.int64())})
+
+    rows = (rd.read_parquet(files, columns=[column])
+            .map_batches(bucketize, batch_format="pyarrow")
+            .groupby("__b")
+            .map_groups(dups, batch_format="pyarrow")
+            .take_all())
+    return np.sort(np.asarray([r[column] for r in rows], dtype=np.int64))
+
 
 def add_content_hash(batch: pa.Table, text_col: str = "text",
                      algo: str = "md5") -> pa.Table:

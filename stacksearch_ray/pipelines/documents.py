@@ -91,7 +91,7 @@ def _index_for(sf_dir: str) -> QueryEngine:
             os.path.join(index_dir, "stats.json"),
             lambda: build_index(_docs(sf_dir), index_dir, content_col="text",
                                 id_col="doc_id", meta_cols=("lang", "source"),
-                                num_shards=4, term_buckets=16,
+                                num_shards=4,
                                 store_positions=True))
         _engines[sf_dir] = QueryEngine(index_dir)
     return _engines[sf_dir]
@@ -663,7 +663,7 @@ def passage_search(sf_dir: str):
          .map_batches(with_pid, batch_format="pyarrow")
          .write_parquet(chunks_dir))
         build_index(chunks_dir, index_dir, content_col="chunk_text",
-                    id_col="pid", num_shards=4, term_buckets=16)
+                    id_col="pid", num_shards=4)
         open(done, "w").close()
 
     _ensure_built(done, _build_passages)
@@ -770,7 +770,7 @@ def _fielded_for(sf_dir: str) -> tuple[QueryEngine, QueryEngine]:
                 os.path.join(idx_dir, "stats.json"),
                 lambda idx_dir=idx_dir, field=field: build_index(
                     fields_dir, idx_dir, content_col=f"{field}_text",
-                    id_col="doc_id", num_shards=4, term_buckets=16))
+                    id_col="doc_id", num_shards=4))
             engines.append(QueryEngine(idx_dir))
         _fielded_engines[sf_dir] = tuple(engines)
     return _fielded_engines[sf_dir]
@@ -4975,10 +4975,9 @@ def bm25_topk_appended(sf_dir: str):
         second = rd.read_parquet(_docs(sf_dir),
                                  filter=pads.field("doc_id") >= cut)
         build_index(first, index_dir, content_col="text", id_col="doc_id",
-                    meta_cols=("lang", "source"), num_shards=4,
-                    term_buckets=16)
+                    meta_cols=("lang", "source"), num_shards=4)
         append_to_index(second, index_dir)
-        compact_index(index_dir, term_buckets=16)
+        compact_index(index_dir)
         open(done, "w").close()
 
     _ensure_built(done, _build_appended)
@@ -5018,11 +5017,10 @@ def bm25_topk_merged(sf_dir: str):
             shutil.rmtree(half, ignore_errors=True)
             build_index(rd.read_parquet(_docs(sf_dir), filter=pred),
                         half, content_col="text", id_col="doc_id",
-                        meta_cols=("lang", "source"), num_shards=4,
-                        term_buckets=16)
+                        meta_cols=("lang", "source"), num_shards=4)
         shutil.rmtree(index_dir, ignore_errors=True)
         merge_indexes([half_a, half_b], index_dir)
-        compact_index(index_dir, term_buckets=16)
+        compact_index(index_dir)
         shutil.rmtree(half_a, ignore_errors=True)
         shutil.rmtree(half_b, ignore_errors=True)
         open(done, "w").close()
@@ -5513,7 +5511,7 @@ def bm25_topk_deleted(sf_dir: str):
         shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
         build_index(_docs(sf_dir), index_dir, content_col="text",
                     id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
         ids = pq.read_table(_docs(sf_dir),
                             columns=["doc_id"])["doc_id"].to_pylist()
         delete_from_index(index_dir, [i for i in ids if i % 7 == 0])
@@ -5554,7 +5552,7 @@ def delete_by_query_search(sf_dir: str):
         shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
         build_index(_docs(sf_dir), index_dir, content_col="text",
                     id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
         delete_by_query(index_dir, DBQ_EXPR)
         open(done, "w").close()
 
@@ -5596,12 +5594,12 @@ def reindex_search(sf_dir: str):
         shutil.rmtree(out_dir, ignore_errors=True)
         build_index(_docs(sf_dir), src_dir, content_col="text",
                     id_col="doc_id", meta_cols=("lang", "source", "text"),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
         ids = pq.read_table(_docs(sf_dir),
                             columns=["doc_id"])["doc_id"].to_pylist()
         delete_from_index(src_dir, [i for i in ids if i % REIDX_MOD == 0])
         reindex_index(src_dir, out_dir, content_col="text",
-                      num_shards=2, term_buckets=8)
+                      num_shards=2)
         open(done, "w").close()
 
     _ensure_built(done, _build_reidx)
@@ -5641,7 +5639,7 @@ def pit_paged_search(sf_dir: str):
         shutil.rmtree(snap_dir, ignore_errors=True)
         build_index(_docs(sf_dir), index_dir, content_col="text",
                     id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
         snapshot_index(index_dir, snap_dir)
         delete_by_query(index_dir, DBQ_EXPR)  # live mutates AFTER the PIT
         open(done, "w").close()
@@ -5684,7 +5682,7 @@ def update_by_query_search(sf_dir: str):
         shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
         build_index(_docs(sf_dir), index_dir, content_col="text",
                     id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
 
         def patch(b: pa.Table) -> pa.Table:
             new_text = pc.binary_join_element_wise(
@@ -6599,8 +6597,7 @@ def _stemmed_index_for(sf_dir: str) -> QueryEngine:
         _ensure_built(
             os.path.join(idx_dir, "stats.json"),
             lambda: build_index(stem_dir, idx_dir, content_col="stemmed_text",
-                                id_col="doc_id", num_shards=4,
-                                term_buckets=16))
+                                id_col="doc_id", num_shards=4))
         _stem_engines[sf_dir] = QueryEngine(idx_dir)
     return _stem_engines[sf_dir]
 
@@ -7260,7 +7257,7 @@ def federated_search(sf_dir: str):
             os.path.join(idx_dir, "stats.json"),
             lambda half_dir=half_dir, idx_dir=idx_dir: build_index(
                 half_dir, idx_dir, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=16))
+                num_shards=4))
         halves.append(idx_dir)
     fed = FederatedQueryEngine(halves)
     res = fed.search(BM25_QUERY, 10)
@@ -8100,7 +8097,7 @@ def phrase_search_appended(sf_dir: str):
                                  filter=pads.field("doc_id") >= cut)
         build_index(first, index_dir, content_col="text", id_col="doc_id",
                     meta_cols=("lang", "source"), num_shards=4,
-                    term_buckets=16, store_positions=True)
+                    store_positions=True)
         append_to_index(second, index_dir)
         open(done, "w").close()
 
@@ -8330,7 +8327,7 @@ def _tri_for(sf_dir: str) -> TrigramSearcher:
             os.path.join(idx_dir, "stats.json"),
             lambda: build_trigram_index(_docs(sf_dir), idx_dir,
                                         content_col="text", id_col="doc_id",
-                                        num_shards=4, term_buckets=16))
+                                        num_shards=4))
         _tri_searchers[sf_dir] = TrigramSearcher(idx_dir)
     return _tri_searchers[sf_dir]
 
@@ -8443,7 +8440,7 @@ def rollover_search(sf_dir: str):
         shutil.rmtree(base, ignore_errors=True)
         rollover_ingest(_docs(sf_dir), base, max_docs=(n + 2) // 3,
                         content_col="text", id_col="doc_id",
-                        num_shards=4, term_buckets=16)
+                        num_shards=4)
         open(done, "w").close()
 
     _ensure_built(done, _build)
@@ -10203,7 +10200,7 @@ def bulk_search(sf_dir: str):
         shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
         build_index(_docs(sf_dir), index_dir, content_col="text",
                     id_col="doc_id", meta_cols=(),
-                    num_shards=4, term_buckets=16)
+                    num_shards=4)
         old = pq.read_table(_docs(sf_dir),
                             filters=[("doc_id", "=", BULK_UPD_ID)],
                             columns=["text"])["text"][0].as_py()

@@ -47,6 +47,38 @@ def test_append_equals_rebuild_and_oracle(appended):
         assert full.search(q, 10) == expected, q
 
 
+def test_appended_segment_files_are_term_sorted_row_groups(appended):
+    """An append encodes its delta the way the build does: one segment
+    file per shard the delta touches, rows term-sorted, row groups of
+    at most 64 rows whose footer term ranges do not overlap."""
+    import os
+    import re
+
+    idx_inc, _ = appended
+    seg_dir = os.path.join(idx_inc, "segments")
+    files = sorted(f for f in os.listdir(seg_dir) if f.startswith("append-"))
+    assert 1 < len(files) <= 4
+    assert all(re.fullmatch(r"append-[0-9a-f]{32}-shard-\d{5}\.parquet", f)
+               for f in files), files
+    multi_group = False
+    for f in files:
+        path = os.path.join(seg_dir, f)
+        t = pq.read_table(path)
+        terms = t["term"].to_pylist()
+        assert terms == sorted(terms), f
+        assert len(set(t["shard"].to_pylist())) == 1, f
+        meta = pq.ParquetFile(path).metadata
+        ranges = []
+        for g in range(meta.num_row_groups):
+            rg = meta.row_group(g)
+            assert 0 < rg.num_rows <= 64, f
+            st = rg.column(t.schema.get_field_index("term")).statistics
+            ranges.append((st.min, st.max))
+        assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:])), f
+        multi_group |= meta.num_row_groups > 1
+    assert multi_group  # the delta is big enough to exercise grouping
+
+
 def test_appended_flag_routes_to_exhaustive(appended):
     from stacksearch_ray.build import load_stats
     from stacksearch_ray.query import QueryEngine

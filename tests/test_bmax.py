@@ -44,7 +44,7 @@ def zipf(ray_session, tmp_path_factory):
         "text": pa.array(list(docs.values()), pa.string())}), src)
     idx = str(root / "index")
     build_index(src, idx, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=8)
+                num_shards=4)
     eng = QueryEngine(idx)
     assert eng._doclen_cv() >= 0.8
     assert len({r["shard"] for r in eng._segments_for(["t00000"])["t00000"]}) == 4

@@ -39,7 +39,7 @@ def built_index(ray_session, tmp_path_factory):
     corpus_dir = str(root / "corpus")
     index_dir = str(root / "index")
     write_corpus(corpus_dir, N_DOCS, rows_per_file=100)
-    stats = build_index(corpus_dir, index_dir, num_shards=4, term_buckets=8)
+    stats = build_index(corpus_dir, index_dir, num_shards=4)
     return corpus_dir, index_dir, stats
 
 
@@ -355,7 +355,7 @@ def test_segment_file_pruning_identity(ray_session, tmp_path_factory):
     write_corpus(corpus, 300, rows_per_file=100)
     idx = str(root / "idx")
     build_index([f"{corpus}/part-0000{i}.parquet" for i in (0, 1)], idx,
-                num_shards=4, term_buckets=16)
+                num_shards=4)
 
     queries = ["def return var_1", "helper_3 field_7", "zzz_missing",
                "numpy python import"]
@@ -419,7 +419,7 @@ def test_pruned_search_property(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 400, rows_per_file=100)
     idx = str(root / "idx")
-    build_index_resumable(corpus, idx, num_shards=4, term_buckets=8)
+    build_index_resumable(corpus, idx, num_shards=4)
 
     rng = np.random.default_rng(5)
     vocab = ["def", "return", "import", "class", "var_1", "var_7",
@@ -448,7 +448,7 @@ def test_query_plan_introspection(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 400, rows_per_file=100)
     idx = str(root / "idx")
-    build_index_resumable(corpus, idx, num_shards=4, term_buckets=8)
+    build_index_resumable(corpus, idx, num_shards=4)
     eng = QueryEngine(idx)
     n_files = len([f for f in os.listdir(os.path.join(idx, "segments"))
                    if f.endswith(".parquet")])

@@ -246,3 +246,34 @@ def test_encode_offset_guard_raises_past_limit(monkeypatch):
     monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total)
     with pytest.raises(ValueError, match="int32 offset range"):
         SegmentEncoder(avgdl=9.0)(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_split_doc_blobs_equals_decode_reencode(data):
+    """Compaction slices segment-row position blobs into per-doc blobs;
+    that must equal decoding each row and re-encoding per doc (the
+    per-row path it replaced), under any tombstone mask."""
+    from stacksearch_ray.append import _split_doc_blobs
+
+    rows, tfs_all, want = [], [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        docs = [sorted(data.draw(st.sets(st.integers(1, 2**40), min_size=1,
+                                         max_size=6)))
+                for _ in range(data.draw(st.integers(1, 5)))]
+        tfs = np.array([len(d) for d in docs], dtype=np.int64)
+        flat = np.array([p for d in docs for p in d], dtype=np.int64)
+        ends = np.cumsum(tfs)
+        blobs = codec.encode_position_lists(flat, ends - tfs, ends)
+        rows.append(b"".join(blobs))
+        # the per-row reference: decode the row blob, re-encode per doc
+        dec = codec.decode_positions(rows[-1], tfs)
+        want.extend(codec.encode_position_lists(dec, ends - tfs, ends))
+        tfs_all.append(tfs)
+    tfs = np.concatenate(tfs_all) if tfs_all else np.zeros(0, np.int64)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(tfs),
+                                       max_size=len(tfs))), dtype=bool)
+    got = _split_doc_blobs(pa.chunked_array([pa.array(rows, pa.binary())]),
+                           tfs, keep)
+    assert got.type == pa.binary()
+    assert got.to_pylist() == [b for b, k in zip(want, keep) if k]

@@ -27,7 +27,7 @@ def deleted_setup(ray_session, tmp_path_factory):
     surv_p = str(root / "surv.parquet")
     pq.write_table(surv, surv_p)
     kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8, store_positions=True)
+              store_positions=True)
     idx = str(root / "idx")
     build_index(DOCS, idx, **kw)
     delete_from_index(idx, del_ids)
@@ -90,7 +90,7 @@ def test_compact_purges_tombstones(deleted_setup, tmp_path):
     idx, ref, del_ids, _, _ = deleted_setup
     c = str(tmp_path / "compacted")
     shutil.copytree(idx, c)
-    stats = compact_index(c, term_buckets=8)
+    stats = compact_index(c)
     assert stats["appended"] is False
     assert "tombstones_file" not in stats
     assert not [n for n in os.listdir(c) if n.startswith("tombstones-")]
@@ -194,7 +194,7 @@ def test_deleted_df_equals_per_row_reference(ray_session, tmp_path):
     write_corpus(full, 300, rows_per_file=100)
     idx = str(tmp_path / "idx")
     build_index([f"{full}/part-0000{i}.parquet" for i in (0, 1)], idx,
-                num_shards=4, term_buckets=4)
+                num_shards=4)
     append_to_index([f"{full}/part-00002.parquet"], idx)
     ids = pq.read_table(os.path.join(idx, "docs"),
                         columns=["doc_id"])["doc_id"].to_pylist()
@@ -258,8 +258,7 @@ def test_upsert_equals_rebuild(ray_session, tmp_path):
     base_p = str(tmp_path / "base.parquet")
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False), base_p)
 
-    kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8)
+    kw = dict(content_col="text", id_col="doc_id", num_shards=4)
     idx = str(tmp_path / "idx")
     build_index(base_p, idx, **kw)
     upsert_to_index(delta_p, idx)
@@ -299,8 +298,7 @@ def test_delete_then_append_stats_exact(ray_session, tmp_path):
     ref_p = str(tmp_path / "ref.parquet")
     pq.write_table(ref_tbl, ref_p)
 
-    kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8)
+    kw = dict(content_col="text", id_col="doc_id", num_shards=4)
     idx = str(tmp_path / "idx")
     build_index(DOCS, idx, **kw)
     delete_from_index(idx, del_ids)
@@ -324,8 +322,7 @@ def test_delete_by_query_equals_manual(ray_session, tmp_path):
     from stacksearch_ray.build import build_index, load_stats
     from stacksearch_ray.query import QueryEngine
 
-    kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8)
+    kw = dict(content_col="text", id_col="doc_id", num_shards=4)
     idx = str(tmp_path / "idx")
     ref = str(tmp_path / "ref")
     build_index(DOCS, idx, **kw)

@@ -25,7 +25,7 @@ def dsl_index(ray_session, tmp_path_factory):
     corpus_dir = str(root / "corpus")
     index_dir = str(root / "index")
     write_corpus(corpus_dir, N_DOCS, rows_per_file=50)
-    build_index(corpus_dir, index_dir, num_shards=4, term_buckets=8,
+    build_index(corpus_dir, index_dir, num_shards=4,
                 store_positions=True)
     tbl = generate_corpus(N_DOCS)
     toks = {}

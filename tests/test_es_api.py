@@ -20,7 +20,7 @@ def eng(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("esapi") / "idx")
     build_index(os.path.join(SF, "documents.parquet"), idx,
                 content_col="text", id_col="doc_id",
-                store_positions=True, num_shards=4, term_buckets=8)
+                store_positions=True, num_shards=4)
     return QueryEngine(idx)
 
 

@@ -19,7 +19,7 @@ def fsck_idx(ray_session, tmp_path_factory):
     root = tmp_path_factory.mktemp("fsck")
     idx = str(root / "idx")
     build_index(DOCS, idx, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=8, store_positions=True)
+                num_shards=4, store_positions=True)
     return idx
 
 
@@ -55,7 +55,7 @@ def test_fsck_clean_through_lifecycle(fsck_idx, ray_session, tmp_path):
     assert fsck_index(idx).ok  # appended: duplicate keys legal
     delete_from_index(idx, list(range(0, 100, 3)))
     assert fsck_index(idx).ok  # tombstoned: stats alive-adjusted
-    compact_index(idx, term_buckets=8)
+    compact_index(idx)
     assert fsck_index(idx).ok  # compacted + purged
 
 

@@ -133,8 +133,7 @@ def test_merge_carries_tombstones(ray_session, tmp_path_factory):
     pq.write_table(half_a, pa_p)
     pq.write_table(half_b, pb_p)
     pq.write_table(surv, surv_p)
-    kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8)
+    kw = dict(content_col="text", id_col="doc_id", num_shards=4)
     idx_a, idx_b, idx_m, ref = (str(root / n)
                                 for n in ("a", "b", "m", "ref"))
     build_index(pa_p, idx_a, **kw)

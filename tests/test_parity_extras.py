@@ -111,7 +111,7 @@ def test_medium_scale_scorer_identity(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 3000, rows_per_file=500, lines=(10, 60))
     idx = str(root / "idx")
-    build_index(corpus, idx, num_shards=8, term_buckets=16)
+    build_index(corpus, idx, num_shards=8)
     eng = QueryEngine(idx)
     rng = np.random.default_rng(5)
     vocab = (["def", "import", "return", "class"]

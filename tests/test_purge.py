@@ -17,7 +17,7 @@ DOCS = "/root/testdata/sf0.001/documents.parquet"
 QUERIES = ["merge sort join stream window", "merge sort", "dup stream",
            "zzz_missing"]
 KW = dict(content_col="text", id_col="doc_id", num_shards=4,
-          term_buckets=8, store_positions=True)
+          store_positions=True)
 
 
 def _rebuild_without(root, del_ids, name):

@@ -1,6 +1,7 @@
 """Resumable-build test (FIXTURES.md F6): interrupt after k partitions,
 resume, assert finished partitions are not recomputed and the final index
-equals an uninterrupted build AND the streamed build."""
+equals an uninterrupted build; a Dataset source builds the same index as
+a path source."""
 
 import os
 
@@ -48,33 +49,76 @@ def test_interrupt_and_resume(ray_session, corpus_dir, tmp_path_factory):
     assert _segments_table(idx_a).equals(_segments_table(idx_b))
 
 
-def test_checkpointed_equals_streamed(ray_session, corpus_dir, tmp_path_factory):
+def test_dataset_source_equals_path_source(ray_session, corpus_dir,
+                                           tmp_path_factory):
+    """A Dataset source is staged one partition per batch instead of one
+    per file; the segment rows (encoded postings, block-max metadata)
+    and the stats are bitwise those of the path-source build."""
+    import ray.data as rd
+
     from stacksearch_ray.build import build_index
-    from stacksearch_ray.checkpoint import build_index_resumable
     from stacksearch_ray.query import QueryEngine
 
-    root = tmp_path_factory.mktemp("modes")
-    idx_s = str(root / "streamed")
-    idx_c = str(root / "checkpointed")
-    s1 = build_index(corpus_dir, idx_s, num_shards=4)
-    s2 = build_index_resumable(corpus_dir, idx_c, num_shards=4)
-    assert {k: s1[k] for k in ("n_docs", "total_len", "avgdl")} == \
-           {k: s2[k] for k in ("n_docs", "total_len", "avgdl")}
-    a, b = QueryEngine(idx_s), QueryEngine(idx_c)
+    root = tmp_path_factory.mktemp("sources")
+    idx_p, idx_d = str(root / "path"), str(root / "dataset")
+    s1 = build_index(corpus_dir, idx_p, num_shards=4)
+    # 64-row batches cut across the 40-row input files
+    s2 = build_index(rd.read_parquet(corpus_dir), idx_d, num_shards=4,
+                     batch_size=64)
+    assert s1 == s2
+    assert len(os.listdir(os.path.join(idx_d, "docs"))) > 1
+    a, b = QueryEngine(idx_p), QueryEngine(idx_d)
     for q in ["Determine a user's timezone", "def return var_1",
               "numpy python", "helper_3 field_7 import"]:
         assert a.search(q, 10) == b.search(q, 10), q
-    # segment rows are BITWISE identical across build paths (also guards
-    # the batched shard-encode: combined-scan row order == per-shard scan)
-    import pyarrow.parquet as pq
+    sa, sb = _segments_table(idx_p), _segments_table(idx_d)
+    assert sa.num_rows > 0
+    assert sa.equals(sb)
 
-    sa = pq.read_table(os.path.join(idx_s, "segments")).to_pandas() \
-        .sort_values(["term", "shard"]).reset_index(drop=True)
-    sb = pq.read_table(os.path.join(idx_c, "segments")).to_pandas() \
-        .sort_values(["term", "shard"]).reset_index(drop=True)
-    assert list(sa.columns) == list(sb.columns)
-    for col in sa.columns:
-        assert sa[col].tolist() == sb[col].tolist(), col
+
+def test_rebuild_is_file_reproducible(ray_session, corpus_dir,
+                                      tmp_path_factory):
+    """Two builds of one input write byte-identical segment files."""
+    import hashlib
+
+    from stacksearch_ray.build import build_index
+
+    def seg_hashes(idx):
+        d = os.path.join(idx, "segments")
+        return sorted(hashlib.sha256(open(os.path.join(d, f), "rb").read())
+                      .hexdigest() for f in os.listdir(d))
+
+    root = tmp_path_factory.mktemp("repro")
+    a, b = str(root / "a"), str(root / "b")
+    build_index(corpus_dir, a, num_shards=4)
+    build_index(corpus_dir, b, num_shards=4)
+    assert len(seg_hashes(a)) == 4
+    assert seg_hashes(a) == seg_hashes(b)
+    # a rebuild into the same dir clears the old layout and manifest
+    build_index(corpus_dir, a, num_shards=2)
+    assert len(seg_hashes(a)) == 2
+
+
+def test_unknown_config_key_rejected(ray_session, corpus_dir,
+                                     tmp_path_factory):
+    """A misspelled build knob raises instead of being ignored (it used
+    to build the default 8 shards), before anything is written."""
+    from stacksearch_ray.append import append_to_index
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.checkpoint import build_index_resumable
+
+    root = tmp_path_factory.mktemp("typo")
+    idx = str(root / "idx")
+    with pytest.raises(TypeError, match="num_shard"):
+        build_index(corpus_dir, idx, num_shard=4)
+    with pytest.raises(TypeError, match="term_buckets"):
+        build_index_resumable(corpus_dir, idx, term_buckets=8)
+    assert not os.path.exists(os.path.join(idx, "docs"))
+    build_index(os.path.join(corpus_dir, "part-00000.parquet"), idx,
+                num_shards=2)
+    with pytest.raises(TypeError, match="batchsize"):
+        append_to_index(os.path.join(corpus_dir, "part-00001.parquet"), idx,
+                        batchsize=16)
 
 
 def test_rerun_completed_build_is_noop(ray_session, corpus_dir, tmp_path_factory):
@@ -82,7 +126,16 @@ def test_rerun_completed_build_is_noop(ray_session, corpus_dir, tmp_path_factory
 
     idx = str(tmp_path_factory.mktemp("noop") / "idx")
     build_index_resumable(corpus_dir, idx, num_shards=2)
+    # the commit deletes the staged postings
+    assert not os.path.exists(os.path.join(idx, "stage"))
     seg = os.path.join(idx, "segments", "shard-00000.parquet")
+    docs = [os.path.join(idx, "docs", f)
+            for f in os.listdir(os.path.join(idx, "docs"))]
+    assert len(docs) == 8
     m = os.path.getmtime(seg)
+    docs_m = {f: os.path.getmtime(f) for f in docs}
     build_index_resumable(corpus_dir, idx, num_shards=2)
     assert os.path.getmtime(seg) == m
+    # nothing was re-tokenized, and no stage was rebuilt
+    assert {f: os.path.getmtime(f) for f in docs} == docs_m
+    assert not os.path.exists(os.path.join(idx, "stage"))

@@ -15,7 +15,7 @@ def index_dir(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 600, rows_per_file=100)
     idx = str(root / "idx")
-    build_index(corpus, idx, num_shards=8, term_buckets=16)
+    build_index(corpus, idx, num_shards=8)
     return idx
 
 
@@ -210,7 +210,7 @@ def pos_index_dir(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 400, rows_per_file=100)
     idx = str(root / "idx")
-    build_index(corpus, idx, num_shards=8, term_buckets=16,
+    build_index(corpus, idx, num_shards=8,
                 store_positions=True)
     return idx
 
@@ -274,7 +274,7 @@ def parity(ray_session, tmp_path_factory):
     corpus = str(root / "corpus")
     write_corpus(corpus, 300, rows_per_file=100)
     idx = str(root / "idx")
-    build_index(corpus, idx, num_shards=4, term_buckets=16,
+    build_index(corpus, idx, num_shards=4,
                 store_positions=True)
     # fractional CPUs: both pools (and the tests' own) fit one session
     sh = ShardedQueryEngine(idx, num_workers=3, num_cpus_per_worker=0.25)

@@ -22,7 +22,7 @@ def snap_env(ray_session, tmp_path_factory):
     idx = str(root / "index")
     write_corpus(corpus, 240, rows_per_file=60)
     write_corpus(extra, 60, rows_per_file=30, seed=77, row_offset=240)
-    build_index(corpus, idx, num_shards=4, term_buckets=8,
+    build_index(corpus, idx, num_shards=4,
                 store_positions=True)
     return root, corpus, extra, idx
 

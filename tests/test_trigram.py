@@ -24,7 +24,7 @@ def tri(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("tri") / "index")
     build_trigram_index(f"{SF_DIR}/documents.parquet", idx,
                         content_col="text", id_col="doc_id",
-                        num_shards=4, term_buckets=16)
+                        num_shards=4)
     return TrigramSearcher(idx)
 
 

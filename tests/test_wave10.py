@@ -319,13 +319,13 @@ def test_build_crash_leaves_no_commit_point(P, ray_session, tmp_path,
 
     monkeypatch.setattr(ckpt, "_write_term_dict", boom)
     with pytest.raises(RuntimeError):
-        build_index(corpus, idx, num_shards=2, term_buckets=4)
+        build_index(corpus, idx, num_shards=2)
     assert not os.path.exists(os.path.join(idx, "stats.json"))
     with pytest.raises(Exception):
         QueryEngine(idx)  # partial index cannot be opened
 
     monkeypatch.setattr(ckpt, "_write_term_dict", real)
-    build_index(corpus, idx, num_shards=2, term_buckets=4)
+    build_index(corpus, idx, num_shards=2)
     assert os.path.exists(os.path.join(idx, "stats.json"))
     assert QueryEngine(idx).search("def return", 5)
 

@@ -97,7 +97,7 @@ def test_rollover_ingest_and_search_identity(ray_session, corpus_slices):
     first, late, base = corpus_slices
     man = rollover_ingest(first, base, max_docs=150,
                           content_col="text", id_col="doc_id",
-                          num_shards=2, term_buckets=8)
+                          num_shards=2)
     assert [g["rows"] for g in man["generations"]] == [150, 150, 100]
     st = rollover_status(base)
     assert all(g["committed"] for g in st["generations"])
@@ -110,7 +110,7 @@ def test_rollover_ingest_and_search_identity(ray_session, corpus_slices):
 
     mono_dir = base + "_mono"
     build_index(first, mono_dir, content_col="text", id_col="doc_id",
-                num_shards=2, term_buckets=8)
+                num_shards=2)
     want = QueryEngine(mono_dir).search(P.BM25_QUERY, 10,
                                         method="exhaustive")
     assert got == want
@@ -124,7 +124,7 @@ def test_rollover_resume_skips_committed(ray_session, corpus_slices):
     first, late, base = corpus_slices
     rollover_ingest(first, base, max_docs=150,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)
+                    num_shards=2)
     from stacksearch_ray.pipelines import documents as P
 
     pre = open_rollover(base).search(P.BM25_QUERY, 10)
@@ -137,7 +137,7 @@ def test_rollover_resume_skips_committed(ray_session, corpus_slices):
     assert len(eng.engines) == 2
     rollover_ingest(first, base, max_docs=150,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)
+                    num_shards=2)
     assert os.path.exists(g1_stats)
     assert os.path.getmtime(g0_stats) == mtime0  # untouched
     healed = open_rollover(base)
@@ -162,10 +162,10 @@ def test_rollover_append_fills_then_rolls(ray_session, corpus_slices):
     first, late, base = corpus_slices
     rollover_ingest(first, base, max_docs=150,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)
+                    num_shards=2)
     touched = rollover_append(late, base,
                               content_col="text", id_col="doc_id",
-                              num_shards=2, term_buckets=8)
+                              num_shards=2)
     # gen2 had 100/150 → takes 50; remaining 50 open gen-000003
     assert touched == ["gen-000002", "gen-000003"]
     st = {g["name"]: g["n_docs"]
@@ -176,7 +176,7 @@ def test_rollover_append_fills_then_rolls(ray_session, corpus_slices):
     mono_dir = base + "_mono_all"
     build_index(os.path.join(SF, "documents.parquet"), mono_dir,
                 content_col="text", id_col="doc_id",
-                num_shards=2, term_buckets=8)
+                num_shards=2)
     want = QueryEngine(mono_dir).search(P.BM25_QUERY, 10,
                                         method="exhaustive")
     assert got == want
@@ -197,7 +197,7 @@ def test_rollover_guards(ray_session, corpus_slices, tmp_path):
         open_rollover(str(tmp_path / "empty"))
     rollover_ingest(first, base, max_docs=150,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)
+                    num_shards=2)
     with pytest.raises(ValueError):  # changed cut size
         rollover_ingest(first, base, max_docs=99,
                         content_col="text", id_col="doc_id")
@@ -218,7 +218,7 @@ def test_rollover_drop_then_append_never_reissues_name(ray_session,
     first, late, base = corpus_slices
     rollover_ingest(first, base, max_docs=100,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)  # gens 0..3, all full
+                    num_shards=2)  # gens 0..3, all full
     drop_generation(base, "gen-000001")
     names = [g["name"] for g in rollover_status(base)["generations"]]
     assert names == ["gen-000000", "gen-000002", "gen-000003"]
@@ -229,7 +229,7 @@ def test_rollover_drop_then_append_never_reissues_name(ray_session,
         os.path.join(base, "gen-000003", "stats.json"))
     touched = rollover_append(late, base,
                               content_col="text", id_col="doc_id",
-                              num_shards=2, term_buckets=8)
+                              num_shards=2)
     assert touched == ["gen-000004"]
     assert os.path.getmtime(os.path.join(
         base, "gen-000003", "stats.json")) == g3_stats_mtime
@@ -247,7 +247,7 @@ def test_rollover_append_crash_resume_no_double_ingest(ray_session,
     first, late, base = corpus_slices
     R.rollover_ingest(first, base, max_docs=150,
                       content_col="text", id_col="doc_id",
-                      num_shards=2, term_buckets=8)  # 150/150/100
+                      num_shards=2)  # 150/150/100
 
     # crash injection: die right after the first step's manifest write
     real_write = R._write_manifest
@@ -262,7 +262,7 @@ def test_rollover_append_crash_resume_no_double_ingest(ray_session,
     monkeypatch.setattr(R, "_write_manifest", dying_write)
     with pytest.raises(RuntimeError):
         R.rollover_append(late, base, content_col="text",
-                          id_col="doc_id", num_shards=2, term_buckets=8)
+                          id_col="doc_id", num_shards=2)
     monkeypatch.setattr(R, "_write_manifest", real_write)
     assert R.rollover_status(base)["pending_append"]
 
@@ -272,8 +272,7 @@ def test_rollover_append_crash_resume_no_double_ingest(ray_session,
                           id_col="doc_id")
 
     touched = R.rollover_append(late, base, content_col="text",
-                                id_col="doc_id", num_shards=2,
-                                term_buckets=8)
+                                id_col="doc_id", num_shards=2)
     assert touched == ["gen-000002", "gen-000003"]
     st = {g["name"]: g["n_docs"]
           for g in R.rollover_status(base)["generations"]}
@@ -297,20 +296,20 @@ def test_rollover_ingest_refuses_shifted_source(ray_session, tmp_path):
     base = str(tmp_path / "roll")
     rollover_ingest(str(src), base, max_docs=150,
                     content_col="text", id_col="doc_id",
-                    num_shards=2, term_buckets=8)
+                    num_shards=2)
     # same-count file that sorts FIRST: prefix check must catch it
     pq_.write_table(t.slice(300, 150), str(src / "a.parquet"))
     with pytest.raises(ValueError):
         rollover_ingest(str(src), base, max_docs=150,
                         content_col="text", id_col="doc_id",
-                        num_shards=2, term_buckets=8)
+                        num_shards=2)
     # growth at the TAIL is detected and routed to rollover_append
     os.remove(str(src / "a.parquet"))
     pq_.write_table(t.slice(300, 150), str(src / "c.parquet"))
     with pytest.raises(ValueError):
         rollover_ingest(str(src), base, max_docs=150,
                         content_col="text", id_col="doc_id",
-                        num_shards=2, term_buckets=8)
+                        num_shards=2)
 
 
 # ---------------- HNSW ----------------

@@ -29,7 +29,7 @@ def _mini_index(tmp_path, texts, ids=None):
     }), src)
     out = str(tmp_path / "idx")
     build_index(src, out, content_col="text", id_col="doc_id",
-                num_shards=2, term_buckets=4)
+                num_shards=2)
     return out
 
 

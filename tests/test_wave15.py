@@ -16,7 +16,7 @@ def pos_index(ray_session, tmp_path_factory):
 
     idx = str(tmp_path_factory.mktemp("w15") / "idx")
     build_index(DOCS, idx, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=8, store_positions=True)
+                num_shards=4, store_positions=True)
     return idx
 
 
@@ -124,8 +124,7 @@ def test_update_by_query_equals_rebuild(ray_session, tmp_path):
     from stacksearch_ray.build import build_index, load_stats
     from stacksearch_ray.query import QueryEngine
 
-    kw = dict(content_col="text", id_col="doc_id", num_shards=4,
-              term_buckets=8)
+    kw = dict(content_col="text", id_col="doc_id", num_shards=4)
     idx = str(tmp_path / "idx")
     build_index(DOCS, idx, **kw)
 
@@ -222,7 +221,7 @@ def test_snapshot_isolation_under_delete_by_query(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     snap = str(tmp_path / "snap")
     build_index(DOCS, idx, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=8)
+                num_shards=4)
     before = QueryEngine(idx).search("merge sort join stream window", 10)
     snapshot_index(idx, snap)
     delete_by_query(idx, "stream AND window")
@@ -274,14 +273,14 @@ def test_reindex_from_index(ray_session, tmp_path):
 
     src = str(tmp_path / "src")
     build_index(DOCS, src, content_col="text", id_col="doc_id",
-                meta_cols=("lang", "text"), num_shards=4, term_buckets=8)
+                meta_cols=("lang", "text"), num_shards=4)
     t = pq.read_table(DOCS, columns=["doc_id"])
     del_ids = [i for i in t["doc_id"].to_pylist() if i % 9 == 0]
     delete_from_index(src, del_ids)
 
     out = str(tmp_path / "out")
     reindex_index(src, out, content_col="text",
-                  num_shards=2, term_buckets=4)
+                  num_shards=2)
     so = load_stats(out)
     ss = load_stats(src)
     assert so["n_docs"] == ss["n_docs"]  # alive counts carried over
@@ -292,13 +291,13 @@ def test_reindex_from_index(ray_session, tmp_path):
     # reindexed docs keep the content column -> chain a second reindex
     out2 = str(tmp_path / "out2")
     reindex_index(out, out2, content_col="text",
-                  num_shards=4, term_buckets=8)
+                  num_shards=4)
     assert QueryEngine(out2).search("merge", 10) == r.search("merge", 10)
 
     # an index built WITHOUT stored content refuses to reindex
     bare = str(tmp_path / "bare")
     build_index(DOCS, bare, content_col="text", id_col="doc_id",
-                meta_cols=("lang",), num_shards=2, term_buckets=4)
+                meta_cols=("lang",), num_shards=2)
     import pytest as _pytest
     with _pytest.raises(ValueError, match="did not store"):
         reindex_index(bare, str(tmp_path / "nope"), content_col="text")
@@ -350,7 +349,7 @@ def test_stored_source_survives_append(ray_session, tmp_path):
 
     src = str(tmp_path / "src")
     build_index(DOCS, src, content_col="text", id_col="doc_id",
-                meta_cols=("lang", "text"), num_shards=2, term_buckets=4)
+                meta_cols=("lang", "text"), num_shards=2)
     assert load_stats(src)["meta_cols"] == ["lang", "text"]
 
     t = pq.read_table(DOCS)
@@ -363,7 +362,7 @@ def test_stored_source_survives_append(ray_session, tmp_path):
 
     out = str(tmp_path / "out")
     reindex_index(src, out, content_col="text",
-                  num_shards=2, term_buckets=4)  # raises if text missing
+                  num_shards=2)  # raises if text missing
     e, r = QueryEngine(out), QueryEngine(src)
     assert e.search("merge sort", 10, "exhaustive") == \
         r.search("merge sort", 10, "auto")
@@ -422,7 +421,7 @@ def test_reindex_with_transform(ray_session, tmp_path):
 
     src = str(tmp_path / "src")
     build_index(DOCS, src, content_col="text", id_col="doc_id",
-                meta_cols=("text",), num_shards=2, term_buckets=4)
+                meta_cols=("text",), num_shards=2)
     t = pq.read_table(DOCS, columns=["doc_id", "text"])
     del_ids = [i for i in t["doc_id"].to_pylist() if i % 6 == 0]
     delete_from_index(src, del_ids)
@@ -438,7 +437,7 @@ def test_reindex_with_transform(ray_session, tmp_path):
 
     out = str(tmp_path / "out")
     reindex_index(src, out, content_col="text", transform_batch=script,
-                  num_shards=2, term_buckets=4)
+                  num_shards=2)
 
     surv = t.filter(pc.invert(pc.is_in(
         t["doc_id"], value_set=pa.array(del_ids, pa.int64()))))
@@ -451,7 +450,7 @@ def test_reindex_with_transform(ray_session, tmp_path):
     pq.write_table(ref_tbl, ref_p)
     ref = str(tmp_path / "ref_idx")
     build_index(ref_p, ref, content_col="text", id_col="doc_id",
-                num_shards=2, term_buckets=4)
+                num_shards=2)
     e, r = QueryEngine(out), QueryEngine(ref)
     for q in ("merge sort join stream window", "merge"):
         assert e.search(q, 10, "exhaustive") == \

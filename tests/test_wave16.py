@@ -28,7 +28,7 @@ def pos_idx_001(ray_session, tmp_path_factory):
     idx = str(tmp_path_factory.mktemp("w16") / "idx")
     build_index("/root/testdata/sf0.001/documents.parquet", idx,
                 content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=8, store_positions=True)
+                num_shards=4, store_positions=True)
     return idx
 
 
@@ -435,7 +435,7 @@ def test_bulk_apply_sequential_fold_and_rebuild_identity(ray_session,
     }), src)
     idx = str(tmp_path / "idx")
     build_index(src, idx, content_col="text", id_col="doc_id",
-                meta_cols=(), num_shards=2, term_buckets=4)
+                meta_cols=(), num_shards=2)
 
     out = bulk_apply(idx, [
         {"op": "delete", "doc_id": 0},
@@ -461,7 +461,7 @@ def test_bulk_apply_sequential_fold_and_rebuild_identity(ray_session,
     }), ref_src)
     ref_idx = str(tmp_path / "ref_idx")
     build_index(ref_src, ref_idx, content_col="text", id_col="doc_id",
-                meta_cols=(), num_shards=2, term_buckets=4)
+                meta_cols=(), num_shards=2)
     e, r = QueryEngine(idx), QueryEngine(ref_idx)
     for q in ("merge sort join", "stream window", "hash", "reborn"):
         assert e.search(q, 10, "exhaustive") == \
@@ -564,7 +564,7 @@ def test_request_cache_identity_and_frozen_view(ray_session, tmp_path):
     }), src)
     idx = str(tmp_path / "idx")
     build_index(src, idx, content_col="text", id_col="doc_id",
-                num_shards=2, term_buckets=4)
+                num_shards=2)
 
     plain = QueryEngine(idx)
     cached = QueryEngine(idx, request_cache=2)
@@ -603,7 +603,7 @@ def test_sharded_request_cache_and_disk_usage(ray_session, tmp_path):
     }), src)
     idx = str(tmp_path / "idx")
     build_index(src, idx, content_col="text", id_col="doc_id",
-                num_shards=4, term_buckets=4)
+                num_shards=4)
 
     eng = QueryEngine(idx)
     sh = ShardedQueryEngine(idx, num_workers=2, request_cache=2)
@@ -647,7 +647,7 @@ def test_bulk_apply_crash_between_legs_converges_on_rerun(ray_session,
     }), src)
     idx = str(tmp_path / "idx")
     build_index(src, idx, content_col="text", id_col="doc_id",
-                meta_cols=(), num_shards=2, term_buckets=4)
+                meta_cols=(), num_shards=2)
 
     ops = [{"op": "delete", "doc_id": 0},
            {"op": "index", "doc_id": 1, "text": "rewritten merge"},
@@ -685,7 +685,7 @@ def test_bulk_apply_crash_between_legs_converges_on_rerun(ray_session,
     }), ref_src)
     ref_idx = str(tmp_path / "ref_idx")
     build_index(ref_src, ref_idx, content_col="text", id_col="doc_id",
-                meta_cols=(), num_shards=2, term_buckets=4)
+                meta_cols=(), num_shards=2)
     e, r = QueryEngine(idx), QueryEngine(ref_idx)
     for q in ("merge sort join", "rewritten", "brand new", "hash"):
         assert e.search(q, 10, "exhaustive") == \
@@ -812,7 +812,7 @@ def test_posts_xml_source_grouping_ranges_and_build(ray_session,
 
     idx = str(tmp_path / "idx")
     build_index(read_posts_xml(xml), idx, content_col="text",
-                id_col="doc_id", num_shards=2, term_buckets=4)
+                id_col="doc_id", num_shards=2)
     eng = QueryEngine(idx)
     res = eng.search("merge sort join", 5)
     assert len(res) == 5  # every question carries all three terms

@@ -924,8 +924,7 @@ def test_positional_guards(P, ray_session, tmp_path):
 
     idx2 = str(tmp_path / "plain_idx")
     build_index(os.path.join(SF, "documents.parquet"), idx2,
-                content_col="text", id_col="doc_id", num_shards=2,
-                term_buckets=4)
+                content_col="text", id_col="doc_id", num_shards=2)
     with _pytest.raises(ValueError, match="store_positions"):
         QueryEngine(idx2).term_positions("merge")
 
@@ -948,7 +947,7 @@ def test_positional_append_compact_lifecycle(P, ray_session, tmp_path):
     pq.write_table(t.slice(0, half), base_p)
     pq.write_table(t.slice(half), delta_p)
     kw = dict(content_col="text", id_col="doc_id", num_shards=2,
-              term_buckets=4, store_positions=True)
+              store_positions=True)
     idx = str(tmp_path / "inc")
     full = str(tmp_path / "full")
     build_index(base_p, idx, **kw)
@@ -990,8 +989,9 @@ def test_positional_append_compact_lifecycle(P, ray_session, tmp_path):
 def test_positional_checkpointed_build(P, ray_session, tmp_path):
     """build_index_resumable(store_positions=True) records the flag in
     stats and produces segments bitwise equal (incl. positions) to the
-    streamed positional build's."""
+    positional build of the same docs as a Dataset source."""
     import pyarrow.parquet as pq
+    import ray.data as rd
 
     from stacksearch_ray.build import build_index, load_stats
     from stacksearch_ray.checkpoint import build_index_resumable
@@ -999,11 +999,11 @@ def test_positional_checkpointed_build(P, ray_session, tmp_path):
 
     docs = os.path.join(SF, "documents.parquet")
     kw = dict(content_col="text", id_col="doc_id", num_shards=2,
-              term_buckets=4, store_positions=True)
+              store_positions=True)
     ckpt = str(tmp_path / "ckpt")
-    streamed = str(tmp_path / "streamed")
+    streamed = str(tmp_path / "dataset")
     build_index_resumable(docs, ckpt, **kw)
-    build_index(docs, streamed, **kw)
+    build_index(rd.read_parquet(docs), streamed, batch_size=128, **kw)
     assert load_stats(ckpt)["store_positions"] is True
     a = pq.read_table(os.path.join(ckpt, "segments")).to_pandas()
     b = pq.read_table(os.path.join(streamed, "segments")).to_pandas()
