@@ -758,10 +758,10 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
 
 
 def delete_by_query(index_dir: str, expr: str) -> dict:
-    """ES ``_delete_by_query`` analog: resolve a boolean-DSL expression
-    (``AND`` / ``OR`` / ``NOT`` / parens / ``prefix*`` atoms — the
-    search_boolean_dsl language) against the index's OWN postings, then
-    tombstone the matched set via :func:`delete_from_index`.
+    """ES ``_delete_by_query`` analog: tombstone (:func:`delete_from_index`)
+    the matched set of a search_boolean_dsl expression — the one
+    query_string grammar, where phrases gate and boosts parse but cannot
+    change a set — resolved against the index's OWN postings.
 
     The match runs over alive docs only (tombstones are masked by the
     DSL evaluator), so re-running the same expression is a no-op — the

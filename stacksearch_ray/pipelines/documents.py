@@ -2410,7 +2410,7 @@ def phrase_search(sf_dir: str):
 def phrase_search_indexed(sf_dir: str):
     """Index-accelerated exact phrase query — the T2 candidates+rerank
     shape applied to phrases: the BM25 index's postings give the docs
-    containing EVERY phrase token (term_doc_ids per term, intersected
+    containing EVERY phrase token (the boolean-DSL AND of its tokens
     — no corpus scan), only those candidates' texts are read back via
     parquet predicate pushdown, and adjacency is verified on the
     kept-token stream. Same answer (and the same oracle SQL) as the
@@ -2423,11 +2423,8 @@ def phrase_search_indexed(sf_dir: str):
     from ..text import clean_query
 
     eng = _index_for(sf_dir)
-    cands: np.ndarray | None = None
-    for t in sorted(set(clean_query(PHRASE))):
-        ids = eng.term_doc_ids(t)
-        cands = ids if cands is None else np.intersect1d(cands, ids)
-    if cands is None or len(cands) == 0:
+    cands = eng.search_boolean_dsl(" AND ".join(clean_query(PHRASE)))
+    if len(cands) == 0:
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "n_occurrences": pa.array([], pa.int64())})
     return (rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"],
@@ -6196,20 +6193,15 @@ def boolean_search(sf_dir: str):
     """Boolean retrieval over the inverted index (the classic
     AND/NOT query a search engine serves beside ranked BM25):
     doc-id sets intersect across the required terms, then the
-    excluded term's postings subtract. Set algebra runs on SORTED
+    excluded term's postings subtract — one boolean-DSL expression,
+    ``merge AND sort AND NOT window``. Set algebra runs on SORTED
     posting arrays (np.intersect1d / setdiff1d — merge-style, no
     hashing); at scale each shard intersects its own postings
     independently and the union of shard results is exact because
     doc ids are shard-partitioned."""
     eng = _index_for(sf_dir)
-    ids: np.ndarray | None = None
-    for t in BOOL_MUST:
-        s = eng.term_doc_ids(t)
-        ids = s if ids is None else np.intersect1d(ids, s,
-                                                   assume_unique=True)
-    for t in BOOL_NOT:
-        ids = np.setdiff1d(ids, eng.term_doc_ids(t), assume_unique=True)
-    ids = np.sort(ids).astype(np.int64)
+    ids = eng.search_boolean_dsl(" AND ".join(
+        [*BOOL_MUST, *(f"NOT {t}" for t in BOOL_NOT)]))
     return pa.table({"doc_id": pa.array(ids, pa.int64())})
 
 
@@ -6806,12 +6798,7 @@ def ir_eval(sf_dir: str):
                            "dcg_micros", "idcg_micros")}
     for q in sorted(IR_EVAL_QUERIES):
         terms = sorted(set(clean_query(q)))
-        rel: np.ndarray | None = None
-        for t in terms:
-            ids = eng.term_doc_ids(t)
-            rel = ids if rel is None else np.intersect1d(
-                rel, ids, assume_unique=True)
-        rel = rel if rel is not None else np.empty(0, np.int64)
+        rel = eng.search_boolean_dsl(" AND ".join(terms))
         res = eng.search(q, IR_EVAL_K, method="exhaustive")
         ranks = [r for r, (d, _) in enumerate(res, 1)
                  if np.searchsorted(rel, d) < len(rel)
@@ -10487,119 +10474,50 @@ PERCOLATE_DSL_QUERIES = (
 )
 
 
-def _parse_bool_dsl(expr: str):
-    """Tiny recursive-descent parser for the boolean-DSL grammar
-    (AND / OR / NOT / parens / trailing-* prefix atoms) into an AST of
-    nested tuples — the percolation twin of search_boolean_dsl's
-    inline set-algebra walk (same grammar, but percolation needs the
-    TREE so each batch can evaluate it over membership masks)."""
-    import re as _re
-
-    toks = _re.findall(r"\(|\)|\S+", expr)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def atom():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        if t == "(":
-            v = or_expr()
-            if peek() != ")":
-                raise ValueError(f"expected ')' in {expr!r}")
-            pos += 1
-            return v
-        if t in (")", "AND", "OR", "NOT"):
-            raise ValueError(f"unexpected {t!r} in {expr!r}")
-        if t.endswith("*"):
-            return ("prefix", t[:-1])
-        return ("term", t)
-
-    def not_expr():
-        nonlocal pos
-        if peek() == "NOT":
-            pos += 1
-            return ("not", not_expr())
-        return atom()
-
-    def and_expr():
-        nonlocal pos
-        v = not_expr()
-        while peek() == "AND":
-            pos += 1
-            v = ("and", v, not_expr())
-        return v
-
-    def or_expr():
-        nonlocal pos
-        v = and_expr()
-        while peek() == "OR":
-            pos += 1
-            v = ("or", v, and_expr())
-        return v
-
-    out = or_expr()
-    if pos != len(toks):
-        raise ValueError(f"trailing tokens in {expr!r}")
-    return out
-
-
 def percolate_dsl(sf_dir: str):
     """Boolean-DSL percolation: every doc matched against STORED
     queries carrying full boolean structure (AND / OR / NOT / parens /
     prefix* atoms) — the alerting upgrade over conjunctive percolate.
-    Pure map-side: per batch, ONE membership mask per distinct atom
-    (vectorized equality / starts_with scatter), then each stored
-    AST folds masks with numpy boolean ops; no index, no shuffle —
-    queries are the tiny side, the corpus streams once."""
-    asts = [_parse_bool_dsl(q) for q in PERCOLATE_DSL_QUERIES]
+    Stored queries parse with the search grammar, so each percolates
+    exactly its search_boolean_dsl set. Pure map-side: per batch, each
+    tree folds membership masks, one per distinct atom on first use
+    (vectorized equality / starts_with scatter); no index, no shuffle.
+    A phrase or boosted atom raises ValueError (no positions here)."""
+    from ..query import _fold_query, _parse_query_string
 
-    def atoms_of(node, acc):
-        if node[0] in ("term", "prefix"):
-            acc.add(node)
-        elif node[0] == "not":
-            atoms_of(node[1], acc)
-        else:
-            atoms_of(node[1], acc)
-            atoms_of(node[2], acc)
-        return acc
-
-    atoms = sorted(set().union(*[atoms_of(a, set()) for a in asts]))
+    trees = [_parse_query_string(q) for q in PERCOLATE_DSL_QUERIES]
+    ops = {"and": np.logical_and, "or": np.logical_or,
+           "and_not": lambda a, b: a & ~b, "not": np.logical_not}
 
     def match(b: pa.Table) -> pa.Table:
         flat, doc_idx, _ = tokenize_array(b["text"].combine_chunks())
         ids = np.asarray(b["doc_id"].combine_chunks()).astype(np.int64)
-        n = b.num_rows
         masks = {}
-        for kind, val in atoms:
-            if kind == "term":
-                hit = np.asarray(pc.equal(flat, val)).astype(bool)
-            else:
-                hit = np.asarray(pc.starts_with(flat, val)).astype(bool)
-            has = np.zeros(n, dtype=bool)
-            has[doc_idx[hit]] = True
-            masks[(kind, val)] = has
 
-        def ev(node):
-            if node[0] in ("term", "prefix"):
-                return masks[node]
-            if node[0] == "not":
-                return ~ev(node[1])
-            a, b_ = ev(node[1]), ev(node[2])
-            return (a & b_) if node[0] == "and" else (a | b_)
+        def leaf(node, positive):
+            if node[0] == "phrase" or (node[0] == "term" and node[2] != 1):
+                raise ValueError(
+                    f"percolate query atom {node} needs positions or "
+                    "scores")
+            if node[:2] not in masks:
+                fn = pc.equal if node[0] == "term" else pc.starts_with
+                has = np.zeros(b.num_rows, dtype=bool)
+                has[doc_idx[np.asarray(fn(flat, node[1])).astype(bool)]] = True
+                masks[node[:2]] = has
+            return masks[node[:2]]
 
-        out_d, out_q = [], []
-        for qi, ast in enumerate(asts):
-            ok = ev(ast)
-            out_d.append(ids[ok])
-            out_q.append(np.full(int(ok.sum()), qi, dtype=np.int64))
+        oks = [_fold_query(t, leaf, ops) for t in trees]
         return pa.table({
-            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
+            "doc_id": pa.array(np.concatenate([ids[ok] for ok in oks]),
+                               pa.int64()),
+            "query_id": pa.array(np.concatenate(
+                [np.full(int(ok.sum()), qi, dtype=np.int64)
+                 for qi, ok in enumerate(oks)]), pa.int64()),
         })
 
+    # a bad stored atom raises here, in the driver, not inside a task
+    match(pa.table({"doc_id": pa.array([], pa.int64()),
+                    "text": pa.array([], pa.string())}))
     t = (rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
          .map_batches(match, batch_format="pyarrow")
          .to_pandas().sort_values(["query_id", "doc_id"]))

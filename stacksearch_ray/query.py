@@ -825,88 +825,53 @@ class QueryEngine:
             feature_vals=np.full(len(neg), float(negative_boost)),
             scorer=scorer)
 
+    def _alive_ids(self) -> np.ndarray:
+        ids = self.doclens.ids
+        return ids[self._alive] if self.has_deletes else ids
+
+    def _match_tree(self, tree: tuple,
+                    boosts: dict[str, float] | None = None) -> np.ndarray:
+        """Sorted alive doc ids matching a ``_parse_query_string`` tree
+        (a bare NOT complements the alive universe). With ``boosts``,
+        each term and phrase term in positive context adds its boost
+        there, in source order."""
+        def leaf(node: tuple, positive: bool) -> np.ndarray:
+            kind = node[0]
+            if kind == "prefix":
+                return self._union_terms(self.prefix_terms(node[1]))[0]
+            if positive and boosts is not None:
+                for t in (node[1],) if kind == "term" else node[1]:
+                    boosts[t] = boosts.get(t, 0.0) + node[-1]
+            if kind == "term":
+                return self.term_doc_ids(node[1])
+            ids, spans = self.min_ordered_spans(list(node[1]))
+            return ids[spans <= len(node[1]) + node[2]]
+
+        return _fold_query(tree, leaf, {
+            "and": lambda a, b: np.intersect1d(a, b, assume_unique=True),
+            "or": np.union1d,
+            "and_not": lambda a, b: np.setdiff1d(a, b, assume_unique=True),
+            "not": lambda a: np.setdiff1d(self._alive_ids(), a,
+                                          assume_unique=True)})
+
     def search_boolean_dsl(self, expr: str) -> np.ndarray:
         """Boolean retrieval over a query LANGUAGE (the Lucene
         BooleanQuery / classic IR set-algebra surface): ``AND`` /
-        ``OR`` / ``NOT`` / parentheses over bare terms, e.g.
+        ``OR`` / ``NOT`` / parentheses, e.g.
         ``(merge AND sort) OR (join AND NOT window)``. Returns the
         sorted matching doc ids.
 
-        Recursive-descent parser (OR lowest precedence, then AND, NOT
-        tightest); terms run through the analyzer (a term that
-        normalizes away, e.g. a stopword, is a parse error — silent
-        empty sets hide typos). Evaluation is sorted-set algebra over
-        term_doc_ids postings (alive docs only); a bare ``NOT x``
-        complements against the alive universe."""
-        toks = expr.replace("(", " ( ").replace(")", " ) ").split()
-        pos = 0
-
-        def peek() -> str | None:
-            return toks[pos] if pos < len(toks) else None
-
-        def take() -> str:
-            nonlocal pos
-            t = toks[pos]
-            pos += 1
-            return t
-
-        def universe() -> np.ndarray:
-            ids = self.doclens.ids
-            return ids[self._alive] if self.has_deletes else ids
-
-        def atom() -> np.ndarray:
-            if peek() is None:
-                raise ValueError(f"unexpected end of expression {expr!r}")
-            t = take()
-            if t == "(":
-                v = or_expr()
-                if peek() != ")":
-                    raise ValueError(f"expected ')' in {expr!r}")
-                take()
-                return v
-            if t in (")", "AND", "OR", "NOT"):
-                raise ValueError(f"unexpected {t!r} in {expr!r}")
-            if t.endswith("*") and len(t) > 1:
-                # wildcard atom: union of postings over the prefix range
-                terms = clean_query(t[:-1])
-                if len(terms) != 1:
-                    raise ValueError(
-                        f"wildcard prefix {t!r} does not normalize "
-                        "to one term")
-                return self._union_terms(self.prefix_terms(terms[0]))[0]
-            terms = clean_query(t)
-            if len(terms) != 1:
-                raise ValueError(
-                    f"query word {t!r} does not normalize to one term")
-            return self.term_doc_ids(terms[0])
-
-        def not_expr() -> np.ndarray:
-            if peek() == "NOT":
-                take()
-                return np.setdiff1d(universe(), not_expr(),
-                                    assume_unique=True)
-            return atom()
-
-        def and_expr() -> np.ndarray:
-            v = not_expr()
-            while peek() == "AND":
-                take()
-                v = np.intersect1d(v, not_expr(), assume_unique=True)
-            return v
-
-        def or_expr() -> np.ndarray:
-            v = and_expr()
-            while peek() == "OR":
-                take()
-                v = np.union1d(v, and_expr())
-            return v
-
-        if not toks:
-            raise ValueError("empty boolean expression")
-        out = or_expr()
-        if pos != len(toks):
-            raise ValueError(f"trailing tokens in {expr!r}")
-        return out
+        The expression is the ONE query_string grammar
+        (``_parse_query_string``) and the result is its matched set:
+        OR loosest, then AND, NOT tightest; bare terms, trailing-``*``
+        prefixes and quoted phrases (``"..."~slop`` gates on the
+        positional sidecar); ``^boost`` parses but cannot change a set.
+        Every atom runs through the analyzer (a term that normalizes
+        away, e.g. a stopword, is a parse error — silent empty sets
+        hide typos). Evaluation is sorted-set algebra over the postings
+        (alive docs only); ``x AND NOT y`` is one setdiff, and a bare
+        ``NOT x`` complements against the alive universe."""
+        return self._match_tree(_parse_query_string(expr))
 
     def search_query_string(self, qs: str, k: int = 10
                             ) -> list[tuple[int, float]]:
@@ -932,98 +897,10 @@ class QueryEngine:
         scoring term rank after all scored docs at 0.0, doc_id
         ascending. Scored survivors keep their unfiltered boosted
         scores bitwise."""
-        toks = re.findall(r'"[^"]*"(?:~\d+)?(?:\^\d+(?:\.\d+)?)?'
-                          r'|\(|\)|[^\s()]+', qs)
-        pos = 0
         bmap: dict[str, float] = {}
-
-        def peek() -> str | None:
-            return toks[pos] if pos < len(toks) else None
-
-        def take() -> str:
-            nonlocal pos
-            t = toks[pos]
-            pos += 1
-            return t
-
-        def universe() -> np.ndarray:
-            ids = self.doclens.ids
-            return ids[self._alive] if self.has_deletes else ids
-
-        def score_term(t: str, boost: float) -> None:
-            bmap[t] = bmap.get(t, 0.0) + boost
-
-        def atom(positive: bool) -> np.ndarray:
-            if peek() is None:
-                raise ValueError(f"unexpected end of expression {qs!r}")
-            t = take()
-            if t == "(":
-                v = or_expr(positive)
-                if peek() != ")":
-                    raise ValueError(f"expected ')' in {qs!r}")
-                take()
-                return v
-            if t in (")", "AND", "OR", "NOT"):
-                raise ValueError(f"unexpected {t!r} in {qs!r}")
-            if t.startswith('"'):
-                m = re.fullmatch(
-                    r'"([^"]*)"(?:~(\d+))?(?:\^(\d+(?:\.\d+)?))?', t)
-                if m is None:
-                    raise ValueError(f"bad phrase atom {t!r}")
-                terms = clean_query(m.group(1), max_tokens=None)
-                if not terms:
-                    raise ValueError(f"phrase {t!r} normalizes to nothing")
-                slop = int(m.group(2) or 0)
-                boost = float(m.group(3) or 1.0)
-                ids, spans = self.min_ordered_spans(terms)
-                if positive:
-                    for w in terms:
-                        score_term(w, boost)
-                return ids[spans <= len(terms) + slop]
-            m = re.fullmatch(r'([^\s()^*]+)(\*)?(?:\^(\d+(?:\.\d+)?))?', t)
-            if m is None:
-                raise ValueError(f"bad atom {t!r}")
-            boost = float(m.group(3) or 1.0)
-            terms = clean_query(m.group(1))
-            if len(terms) != 1:
-                raise ValueError(
-                    f"query word {m.group(1)!r} does not normalize "
-                    "to one term")
-            if m.group(2):  # prefix atom: filter-only, never scores
-                return self._union_terms(self.prefix_terms(terms[0]))[0]
-            if positive:
-                score_term(terms[0], boost)
-            return self.term_doc_ids(terms[0])
-
-        def not_expr(positive: bool) -> np.ndarray:
-            if peek() == "NOT":
-                take()
-                return np.setdiff1d(universe(), not_expr(not positive),
-                                    assume_unique=True)
-            return atom(positive)
-
-        def and_expr(positive: bool) -> np.ndarray:
-            v = not_expr(positive)
-            while peek() == "AND":
-                take()
-                v = np.intersect1d(v, not_expr(positive),
-                                   assume_unique=True)
-            return v
-
-        def or_expr(positive: bool) -> np.ndarray:
-            v = and_expr(positive)
-            while peek() == "OR":
-                take()
-                v = np.union1d(v, and_expr(positive))
-            return v
-
-        if not toks:
-            raise ValueError("empty query string")
-        matched = or_expr(True)
-        if pos != len(toks):
-            raise ValueError(f"trailing tokens in {qs!r}")
+        matched = self._match_tree(_parse_query_string(qs), bmap)
         if self.has_deletes:
-            matched = np.intersect1d(matched, universe(),
+            matched = np.intersect1d(matched, self._alive_ids(),
                                      assume_unique=True)
         if len(matched) == 0:
             return []
@@ -1085,8 +962,9 @@ class QueryEngine:
         EVERY ``must`` term and NO ``must_not`` term, ranked by the
         text scorer over must + should terms (``should`` terms widen
         scoring, not matching — the classic must-filters/should-boosts
-        split). Allowed set from sorted postings algebra, then the
-        proven filtered scorer (survivor scores bitwise equal their
+        split). Allowed set = the boolean DSL match of
+        ``m1 AND m2 AND NOT n1 …`` (each must_not one setdiff), then
+        the proven filtered scorer (survivor scores bitwise equal their
         unfiltered scores over the scoring terms)."""
         def norm(words) -> list[str]:
             out = []
@@ -1103,17 +981,8 @@ class QueryEngine:
         if not must:
             raise ValueError("bool query needs at least one must term")
         should = norm(should)
-        must_not = norm(must_not)
-        allowed: np.ndarray | None = None
-        for t in must:
-            ids = self.term_doc_ids(t)
-            allowed = ids if allowed is None else np.intersect1d(
-                allowed, ids, assume_unique=True)
-            if len(allowed) == 0:
-                return []
-        for t in must_not:
-            allowed = np.setdiff1d(allowed, self.term_doc_ids(t),
-                                   assume_unique=True)
+        allowed = self.search_boolean_dsl(" AND ".join(
+            must + [f"NOT {t}" for t in norm(must_not)]))
         if len(allowed) == 0:
             return []
         return self.search_filtered(" ".join(must + should), k,
@@ -3471,6 +3340,110 @@ def _chain_earliest(packed_rest, cur, valid):
         cur = np.where(ok, pk[np.minimum(j, len(pk) - 1)], big)
         valid = ok
     return cur, valid
+
+
+_QS_TOKEN = re.compile(r'"[^"]*"(?:~\d+)?(?:\^\d+(?:\.\d+)?)?'
+                       r'|\(|\)|[^\s()]+')
+_QS_PHRASE = re.compile(r'"([^"]*)"(?:~(\d+))?(?:\^(\d+(?:\.\d+)?))?')
+_QS_WORD = re.compile(r'([^\s()^*]+)(\*)?(?:\^(\d+(?:\.\d+)?))?')
+
+
+def _parse_query_string(qs: str) -> tuple:
+    """THE boolean query grammar (Lucene's classic ``query_string``;
+    every boolean surface folds its tree) parsed into plain tuples:
+    ("term", t, boost), ("prefix", p), ("phrase", terms, slop, boost),
+    ("and", a, b), ("or", a, b), ("not", a). OR binds loosest, NOT
+    tightest; a boost on a prefix is dropped (prefixes never score).
+    Atoms are analyzed HERE, so a word that is not exactly one term (a
+    stopword, a bare ``*``), an empty phrase, unbalanced parentheses
+    and dangling or trailing operators raise ValueError up front."""
+    toks = _QS_TOKEN.findall(qs)
+    pos = 0
+
+    def peek() -> str | None:
+        return toks[pos] if pos < len(toks) else None
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def atom() -> tuple:
+        if peek() is None:
+            raise ValueError(f"unexpected end of expression {qs!r}")
+        t = take()
+        if t == "(":
+            v = or_expr()
+            if peek() != ")":
+                raise ValueError(f"expected ')' in {qs!r}")
+            take()
+            return v
+        if t in (")", "AND", "OR", "NOT"):
+            raise ValueError(f"unexpected {t!r} in {qs!r}")
+        if t.startswith('"'):
+            m = _QS_PHRASE.fullmatch(t)
+            if m is None:
+                raise ValueError(f"bad phrase atom {t!r}")
+            terms = clean_query(m.group(1), max_tokens=None)
+            if not terms:
+                raise ValueError(f"phrase {t!r} normalizes to nothing")
+            return ("phrase", tuple(terms), int(m.group(2) or 0),
+                    float(m.group(3) or 1.0))
+        m = _QS_WORD.fullmatch(t)
+        if m is None:
+            raise ValueError(f"bad atom {t!r}")
+        terms = clean_query(m.group(1))
+        if len(terms) != 1:
+            raise ValueError(
+                f"query word {m.group(1)!r} does not normalize to one term")
+        if m.group(2):
+            return ("prefix", terms[0])
+        return ("term", terms[0], float(m.group(3) or 1.0))
+
+    def not_expr() -> tuple:
+        if peek() == "NOT":
+            take()
+            return ("not", not_expr())
+        return atom()
+
+    def and_expr() -> tuple:
+        v = not_expr()
+        while peek() == "AND":
+            take()
+            v = ("and", v, not_expr())
+        return v
+
+    def or_expr() -> tuple:
+        v = and_expr()
+        while peek() == "OR":
+            take()
+            v = ("or", v, and_expr())
+        return v
+
+    if not toks:
+        raise ValueError("empty query string")
+    out = or_expr()
+    if pos != len(toks):
+        raise ValueError(f"trailing tokens in {qs!r}")
+    return out
+
+
+def _fold_query(node: tuple, leaf, ops: dict, positive: bool = True):
+    """Evaluate a ``_parse_query_string`` tree: ``leaf(node, positive)``
+    values each atom, ``ops`` ("and", "or", "and_not", "not") combine.
+    Leaves go left to right with ``positive`` flipped under each NOT
+    (boost sums stay bitwise); ``x AND NOT y`` is and_not(x, y), never
+    a complement of y."""
+    kind = node[0]
+    if kind == "not":
+        return ops["not"](_fold_query(node[1], leaf, ops, not positive))
+    if kind not in ("and", "or"):
+        return leaf(node, positive)
+    a = _fold_query(node[1], leaf, ops, positive)
+    if kind == "and" and node[2][0] == "not":
+        return ops["and_not"](
+            a, _fold_query(node[2][1], leaf, ops, not positive))
+    return ops[kind](a, _fold_query(node[2], leaf, ops, positive))
 
 
 _SQS_TOKEN = re.compile(

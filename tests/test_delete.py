@@ -349,3 +349,33 @@ def test_delete_by_query_equals_manual(ray_session, tmp_path):
     s4 = delete_by_query(idx, "zzzmissingterm")
     assert s4["n_tombstones"] == s1["n_tombstones"]
     assert s4["tombstones_file"] == s1["tombstones_file"]
+
+
+def test_query_grammar_after_delete_equals_rebuild(deleted_setup):
+    """The shared boolean grammar keeps tombstoned docs out of every
+    surface: the boolean DSL with a NOT, query_string with a phrase, a
+    NOT and a prefix atom (zero-scored tail included), and the ES bool
+    query with must_not all return ids and scores bitwise equal to a
+    rebuild without the deleted docs."""
+    from stacksearch_ray.query import QueryEngine
+    from stacksearch_ray.text import clean_query
+
+    idx, ref, del_ids, _, _ = deleted_setup
+    e, r = QueryEngine(idx), QueryEngine(ref)
+    dsl = "(merge OR join) AND NOT window"
+    assert (e.search_boolean_dsl(dsl).tolist()
+            == r.search_boolean_dsl(dsl).tolist())
+    qs = '"merge sort"~1 OR (stream^2 AND NOT window) OR quer*'
+    want = r.search_query_string(qs, 10_000)
+    assert e.search_query_string(qs, 10_000) == want
+    assert any(s > 0 for _, s in want) and any(s == 0 for _, s in want)
+    bq = (["merge", "sort"], ["stream"], ["window"])
+    want = r.search_bool_query(*bq, k=10_000)
+    assert e.search_bool_query(*bq, k=10_000) == want and want
+    # the deletes reach the matched sets: some deleted doc holds both
+    # must terms, so a grammar that ignored tombstones would differ
+    t = pq.read_table(DOCS, columns=["doc_id", "text"])
+    dead = set(del_ids)
+    assert any({"merge", "sort"} <= set(clean_query(x, max_tokens=None))
+               for d, x in zip(t["doc_id"].to_pylist(),
+                               t["text"].to_pylist()) if d in dead)

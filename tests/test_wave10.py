@@ -247,6 +247,23 @@ def test_query_string_parse_errors(P):
             eng.search_query_string(bad, 10)
 
 
+def test_boolean_dsl_is_query_string_matched_set(P):
+    """The boolean DSL is the matched set of the one query_string
+    grammar: a phrase gates by its span, a boost parses but cannot
+    change a set."""
+    eng = P._index_for(SF)
+    for qs in ['"merge sort"~1', '"merge sort"~1 AND NOT window',
+               "merge^2.5 OR sort", '(mer* AND "sort merge") OR join']:
+        got = eng.search_boolean_dsl(qs).tolist()
+        assert got == sorted(d for d, _ in
+                             eng.search_query_string(qs, 100_000)), qs
+    assert (eng.search_boolean_dsl("merge^2.5 OR sort").tolist()
+            == eng.search_boolean_dsl("merge OR sort").tolist())
+    ids, spans = eng.min_ordered_spans(["merge", "sort"])
+    assert (eng.search_boolean_dsl('"merge sort"~1').tolist()
+            == ids[spans <= 3].tolist())
+
+
 def test_sharded_query_string_identity(P, ray_session):
     from stacksearch_ray.query import ShardedQueryEngine
 

@@ -257,6 +257,40 @@ def test_percolate_membership(P):
     assert got == want
 
 
+def _percolated(P):
+    df = P.percolate_dsl(SF).to_pandas()
+    return [df.doc_id[df.query_id == qi].tolist()
+            for qi in range(len(P.PERCOLATE_DSL_QUERIES))]
+
+
+def test_percolate_dsl_equals_boolean_dsl(P):
+    """Every stored query percolates exactly its search_boolean_dsl set
+    on the index of the same corpus."""
+    eng = P._index_for(SF)
+    got = _percolated(P)
+    for q, ids in zip(P.PERCOLATE_DSL_QUERIES, got):
+        assert ids == eng.search_boolean_dsl(q).tolist(), q
+    assert all(got)
+
+
+def test_percolate_dsl_analyzes_atoms(P, monkeypatch):
+    """Stored atoms run through the analyzer like any search: a
+    capitalized word percolates its lowercase term's docs."""
+    monkeypatch.setattr(P, "PERCOLATE_DSL_QUERIES",
+                        ("Merge AND sort", "merge AND sort"))
+    got = _percolated(P)
+    assert got[0] == got[1] and got[0]
+
+
+def test_percolate_dsl_rejects_bad_atoms(P, monkeypatch):
+    """A bare ``*`` is a parse error, not a match-everything prefix; a
+    phrase or boost has no positions or scores to act on here."""
+    for bad in ("*", "merge AND *", '"merge sort"', "merge^2"):
+        monkeypatch.setattr(P, "PERCOLATE_DSL_QUERIES", (bad,))
+        with pytest.raises(ValueError):
+            P.percolate_dsl(SF)
+
+
 def test_snippet_windows_brute(P):
     import pyarrow.parquet as pq
 
