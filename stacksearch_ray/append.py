@@ -314,14 +314,25 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
     pass + ONE encoder call ((term, shard) is unique within a file —
     build/append/compact each emit one row per group, though one FILE
     may coalesce several shards' groups, so per-term counts SUM across
-    rows) and spliced back in original row order."""
+    rows) and spliced back in original row order. Re-encoded rows keep
+    the file's doc map, so the untouched rows' local doc numbers stay
+    valid; the map then also lists the purged ids, which no posting
+    references any more."""
     from .codec import (
         decode_doc_ids_batch,
         decode_positions,
         decode_tfs_batch,
         encode_position_lists,
     )
+    from .query import sorted_member_mask
+    from .schema import local_numbers, read_doc_map
 
+    # the purged ids in this file's local numbering (D_loc): a file
+    # whose map lists none of them costs one footer read
+    doc_map = read_doc_map(fpath)
+    D_loc = local_numbers(doc_map, D)
+    if len(D_loc) == 0:
+        return "skip", {}
     # staged reads so untouched files cost ~nothing: (1) a
     # row-group-pruned detection read (shard + doc_ids; checkpoint
     # builds align row groups to shard spans) — most candidate rows
@@ -334,8 +345,7 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
         return "skip", {}
     ids_d, offs_d = decode_doc_ids_batch(det["doc_ids"].to_pylist(),
                                          block_size)
-    jd = np.minimum(np.searchsorted(D, ids_d), len(D) - 1)
-    if not (D[jd] == ids_d).any():
+    if not sorted_member_mask(D_loc, ids_d).any():
         return "skip", {}
 
     tb = pq.read_table(fpath)
@@ -350,8 +360,7 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
     else:
         bufs = tb["doc_ids"].take(pa.array(cand, pa.int64())).to_pylist()
         ids_f, offs = decode_doc_ids_batch(bufs, block_size)
-    j = np.minimum(np.searchsorted(D, ids_f), len(D) - 1)
-    hit_flat = (D[j] == ids_f)
+    hit_flat = sorted_member_mask(D_loc, ids_f)
     row_hits = np.add.reduceat(hit_flat, offs[:-1]) if len(ids_f) \
         else np.zeros(len(cand), dtype=np.int64)
     # reduceat on an empty row span yields the NEXT element; zero
@@ -362,7 +371,7 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
         return "skip", {}
     hit_rows = cand[hit_in_cand]
     flat_idx = _gather_spans(offs, hit_in_cand)
-    ids_h = ids_f[flat_idx]
+    ids_h = doc_map[ids_f[flat_idx]]
     keep = ~hit_flat[flat_idx]
     sizes_h = (offs[hit_in_cand + 1] - offs[hit_in_cand]).astype(np.int64)
     tfs_h, _ = decode_tfs_batch(
@@ -402,7 +411,7 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
             k_r = keep[ends_h[r] - sizes_h[r]:ends_h[r]]
             blobs_keep.extend(bl for bl, k in zip(blobs, k_r) if k)
         cols["pos"] = pa.array(blobs_keep, pa.binary())
-    enc = (encoder(pa.table(cols)).select(tb.column_names)
+    enc = (encoder(pa.table(cols), doc_map).select(tb.column_names)
            .cast(tb.schema) if keep.any()
            else tb.schema.empty_table())
     enc_of = {(enc["term"][i].as_py(), enc["shard"][i].as_py()): i
@@ -464,13 +473,13 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     import shutil
     import uuid
 
-    from .build import load_stats, write_stats
+    from .build import check_format, load_stats, write_stats
     from .codec import decode_positions, encode_position_lists
 
     recover_segments(index_dir)
     recover_appends(index_dir)
     recover_purges(index_dir)
-    stats = load_stats(index_dir)
+    stats = check_format(load_stats(index_dir), index_dir)
     tomb = load_tombstones(index_dir, stats)
     D = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
     if len(D) == 0:
@@ -699,12 +708,12 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     import numpy as np
     import pyarrow.parquet as pq
 
-    from .build import load_stats, write_stats
+    from .build import check_format, load_stats, write_stats
 
     recover_segments(index_dir)
     recover_appends(index_dir)
     recover_purges(index_dir)
-    stats = load_stats(index_dir)
+    stats = check_format(load_stats(index_dir), index_dir)
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
     old = load_tombstones(index_dir, stats)
     new_ids = np.setdiff1d(ids, old, assume_unique=True)
@@ -913,9 +922,9 @@ def append_to_index(source, index_dir: str,
     the journaled commit (two batches of renames + the stats write),
     and ``recover_appends`` rolls an interrupted commit back — or
     forward once stats.json (the commit point) has landed."""
-    from .build import load_stats
+    from .build import check_format, load_stats
 
-    prev = load_stats(index_dir)
+    prev = check_format(load_stats(index_dir), index_dir)
     cfg = build_config(cfg, content_col, id_col, **cfg_overrides)
     # column mapping follows the existing index: appending with a
     # different id_col would silently derive a disjoint id space (the
@@ -1080,48 +1089,65 @@ def _deleted_df_counts(seg_dir: str, allt, block_size: int,
                        threshold: int | None = None) -> dict[str, int]:
     """Per-term count of tombstoned docs across all segment rows.
     Small indexes stream on the driver; large ones fan out as a
-    map_batches pass whose output is (term, ddf) partials — one row
-    per term PER BATCH, so the driver merge is vocab-bounded and no
-    (term → count) shuffle happens (the hash-bucket-vs-native-groupby
-    trap doesn't apply: there is no groupby at all)."""
+    map_batches pass over the files whose output is (term, ddf)
+    partials — one row per term PER BATCH, so the driver merge is
+    vocab-bounded and no (term → count) shuffle happens (the
+    hash-bucket-vs-native-groupby trap doesn't apply: there is no
+    groupby at all)."""
     from .codec import decode_doc_ids_batch
+    from .query import sorted_member_mask
+    from .schema import local_numbers, read_doc_map
 
     if threshold is None:
         threshold = _DDF_RAY_THRESHOLD
 
-    def batch_counts(rb) -> dict[str, int]:
-        # one batched decode and one searchsorted for the whole batch;
-        # a row's hit count is the hit cumsum across its id span
-        ids, offs = decode_doc_ids_batch(rb.column(1).to_pylist(), block_size)
-        j = np.minimum(np.searchsorted(allt, ids), len(allt) - 1)
-        hits = np.concatenate(([0], np.cumsum(allt[j] == ids)))[offs]
-        per_row = np.diff(hits)
-        rows = np.flatnonzero(per_row)
+    def file_counts(path: str) -> dict[str, int]:
+        # the tombstones in the file's local numbering: a file that
+        # maps none of them costs one footer read and no decode
+        dead = local_numbers(read_doc_map(path), allt)
         out: dict[str, int] = {}
-        for term, c in zip(rb.column(0).take(pa.array(rows)).to_pylist(),
-                           per_row[rows].tolist()):
-            out[term] = out.get(term, 0) + c
+        if len(dead) == 0:
+            return out
+        for rb in pq.ParquetFile(path).iter_batches(
+                columns=["term", "doc_ids"], use_threads=False):
+            # one batched decode and one searchsorted for the batch; a
+            # row's hit count is the hit cumsum across its span
+            local, offs = decode_doc_ids_batch(rb.column(1).to_pylist(),
+                                               block_size)
+            hits = np.concatenate(
+                ([0], np.cumsum(sorted_member_mask(dead, local))))[offs]
+            per_row = np.diff(hits)
+            rows = np.flatnonzero(per_row)
+            for term, c in zip(rb.column(0).take(pa.array(rows)).to_pylist(),
+                               per_row[rows].tolist()):
+                out[term] = out.get(term, 0) + c
         return out
 
-    dset = pads.dataset(seg_dir, format="parquet")
+    def add(into: dict[str, int], part: dict[str, int]) -> None:
+        for t, c in part.items():
+            into[t] = into.get(t, 0) + c
+
+    files = sorted(os.path.join(seg_dir, f) for f in os.listdir(seg_dir)
+                   if f.endswith(".parquet"))
     counts: dict[str, int] = {}
-    if dset.count_rows() < threshold:
-        for rb in dset.to_batches(columns=["term", "doc_ids"]):
-            for t, c in batch_counts(rb).items():
-                counts[t] = counts.get(t, 0) + c
+    if pads.dataset(seg_dir, format="parquet").count_rows() < threshold:
+        for p in files:
+            add(counts, file_counts(p))
         return counts
 
     def partials(b: pa.Table) -> pa.Table:
-        rb = b.combine_chunks().to_batches()[0] if b.num_rows else None
-        part = batch_counts(rb) if rb is not None else {}
+        part: dict[str, int] = {}
+        for p in b["path"].to_pylist():
+            add(part, file_counts(p))
         terms = sorted(part)
         return pa.table({
             "term": pa.array(terms, pa.string()),
             "ddf": pa.array([part[t] for t in terms], pa.int64()),
         })
 
-    rows = (rd.read_parquet(seg_dir, columns=["term", "doc_ids"])
-            .map_batches(partials, batch_format="pyarrow")
+    rows = (rd.from_items([{"path": p} for p in files])
+            .map_batches(partials, batch_format="pyarrow",
+                         batch_size=None)
             .take_all())  # vocab-bounded per batch
     for r in rows:
         counts[r["term"]] = counts.get(r["term"], 0) + int(r["ddf"])
@@ -1141,9 +1167,9 @@ def upsert_to_index(source, index_dir: str,
     and upsert in batches rather than per document. Returns the final
     stats. Results equal a from-scratch rebuild of the merged corpus
     (tested, bitwise)."""
-    from .build import load_stats
+    from .build import check_format, load_stats
 
-    prev = load_stats(index_dir)
+    prev = check_format(load_stats(index_dir), index_dir)
     cfg = build_config(cfg, content_col, id_col, **cfg_overrides)
     # resolve delta ids EXACTLY the way the append will (inherited cols)
     if prev.get("content_col"):
@@ -1221,7 +1247,7 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     the filesystem allows (sources stay untouched either way)."""
     import shutil
 
-    from .build import load_stats, write_stats
+    from .build import check_format, load_stats, write_stats
 
     if len(sources) < 2:
         raise ValueError("merge_indexes needs at least two source indexes")
@@ -1232,7 +1258,7 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
         recover_segments(s)
         recover_appends(s)
         recover_purges(s)
-        st = load_stats(s)
+        st = check_format(load_stats(s), s)
         tmb = load_tombstones(s, st)
         if len(tmb):
             tomb_arrays.append(np.asarray(tmb, dtype=np.int64))
@@ -1392,13 +1418,14 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
 
     import numpy as np
 
-    from .build import load_stats
+    from .build import check_format, load_stats
     from .codec import decode_doc_ids_batch, decode_tfs_batch
-    from .schema import shard_of
+    from .query import sorted_member_mask
+    from .schema import local_numbers, read_doc_map, shard_of
 
     recover_appends(index_dir)
     recover_purges(index_dir)
-    stats = load_stats(index_dir)
+    stats = check_format(load_stats(index_dir), index_dir)
     store_positions = bool(stats.get("store_positions"))
     avgdl = float(stats["avgdl"])
     k1, b = float(stats["k1"]), float(stats["b"])
@@ -1413,24 +1440,20 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     # (delete sets are tiny next to the corpus; ray.put it at 10⁸+)
     tomb = load_tombstones(index_dir, stats)
 
-    def _alive(ids: np.ndarray) -> np.ndarray:
-        if len(tomb) == 0:
-            return np.ones(len(ids), dtype=bool)
-        j = np.searchsorted(tomb, ids)
-        j = np.minimum(j, len(tomb) - 1)
-        return tomb[j] != ids
-
-    def explode(batch: pa.Table) -> pa.Table:
-        # ONE batched varint decode for the whole segments batch (per-row
-        # numpy fixed cost dominates when rows are small — fine sharding
-        # × small vocab; measured 30× on 50k tiny rows), then flat
-        # filters/repeats
-        ids_f, offs = decode_doc_ids_batch(batch["doc_ids"].to_pylist(),
+    def explode(batch: pa.Table, doc_map: np.ndarray) -> pa.Table:
+        # ONE batched varint decode for one segment file (per-row numpy
+        # fixed cost dominates when rows are small — fine sharding ×
+        # small vocab; measured 30× on 50k tiny rows), then flat
+        # filters/repeats; tombstones are tested in the file's local
+        # numbering and only kept postings map back to doc ids
+        local, offs = decode_doc_ids_batch(batch["doc_ids"].to_pylist(),
                                            block_size)
         tfs, _ = decode_tfs_batch(batch["tfs"].to_pylist())
         row_idx = np.repeat(np.arange(batch.num_rows), np.diff(offs))
-        keep = _alive(ids_f)
-        ids_f, tfs_f, row_idx = ids_f[keep], tfs[keep], row_idx[keep]
+        dead = local_numbers(doc_map, tomb)
+        keep = ~sorted_member_mask(dead, local)
+        ids_f = doc_map[local[keep]]
+        tfs_f, row_idx = tfs[keep], row_idx[keep]
         if reshard:
             sh = shard_of(ids_f, s_new).astype(np.int32)
         else:
@@ -1452,7 +1475,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     def rewrite_docs(bt: pa.Table) -> pa.Table:
         ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
         if len(tomb):
-            keep = _alive(ids)
+            keep = ~sorted_member_mask(tomb, ids)
             bt = bt.filter(pa.array(keep))
             ids = ids[keep]
         if not reshard:
@@ -1508,8 +1531,13 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         pa.set_cpu_count(1)
         done = []
         for u in b.to_pylist():
-            t = pq.read_table(u["files"], use_threads=False)
-            postings = explode(t)
+            parts = []
+            for f in u["files"]:
+                t = pq.read_table(f, use_threads=False)
+                if t.num_rows:
+                    parts.append(explode(t, read_doc_map(f)))
+            postings = (pa.concat_tables(parts) if parts
+                        else pa.table({"doc_id": pa.array([], pa.int64())}))
             if postings.num_rows:
                 write_staged_postings(postings, u["out"])
             done.append(u["out"])

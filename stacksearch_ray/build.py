@@ -45,7 +45,7 @@ from .codec import (
     encode_position_lists_arrow,
     encode_segments,
 )
-from .schema import doc_ids_batch
+from .schema import INDEX_FORMAT_VERSION, doc_ids_batch, with_doc_map
 from .text import BatchTermFreqs, tokenize_array
 
 
@@ -153,33 +153,48 @@ class SegmentEncoder:
     """Staged postings of one or more shards → one segments row per
     (term, shard). Needs global avgdl (block-max metadata), so the stats
     phase runs first. Vectorized sort, then one batched encode of every
-    row (``codec.encode_segments``)."""
+    row (``codec.encode_segments``).
+
+    Postings are numbered in a doc map: the sorted doc ids of the group
+    unless ``doc_map`` is given. A posting stores its doc's rank in the
+    map (its local doc number) and the output table carries the map as
+    schema metadata (``schema.with_doc_map``), so the map is written
+    with the file. Rank order is doc-id order: rows, blocks and
+    block-max bounds are the ones the ids themselves would give."""
 
     avgdl: float
     k1: float = BM25_K1
     b: float = BM25_B
     block_size: int = BLOCK_SIZE
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table,
+                 doc_map: np.ndarray | None = None) -> pa.Table:
+        """``doc_map``: number the postings in this existing map (every
+        doc id of the group must be in it) — purge re-encodes rows in
+        their file's map so the file's other rows stay valid."""
         has_pos = "pos" in group.column_names
         if group.num_rows == 0:
-            return _empty_segments_table(has_pos)
+            return _empty_segments_table(has_pos, doc_map)
         terms = group["term"].combine_chunks()
         dict_arr = terms.dictionary_encode()
         codes = np.asarray(dict_arr.indices).astype(np.int64)
         vocab = dict_arr.dictionary
         doc_ids = np.asarray(group["doc_id"].combine_chunks()).astype(np.int64)
+        if doc_map is None:
+            doc_map, local = np.unique(doc_ids, return_inverse=True)
+        else:
+            local = np.searchsorted(doc_map, doc_ids)
         tfs = np.asarray(group["tf"].combine_chunks()).astype(np.int64)
         doc_lens = np.asarray(group["doc_len"].combine_chunks()).astype(np.int64)
         shards = np.asarray(group["shard"].combine_chunks()).astype(np.int32)
-        order = np.lexsort((doc_ids, codes, shards))
-        codes, doc_ids, tfs, doc_lens, shards = (
-            codes[order], doc_ids[order], tfs[order], doc_lens[order], shards[order])
+        order = np.lexsort((local, codes, shards))
+        codes, local, tfs, doc_lens, shards = (
+            codes[order], local[order], tfs[order], doc_lens[order], shards[order])
         # boundaries where (shard, code) changes
         change = np.flatnonzero((np.diff(codes) != 0) | (np.diff(shards) != 0)) + 1
         starts = np.concatenate(([0], change))
         ends = np.concatenate((change, [len(codes)]))
-        segs = encode_segments(doc_ids, tfs, doc_lens, starts, ends,
+        segs = encode_segments(local, tfs, doc_lens, starts, ends,
                                avgdl=self.avgdl, k1=self.k1, b=self.b,
                                block_size=self.block_size)
         cols = {"term": vocab.take(pa.array(codes[starts])).cast(pa.string()),
@@ -199,16 +214,22 @@ class SegmentEncoder:
                 pa.binary(), len(starts),
                 [None, pa.py_buffer(pos_offs[np.append(starts, len(codes))]),
                  parr.buffers()[2] or pa.py_buffer(b"")])
-        return pa.table(cols)
+        return with_doc_map(pa.table(cols), doc_map)
 
 
-def _empty_segments_table(positions: bool = False) -> pa.Table:
+def _empty_segments_table(positions: bool = False,
+                          doc_map: np.ndarray | None = None) -> pa.Table:
+    """A segments table with no rows. Like every segments table it
+    carries a doc map (empty unless given), so the file of a shard
+    without postings reads like any other."""
     from .schema import SEGMENTS_SCHEMA
 
     schema = SEGMENTS_SCHEMA
     if positions:
         schema = schema.append(pa.field("positions", pa.binary()))
-    return schema.empty_table()
+    return with_doc_map(schema.empty_table(),
+                        np.empty(0, np.int64) if doc_map is None
+                        else doc_map)
 
 
 def build_index(source, index_dir: str,
@@ -269,6 +290,8 @@ def doc_totals(docs) -> tuple[int, int]:
 def index_stats(cfg: IndexBuildConfig, n_docs: int, total_len: int) -> dict:
     """The stats.json of a fresh build of ``cfg`` over these totals."""
     return {
+        # the segment layout this index was written in (check_format)
+        "format_version": INDEX_FORMAT_VERSION,
         "n_docs": n_docs,
         "total_len": total_len,
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
@@ -337,6 +360,20 @@ def check_doc_id_collisions(docs, n_docs: int) -> None:
 def load_stats(index_dir: str) -> dict:
     with open(os.path.join(index_dir, "stats.json")) as f:
         return json.load(f)
+
+
+def check_format(stats: dict, index_dir: str) -> dict:
+    """Raise unless ``stats`` (an index's stats.json) records this
+    code's index format; returns ``stats``. An older index decodes
+    wrongly here — v4 postings hold global ids where v5 reads local
+    doc numbers — so every reader and writer refuses it instead."""
+    got = stats.get("format_version")
+    if got != INDEX_FORMAT_VERSION:
+        raise ValueError(
+            f"index {index_dir!r} has format version {got} (stats.json "
+            f"format_version), this code reads version "
+            f"{INDEX_FORMAT_VERSION}; rebuild the index")
+    return stats
 
 
 def write_stats(index_dir: str, stats: dict) -> None:

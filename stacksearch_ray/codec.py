@@ -3,11 +3,20 @@
 The reference's external-memory index spills sorted pickled blocks with a
 sparse (offset, first_key) side index (/root/reference/index/hash_index.py:
 112-139,165-195). Ours is the columnar, compressed analog: per (term, shard)
-segment, doc ids are stored doc_id-sorted as LEB128 varints of within-block
+segment, doc numbers are stored sorted as LEB128 varints of within-block
 deltas (the first value of each block is absolute, so any block decodes
 independently), tfs as plain varints, with one skip entry per block of
 ``block_size`` postings carrying first_doc, byte offsets, and block-max
 upper bounds for BM25 WAND pruning.
+
+The codec encodes whatever sorted non-negative integers it is given. The
+index (format v5) gives it LOCAL doc numbers: ``build.SegmentEncoder``
+numbers each segment file's postings by the doc's rank in the file's
+sorted doc-id set, the file's doc map (``schema.DOC_MAP_KEY``), the
+per-segment docID model of Lucene. Dense numbers keep deltas to one or
+two varint bytes where 63-bit hash ids (``schema.doc_id_for``) needed
+eight or nine, and rank order is doc-id order, so blocks and bounds are
+unchanged. Readers map a decoded number n back to ``doc_map[n]``.
 
 All encode/decode paths are NumPy-vectorized — no Python per-posting loops.
 Encoding is batched per shuffle group as well: ``encode_segments`` encodes
@@ -101,7 +110,7 @@ class EncodedSegment:
     cf: int
     doc_ids: bytes
     tfs: bytes
-    skip_first_doc: np.ndarray   # int64 per block
+    skip_first_doc: np.ndarray   # int64 per block (first doc number)
     skip_doc_offset: np.ndarray  # int32 byte offset into doc_ids per block
     skip_tf_offset: np.ndarray   # int32 byte offset into tfs per block
     block_max_tf: np.ndarray     # int64 per block
@@ -130,7 +139,7 @@ class EncodedSegments:
     tfs: np.ndarray              # uint8, every row's tf varints
     tf_offsets: np.ndarray       # int64 per row + 1
     block_offsets: np.ndarray    # int64 per row + 1
-    skip_first_doc: np.ndarray   # int64 per block
+    skip_first_doc: np.ndarray   # int64 per block; stored as int32
     skip_doc_offset: np.ndarray  # int32 per block, relative to its row
     skip_tf_offset: np.ndarray   # int32 per block, relative to its row
     block_max_tf: np.ndarray     # int64 per block
@@ -147,6 +156,13 @@ class EncodedSegments:
                 [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
 
         blk_offs = pa.array(self.block_offsets.astype(np.int32))
+        # skip_first_doc is stored as int32: first docs are local doc
+        # numbers, below the file's doc-map length
+        if len(self.skip_first_doc) and (
+                int(self.skip_first_doc.max()) >= INT32_OFFSET_LIMIT):
+            raise ValueError(
+                f"skip_first_doc {int(self.skip_first_doc.max())} exceeds "
+                "the int32 range; increase num_shards so files shrink")
 
         def lists(values, typ):
             return pa.ListArray.from_arrays(blk_offs, pa.array(values, typ))
@@ -156,7 +172,7 @@ class EncodedSegments:
             "cf": pa.array(self.cf, pa.int64()),
             "doc_ids": binary(self.doc_ids, self.id_offsets),
             "tfs": binary(self.tfs, self.tf_offsets),
-            "skip_first_doc": lists(self.skip_first_doc, pa.int64()),
+            "skip_first_doc": lists(self.skip_first_doc, pa.int32()),
             "skip_doc_offset": lists(self.skip_doc_offset, pa.int32()),
             "skip_tf_offset": lists(self.skip_tf_offset, pa.int32()),
             "block_max_tf": lists(self.block_max_tf, pa.int64()),

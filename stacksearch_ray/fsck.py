@@ -6,14 +6,19 @@ results silently.
 
 Checks (each independent; all violations collected, not just the first):
 
-1. stats.json present with the required keys.
+1. stats.json present with the required keys; an index of another
+   format version raises ``ValueError`` (build.check_format) rather
+   than being audited with the wrong decoder.
 2. docs table: unique doc_id, doc_len > 0, shard == shard_of(doc_id).
 3. global stats: n_docs / total_len / avgdl equal the ALIVE docs rows
    (tombstones subtracted), bitwise for avgdl.
-4. segments: df == decoded posting count == tf count; cf == Σtf;
-   doc ids strictly ascending; every posting doc exists in the docs
-   table; the row's shard matches its docs' shard; positional rows
-   decode to exactly Σtf ascending positions per doc.
+4. segments: each file's doc map is strictly ascending; df == decoded
+   posting count == tf count; cf == Σtf; local doc numbers strictly
+   ascending and below the map's length; every doc id a posting maps
+   to exists in the docs table (tombstoned docs stay there until a
+   purge; a purge leaves its ids in the maps, unreferenced); the row's
+   shard matches its docs' shard; positional rows decode to exactly Σtf
+   ascending positions per doc.
 5. term_dict == groupby(term).sum(df, cf) over the segment rows.
 6. referenced sidecar files (tombstones / deleted-df) exist.
 7. pruning soundness: multiple segment rows per (term, shard) are only
@@ -31,12 +36,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from .build import load_stats
+from .build import check_format, load_stats
 from .codec import decode_doc_ids, decode_positions, decode_tfs
-from .schema import shard_of
+from .schema import read_doc_map, shard_of
 
 
 @dataclass
@@ -62,6 +66,7 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     except FileNotFoundError:
         rep._err("stats.json missing")
         return rep
+    check_format(stats, index_dir)
     for k in ("n_docs", "total_len", "avgdl", "num_shards", "block_size"):
         if k not in stats:
             rep._err(f"stats.json missing key {k!r}")
@@ -128,7 +133,7 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     td_counts: dict[str, list[int]] = {}
     seen_keys: set[tuple[str, int]] = set()
     dup_keys = 0
-    for rb in pads.dataset(seg_dir).to_batches(columns=seg_cols):
+    for rb, doc_map in _segment_batches(seg_dir, seg_cols, rep):
         terms = rb.column(0).to_pylist()
         sh = rb.column(1).to_pylist()
         dfs = rb.column(2).to_pylist()
@@ -143,18 +148,24 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
             if key in seen_keys:
                 dup_keys += 1
             seen_keys.add(key)
-            p_ids = decode_doc_ids(blob, block_size)
+            local = decode_doc_ids(blob, block_size)
             p_tfs = decode_tfs(tfb).astype(np.int64)
-            if len(p_ids) != df or len(p_tfs) != df:
+            if len(local) != df or len(p_tfs) != df:
                 rep._err(f"({term!r}, shard {shard}): df={df} but "
-                         f"{len(p_ids)} ids / {len(p_tfs)} tfs decode")
+                         f"{len(local)} ids / {len(p_tfs)} tfs decode")
                 continue
             if int(p_tfs.sum()) != cf:
                 rep._err(f"({term!r}, shard {shard}): cf={cf} != "
                          f"Σtf {int(p_tfs.sum())}")
-            if len(p_ids) > 1 and not (np.diff(p_ids) > 0).all():
-                rep._err(f"({term!r}, shard {shard}): doc ids not "
+            if len(local) > 1 and not (np.diff(local) > 0).all():
+                rep._err(f"({term!r}, shard {shard}): doc numbers not "
                          "strictly ascending")
+            if len(local) and int(local.max()) >= len(doc_map):
+                rep._err(f"({term!r}, shard {shard}): doc number "
+                         f"{int(local.max())} beyond the file's doc map "
+                         f"({len(doc_map)} ids)")
+                continue
+            p_ids = doc_map[local]
             j = np.searchsorted(ids, p_ids)
             ok = (j < len(ids))
             jj = np.minimum(j, len(ids) - 1)
@@ -211,3 +222,23 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
                          f"{got.get(term)} != ({df}, {cf})")
                 break
     return rep
+
+
+def _segment_batches(seg_dir: str, columns: list[str], rep: FsckReport):
+    """(record batch, the file's doc map) over every segment file whose
+    doc map is readable and strictly ascending — the rank order every
+    local doc number relies on; other files are reported and skipped."""
+    for name in sorted(os.listdir(seg_dir)):
+        if not name.endswith(".parquet"):
+            continue
+        path = os.path.join(seg_dir, name)
+        try:
+            doc_map = read_doc_map(path)
+        except ValueError as ex:
+            rep._err(f"{name}: {ex}")
+            continue
+        if len(doc_map) > 1 and not (np.diff(doc_map) > 0).all():
+            rep._err(f"{name}: doc map not strictly ascending")
+            continue
+        for rb in pq.ParquetFile(path).iter_batches(columns=columns):
+            yield rb, doc_map

@@ -51,8 +51,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .build import check_format, load_stats
 from .build import idf as idf_fn
-from .build import load_stats
 from .codec import (
     bm25_tf_part,
     decode_doc_ids,
@@ -60,6 +60,7 @@ from .codec import (
     decode_tfs,
 )
 from .micros import to_micros
+from .schema import read_doc_map
 from .text import clean_query
 
 
@@ -86,6 +87,14 @@ class _DocLens:
 
     def lookup_one(self, doc_id: int) -> float:
         return float(self.lens[self.ids.searchsorted(doc_id)])
+
+
+def _file_version(path: str) -> tuple[int, int, int]:
+    """(inode, size, mtime_ns) of a segment file: compaction replaces
+    files under their old names, and a doc map (and every local doc
+    number) belongs to one version of a file."""
+    st = os.stat(path)
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def _seg_map_entry(path: str, st: os.stat_result | None = None) -> dict:
@@ -219,7 +228,7 @@ class QueryEngine:
         recover_appends(index_dir)   # heal interrupted append commits
         recover_purges(index_dir)    # roll interrupted purges forward
         self.index_dir = index_dir
-        self.stats = load_stats(index_dir)
+        self.stats = check_format(load_stats(index_dir), index_dir)
         self.n_docs = self.stats["n_docs"]
         self.avgdl = float(self.stats["avgdl"])
         self.k1 = float(self.stats["k1"])
@@ -257,6 +266,8 @@ class QueryEngine:
         self._df_cache: dict[str, int] = {}
         self._dec_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self._blk_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._map_cache: dict[tuple[str, tuple],
+                              tuple[np.ndarray, np.ndarray]] = {}
         # ES-style request cache: memoize full search() results, LRU
         # over ``request_cache`` entries (0 = off). Correct BY
         # CONSTRUCTION: an open engine's view is frozen (mutations
@@ -446,11 +457,7 @@ class QueryEngine:
             for m in missing:
                 self._seg_cache[m] = []
             if paths != []:
-                t = pq.read_table(paths if paths is not None
-                                  else self._seg_dir,
-                                  filters=filters,
-                                  columns=self._SEG_COLUMNS)
-                for r in t.to_pylist():
+                for r in self._read_rows(paths, filters, self._SEG_COLUMNS):
                     self._seg_cache[r["term"]].append(r)
         return {t: self._seg_cache[t] for t in terms}
 
@@ -542,6 +549,58 @@ class QueryEngine:
                 self._ddf_cache[m] = 0
         return {t: self._ddf_cache[t] for t in terms}
 
+    def _read_rows(self, paths: list[str] | None, filters: list,
+                   columns: list[str]) -> list[dict]:
+        """Segment rows of ``paths`` (None: every file) matching
+        ``filters``, each with ``doc_map``: its file's (doc map, dense
+        index), see _doc_map. Its postings are local doc numbers in that
+        map. Compaction rewrites files under their old names with new
+        numbers, so a file whose version (_file_version) changes across
+        the read raises instead of pairing its rows with another
+        version's map."""
+        if paths is None:
+            listed = [os.path.join(self._seg_dir, f)
+                      for f in os.listdir(self._seg_dir)
+                      if f.endswith(".parquet")]
+        else:
+            listed = paths
+        before = {p: _file_version(p) for p in listed}
+        t = pq.read_table(paths if paths is not None else self._seg_dir,
+                          filters=filters, columns=columns + ["__filename"])
+        names = t["__filename"].to_pylist()
+        maps = {}
+        for path in set(names):
+            version = _file_version(path)
+            if before.get(path, version) != version:
+                raise RuntimeError(
+                    f"segment file {path!r} changed while it was read "
+                    "(compacted under an open engine); reopen the engine")
+            maps[path] = self._doc_map(path, version)
+        rows = t.drop_columns(["__filename"]).to_pylist()
+        for r, path in zip(rows, names):
+            r["doc_map"] = maps[path]
+        return rows
+
+    def _doc_map(self, path: str, version: tuple
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc map, dense index) of one version of a segment file,
+        loaded once per engine: a local doc number n decoded from the
+        file is doc id ``doc_map[n]``, at position ``dense[n]`` of the
+        engine's sorted doc ids (``self.doclens.ids``, the accumulators'
+        index)."""
+        key = (path, version)
+        hit = self._map_cache.get(key)
+        if hit is None:
+            doc_map = read_doc_map(path)
+            if _file_version(path) != version:
+                raise RuntimeError(
+                    f"segment file {path!r} changed while its doc map "
+                    "was read (compacted under an open engine); reopen "
+                    "the engine")
+            hit = (doc_map, np.searchsorted(self.doclens.ids, doc_map))
+            self._map_cache[key] = hit
+        return hit
+
     # ---------- exhaustive TAAT ----------
 
     def _decoded(self, term: str, row_i: int, row: dict
@@ -552,15 +611,17 @@ class QueryEngine:
         depends only on global df, which is fixed), so the cache is
         query-independent. The dense index maps each posting's doc into
         the engine's sorted local doc-id space, so exhaustive scoring
-        accumulates into a flat array instead of sorting ids per query."""
+        accumulates into a flat array instead of sorting ids per query;
+        ids and dense index are two takes through the file's doc map."""
         key = (term, row_i)
         hit = self._dec_cache.get(key)
         if hit is None:
-            ids = decode_doc_ids(row["doc_ids"], self.block_size)
+            local = decode_doc_ids(row["doc_ids"], self.block_size)
+            doc_map, dense = row["doc_map"]
+            ids, didx = doc_map[local], dense[local]
             tfs = decode_tfs(row["tfs"])
-            dls = self.doclens.lookup(ids)
+            dls = self.doclens.lens[didx]
             part = bm25_tf_part(tfs, dls, self.avgdl, self.k1, self.b)
-            didx = np.searchsorted(self.doclens.ids, ids)
             hit = (ids, tfs, dls, part, didx)
             if len(self._dec_cache) < self.max_cached_segments:
                 self._dec_cache[key] = hit
@@ -1414,7 +1475,7 @@ class QueryEngine:
         key = (term, row_i)
         hit = self._blk_cache.get(key)
         if hit is None:
-            hit = (np.asarray(row["skip_first_doc"], dtype=np.int64),
+            hit = (row["doc_map"][0][np.asarray(row["skip_first_doc"], dtype=np.int64)],
                    np.concatenate(([0.0], np.asarray(row["block_max_score"],
                                                      dtype=np.float64))))
             if len(self._blk_cache) < self.max_cached_segments:
@@ -1439,11 +1500,12 @@ class QueryEngine:
         segs = self._segments_for([term]).get(term, [])
         if not segs:
             return np.empty(0, np.int64)
-        parts = [self._decoded(term, i, r)[0] for i, r in enumerate(segs)]
-        ids = np.unique(np.concatenate(parts))
+        # the dense index ascends with the doc id
+        didx = np.unique(np.concatenate(
+            [self._decoded(term, i, r)[4] for i, r in enumerate(segs)]))
         if self.has_deletes:
-            ids = ids[self._alive[np.searchsorted(self.doclens.ids, ids)]]
-        return ids
+            didx = didx[self._alive[didx]]
+        return self.doclens.ids[didx]
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """(doc_ids, tfs) for one term, merged across its segment rows
@@ -1463,7 +1525,8 @@ class QueryEngine:
         order = np.argsort(ids, kind="stable")
         ids, tfs = ids[order], tfs[order]
         if self.has_deletes:
-            alive = self._alive[np.searchsorted(self.doclens.ids, ids)]
+            didx = np.concatenate([d[4] for d in dec])[order]
+            alive = self._alive[didx]
             ids, tfs = ids[alive], tfs[alive]
         return ids, tfs
 
@@ -1486,21 +1549,17 @@ class QueryEngine:
         if self.shard_subset is not None:
             filters.append(("shard", "in", self.shard_subset))
         paths = self._seg_paths_for([term])
-        if paths == []:
-            t = pa.table({"doc_ids": pa.array([], pa.binary()),
-                          "tfs": pa.array([], pa.binary()),
-                          "positions": pa.array([], pa.binary())})
-        else:
-            t = pq.read_table(paths if paths is not None else self._seg_dir,
-                              filters=filters,
-                              columns=["doc_ids", "tfs", "positions"])
+        rows = ([] if paths == [] else
+                self._read_rows(paths, filters,
+                                ["doc_ids", "tfs", "positions"]))
         empty = (np.empty(0, np.int64), np.empty(0, np.int64),
                  np.empty(0, np.int64))
-        if t.num_rows == 0:
+        if not rows:
             return empty
         ids_l, tfs_l, pos_l = [], [], []
-        for r in t.to_pylist():
-            ids = decode_doc_ids(r["doc_ids"], self.block_size)
+        for r in rows:
+            ids = r["doc_map"][0][decode_doc_ids(r["doc_ids"],
+                                                 self.block_size)]
             tfs = decode_tfs(r["tfs"]).astype(np.int64)
             ids_l.append(ids)
             tfs_l.append(tfs)

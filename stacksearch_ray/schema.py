@@ -11,6 +11,8 @@ Tables:
 - ``segments``— the persisted index: one row per (term, shard), doc_id-sorted
   delta+varint-compressed postings with skip blocks + block-max metadata
   (replaces the pickle blobs of /root/reference/index/index.py:68-76).
+  Postings hold LOCAL doc numbers: a doc's rank in its file's sorted
+  doc-id set, the file's doc map (``DOC_MAP_KEY``).
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ SEGMENTS_SCHEMA = pa.schema(
         ("shard", pa.int32()),
         ("df", pa.int64()),          # docs containing term, within this shard
         ("cf", pa.int64()),          # total occurrences, within this shard
-        ("doc_ids", pa.binary()),    # delta+varint-compressed sorted doc ids
+        ("doc_ids", pa.binary()),    # delta+varint-compressed sorted local doc numbers
         ("tfs", pa.binary()),        # varint-compressed tfs, aligned
-        ("skip_first_doc", pa.list_(pa.int64())),   # first doc_id per block
+        ("skip_first_doc", pa.list_(pa.int32())),   # first local doc number per block
         ("skip_doc_offset", pa.list_(pa.int32())),  # byte offset into doc_ids per block
         ("skip_tf_offset", pa.list_(pa.int32())),   # byte offset into tfs per block
         ("block_max_tf", pa.list_(pa.int64())),     # max tf per block
@@ -78,7 +80,15 @@ TERM_DICT_SCHEMA = pa.schema(
 # Bump when the on-disk index layout changes (segments schema, codec,
 # stats fields) — consumers embed it in cache paths so stale indexes from
 # older code are never read.
-INDEX_FORMAT_VERSION = 4  # v4: positions column stored under parquet
+INDEX_FORMAT_VERSION = 5  # v5: postings store local doc numbers — a
+#     doc's rank in its segment file's sorted doc-id set — and the file
+#     carries that set as its doc map (schema metadata DOC_MAP_KEY);
+#     skip_first_doc is list<int32>; segment footers keep min/max
+#     statistics for ``term`` and ``shard`` only. 63-bit hash ids made
+#     every posting delta an 8-9 byte varint. stats.json records
+#     format_version, and every reader and writer checks it, since v5
+#     code reading a v4 index would decode global ids as local numbers.
+# v4: positions column stored under parquet
 #     zstd (BENCH/positions_codec_r5.json: −41% position bytes, −8%
 #     segment dirs, decode no slower than snappy). Readers are
 #     codec-transparent (parquet column-chunk metadata carries the
@@ -170,4 +180,45 @@ def segment_write_kwargs(schema: pa.Schema) -> dict:
     One helper instead of six hand-copied ``if comp`` blocks, so a new
     segment writer cannot silently omit the codec policy."""
     comp = segment_compression(schema)
-    return {"compression": comp} if comp is not None else {}
+    kw = {"compression": comp} if comp is not None else {}
+    if "skip_first_doc" in schema.names:
+        # segment files: min/max statistics only where a reader filters
+        # (``term`` and ``shard``); on the blob and list columns they
+        # were most of the footer bytes
+        kw["write_statistics"] = ["term", "shard"]
+    return kw
+
+
+# Segment-file schema-metadata key holding the file's doc map: the
+# sorted doc ids of the file as little-endian int64 bytes. A posting's
+# local doc number n stands for doc id ``doc_map[n]``.
+DOC_MAP_KEY = b"stacksearch.doc_map"
+
+
+def with_doc_map(table: pa.Table, doc_map: np.ndarray) -> pa.Table:
+    """``table`` carrying ``doc_map`` as its schema metadata."""
+    meta = dict(table.schema.metadata or {})
+    meta[DOC_MAP_KEY] = np.ascontiguousarray(doc_map, dtype="<i8").tobytes()
+    return table.replace_schema_metadata(meta)
+
+
+def read_doc_map(path: str) -> np.ndarray:
+    """The doc map of the segment file at ``path`` (footer read only)."""
+    import pyarrow.parquet as pq
+
+    meta = pq.read_schema(path).metadata or {}
+    if DOC_MAP_KEY not in meta:
+        raise ValueError("segment file has no doc map (index format "
+                         f"v{INDEX_FORMAT_VERSION} stores one per file)")
+    return np.frombuffer(meta[DOC_MAP_KEY], dtype="<i8").astype(np.int64)
+
+
+def local_numbers(doc_map: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The local doc numbers, ascending, of the doc ids in the SORTED
+    ``ids`` that ``doc_map`` lists. Tombstone and purge tests run in a
+    file's local space: the id set is mapped in once, instead of every
+    posting being mapped out."""
+    if len(ids) == 0:
+        return np.empty(0, np.int64)
+    j = np.minimum(np.searchsorted(ids, doc_map), len(ids) - 1)
+    return np.flatnonzero(ids[j] == doc_map)

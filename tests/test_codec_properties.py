@@ -19,7 +19,7 @@ from stacksearch_ray.codec import (
     varint_decode,
     varint_encode,
 )
-from stacksearch_ray.schema import SEGMENTS_SCHEMA
+from stacksearch_ray.schema import DOC_MAP_KEY, SEGMENTS_SCHEMA
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,12 +102,15 @@ def _ref_encode_segment(doc_ids, tfs, doc_lens, avgdl, k1, b, block_size):
 
 def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
     """The per-(term, shard) loop SegmentEncoder ran before encoding was
-    batched per group: sort, split into rows, encode each row alone."""
+    batched per group: sort, split into rows, encode each row alone —
+    over local doc numbers, each doc id's rank in the group's sorted
+    doc ids (the doc map)."""
     has_pos = "pos" in group.column_names
     if group.num_rows == 0:
         return _empty_segments_table(has_pos)
     terms = group["term"].to_pylist()
     doc_ids = np.asarray(group["doc_id"]).astype(np.int64)
+    doc_ids = np.searchsorted(np.unique(doc_ids), doc_ids)
     tfs = np.asarray(group["tf"]).astype(np.int64)
     doc_lens = np.asarray(group["doc_len"]).astype(np.int64)
     shards = np.asarray(group["shard"]).astype(np.int32)
@@ -181,6 +184,9 @@ def test_segment_encoder_equals_per_row_reference(positions, block_size):
         got = enc(group)
         want = _ref_segment_encoder(group, 417.25, 1.1, 0.6, bs)
         assert got.equals(want)
+        assert np.frombuffer(got.schema.metadata[DOC_MAP_KEY],
+                             "<i8").tolist() == sorted(
+            set(group["doc_id"].to_pylist()))
         # chunked input (as map_groups hands it over) encodes the same
         half = group.num_rows // 2
         chunked = pa.concat_tables([group.slice(0, half), group.slice(half)])
@@ -239,8 +245,8 @@ def test_encode_offset_guard_raises_past_limit(monkeypatch):
     """A group whose id or tf bytes reach the int32 limit raises rather
     than wrapping; the limit is patched down so the test stays small."""
     group = _random_group(np.random.default_rng(3), [50, 60], 2, False, 128)
-    total = len(b"".join(SegmentEncoder(avgdl=9.0)(group)["doc_ids"]
-                         .to_pylist()))
+    enc = SegmentEncoder(avgdl=9.0)(group)
+    total = max(len(b"".join(enc[c].to_pylist())) for c in ("doc_ids", "tfs"))
     monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total + 1)
     SegmentEncoder(avgdl=9.0)(group)
     monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total)

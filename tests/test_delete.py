@@ -189,6 +189,7 @@ def test_deleted_df_equals_per_row_reference(ray_session, tmp_path):
     from stacksearch_ray.build import build_index, load_stats
     from stacksearch_ray.codec import decode_doc_ids
     from stacksearch_ray.corpus import write_corpus
+    from stacksearch_ray.schema import read_doc_map
 
     full = str(tmp_path / "full")
     write_corpus(full, 300, rows_per_file=100)
@@ -203,12 +204,15 @@ def test_deleted_df_equals_per_row_reference(ray_session, tmp_path):
     allt = load_tombstones(idx, st)
     seg = os.path.join(idx, "segments")
     bs = int(st["block_size"])
-    rows = pq.read_table(seg, columns=["term", "doc_ids"])
+    rows = pq.read_table(seg, columns=["term", "doc_ids", "__filename"])
     dead = set(allt.tolist())
     want: dict[str, int] = {}
-    for term, blob in zip(rows["term"].to_pylist(),
-                          rows["doc_ids"].to_pylist()):
-        c = sum(int(d) in dead for d in decode_doc_ids(blob, bs))
+    for term, blob, path in zip(rows["term"].to_pylist(),
+                                rows["doc_ids"].to_pylist(),
+                                rows["__filename"].to_pylist()):
+        # postings are local doc numbers in their file's doc map
+        ids = read_doc_map(path)[decode_doc_ids(blob, bs)]
+        c = sum(int(d) in dead for d in ids)
         if c:
             want[term] = want.get(term, 0) + c
     assert len(want) > 0
