@@ -44,6 +44,7 @@ from .build import (
     check_doc_id_collisions,
     doc_totals,
 )
+from .checkpoint import map_units
 
 
 def recover_segments(index_dir: str) -> bool:
@@ -529,48 +530,34 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     avgdl_f = float(stats["avgdl"])
     k1_f, b_f = float(stats["k1"]), float(stats["b"])
 
-    def _run_files(fnames: list[str]) -> list[tuple[str, str, dict]]:
+    def _run_files(units: list[dict]) -> list[dict]:
         from .query import _DocLens
 
         dl_lookup = _DocLens(docs_dir, aff_sorted)
         encoder = SegmentEncoder(avgdl=avgdl_f, k1=k1_f, b=b_f,
                                  block_size=block_size)
         out = []
-        for fname in fnames:
+        for u in units:
             action, counts = _purge_segment_file(
-                os.path.join(seg_dir, fname),
-                os.path.join(staged_dir, "segments", fname),
+                os.path.join(seg_dir, u["fname"]),
+                os.path.join(staged_dir, "segments", u["fname"]),
                 D, aff_sorted, block_size, store_positions,
                 encoder, dl_lookup)
-            out.append((fname, action, counts))
+            out.append({"fname": u["fname"], "action": action,
+                        "counts": counts})
         return out
 
-    # crossover: serial work is ~0.3 s/file while a Ray Data execution
-    # carries ~2-3 s of fixed executor/polling overhead (measured: a
-    # 10-file purge spent 3.4 s in executor sleeps) — fan out only when
-    # the parallel saving clears that
-    if len(cand_files) <= 16:
-        results = _run_files(cand_files)
-    else:
-        def process_files(b: pa.Table) -> pa.Table:
-            pa.set_cpu_count(1)
-            rows = _run_files(b["fname"].to_pylist())
-            return pa.table({
-                "fname": pa.array([r[0] for r in rows], pa.string()),
-                "action": pa.array([r[1] for r in rows], pa.string()),
-                "counts": pa.array([json.dumps(r[2]) for r in rows],
-                                   pa.string()),
-            })
-
-        rows = (rd.from_items([{"fname": f} for f in cand_files])
-                .map_batches(process_files, batch_format="pyarrow",
-                             batch_size=max(1, len(cand_files) // 16),
-                             concurrency=min(16, len(cand_files)))
-                .take_all())
-        results = [(r["fname"], r["action"], json.loads(r["counts"]))
-                   for r in rows]
-    for fname, action, counts in sorted(results, key=lambda r: r[0]):
-        for t, (c_df, c_cf) in counts.items():
+    # crossover (4-CPU host, 8k docs over 32 shards): serial work costs
+    # ~0.05 s/file, one map_units execution ~0.065 s of wall and
+    # ~0.085 s of machine CPU plus ~18 ms per further task. 16 files
+    # took 0.90 s serially, 17 fanned out 0.75 s of wall but 0.4 s more
+    # machine CPU, so only work lists past 16 files fan out
+    units = [{"fname": f} for f in cand_files]
+    results = (_run_files(units) if len(units) <= 16
+               else map_units(_run_files, units))
+    for r in sorted(results, key=lambda r: r["fname"]):
+        fname, action = r["fname"], r["action"]
+        for t, (c_df, c_cf) in r["counts"].items():
             cur = removed_counts.setdefault(t, [0, 0])
             cur[0] += c_df
             cur[1] += c_cf
@@ -1078,8 +1065,8 @@ def append_to_index(source, index_dir: str,
     return stats
 
 
-# above this segment-row count the deleted-df scan runs as a Ray
-# map_batches pass (per-batch vocab-sized partials, driver merge);
+# above this segment-row count the deleted-df scan fans out through
+# map_units (per-task vocab-sized partials, driver merge);
 # below it a driver-side Arrow stream wins (no session warm-up cost) —
 # the same routing idea as checkpoint._TERM_DICT_RAY_THRESHOLD
 _DDF_RAY_THRESHOLD = 2_000_000
@@ -1088,9 +1075,9 @@ _DDF_RAY_THRESHOLD = 2_000_000
 def _deleted_df_counts(seg_dir: str, allt, block_size: int,
                        threshold: int | None = None) -> dict[str, int]:
     """Per-term count of tombstoned docs across all segment rows.
-    Small indexes stream on the driver; large ones fan out as a
-    map_batches pass over the files whose output is (term, ddf)
-    partials — one row per term PER BATCH, so the driver merge is
+    Small indexes stream on the driver; large ones fan out over the
+    files through ``map_units``, whose output is (term → ddf) partials —
+    one per task, so the driver merge is
     vocab-bounded and no (term → count) shuffle happens (the
     hash-bucket-vs-native-groupby trap doesn't apply: there is no
     groupby at all)."""
@@ -1135,22 +1122,14 @@ def _deleted_df_counts(seg_dir: str, allt, block_size: int,
             add(counts, file_counts(p))
         return counts
 
-    def partials(b: pa.Table) -> pa.Table:
+    def partials(units: list[dict]) -> list[dict]:
         part: dict[str, int] = {}
-        for p in b["path"].to_pylist():
-            add(part, file_counts(p))
-        terms = sorted(part)
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "ddf": pa.array([part[t] for t in terms], pa.int64()),
-        })
+        for u in units:
+            add(part, file_counts(u["path"]))
+        return [part]  # vocab-bounded per task
 
-    rows = (rd.from_items([{"path": p} for p in files])
-            .map_batches(partials, batch_format="pyarrow",
-                         batch_size=None)
-            .take_all())  # vocab-bounded per batch
-    for r in rows:
-        counts[r["term"]] = counts.get(r["term"], 0) + int(r["ddf"])
+    for part in map_units(partials, [{"path": p} for p in files]):
+        add(counts, part)
     return counts
 
 
@@ -1472,17 +1451,23 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
 
     recover_segments(index_dir)  # heal any half-finished prior swap first
 
-    def rewrite_docs(bt: pa.Table) -> pa.Table:
-        ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
-        if len(tomb):
-            keep = ~sorted_member_mask(tomb, ids)
-            bt = bt.filter(pa.array(keep))
-            ids = ids[keep]
-        if not reshard:
-            return bt
-        i = bt.column_names.index("shard")
-        return bt.set_column(i, "shard",
-                             pa.array(shard_of(ids, s_new), pa.int32()))
+    def rewrite_docs(units: list[dict]) -> list[dict]:
+        # one docs part → the same name under docs.compact; a part
+        # left empty is written too, so a fully deleted index still
+        # has a docs schema to open
+        for u in units:
+            bt = pq.read_table(u["src"], use_threads=False)
+            ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
+            if len(tomb):
+                keep = ~sorted_member_mask(tomb, ids)
+                bt = bt.filter(pa.array(keep))
+                ids = ids[keep]
+            if reshard:
+                i = bt.column_names.index("shard")
+                bt = bt.set_column(i, "shard",
+                                   pa.array(shard_of(ids, s_new), pa.int32()))
+            pq.write_table(bt, u["dst"])
+        return []
 
     def swap_in(live: str) -> None:
         # live.compact → live through live.old; recover_segments heals a
@@ -1498,11 +1483,13 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         shutil.rmtree(old)
 
     def swap_in_docs() -> None:
+        _maybe_fail("compact_docs")
         docs_tmp = docs_dir + ".compact"
         shutil.rmtree(docs_tmp, ignore_errors=True)
-        (rd.read_parquet(docs_dir)
-         .map_batches(rewrite_docs, batch_format="pyarrow")
-         .write_parquet(docs_tmp))
+        os.makedirs(docs_tmp)
+        map_units(rewrite_docs, [
+            {"src": os.path.join(docs_dir, f), "dst": os.path.join(docs_tmp, f)}
+            for f in sorted(os.listdir(docs_dir)) if f.endswith(".parquet")])
         swap_in(docs_dir)
 
     if reshard:
@@ -1522,15 +1509,16 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     seg_files = sorted(
         os.path.join(segments_dir, f) for f in os.listdir(segments_dir)
         if f.endswith(".parquet"))
-    files_per_task = max(1, len(seg_files) // 64)
-    units = [{"files": seg_files[i:i + files_per_task],
-              "out": os.path.join(stage_dir, f"part-{i//files_per_task:05d}.parquet")}
-             for i in range(0, len(seg_files), files_per_task)]
+    # staged parts group at most 1/64 of the segment files each: the
+    # grouping sets the row order of the compacted files, so it depends
+    # on the file count alone, never on how many tasks run
+    files_per_part = max(1, len(seg_files) // 64)
+    units = [{"files": seg_files[i:i + files_per_part],
+              "out": os.path.join(stage_dir, f"part-{i//files_per_part:05d}.parquet")}
+             for i in range(0, len(seg_files), files_per_part)]
 
-    def run_explode(b: pa.Table) -> pa.Table:
-        pa.set_cpu_count(1)
-        done = []
-        for u in b.to_pylist():
+    def run_explode(units: list[dict]) -> list[dict]:
+        for u in units:
             parts = []
             for f in u["files"]:
                 t = pq.read_table(f, use_threads=False)
@@ -1540,13 +1528,9 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
                         else pa.table({"doc_id": pa.array([], pa.int64())}))
             if postings.num_rows:
                 write_staged_postings(postings, u["out"])
-            done.append(u["out"])
-        return pa.table({"out": pa.array(done, pa.string())})
+        return []
 
-    (rd.from_items(units)
-     .map_batches(run_explode, batch_size=1, batch_format="pyarrow",
-                  concurrency=16)
-     .take_all())
+    map_units(run_explode, units)
 
     tmp = segments_dir + ".compact"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -1560,7 +1544,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     shard_phase(list(range(s_new)), stage_dir,
                 [os.path.join(tmp, f"shard-{k:05d}.parquet")
                  for k in range(s_new)],
-                encoder, store_positions, concurrency=16, doc_lens=doc_lens)
+                encoder, store_positions, doc_lens=doc_lens)
     shutil.rmtree(stage_dir, ignore_errors=True)
     swap_in(segments_dir)
 

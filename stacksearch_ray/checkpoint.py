@@ -23,12 +23,19 @@ skipped as well, so re-running a committed build does not re-tokenize to
 rebuild the staged postings its commit deleted. ``stop_after_partitions``
 injects a deterministic interrupt for the resume test (FIXTURES.md F6).
 
-Scale notes: tasks are scheduled through Ray Data (`from_items(units) →
-map_batches(worker, batch_size=1)`) so backpressure and retries apply; a
-shard task materializes one shard's postings — choose num_shards so that
-fits a worker (S grows with the corpus). Staged postings are columnar
-parquet (term dictionary-encodes well) — the explicit, restartable analog
-of a shuffle's in-flight state.
+Scale notes: every writer fan-out (the partition and shard phases
+here; append, purge and compaction in ``append.py``) runs through
+``map_units``, one Ray Data ``from_items → map_batches → take_all`` pass
+whose task count comes from one sizing rule (``task_plan``): units are
+batched so the phase runs in one wave of at most ``task_slots`` tasks
+while a task holds at most 4 units, and in at least four waves of
+``n // (4·slots)`` units per task beyond that. A Ray Data execution costs
+about 0.07 s plus about 18 ms of machine CPU per task, so one task per
+file or shard spent more CPU on fan-out than on tokenizing and encoding.
+A shard task materializes its shards' postings at once — choose
+num_shards so that a batch fits a worker (S grows with the corpus).
+Staged postings are columnar parquet (term dictionary-encodes well) —
+the explicit, restartable analog of a shuffle's in-flight state.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from .build import (
@@ -74,6 +82,11 @@ class BuildInterrupted(RuntimeError):
     """Raised by the deterministic failure-injection hook (resume test)."""
 
 
+def _since(t0: float) -> float:
+    """Wall seconds since ``t0``, as lineage records them."""
+    return round(time.time() - t0, 3)
+
+
 def _list_parquet_files(source: str | list[str]) -> list[str]:
     if isinstance(source, list):
         return sorted(source)
@@ -90,6 +103,62 @@ def _source_columns(cfg: IndexBuildConfig, names: list[str]) -> list[str]:
     need = {cfg.content_col} | set(cfg.meta_cols)
     need |= {cfg.id_col} if cfg.id_col else set(cfg.key_cols)
     return [c for c in names if c in need]
+
+
+# the most writer tasks that run at once: the host thrashes past 16
+# concurrent CPU-bound workers (BASELINE.md; runtime.py caps Ray Data's
+# CPU budget at the same threshold)
+MAX_TASK_SLOTS = 16
+
+
+def task_slots(concurrency: int | None = None) -> int:
+    """Writer tasks that may run at once: ``concurrency``, else the
+    cluster's CPUs, under the Ray Data CPU limit and ``MAX_TASK_SLOTS``."""
+    if concurrency is None:
+        concurrency = (int(ray.cluster_resources().get("CPU", 1))
+                       if ray.is_initialized() else os.cpu_count() or 1)
+    limit = rd.DataContext.get_current().execution_options.resource_limits.cpu
+    if limit is not None and limit != float("inf"):
+        concurrency = min(concurrency, int(limit))
+    return max(1, min(concurrency, MAX_TASK_SLOTS))
+
+
+def task_plan(n_units: int, slots: int) -> tuple[int, int]:
+    """(tasks, units per task) for ``n_units`` over ``slots``. Up to 4
+    units per slot run in one wave; more keep four waves per slot, so a
+    task never holds more units than the four-wave rule gives it."""
+    if n_units <= 4 * slots:
+        per_task = -(-n_units // slots)
+    else:
+        per_task = n_units // (4 * slots)
+    return -(-n_units // per_task), per_task
+
+
+def map_units(fn: Callable[[list[dict]], list[dict]], units: list[dict],
+              concurrency: int | None = None) -> list[dict]:
+    """Run ``fn`` over ``units`` as Ray Data tasks sized by
+    ``task_plan``; each task gets its batch of units as dicts and
+    returns JSON-able records, which come back in no particular order.
+    Tasks run with one Arrow CPU thread: Ray already runs a task per
+    slot, so Arrow's pool would only oversubscribe (measured 2.8x
+    CPU-time inflation at 32 workers before this cap)."""
+    if not units:
+        return []
+    slots = task_slots(concurrency)
+    n_tasks, _ = task_plan(len(units), slots)
+
+    def run(batch: pa.Table) -> pa.Table:
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
+        recs = fn(batch.to_pylist())
+        return pa.table({"rec": pa.array([json.dumps(r) for r in recs],
+                                         pa.string())})
+
+    rows = (rd.from_items(units, override_num_blocks=n_tasks)
+            .map_batches(run, batch_size=None, batch_format="pyarrow",
+                         concurrency=min(n_tasks, slots))
+            .take_all())
+    return [json.loads(r["rec"]) for r in rows]
 
 
 def stage_partition(batch: pa.Table, cfg: IndexBuildConfig, docs_path: str,
@@ -157,19 +226,14 @@ def write_staged_postings(postings: pa.Table, path: str) -> None:
     atomic_write_parquet(postings, path, row_group_boundaries=bounds)
 
 
-def _process_partition(files: list[str], pid: str, cfg: IndexBuildConfig,
-                       columns: list[str], docs_path: str,
-                       postings_path: str) -> dict:
+def _process_partition(unit: dict, cfg: IndexBuildConfig,
+                       columns: list[str]) -> dict:
     t0 = time.time()
-    # one OS thread per task: Ray already runs num_cpus tasks in parallel,
-    # so Arrow's internal pool would only oversubscribe (measured 2.8x
-    # CPU-time inflation at 32 workers before this cap)
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(2)
-    batch = pq.read_table(files, columns=columns, use_threads=False)
-    rec = stage_partition(batch, cfg, docs_path, postings_path)
-    return {"pid": pid, "input_files": files, **rec,
-            "wall_s": round(time.time() - t0, 3)}
+    batch = pq.read_table(unit["files"], columns=columns, use_threads=False)
+    rec = stage_partition(batch, cfg, unit["docs_path"],
+                          unit["postings_path"])
+    return {"pid": unit["pid"], "input_files": unit["files"], **rec,
+            "wall_s": _since(t0)}
 
 
 def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
@@ -193,7 +257,7 @@ def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
                               os.path.join(docs_dir, f"{pid}.parquet"),
                               os.path.join(postings_dir, f"{pid}.parquet"),
                               doc_ids)
-        rec = {"pid": pid, **rec, "wall_s": round(time.time() - t0, 3)}
+        rec = {"pid": pid, **rec, "wall_s": _since(t0)}
         return pa.table({"lineage": [json.dumps(rec)]})
 
     rows = (ds.select_columns(columns)
@@ -218,8 +282,6 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
     ``doc_lens(shard, doc_ids)`` supplies doc_len for postings staged
     without it (compaction joins it from the docs table)."""
     t0 = time.time()
-    pa.set_cpu_count(1)
-    pa.set_io_thread_count(2)
     dset = pads.dataset(stage_postings_dir, format="parquet")
     if "shard" in dset.schema.names:
         table = dset.scanner(filter=pads.field("shard").isin(shards),
@@ -251,7 +313,7 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
             "shard": shard,
             "postings": sub.num_rows,
             "terms": seg_table.num_rows,
-            "wall_s": round(time.time() - (t1 if len(shards) > 1 else t0), 3),
+            "wall_s": _since(t1 if len(shards) > 1 else t0),
         })
     return out
 
@@ -283,29 +345,18 @@ def shard_phase(shards: list[int], stage_postings: str, seg_paths: list[str],
                 encoder: SegmentEncoder, store_positions: bool,
                 concurrency: int | None = None,
                 doc_lens: DocLens | None = None) -> list[dict]:
-    """Encode ``shards`` from the staged postings into ``seg_paths`` as
-    Ray tasks; returns one lineage record per shard. Shards are batched
-    per task: one task per shard pays S × n_files parquet opens across
-    the phase (fixed cost dominates past ~256 shards at bench scale —
-    see _encode_shards); ≥4 waves per worker keep the load balanced.
-    ``doc_lens`` is passed to ``_encode_shards``."""
-    if not shards:
-        return []
-    units = [{"shard": k, "seg_path": p} for k, p in zip(shards, seg_paths)]
-
-    def run_shard(b: pa.Table) -> pa.Table:
-        us = b.to_pylist()
-        rows = _encode_shards([u["shard"] for u in us], stage_postings,
+    """Encode ``shards`` from the staged postings into ``seg_paths``
+    through ``map_units``; returns one lineage record per shard. Shards
+    are batched per task because a task's scan opens every staged file
+    once, whatever its shard count (see _encode_shards). ``doc_lens`` is
+    passed to ``_encode_shards``."""
+    def run(us: list[dict]) -> list[dict]:
+        return _encode_shards([u["shard"] for u in us], stage_postings,
                               [u["seg_path"] for u in us],
                               encoder, store_positions, doc_lens)
-        return pa.table({"lineage": [json.dumps(r) for r in rows]})
 
-    per_task = max(1, len(units) // (max(1, concurrency or 16) * 4))
-    res = (rd.from_items(units)
-           .map_batches(run_shard, batch_size=per_task,
-                        batch_format="pyarrow", concurrency=concurrency)
-           .take_all())
-    return [json.loads(r["lineage"]) for r in res]
+    return map_units(run, [{"shard": k, "seg_path": p}
+                           for k, p in zip(shards, seg_paths)], concurrency)
 
 
 def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
@@ -320,6 +371,7 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
     term_dict_dir = os.path.join(index_dir, "term_dict")
 
     # ---- phase: stats ----
+    t0 = time.time()
     n_docs, total_len = doc_totals(docs_dir)
     check_doc_id_collisions(docs_dir, n_docs)
     stats = index_stats(cfg, n_docs, total_len)
@@ -328,10 +380,12 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
     # stats.json let concurrent openers see a partial index). The
     # recompute above is deterministic, so a resumed build writes the
     # identical stats at the end.
-    manifest.mark_phase("stats", n_docs=n_docs, avgdl=stats["avgdl"])
+    manifest.mark_phase("stats", n_docs=n_docs, avgdl=stats["avgdl"],
+                        wall_s=_since(t0))
     manifest.save()
 
     # ---- phase: shards ----
+    t0 = time.time()
     encoder = SegmentEncoder(avgdl=stats["avgdl"], k1=cfg.k1, b=cfg.b,
                              block_size=cfg.block_size)
     pending = _pending_shards(manifest, segments_dir, cfg.num_shards)
@@ -340,12 +394,14 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
                            [_shard_path(segments_dir, k) for k in pending],
                            encoder, cfg.store_positions, concurrency):
         manifest.mark_shard(rec.pop("shard"), **rec)
+    manifest.mark_phase("shards", wall_s=_since(t0))
     manifest.save()
 
     # ---- phase: term_dict ----
     if not manifest.phase_done("term_dict"):
+        t0 = time.time()
         _write_term_dict(segments_dir, term_dict_dir)
-        manifest.mark_phase("term_dict")
+        manifest.mark_phase("term_dict", wall_s=_since(t0))
         manifest.save()
 
     write_seg_bucket_map(index_dir)  # first reader prunes immediately
@@ -366,9 +422,11 @@ def build_index_dataset(ds: rd.Dataset, index_dir: str,
     os.makedirs(stage_postings, exist_ok=True)
     manifest = Manifest.load_or_create(index_dir)
     manifest.data["config"] = _manifest_config(cfg, "dataset")
+    t0 = time.time()
     for rec in stage_dataset(ds, cfg, os.path.join(index_dir, "docs"),
                              stage_postings):
         manifest.mark_partition(rec.pop("pid"), **rec)
+    manifest.mark_phase("partitions", wall_s=_since(t0))
     manifest.save()
     return _finish_build(index_dir, cfg, manifest, None)
 
@@ -428,6 +486,7 @@ def build_index_resumable(source: str | list[str], index_dir: str,
     # ---- phase: partitions ---- skipped once every shard is encoded:
     # nothing reads the staged postings after that, and the commit
     # deleted them
+    t0 = time.time()
     units = []
     if _pending_shards(manifest, segments_dir, cfg.num_shards):
         for i, pfiles in enumerate(parts):
@@ -441,27 +500,16 @@ def build_index_resumable(source: str | list[str], index_dir: str,
     allowed = (len(units) if stop_after_partitions is None
                else stop_after_partitions)
     todo, deferred = units[:allowed], units[allowed:]
-    if todo:
-        def run_unit(b: pa.Table) -> pa.Table:
-            recs = [_process_partition(u["files"], u["pid"], cfg, columns,
-                                       u["docs_path"], u["postings_path"])
-                    for u in b.to_pylist()]
-            return pa.table({"lineage": [json.dumps(r) for r in recs]})
-
-        res = (
-            rd.from_items(todo)
-            .map_batches(run_unit, batch_size=1, batch_format="pyarrow",
-                         concurrency=concurrency)
-            .take_all()
-        )
-        for r in res:
-            rec = json.loads(r["lineage"])
-            manifest.mark_partition(rec.pop("pid"), **rec)
-        manifest.save()
+    for rec in map_units(
+            lambda us: [_process_partition(u, cfg, columns) for u in us],
+            todo, concurrency):
+        manifest.mark_partition(rec.pop("pid"), **rec)
     if deferred:
         manifest.save()
         raise BuildInterrupted(
             f"stopped after {allowed} partitions ({len(deferred)} remaining)")
+    manifest.mark_phase("partitions", wall_s=_since(t0))
+    manifest.save()
     return _finish_build(index_dir, cfg, manifest, concurrency)
 
 

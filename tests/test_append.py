@@ -370,8 +370,7 @@ def test_compact_crash_after_segment_swap_scores_exactly(
     import json
     import os
 
-    import ray.data as rd_mod
-
+    import stacksearch_ray.append as A
     from stacksearch_ray.append import compact_index, delete_from_index
     from stacksearch_ray.build import build_index, load_stats
     from stacksearch_ray.query import QueryEngine
@@ -390,17 +389,11 @@ def test_compact_crash_after_segment_swap_scores_exactly(
     before = {q: QueryEngine(idx).search(q, 10, "exhaustive")
               for q in QUERIES}
 
-    real_read = rd_mod.read_parquet
-
-    def crash_on_docs(path, *a, **k):
-        if str(path).rstrip("/").endswith("/docs"):
-            raise RuntimeError("injected crash before docs rewrite")
-        return real_read(path, *a, **k)
-
-    monkeypatch.setattr(rd_mod, "read_parquet", crash_on_docs)
+    # crash as the docs rewrite starts
+    monkeypatch.setattr(A, "_FAIL_AT", "compact_docs")
     with pytest.raises(RuntimeError, match="injected crash"):
         compact_index(idx)
-    monkeypatch.setattr(rd_mod, "read_parquet", real_read)
+    monkeypatch.setattr(A, "_FAIL_AT", None)
 
     # the crash window state: segments purged, docs not yet rewritten —
     # stats must NOT reference the deleted-df sidecar anymore (double

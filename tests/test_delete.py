@@ -113,6 +113,29 @@ def test_compact_purges_tombstones(deleted_setup, tmp_path):
             assert ec.search(q, 10, m) == want, (q, m)
 
 
+def test_compact_fully_deleted_index(ray_session, tmp_path):
+    """Compacting an index whose every doc is tombstoned commits an
+    empty, readable index (every docs part is rewritten, empty or not)."""
+    import os
+
+    from stacksearch_ray.append import compact_index, delete_from_index
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.corpus import write_corpus
+    from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.query import QueryEngine
+
+    write_corpus(str(tmp_path / "c"), 60, rows_per_file=30)
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c"), idx, num_shards=2)
+    ids = pq.read_table(os.path.join(idx, "docs"), columns=["doc_id"])
+    delete_from_index(idx, ids["doc_id"].to_pylist())
+    compact_index(idx)
+    assert pq.read_table(os.path.join(idx, "docs")).num_rows == 0
+    assert QueryEngine(idx).search("def return", 5) == []
+    rep = fsck_index(idx)
+    assert rep.ok, rep.errors
+
+
 def test_delete_random_sets_match_bm25_oracle(ray_session, tmp_path):
     """Randomized delete shapes vs the ground-truth oracle: for several
     seeded random delete sets, the tombstoned index's top-10 (ids AND

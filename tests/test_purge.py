@@ -20,7 +20,7 @@ KW = dict(content_col="text", id_col="doc_id", num_shards=4,
           store_positions=True)
 
 
-def _rebuild_without(root, del_ids, name):
+def _rebuild_without(root, del_ids, name, **kw):
     from stacksearch_ray.build import build_index
 
     t = pq.read_table(DOCS)
@@ -29,7 +29,7 @@ def _rebuild_without(root, del_ids, name):
     p = str(root / f"{name}.parquet")
     pq.write_table(surv, p)
     ref = str(root / name)
-    build_index(p, ref, **KW)
+    build_index(p, ref, **{**KW, **kw})
     return ref
 
 
@@ -96,6 +96,25 @@ def test_purge_all_then_sidecars_gone(ray_session, tmp_path_factory):
                                  "purge.staged-", "purge.pending-"))]
     ref = _rebuild_without(root, ids, "ref")
     _assert_same_search(idx, ref)
+
+
+def test_purge_fanned_out_equals_rebuild(ray_session, tmp_path_factory):
+    """A purge touching more than 16 segment files rewrites them in Ray
+    tasks (checkpoint.map_units) instead of inline; the result is the
+    rebuild's all the same."""
+    from stacksearch_ray.append import delete_from_index, purge_doc_ids
+    from stacksearch_ray.build import build_index
+
+    root = tmp_path_factory.mktemp("purge_fanout")
+    idx = str(root / "idx")
+    build_index(DOCS, idx, **{**KW, "num_shards": 20})
+    ids = pq.read_table(DOCS, columns=["doc_id"])["doc_id"].to_pylist()[::11]
+    delete_from_index(idx, ids)
+    shards = pq.read_table(os.path.join(idx, "docs"), columns=["shard"],
+                           filters=[("doc_id", "in", ids)])["shard"]
+    assert len(set(shards.to_pylist())) == 20  # every file is a candidate
+    purge_doc_ids(idx, ids)
+    _assert_same_search(idx, _rebuild_without(root, ids, "ref", num_shards=20))
 
 
 def test_purge_rejects_live_ids(purged):

@@ -139,3 +139,38 @@ def test_rerun_completed_build_is_noop(ray_session, corpus_dir, tmp_path_factory
     # nothing was re-tokenized, and no stage was rebuilt
     assert {f: os.path.getmtime(f) for f in docs} == docs_m
     assert not os.path.exists(os.path.join(idx, "stage"))
+
+
+def test_resumable_build_is_concurrency_independent(ray_session, corpus_dir,
+                                                    tmp_path_factory):
+    """However many writer tasks run, the resumable build writes the
+    same segment and term_dict bytes, one lineage record per partition
+    and per shard, and a wall time for each build phase."""
+    import hashlib
+    import json
+
+    from stacksearch_ray.checkpoint import build_index_resumable
+
+    def file_hashes(idx):
+        out = {}
+        for sub in ("segments", "term_dict"):
+            d = os.path.join(idx, sub)
+            for f in sorted(os.listdir(d)):
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[f"{sub}/{f}"] = hashlib.sha256(fh.read()).hexdigest()
+        return out
+
+    root = tmp_path_factory.mktemp("concurrency")
+    hashes = []
+    for conc in (1, 2, 4, None):
+        idx = str(root / f"c{conc}")
+        build_index_resumable(corpus_dir, idx, num_shards=4, concurrency=conc)
+        hashes.append(file_hashes(idx))
+        with open(os.path.join(idx, "manifest.json")) as f:
+            m = json.load(f)
+        assert sorted(m["partitions"]) == [f"part-{i:05d}" for i in range(8)]
+        assert sorted(m["shards"], key=int) == ["0", "1", "2", "3"]
+        for phase in ("partitions", "stats", "shards", "term_dict"):
+            assert m["phases"][phase]["wall_s"] >= 0, phase
+    assert len(hashes[0]) == 5  # 4 shard files + term_dict
+    assert all(h == hashes[0] for h in hashes[1:])

@@ -498,6 +498,16 @@ def test_dead_worker_raises_promptly(parity):
         assert sh.search(Q, 10)  # both workers up
         ray.kill(sh.workers[0])
         t0 = time.perf_counter()
+        # ray.kill is asynchronous: until the actor is seen dead, a
+        # search can still finish on it
+        while time.perf_counter() - t0 < 30:
+            try:
+                ray.get(sh.workers[0].__ray_ready__.remote(), timeout=1)
+            except ray.exceptions.RayActorError:
+                break
+            except ray.exceptions.GetTimeoutError:
+                continue
+            time.sleep(0.05)
         with pytest.raises(ray.exceptions.RayActorError):
             sh.search(Q, 10)
         assert time.perf_counter() - t0 < 30
