@@ -4,8 +4,9 @@ rebuild, /root/reference/index/index.py:62-76: insert→freeze→save).
 New documents are tokenized and encoded into ADDITIONAL segment files in
 the same segments/ directory; the query engine already merges multiple
 segment rows per (term, shard) (df sums, postings union — doc sets are
-disjoint by the collision check). stats.json and term_dict are refreshed
-from the updated docs/segments tables.
+disjoint by the collision check). stats.json is refreshed from the
+updated docs tables; the term_dict is the old one plus the (term, df,
+cf) partials the delta's shard tasks hand back.
 
 Correctness subtlety: block-max upper bounds are encoded against the
 avgdl at encode time. An append changes avgdl, so PRE-EXISTING segments'
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import uuid
 
 import numpy as np
@@ -44,7 +46,8 @@ from .build import (
     check_doc_id_collisions,
     doc_totals,
 )
-from .checkpoint import map_units
+from .checkpoint import map_units, write_term_dict
+from .schema import SEG_MAP_NAME, read_seg_map_entry, write_seg_bucket_map
 
 
 def recover_segments(index_dir: str) -> bool:
@@ -76,8 +79,10 @@ def recover_segments(index_dir: str) -> bool:
 _FAIL_AT: str | None = None  # test hook: crash injection inside commit
 
 # an append's scratch dirs, each suffixed with the append id: the delta's
-# docs parts, its staged postings, and its encoded segment files
-_APPEND_STAGED = ("docs.staged-", "postings.staged-", "segments.staged-")
+# docs parts, its staged postings, its encoded segment files, and the
+# index's next term_dict
+_APPEND_STAGED = ("docs.staged-", "postings.staged-", "segments.staged-",
+                  "term_dict.staged-")
 
 
 def _maybe_fail(point: str) -> None:
@@ -957,6 +962,7 @@ def append_to_index(source, index_dir: str,
 
     docs_dir = os.path.join(index_dir, "docs")
     segments_dir = os.path.join(index_dir, "segments")
+    term_dict_dir = os.path.join(index_dir, "term_dict")
 
     if isinstance(source, rd.Dataset):
         src_ds = source
@@ -981,10 +987,11 @@ def append_to_index(source, index_dir: str,
             shutil.rmtree(os.path.join(index_dir, name), ignore_errors=True)
 
     aid = uuid.uuid4().hex
-    staged_dir, post_staged, seg_staged = (
-        os.path.join(index_dir, f"{staged}{aid}") for staged in _APPEND_STAGED)
+    scratch = [os.path.join(index_dir, f"{staged}{aid}")
+               for staged in _APPEND_STAGED]
+    staged_dir, post_staged, seg_staged, td_staged = scratch
     try:
-        for d in (staged_dir, post_staged, seg_staged):
+        for d in scratch:
             os.makedirs(d)
         # one tokenize per delta batch: docs parts + staged postings
         stage_dataset(src_ds, cfg, staged_dir, post_staged)
@@ -1019,12 +1026,20 @@ def append_to_index(source, index_dir: str,
         shards = (np.unique(staged.to_table(columns=["shard"])["shard"]
                             .to_numpy()).tolist()
                   if "shard" in staged.schema.names else [])
-        shard_phase(shards, post_staged,
-                    [os.path.join(seg_staged, f"shard-{k:05d}.parquet")
-                     for k in shards], encoder, cfg.store_positions)
+        delta = shard_phase(
+            shards, post_staged,
+            [os.path.join(seg_staged, f"shard-{k:05d}.parquet")
+             for k in shards], encoder, cfg.store_positions)
         shutil.rmtree(post_staged)
+        # the next term_dict: the live one plus the delta's partials
+        # (vocab-sized, like purge's update), swapped in after the
+        # commit point. The delta's sidecar entries are dropped, as
+        # before: the first reader that prunes builds them.
+        write_term_dict(td_staged, [
+            pq.read_table(term_dict_dir, columns=["term", "df", "cf"]),
+            *delta.term_stats])
     except BaseException:
-        for d in (staged_dir, post_staged, seg_staged):
+        for d in scratch:
             shutil.rmtree(d, ignore_errors=True)
         raise
 
@@ -1054,13 +1069,9 @@ def append_to_index(source, index_dir: str,
 
     write_stats(index_dir, stats)  # COMMIT POINT (atomic replace)
     _maybe_fail("after_stats")
-
-    # term_dict refresh (global df/cf over ALL segment rows)
-    from .checkpoint import _write_term_dict
-
-    term_dict_dir = os.path.join(index_dir, "term_dict")
-    shutil.rmtree(term_dict_dir, ignore_errors=True)
-    _write_term_dict(segments_dir, term_dict_dir)
+    # a crash from here on is rolled forward by recover_appends, which
+    # rescans the term_dict
+    _apply_dir_swaps(index_dir, [[os.path.basename(td_staged), "term_dict"]])
     os.remove(journal)
     return stats
 
@@ -1220,6 +1231,10 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     follow-up ``compact_index`` re-encode restores pruning (compacted
     merge bitwise == rebuild, including positions).
 
+    The term_dict is the sum of the sources' term_dicts (each exact over
+    its files) and the sidecar carries each source's entries over under
+    the new names, so no segment file is scanned.
+
     Crash story: ``out_dir`` must be fresh; stats.json is written LAST,
     so an interrupted merge leaves an index that cannot be opened
     (load_stats fails) — delete and re-run. Files are hard-linked when
@@ -1269,26 +1284,48 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     os.makedirs(docs_out, exist_ok=True)
     os.makedirs(seg_out, exist_ok=True)
 
-    def link_all(src_sub: str, dst: str, tag: str) -> None:
-        for name in sorted(os.listdir(src_sub)):
+    def link_all(src_sub: str, dst: str, tag: str) -> list[str]:
+        names = sorted(os.listdir(src_sub))
+        for name in names:
             s_path = os.path.join(src_sub, name)
             d_path = os.path.join(dst, f"{tag}-{name}")
             try:
                 os.link(s_path, d_path)
             except OSError:
                 shutil.copy2(s_path, d_path)
+        return names
 
+    # each source's term_dict is exact over its files, and a link or
+    # copy2 keeps a file's size and mtime, so both the term_dict and the
+    # sidecar carry over without a segment scan; only a source entry
+    # that no longer matches its file is rebuilt from the file
+    seg_map: dict[str, dict] = {}
+    term_stats = []
     for i, s in enumerate(sources):
         link_all(os.path.join(s, "docs"), docs_out, f"merge{i}")
-        link_all(os.path.join(s, "segments"), seg_out, f"merge{i}")
+        try:
+            with open(os.path.join(s, SEG_MAP_NAME)) as f:
+                src_map = json.load(f)
+        except (OSError, ValueError):
+            src_map = {}
+        for name in link_all(os.path.join(s, "segments"), seg_out,
+                             f"merge{i}"):
+            if not name.endswith(".parquet"):
+                continue
+            path = os.path.join(seg_out, f"merge{i}-{name}")
+            st, ent = os.stat(path), src_map.get(name)
+            seg_map[f"merge{i}-{name}"] = (
+                ent if ent and (ent["size"], ent["mtime_ns"])
+                == (st.st_size, st.st_mtime_ns)
+                else read_seg_map_entry(path, st))
+        term_stats.append(pq.read_table(os.path.join(s, "term_dict"),
+                                        columns=["term", "df", "cf"]))
 
     n_docs = sum(int(st["n_docs"]) for st in stats_list)
     total_len = sum(int(st["total_len"]) for st in stats_list)
     check_doc_id_collisions(docs_out, n_docs)
 
-    from .checkpoint import _write_term_dict
-
-    _write_term_dict(seg_out, os.path.join(out_dir, "term_dict"))
+    write_term_dict(os.path.join(out_dir, "term_dict"), term_stats)
     stats = dict(base)
     for drop in ("tombstones_file", "deleted_df_file", "last_append_id"):
         stats.pop(drop, None)
@@ -1315,14 +1352,17 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
         stats.update({"tombstones_file": tomb_name,
                       "n_tombstones": len(allt),
                       "deleted_df_file": ddf_name})
+    write_seg_bucket_map(out_dir, seg_map)
     write_stats(out_dir, stats)  # COMMIT POINT — index readable from here
-    from .query import write_seg_bucket_map
-
-    write_seg_bucket_map(out_dir)  # post-commit polish: readers prune cold
     return stats
 
 
 _COMPACT_DOCLENS_CACHE: dict[tuple[str, int], object] = {}
+
+# the shard number every writer puts at the end of a segment file's
+# name (shard-00003.parquet, append-<id>-shard-00003.parquet,
+# merge0-shard-00003.parquet)
+_SHARD_FILE = re.compile(r"shard-(\d+)\.parquet$")
 
 
 def _doclens_for_shard(docs_dir: str, shard: int, gen: int = 0):
@@ -1384,15 +1424,22 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     single-process engine stays correct at every crash point (scoring
     never reads docs.shard); re-open ShardedQueryEngine pools after.
 
-    Ray pipeline, on the build's own phases (a native groupby sort over
+    Ray pipeline, on the build's own encode (a native groupby sort over
     the exploded postings measured 117 s against the build's 76 s at 2M
-    docs/256 shards): segment-file tasks decode rows to postings (one
-    batched varint decode per task) and stage them like a build
-    partition (``checkpoint.write_staged_postings``); the build's
-    ``shard_phase`` then encodes ONE segment file per shard, joining
-    doc_len from the shard-pruned docs table (cached per worker). Temp
-    dir → swap. Output segment rows are bitwise identical to a
-    rebuild's (tested)."""
+    docs/256 shards). With the shard count unchanged, one ``map_units``
+    pass runs one unit per shard: it reads the shard's files (base,
+    appended, merged — each file's name ends in its shard), decodes them
+    (one batched varint decode per file), drops tombstoned local numbers
+    through each file's doc map, and encodes ONE segment file under the
+    current stats, joining doc_len from the shard-pruned docs table
+    (cached per worker). A reshard takes two passes: segment-file tasks
+    decode rows to postings and stage them like a build partition
+    (``checkpoint.write_staged_postings``), then the build's
+    ``shard_phase`` encodes each new shard. Both order a shard's rows the
+    same way: files in groups of ``len(files) // 64``, each group sorted
+    by term. Like a build, the tasks hand back the term_dict partials and
+    sidecar entries, so nothing re-reads the new files. Temp dir → swap.
+    Output segment rows are bitwise identical to a rebuild's (tested)."""
     import shutil
 
     import numpy as np
@@ -1500,52 +1547,91 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         # docs.shard); re-running compact_index(num_shards=...) heals.
         swap_in_docs()
 
-    # ---- staged-spill re-encode (see the docstring) ----
-    from .checkpoint import shard_phase, write_staged_postings
+    from .checkpoint import (collect_shards, encode_shard_files, shard_phase,
+                             write_staged_postings)
 
-    stage_dir = os.path.join(index_dir, "stage", "compact-postings")
-    shutil.rmtree(stage_dir, ignore_errors=True)
-    os.makedirs(stage_dir, exist_ok=True)
     seg_files = sorted(
         os.path.join(segments_dir, f) for f in os.listdir(segments_dir)
         if f.endswith(".parquet"))
-    # staged parts group at most 1/64 of the segment files each: the
-    # grouping sets the row order of the compacted files, so it depends
-    # on the file count alone, never on how many tasks run
+    # the rows of a compacted file come in groups of at most 1/64 of the
+    # segment files each, every group sorted by term: the grouping sets
+    # the row order of the compacted files, so it depends on the file
+    # count alone, never on how many tasks run
     files_per_part = max(1, len(seg_files) // 64)
-    units = [{"files": seg_files[i:i + files_per_part],
-              "out": os.path.join(stage_dir, f"part-{i//files_per_part:05d}.parquet")}
-             for i in range(0, len(seg_files), files_per_part)]
-
-    def run_explode(units: list[dict]) -> list[dict]:
-        for u in units:
-            parts = []
-            for f in u["files"]:
-                t = pq.read_table(f, use_threads=False)
-                if t.num_rows:
-                    parts.append(explode(t, read_doc_map(f)))
-            postings = (pa.concat_tables(parts) if parts
-                        else pa.table({"doc_id": pa.array([], pa.int64())}))
-            if postings.num_rows:
-                write_staged_postings(postings, u["out"])
-        return []
-
-    map_units(run_explode, units)
-
+    groups = [seg_files[i:i + files_per_part]
+              for i in range(0, len(seg_files), files_per_part)]
     tmp = segments_dir + ".compact"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
+    out_paths = [os.path.join(tmp, f"shard-{k:05d}.parquet")
+                 for k in range(s_new)]
 
     def doc_lens(shard: int, ids: np.ndarray) -> np.ndarray:
         return _doclens_for_shard(docs_dir, shard, s_new).lookup(ids)
 
-    # a fully tombstoned / empty corpus stages nothing: every shard
-    # file is then written empty
-    shard_phase(list(range(s_new)), stage_dir,
-                [os.path.join(tmp, f"shard-{k:05d}.parquet")
-                 for k in range(s_new)],
-                encoder, store_positions, doc_lens=doc_lens)
-    shutil.rmtree(stage_dir, ignore_errors=True)
+    def postings_of(files: list[str], shard: int | None = None
+                    ) -> pa.Table | None:
+        # the kept postings of ``files``, or None when they hold none;
+        # ``shard``: the one shard the files' names say they hold
+        parts = []
+        for f in files:
+            t = pq.read_table(f, use_threads=False)
+            if shard is not None and pc.any(
+                    pc.not_equal(t["shard"], shard)).as_py():
+                raise ValueError(f"{f} holds rows of a shard other than "
+                                 f"{shard}")
+            if t.num_rows:
+                parts.append(explode(t, read_doc_map(f)))
+        return pa.concat_tables(parts) if parts else None
+
+    shard_of_file = [_SHARD_FILE.search(f) for f in seg_files]
+    if reshard or not all(shard_of_file):
+        # postings change shard (or a file's shard is unknown): decode
+        # every file into staged parts, one per group, then encode each
+        # new shard from them like a build
+        stage_dir = os.path.join(index_dir, "stage", "compact-postings")
+        shutil.rmtree(stage_dir, ignore_errors=True)
+        os.makedirs(stage_dir, exist_ok=True)
+
+        def run_explode(units: list[dict]) -> list[dict]:
+            for u in units:
+                postings = postings_of(u["files"])
+                if postings is not None and postings.num_rows:
+                    write_staged_postings(postings, u["out"])
+            return []
+
+        map_units(run_explode, [
+            {"files": g, "out": os.path.join(stage_dir, f"part-{i:05d}.parquet")}
+            for i, g in enumerate(groups)])
+        # a fully tombstoned / empty corpus stages nothing: every shard
+        # file is then written empty
+        out = shard_phase(list(range(s_new)), stage_dir, out_paths, encoder,
+                          store_positions, doc_lens=doc_lens)
+        shutil.rmtree(stage_dir, ignore_errors=True)
+    else:
+        # one pass: each unit re-encodes one shard from its own files,
+        # each group's rows sorted by term as its staged part would be
+        file_shard = {f: int(m.group(1))
+                      for f, m in zip(seg_files, shard_of_file)}
+
+        def run_shards(units: list[dict]) -> list[dict]:
+            groups_of = {u["shard"]: u["groups"] for u in units}
+
+            def rows_of(shard: int) -> pa.Table:
+                parts = [p.sort_by("term") for p in
+                         (postings_of(g, shard) for g in groups_of[shard])
+                         if p is not None]
+                return pa.concat_tables(parts) if parts else pa.table({})
+
+            return [encode_shard_files(
+                [u["shard"] for u in units], [u["seg_path"] for u in units],
+                rows_of, encoder, store_positions, doc_lens)]
+
+        out = collect_shards(map_units(run_shards, [
+            {"shard": k, "seg_path": out_paths[k],
+             "groups": [fs for g in groups
+                        if (fs := [f for f in g if file_shard[f] == k])]}
+            for k in range(s_new)]))
     swap_in(segments_dir)
 
     from .build import write_stats
@@ -1572,11 +1658,10 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         # the final write, so engines keep masking (a no-op once purged)
         swap_in_docs()
 
-    from .checkpoint import _write_term_dict
-
     term_dict_dir = os.path.join(index_dir, "term_dict")
     shutil.rmtree(term_dict_dir, ignore_errors=True)
-    _write_term_dict(segments_dir, term_dict_dir)
+    write_term_dict(term_dict_dir, out.term_stats,
+                    sum(r["terms"] for r in out.lineage), segments_dir)
 
     stats["appended"] = False
     stats["num_shards"] = s_new  # reshard commit rides the final write
@@ -1587,9 +1672,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         for name in os.listdir(index_dir):
             if name.startswith(("tombstones-", "deleted-df-")):
                 os.remove(os.path.join(index_dir, name))
-    from .query import write_seg_bucket_map
-
-    write_seg_bucket_map(index_dir)  # compaction replaced every file
+    write_seg_bucket_map(index_dir, out.seg_map)  # every file is new
     return stats
 
 

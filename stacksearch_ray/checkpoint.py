@@ -12,10 +12,16 @@
   shards: ``shard_phase`` batches index shards into Ray tasks; each task
       reads its shards' row groups of the staged postings in one scan
       (predicate pushdown on ``shard``) and encodes one segment file per
-      shard (``_encode_shards``), temp-then-rename.
-  term_dict: Sum(df/cf) per term over segments.
-  commit: seg_bucket_map.json, then stats.json (the commit point), then
-      the staged postings are deleted.
+      shard (``_encode_shards``), temp-then-rename. With its lineage a
+      task hands back each file's seg_bucket_map.json entry and one
+      (term, Σdf, Σcf) partial over its files (``encode_shard_files``).
+  term_dict: the partials summed per term, sorted by term, and the
+      sidecar from the entries — no segment file is read. Only shards an
+      interrupted run encoded are read, each from its own file; an index
+      of ``_TERM_DICT_RAY_THRESHOLD`` or more segment rows scans its
+      segments with a distributed groupby instead.
+  commit: stats.json (the commit point), then the staged postings are
+      deleted.
 
 On restart every phase skips units the manifest marks done (and whose
 outputs exist). Once every shard is encoded the partition phase is
@@ -47,6 +53,7 @@ import shutil
 import time
 import uuid
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -69,7 +76,14 @@ from .build import (
     index_stats,
     write_stats,
 )
-from .schema import sha256_batch, shard_of
+from .schema import (
+    TERM_DICT_SCHEMA,
+    read_seg_map_entry,
+    seg_map_entry,
+    sha256_batch,
+    shard_of,
+    write_seg_bucket_map,
+)
 from .state.manifest import Manifest, atomic_write_parquet
 from .text import term_frequencies
 
@@ -267,33 +281,24 @@ def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
     return [json.loads(r["lineage"]) for r in rows]
 
 
-def _encode_shards(shards: list[int], stage_postings_dir: str,
-                   seg_paths: list[str], encoder: SegmentEncoder,
-                   store_positions: bool = False,
-                   doc_lens: DocLens | None = None) -> list[dict]:
-    """Encode a BATCH of shards from ONE staged-postings scan. With one
-    scan per shard, a high shard count pays S × n_partition_files
-    parquet opens (measured: 41 s → 106 s shard phase going 256 → 1024
-    shards on the 2M-doc corpus, ~65k extra footer reads) — batching
-    divides the fixed open cost by the batch size. Row groups are
-    shard-aligned spans in shard order within each file, so the
-    combined scan filtered per shard yields rows in exactly the order
-    the per-shard scan did — segment output is bitwise unchanged.
-    ``doc_lens(shard, doc_ids)`` supplies doc_len for postings staged
-    without it (compaction joins it from the docs table)."""
-    t0 = time.time()
-    dset = pads.dataset(stage_postings_dir, format="parquet")
-    if "shard" in dset.schema.names:
-        table = dset.scanner(filter=pads.field("shard").isin(shards),
-                             use_threads=False).to_table()
-    else:  # nothing staged (empty source): every shard file is empty
-        table = pa.table({"shard": pa.array([], pa.int32())})
-    shard_col = table["shard"].to_numpy() if table.num_rows else None
-    out = []
+def encode_shard_files(shards: list[int], seg_paths: list[str],
+                       rows_of: Callable[[int], pa.Table],
+                       encoder: SegmentEncoder, store_positions: bool,
+                       doc_lens: DocLens | None = None,
+                       shared_s: float = 0.0) -> dict:
+    """One writer task's encode: shard ``k``'s postings ``rows_of(k)``
+    → one segment file, per shard. Returns the task's result for
+    ``collect_shards``: a lineage record per shard, with the file's
+    sidecar entry taken from the term column just written, and one
+    (term, df, cf) partial over the task's files, so no writer re-reads
+    what it wrote. ``doc_lens(shard, doc_ids)`` supplies doc_len for
+    postings staged without it (compaction joins it from the docs
+    table); ``shared_s``, seconds spent for all the task's shards at
+    once, is charged to each shard's wall time in equal shares."""
+    recs, stats = [], []
     for shard, seg_path in zip(shards, seg_paths):
         t1 = time.time()
-        sub = table.take(np.flatnonzero(shard_col == shard)) \
-            if table.num_rows else table
+        sub = rows_of(shard)
         if doc_lens is not None and sub.num_rows:
             ids = np.asarray(sub["doc_id"].combine_chunks()).astype(np.int64)
             sub = sub.append_column(
@@ -309,12 +314,68 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
         atomic_write_parquet(
             seg_table, seg_path,
             row_group_boundaries=list(range(64, seg_table.num_rows, 64)))
-        out.append({
-            "shard": shard,
-            "postings": sub.num_rows,
-            "terms": seg_table.num_rows,
-            "wall_s": _since(t1 if len(shards) > 1 else t0),
-        })
+        stats.append(seg_table.select(["term", "df", "cf"]))
+        recs.append({
+            "shard": shard, "postings": sub.num_rows,
+            "terms": seg_table.num_rows, "file": os.path.basename(seg_path),
+            "seg_map": seg_map_entry(os.stat(seg_path), seg_table["term"]),
+            "wall_s": round(time.time() - t1 + shared_s / len(shards), 3)})
+    # one vocab-bounded partial per task; through numpy, as Arrow's
+    # to_pylist builds a scalar per value (30-50x slower)
+    ts = sum_term_stats(stats)
+    return {"shards": recs,
+            "term_stats": {c: ts[c].to_numpy().tolist()
+                           for c in ts.column_names}}
+
+
+def _encode_shards(shards: list[int], stage_postings_dir: str,
+                   seg_paths: list[str], encoder: SegmentEncoder,
+                   store_positions: bool = False,
+                   doc_lens: DocLens | None = None) -> dict:
+    """Encode a BATCH of shards from ONE staged-postings scan. With one
+    scan per shard, a high shard count pays S × n_partition_files
+    parquet opens (measured: 41 s → 106 s shard phase going 256 → 1024
+    shards on the 2M-doc corpus, ~65k extra footer reads) — batching
+    divides the fixed open cost by the batch size. Row groups are
+    shard-aligned spans in shard order within each file, so the
+    combined scan filtered per shard yields rows in exactly the order
+    the per-shard scan did — segment output is bitwise unchanged. The
+    scan serves every shard of the task, so each shard is charged an
+    equal share of it (``encode_shard_files``)."""
+    t0 = time.time()
+    dset = pads.dataset(stage_postings_dir, format="parquet")
+    if "shard" in dset.schema.names:
+        table = dset.scanner(filter=pads.field("shard").isin(shards),
+                             use_threads=False).to_table()
+    else:  # nothing staged (empty source): every shard file is empty
+        table = pa.table({"shard": pa.array([], pa.int32())})
+    shard_col = table["shard"].to_numpy() if table.num_rows else None
+
+    def rows_of(shard: int) -> pa.Table:
+        return (table.take(np.flatnonzero(shard_col == shard))
+                if table.num_rows else table)
+
+    return encode_shard_files(shards, seg_paths, rows_of, encoder,
+                              store_positions, doc_lens, time.time() - t0)
+
+
+class ShardOutput(NamedTuple):
+    """What a shard fan-out hands the driver, so that it writes the
+    term_dict and the sidecar without reading a segment file."""
+    lineage: list[dict]        # one record per shard
+    term_stats: list[pa.Table]  # one (term, df, cf) partial per task
+    seg_map: dict[str, dict]   # file name → sidecar entry
+
+
+def collect_shards(results: list[dict]) -> ShardOutput:
+    """``encode_shard_files`` task results as one ShardOutput."""
+    out = ShardOutput([], [], {})
+    for r in results:
+        out.term_stats.append(pa.table(r["term_stats"],
+                                       schema=TERM_DICT_SCHEMA))
+        for rec in r["shards"]:
+            out.seg_map[rec.pop("file")] = rec.pop("seg_map")
+            out.lineage.append(rec)
     return out
 
 
@@ -344,19 +405,19 @@ def _pending_shards(manifest: Manifest, segments_dir: str,
 def shard_phase(shards: list[int], stage_postings: str, seg_paths: list[str],
                 encoder: SegmentEncoder, store_positions: bool,
                 concurrency: int | None = None,
-                doc_lens: DocLens | None = None) -> list[dict]:
+                doc_lens: DocLens | None = None) -> ShardOutput:
     """Encode ``shards`` from the staged postings into ``seg_paths``
-    through ``map_units``; returns one lineage record per shard. Shards
-    are batched per task because a task's scan opens every staged file
-    once, whatever its shard count (see _encode_shards). ``doc_lens`` is
-    passed to ``_encode_shards``."""
+    through ``map_units``. Shards are batched per task because a task's
+    scan opens every staged file once, whatever its shard count (see
+    _encode_shards). ``doc_lens`` is passed to ``_encode_shards``."""
     def run(us: list[dict]) -> list[dict]:
-        return _encode_shards([u["shard"] for u in us], stage_postings,
-                              [u["seg_path"] for u in us],
-                              encoder, store_positions, doc_lens)
+        return [_encode_shards([u["shard"] for u in us], stage_postings,
+                               [u["seg_path"] for u in us],
+                               encoder, store_positions, doc_lens)]
 
-    return map_units(run, [{"shard": k, "seg_path": p}
-                           for k, p in zip(shards, seg_paths)], concurrency)
+    return collect_shards(map_units(
+        run, [{"shard": k, "seg_path": p} for k, p in zip(shards, seg_paths)],
+        concurrency))
 
 
 def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
@@ -364,8 +425,6 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
     """The phases after partitioning, shared by every build: stats →
     shards → term_dict → commit. Each skips what the manifest marks
     done, so a resumed build picks up where it stopped."""
-    from .query import write_seg_bucket_map
-
     docs_dir = os.path.join(index_dir, "docs")
     segments_dir = os.path.join(index_dir, "segments")
     term_dict_dir = os.path.join(index_dir, "term_dict")
@@ -390,21 +449,29 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
                              block_size=cfg.block_size)
     pending = _pending_shards(manifest, segments_dir, cfg.num_shards)
     stage_postings = os.path.join(index_dir, "stage", "postings")
-    for rec in shard_phase(pending, stage_postings,
-                           [_shard_path(segments_dir, k) for k in pending],
-                           encoder, cfg.store_positions, concurrency):
+    out = shard_phase(pending, stage_postings,
+                      [_shard_path(segments_dir, k) for k in pending],
+                      encoder, cfg.store_positions, concurrency)
+    for rec in out.lineage:
         manifest.mark_shard(rec.pop("shard"), **rec)
     manifest.mark_phase("shards", wall_s=_since(t0))
     manifest.save()
 
-    # ---- phase: term_dict ----
+    # ---- phase: term_dict, and the sidecar the first reader prunes by
     if not manifest.phase_done("term_dict"):
         t0 = time.time()
-        _write_term_dict(segments_dir, term_dict_dir)
+        # shards an interrupted run encoded: read only their files
+        for k in sorted(set(range(cfg.num_shards)) - set(pending)):
+            path = _shard_path(segments_dir, k)
+            out.term_stats.append(pq.read_table(
+                path, columns=["term", "df", "cf"], use_threads=False))
+            out.seg_map[os.path.basename(path)] = read_seg_map_entry(path)
+        n_rows = sum(int(r["terms"]) for r in manifest.data["shards"].values())
+        write_term_dict(term_dict_dir, out.term_stats, n_rows, segments_dir)
+        write_seg_bucket_map(index_dir, out.seg_map)
         manifest.mark_phase("term_dict", wall_s=_since(t0))
         manifest.save()
 
-    write_seg_bucket_map(index_dir)  # first reader prunes immediately
     write_stats(index_dir, stats)    # COMMIT POINT: the index now opens
     # every shard is encoded: the staged postings are spent
     shutil.rmtree(os.path.join(index_dir, "stage"), ignore_errors=True)
@@ -518,14 +585,36 @@ def build_index_resumable(source: str | list[str], index_dir: str,
 _TERM_DICT_RAY_THRESHOLD = 20_000_000
 
 
+def sum_term_stats(parts: list[pa.Table]) -> pa.Table:
+    """term_dict rows from (term, df, cf) partials: Σdf and Σcf per
+    term, sorted by term (a prefix filter then prunes row groups)."""
+    t = pa.concat_tables([p.cast(TERM_DICT_SCHEMA) for p in parts])
+    t = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+    return t.rename_columns(["term", "df", "cf"]).sort_by("term")
+
+
+def write_term_dict(term_dict_dir: str, parts: list[pa.Table],
+                    n_rows: int = 0, segments_dir: str | None = None) -> None:
+    """The term_dict from (term, df, cf) partials (``sum_term_stats``):
+    what a writer's tasks handed back, or the term_dicts it merges. An
+    index of ``_TERM_DICT_RAY_THRESHOLD`` or more segment rows
+    (``n_rows``) scans ``segments_dir`` instead, whose groupby runs
+    distributed."""
+    if n_rows >= _TERM_DICT_RAY_THRESHOLD:
+        _write_term_dict(segments_dir, term_dict_dir)
+        return
+    os.makedirs(term_dict_dir, exist_ok=True)
+    pq.write_table(sum_term_stats(parts),
+                   os.path.join(term_dict_dir, "term_dict.parquet"))
+
+
 def _write_term_dict(segments_dir: str, term_dict_dir: str) -> None:
+    """The term_dict from a scan of every segment file: append recovery
+    and indexes past ``_TERM_DICT_RAY_THRESHOLD`` segment rows."""
     dset = pads.dataset(segments_dir, format="parquet")
     if dset.count_rows() < _TERM_DICT_RAY_THRESHOLD:
-        t = dset.to_table(columns=["term", "df", "cf"])
-        agg = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-        agg = agg.rename_columns(["term", "df", "cf"])
-        os.makedirs(term_dict_dir, exist_ok=True)
-        pq.write_table(agg, os.path.join(term_dict_dir, "term_dict.parquet"))
+        write_term_dict(term_dict_dir,
+                        [dset.to_table(columns=["term", "df", "cf"])])
     else:
         from ray.data.aggregate import Sum
 
@@ -533,5 +622,6 @@ def _write_term_dict(segments_dir: str, term_dict_dir: str) -> None:
             rd.read_parquet(segments_dir, columns=["term", "df", "cf"])
             .groupby("term")
             .aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
+            .sort("term")
             .write_parquet(term_dict_dir)
         )

@@ -24,6 +24,10 @@ Checks (each independent; all violations collected, not just the first):
 7. pruning soundness: multiple segment rows per (term, shard) are only
    legal while stats["appended"] is set (a compacted index must be one
    row per key — stale block-max bounds would otherwise serve).
+8. seg_bucket_map.json: an entry whose (size, mtime_ns) matches its
+   segment file lists exactly that file's term buckets (a wrong entry
+   with a matching key would silently prune away a file that holds the
+   term; an entry that does not match is stale and readers rebuild it).
 
 The audit streams the index artifacts driver-side (they are orders of
 magnitude smaller than the corpus); at extreme index sizes run the
@@ -32,6 +36,7 @@ segments pass as a Ray ``map_batches`` over the same per-row checks.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 
@@ -40,7 +45,7 @@ import pyarrow.parquet as pq
 
 from .build import check_format, load_stats
 from .codec import decode_doc_ids, decode_positions, decode_tfs
-from .schema import read_doc_map, shard_of
+from .schema import SEG_MAP_NAME, read_doc_map, scan_seg_bucket_map, shard_of
 
 
 @dataclass
@@ -203,6 +208,23 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     if dup_keys and not stats.get("appended"):
         rep._err(f"{dup_keys} duplicate (term, shard) segment row(s) on "
                  "a compacted index — pruning bounds are unsound")
+
+    # ---- 8. file-pruning sidecar ----
+    try:
+        with open(os.path.join(index_dir, SEG_MAP_NAME)) as f:
+            seg_map = json.load(f)
+    except FileNotFoundError:
+        seg_map = {}
+    except ValueError as ex:
+        rep._err(f"{SEG_MAP_NAME} unreadable: {ex}")
+        seg_map = {}
+    for name, want in scan_seg_bucket_map(seg_dir).items():
+        ent = seg_map.get(name, {})
+        key = ("size", "mtime_ns")
+        if ([ent.get(k) for k in key] == [want[k] for k in key]
+                and ent.get("buckets") != want["buckets"]):
+            rep._err(f"{SEG_MAP_NAME}: entry for {name} matches the file "
+                     "but lists other term buckets")
 
     # ---- 5. term_dict ----
     td_dir = os.path.join(index_dir, "term_dict")

@@ -6422,9 +6422,9 @@ AUTOCOMPLETE_PREFIX = "s"
 def term_autocomplete(sf_dir: str):
     """Query autocompletion: top-10 vocabulary terms under a prefix,
     ranked by document frequency (df desc, term asc). Serving-path
-    shape: the term_dict parquet is term-sorted (groupby output), so
-    the prefix range ['s', 't') prunes to the row groups that can
-    contain it — a bounded read, no scan, no shuffle."""
+    shape: every index writer sorts the term_dict by term, so the
+    prefix range ['s', 't') prunes to the row groups that can contain
+    it — a bounded read, no scan, no shuffle."""
     eng = _index_for(sf_dir)
     p = AUTOCOMPLETE_PREFIX
     hi = p[:-1] + chr(ord(p[-1]) + 1)

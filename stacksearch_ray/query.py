@@ -60,7 +60,13 @@ from .codec import (
     decode_tfs,
 )
 from .micros import to_micros
-from .schema import read_doc_map
+from .schema import (
+    SEG_MAP_NAME,
+    map_buckets_of,
+    read_doc_map,
+    read_seg_map_entry,
+    write_seg_bucket_map,
+)
 from .text import clean_query
 
 
@@ -95,53 +101,6 @@ def _file_version(path: str) -> tuple[int, int, int]:
     number) belongs to one version of a file."""
     st = os.stat(path)
     return (st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-def _seg_map_entry(path: str, st: os.stat_result | None = None) -> dict:
-    """One segment file's sidecar entry: term-only column scan →
-    sorted distinct map-bucket list, keyed by (size, mtime_ns). The
-    SINGLE implementation behind both the build paths' eager emit
-    (scan_seg_bucket_map) and the reader's lazy per-file refresh
-    (_load_seg_map) — the two must never diverge."""
-    if st is None:
-        st = os.stat(path)
-    # ParquetFile.read skips read_table's dataset machinery —
-    # 0.3 ms vs 2.7 ms per small file (measured, 222-file index)
-    terms = pq.ParquetFile(path).read(columns=["term"],
-                                      use_threads=False)["term"]
-    uniq = terms.combine_chunks().unique()
-    bks = (sorted(set(
-        QueryEngine._map_buckets_of(uniq.to_pylist()).tolist()))
-        if len(uniq) else [])
-    return {"size": st.st_size, "mtime_ns": st.st_mtime_ns,
-            "buckets": bks}
-
-
-def scan_seg_bucket_map(seg_dir: str) -> dict[str, dict]:
-    """Sidecar entries for every segment file (see _seg_map_entry).
-    Serial on purpose: the per-file cost is GIL-held footer parsing,
-    so a thread pool only adds switching overhead (measured 67 ms
-    serial vs 427 ms with 8 threads at 222 files)."""
-    return {n: _seg_map_entry(os.path.join(seg_dir, n))
-            for n in sorted(os.listdir(seg_dir))
-            if n.endswith(".parquet")}
-
-
-def write_seg_bucket_map(index_dir: str) -> str:
-    """Emit the cold-query file-pruning sidecar (seg_bucket_map.json)
-    for a complete index — called by the build paths so the FIRST
-    reader already prunes; readers keep the lazy per-file refresh for
-    indexes mutated after the fact (append/purge/compact invalidate
-    exactly the files they rewrite via the size+mtime keys)."""
-    import json
-
-    entries = scan_seg_bucket_map(os.path.join(index_dir, "segments"))
-    side = os.path.join(index_dir, "seg_bucket_map.json")
-    tmp = side + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(entries, f)
-    os.replace(tmp, side)
-    return side
 
 
 def sorted_member_mask(sorted_arr: np.ndarray, ids: np.ndarray,
@@ -330,30 +289,18 @@ class QueryEngine:
 
     # file-level term pruning: segment files group terms by the BUILD's
     # hash buckets, which range statistics can't prune (hashed terms
-    # span the alphabet in every file). The map records, per segment
-    # file, the set of term map-buckets (hash % _MAP_BUCKETS — build-
-    # independent, derived from the file's ACTUAL terms, so it is
-    # correct for any writer: build, append, compact, merge, purge)
-    # present in it; a cold term then touches only files whose set
-    # contains its bucket. Built lazily from one term-column scan,
-    # persisted as a sidecar keyed by (size, mtime_ns) per file — any
-    # lifecycle rewrite invalidates exactly the rewritten files.
-    _MAP_BUCKETS = 4096
-
-    @staticmethod
-    def _map_buckets_of(terms) -> np.ndarray:
-        import pandas as pd
-
-        return (pd.util.hash_array(np.asarray(terms, dtype=object))
-                % np.uint64(QueryEngine._MAP_BUCKETS)).astype(np.int64)
-
+    # span the alphabet in every file). The sidecar (schema.SEG_MAP_NAME)
+    # records, per segment file, the set of term map-buckets present in
+    # it; a cold term then touches only files whose set contains its
+    # bucket. Writers emit it; stale or missing entries are rebuilt
+    # lazily from one term-column scan per file.
     def _load_seg_map(self) -> dict[str, set] | None:
         if self._seg_map_loaded:
             return self._seg_map
         self._seg_map_loaded = True
         import json
 
-        side = os.path.join(self.index_dir, "seg_bucket_map.json")
+        side = os.path.join(self.index_dir, SEG_MAP_NAME)
         try:
             files = sorted(f for f in os.listdir(self._seg_dir)
                            if f.endswith(".parquet"))
@@ -381,14 +328,11 @@ class QueryEngine:
                 out[name] = set(ent["buckets"])
                 continue
             changed = True
-            entries[name] = _seg_map_entry(path, st)
+            entries[name] = read_seg_map_entry(path, st)
             out[name] = set(entries[name]["buckets"])
         if changed or set(cached) != set(files):
             try:  # best-effort persist (read-only dirs stay in-memory)
-                tmp = side + f".tmp.{os.getpid()}"
-                with open(tmp, "w") as f:
-                    json.dump(entries, f)
-                os.replace(tmp, side)
+                write_seg_bucket_map(self.index_dir, entries)
             except OSError:
                 pass
         self._seg_map = out
@@ -400,7 +344,7 @@ class QueryEngine:
         m = self._load_seg_map()
         if m is None:
             return None
-        want = set(self._map_buckets_of(terms).tolist())
+        want = set(map_buckets_of(terms).tolist())
         return [os.path.join(self._seg_dir, f)
                 for f, bks in sorted(m.items())
                 if not want.isdisjoint(bks)]

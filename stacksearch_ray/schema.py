@@ -18,9 +18,13 @@ Tables:
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 CORPUS_SCHEMA = pa.schema(
     [
@@ -204,8 +208,6 @@ def with_doc_map(table: pa.Table, doc_map: np.ndarray) -> pa.Table:
 
 def read_doc_map(path: str) -> np.ndarray:
     """The doc map of the segment file at ``path`` (footer read only)."""
-    import pyarrow.parquet as pq
-
     meta = pq.read_schema(path).metadata or {}
     if DOC_MAP_KEY not in meta:
         raise ValueError("segment file has no doc map (index format "
@@ -222,3 +224,64 @@ def local_numbers(doc_map: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return np.empty(0, np.int64)
     j = np.minimum(np.searchsorted(ids, doc_map), len(ids) - 1)
     return np.flatnonzero(ids[j] == doc_map)
+
+
+# seg_bucket_map.json, the cold-query file-pruning sidecar: per segment
+# file name, the sorted distinct map buckets (hash % SEG_MAP_BUCKETS) of
+# the file's terms, keyed by the file's (size, mtime_ns). Buckets come
+# from the file's ACTUAL terms, so an entry is right for any writer;
+# any rewrite of a file invalidates exactly its entry.
+SEG_MAP_NAME = "seg_bucket_map.json"
+SEG_MAP_BUCKETS = 4096
+
+
+def map_buckets_of(terms) -> np.ndarray:
+    """The sidecar bucket of each term."""
+    import pandas as pd
+
+    return (pd.util.hash_array(np.asarray(terms, dtype=object))
+            % np.uint64(SEG_MAP_BUCKETS)).astype(np.int64)
+
+
+def seg_map_entry(st, terms: pa.Array | pa.ChunkedArray) -> dict:
+    """The sidecar entry of a segment file with stat ``st`` whose term
+    column is ``terms``. Writers call it with the column they just
+    wrote; ``read_seg_map_entry`` with the column it read."""
+    uniq = pc.unique(terms).to_numpy(zero_copy_only=False)
+    bks = np.unique(map_buckets_of(uniq)).tolist() if len(uniq) else []
+    return {"size": st.st_size, "mtime_ns": st.st_mtime_ns,
+            "buckets": bks}
+
+
+def read_seg_map_entry(path: str, st=None) -> dict:
+    """The sidecar entry of the segment file at ``path``, from one scan
+    of its term column (the reader's lazy refresh of a stale entry)."""
+    if st is None:
+        st = os.stat(path)
+    # ParquetFile.read skips read_table's dataset machinery —
+    # 0.3 ms vs 2.7 ms per small file (measured, 222-file index)
+    return seg_map_entry(st, pq.ParquetFile(path).read(
+        columns=["term"], use_threads=False)["term"])
+
+
+def scan_seg_bucket_map(seg_dir: str) -> dict[str, dict]:
+    """Sidecar entries for every segment file in ``seg_dir``, each from
+    a scan of the file. Serial on purpose: the per-file cost is
+    GIL-held footer parsing, so a thread pool only adds switching
+    overhead (measured 67 ms serial vs 427 ms with 8 threads at 222
+    files)."""
+    return {n: read_seg_map_entry(os.path.join(seg_dir, n))
+            for n in sorted(os.listdir(seg_dir))
+            if n.endswith(".parquet")}
+
+
+def write_seg_bucket_map(index_dir: str, entries: dict[str, dict]) -> str:
+    """Write ``entries`` as the index's sidecar, temp-then-rename."""
+    side = os.path.join(index_dir, SEG_MAP_NAME)
+    tmp = side + f".tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        # one dumps: json.dump runs the pure-Python encoder (17 ms
+        # against 5 ms for 8 files of 2,731 buckets each)
+        f.write(json.dumps(dict(sorted(entries.items()))))
+    os.replace(tmp, side)
+    return side

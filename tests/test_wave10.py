@@ -329,19 +329,19 @@ def test_build_crash_leaves_no_commit_point(P, ray_session, tmp_path,
     write_corpus(corpus, 120, rows_per_file=60)
     idx = str(tmp_path / "idx")
 
-    real = ckpt._write_term_dict
+    real = ckpt.write_term_dict
 
     def boom(*a, **k):
         raise RuntimeError("injected crash before commit")
 
-    monkeypatch.setattr(ckpt, "_write_term_dict", boom)
+    monkeypatch.setattr(ckpt, "write_term_dict", boom)
     with pytest.raises(RuntimeError):
         build_index(corpus, idx, num_shards=2)
     assert not os.path.exists(os.path.join(idx, "stats.json"))
     with pytest.raises(Exception):
         QueryEngine(idx)  # partial index cannot be opened
 
-    monkeypatch.setattr(ckpt, "_write_term_dict", real)
+    monkeypatch.setattr(ckpt, "write_term_dict", real)
     build_index(corpus, idx, num_shards=2)
     assert os.path.exists(os.path.join(idx, "stats.json"))
     assert QueryEngine(idx).search("def return", 5)
