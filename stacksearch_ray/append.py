@@ -8,16 +8,16 @@ disjoint by the collision check). stats.json is refreshed from the
 updated docs tables; the term_dict is the old one plus the (term, df,
 cf) partials the delta's shard tasks hand back.
 
-Correctness subtlety: block-max upper bounds are encoded against the
-avgdl at encode time. An append changes avgdl, so PRE-EXISTING segments'
-stored bounds may no longer bound true scores — pruning scorers (wand /
-bmax) would become unsound. Appended indexes therefore set
-``stats["appended"] = true`` and the query engine routes every method to
-the exact exhaustive scorer (which recomputes scores from tf + doc_len +
-fresh global stats and is exact under any avgdl). ``compact_index``
-re-encodes merged (term, shard) rows under the fresh stats and clears
-the flag — restoring pruning without a from-scratch rebuild (and bitwise
-equal to one, tested).
+Segment rows store no score bounds (index format v6): the block-max
+scorer computes each block's bound from the decoded row under the
+engine's current avgdl and doc lengths, so an append that changes avgdl
+leaves no stale bound behind, and encoding needs no global statistics.
+Appended, deleted and merged indexes still set ``stats["appended"] =
+true``, and the query engine then routes every method to the exhaustive
+scorer, which masks tombstoned docs; bmax's top-k threshold does not.
+``compact_index`` purges tombstones, re-encodes one row per (term,
+shard) and clears the flag, restoring bmax without a from-scratch
+rebuild (and bitwise equal to one, tested).
 
 QueryEngine instances hold stats/doclens/segment caches from load time —
 re-instantiate engines (and sharded pools) after an append to see the
@@ -309,7 +309,7 @@ def _gather_spans(offs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
                         affected: list[int], block_size: int,
-                        store_positions: bool, encoder, dl_lookup
+                        store_positions: bool, encoder
                         ) -> tuple[str, dict[str, list[int]]]:
     """Rewrite ONE segment file without the purged ids. Returns
     (action, {term: [removed_df, removed_cf]}): action is "skip" (no
@@ -401,8 +401,6 @@ def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
         "doc_id": pa.array(ids_h[keep], pa.int64()),
         "tf": pa.array(tfs_h[keep], pa.int64()),
         "shard": pa.array(np.repeat(shards_h, sizes_h)[keep]),
-        "doc_len": pa.array(
-            dl_lookup.lookup(ids_h[keep]).astype(np.int64), pa.int64()),
     }
     if store_positions:
         blobs_keep: list[bytes] = []
@@ -457,11 +455,9 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     append replaces the previous delete → FULL compact).
 
     Affected segment rows are re-encoded from their surviving postings
-    under the index's CURRENT stats — delete_from_index already set
-    n_docs/total_len/avgdl to the rebuild-without-deleted values, so
-    re-encoded rows are bitwise the rebuild's (positions re-split per
-    doc, identity round-trip). ``appended`` stays True (untouched rows
-    still carry bounds from the original avgdl).
+    in their file's doc map, so they hold the same postings as a
+    rebuild's rows (positions re-split per doc, identity round-trip).
+    ``appended`` stays True: tombstones or appended rows may remain.
 
     Sidecars shrink exactly: the purged ids leave the tombstone set and
     each rewritten row's removed-posting count is subtracted from the
@@ -532,22 +528,15 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
             ["shard"].combine_chunks())
         if np.isin(sh, np.asarray(aff_sorted, dtype=sh.dtype)).any():
             cand_files.append(f)
-    avgdl_f = float(stats["avgdl"])
-    k1_f, b_f = float(stats["k1"]), float(stats["b"])
 
     def _run_files(units: list[dict]) -> list[dict]:
-        from .query import _DocLens
-
-        dl_lookup = _DocLens(docs_dir, aff_sorted)
-        encoder = SegmentEncoder(avgdl=avgdl_f, k1=k1_f, b=b_f,
-                                 block_size=block_size)
+        encoder = SegmentEncoder(block_size=block_size)
         out = []
         for u in units:
             action, counts = _purge_segment_file(
                 os.path.join(seg_dir, u["fname"]),
                 os.path.join(staged_dir, "segments", u["fname"]),
-                D, aff_sorted, block_size, store_positions,
-                encoder, dl_lookup)
+                D, aff_sorted, block_size, store_positions, encoder)
             out.append({"fname": u["fname"], "action": action,
                         "counts": counts})
         return out
@@ -686,10 +675,9 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     parquet, then stats.json switches to it — a crash anywhere shows
     either the old or the new delete set, never a torn state. Global
     stats (n_docs / total_len / avgdl) are recomputed from the
-    actually-present deleted rows, and ``appended`` is set: pruning
-    bounds are stale under the changed avgdl AND deleted docs must
-    never surface, so every query routes to the exhaustive scorer,
-    which masks tombstones (results bitwise equal to a rebuild without
+    actually-present deleted rows, and ``appended`` is set: deleted
+    docs must never surface, so every query routes to the exhaustive
+    scorer, which masks tombstones (results bitwise equal to a rebuild without
     the deleted docs — tested). Ids not present in the index are
     ignored (deletes are idempotent). Re-adding a deleted id requires
     its physical row to be gone first — ``purge_doc_ids`` (surgical,
@@ -746,7 +734,7 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     stats.update({
         "n_docs": n_docs, "total_len": total_len,
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
-        "appended": True,  # stale bounds + mandatory tombstone masking
+        "appended": True,  # exhaustive scoring masks the tombstones
         "tombstones_file": tomb_name, "n_tombstones": len(allt),
         "deleted_df_file": ddf_name,
     })
@@ -1020,8 +1008,7 @@ def append_to_index(source, index_dir: str,
         # encode the NEW docs' postings → one STAGED segment file per
         # shard the delta touches (the live segments/ dir is untouched
         # until the commit below)
-        encoder = SegmentEncoder(avgdl=avgdl, k1=cfg.k1, b=cfg.b,
-                                 block_size=cfg.block_size)
+        encoder = SegmentEncoder(block_size=cfg.block_size)
         staged = pads.dataset(staged_dir)
         shards = (np.unique(staged.to_table(columns=["shard"])["shard"]
                             .to_numpy()).tolist()
@@ -1224,12 +1211,12 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     Compacting the merged index purges them physically, bitwise equal
     to a rebuild without the deleted docs (test_merge).
 
-    The merged index is marked ``appended``: each source's block-max
-    bounds were encoded under its OWN avgdl, so pruning would be
-    unsound under the merged stats — exhaustive scoring recomputes
-    exactly (bitwise == a full rebuild's search results, pytest), and a
-    follow-up ``compact_index`` re-encode restores pruning (compacted
-    merge bitwise == rebuild, including positions).
+    The merged index is marked ``appended``, as an append would leave
+    it: it holds one row per (term, shard) per source, and may hold the
+    sources' tombstones. Exhaustive scoring is exact over it (bitwise ==
+    a full rebuild's search results, pytest), and a follow-up
+    ``compact_index`` restores bmax (compacted merge bitwise == rebuild,
+    including positions).
 
     The term_dict is the sum of the sources' term_dicts (each exact over
     its files) and the sidecar carries each source's entries over under
@@ -1357,30 +1344,10 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     return stats
 
 
-_COMPACT_DOCLENS_CACHE: dict[tuple[str, int], object] = {}
-
 # the shard number every writer puts at the end of a segment file's
 # name (shard-00003.parquet, append-<id>-shard-00003.parquet,
 # merge0-shard-00003.parquet)
 _SHARD_FILE = re.compile(r"shard-(\d+)\.parquet$")
-
-
-def _doclens_for_shard(docs_dir: str, shard: int, gen: int = 0):
-    """Per-worker-process cache of shard-pruned doclens lookups (compact
-    tasks see few shards each; cap keeps worker heap bounded). ``gen``
-    (the sharding generation, = num_shards in use) keys the cache so a
-    reshard's rewritten docs table never collides with entries cached
-    under the previous shard layout in the same worker process."""
-    key = (docs_dir, shard, gen)
-    hit = _COMPACT_DOCLENS_CACHE.get(key)
-    if hit is None:
-        from .query import _DocLens
-
-        if len(_COMPACT_DOCLENS_CACHE) >= 8:
-            _COMPACT_DOCLENS_CACHE.pop(next(iter(_COMPACT_DOCLENS_CACHE)))
-        hit = _DocLens(docs_dir, [shard])
-        _COMPACT_DOCLENS_CACHE[key] = hit
-    return hit
 
 
 def _split_doc_blobs(positions: pa.ChunkedArray, tfs: np.ndarray,
@@ -1407,22 +1374,21 @@ def _split_doc_blobs(positions: pa.ChunkedArray, tfs: np.ndarray,
 
 def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     """Segment-merge compaction: decode every (term, shard) posting row,
-    re-group, and re-encode exactly ONE row per (term, shard) under the
-    index's CURRENT global stats, then clear ``stats["appended"]`` —
-    restoring wand/bmax pruning eligibility after appends (whose
-    pre-append rows carry block-max bounds encoded against a stale
-    avgdl). The compacted index is bitwise equal to a from-scratch
-    rebuild of the same corpus (tested).
+    drop tombstoned postings, re-group, and re-encode exactly ONE row
+    per (term, shard), then clear ``stats["appended"]`` — restoring
+    bmax routing after appends, deletes and merges. The compacted index
+    is bitwise equal to a from-scratch rebuild of the same corpus
+    (tested).
 
     ``num_shards``: RESHARD while compacting — the cluster-growth op: a
     64-shard index built for 8 nodes re-shards to 1024 for 128 nodes
     with one compaction's cost, no re-tokenize. Posting shards are
     reassigned per doc (``shard_of(doc_id, S_new)``), the docs table is
-    rewritten FIRST (new shard column — the encode's doc_len lookups
-    read it shard-pruned), and stats.num_shards lands with the final
-    write. Resharded == built-at-S_new bitwise (tested). The
-    single-process engine stays correct at every crash point (scoring
-    never reads docs.shard); re-open ShardedQueryEngine pools after.
+    rewritten first (new shard column, tombstoned rows dropped), and
+    stats.num_shards lands with the final write. Resharded ==
+    built-at-S_new bitwise (tested). The single-process engine stays
+    correct at every crash point (scoring never reads docs.shard);
+    re-open ShardedQueryEngine pools after.
 
     Ray pipeline, on the build's own encode (a native groupby sort over
     the exploded postings measured 117 s against the build's 76 s at 2M
@@ -1430,10 +1396,9 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     pass runs one unit per shard: it reads the shard's files (base,
     appended, merged — each file's name ends in its shard), decodes them
     (one batched varint decode per file), drops tombstoned local numbers
-    through each file's doc map, and encodes ONE segment file under the
-    current stats, joining doc_len from the shard-pruned docs table
-    (cached per worker). A reshard takes two passes: segment-file tasks
-    decode rows to postings and stage them like a build partition
+    through each file's doc map, and encodes ONE segment file. A
+    reshard takes two passes: segment-file tasks decode rows to
+    postings and stage them like a build partition
     (``checkpoint.write_staged_postings``), then the build's
     ``shard_phase`` encodes each new shard. Both order a shard's rows the
     same way: files in groups of ``len(files) // 64``, each group sorted
@@ -1453,8 +1418,6 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     recover_purges(index_dir)
     stats = check_format(load_stats(index_dir), index_dir)
     store_positions = bool(stats.get("store_positions"))
-    avgdl = float(stats["avgdl"])
-    k1, b = float(stats["k1"]), float(stats["b"])
     block_size = int(stats["block_size"])
     s_old = int(stats["num_shards"])
     s_new = int(num_shards) if num_shards else s_old
@@ -1494,7 +1457,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
             cols["pos"] = _split_doc_blobs(batch["positions"], tfs, keep)
         return pa.table(cols)
 
-    encoder = SegmentEncoder(avgdl=avgdl, k1=k1, b=b, block_size=block_size)
+    encoder = SegmentEncoder(block_size=block_size)
 
     recover_segments(index_dir)  # heal any half-finished prior swap first
 
@@ -1540,11 +1503,11 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         swap_in(docs_dir)
 
     if reshard:
-        # docs table FIRST: the encode below reads doc_lens shard-pruned
-        # by the NEW shard column (and the rewrite folds the tombstone
-        # drop in). Crash between here and the final stats write leaves
-        # a fully-correct single-process index (scoring never reads
-        # docs.shard); re-running compact_index(num_shards=...) heals.
+        # docs table first, with the NEW shard column (the rewrite
+        # folds the tombstone drop in). Crash between here and the
+        # final stats write leaves a fully-correct single-process index
+        # (scoring never reads docs.shard); re-running
+        # compact_index(num_shards=...) heals.
         swap_in_docs()
 
     from .checkpoint import (collect_shards, encode_shard_files, shard_phase,
@@ -1565,9 +1528,6 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     os.makedirs(tmp, exist_ok=True)
     out_paths = [os.path.join(tmp, f"shard-{k:05d}.parquet")
                  for k in range(s_new)]
-
-    def doc_lens(shard: int, ids: np.ndarray) -> np.ndarray:
-        return _doclens_for_shard(docs_dir, shard, s_new).lookup(ids)
 
     def postings_of(files: list[str], shard: int | None = None
                     ) -> pa.Table | None:
@@ -1606,7 +1566,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         # a fully tombstoned / empty corpus stages nothing: every shard
         # file is then written empty
         out = shard_phase(list(range(s_new)), stage_dir, out_paths, encoder,
-                          store_positions, doc_lens=doc_lens)
+                          store_positions)
         shutil.rmtree(stage_dir, ignore_errors=True)
     else:
         # one pass: each unit re-encodes one shard from its own files,
@@ -1625,7 +1585,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
 
             return [encode_shard_files(
                 [u["shard"] for u in units], [u["seg_path"] for u in units],
-                rows_of, encoder, store_positions, doc_lens)]
+                rows_of, encoder, store_positions)]
 
         out = collect_shards(map_units(run_shards, [
             {"shard": k, "seg_path": out_paths[k],

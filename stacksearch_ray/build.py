@@ -10,8 +10,9 @@ in checkpoint.py:
                row groups                  (one task per input file,
                                             or per Dataset batch)
     stats:     N, total_len, avgdl          from the docs parts
-    shards:    per-shard encode tasks       read their own row groups
-    term_dict: Sum(df), Sum(cf) per term    over segments
+    shards:    per-shard encode tasks       read their own row groups;
+               no global stats needed (rows store no score bounds)
+    term_dict: Sum(df), Sum(cf) per term    from the tasks' partials
 
 Skew / salting: every posting carries ``shard = spread(doc_id) % S``; a hot
 term ("def", "import") is therefore split into S independent doc-ranges —
@@ -151,20 +152,18 @@ def _resolve_doc_ids(batch: pa.Table, cfg: IndexBuildConfig) -> np.ndarray:
 @dataclass
 class SegmentEncoder:
     """Staged postings of one or more shards → one segments row per
-    (term, shard). Needs global avgdl (block-max metadata), so the stats
-    phase runs first. Vectorized sort, then one batched encode of every
-    row (``codec.encode_segments``).
+    (term, shard). Needs no global statistics: rows store no score
+    bounds, so a row's bytes depend on its postings alone. Vectorized
+    sort, then one batched encode of every row
+    (``codec.encode_segments``).
 
     Postings are numbered in a doc map: the sorted doc ids of the group
     unless ``doc_map`` is given. A posting stores its doc's rank in the
     map (its local doc number) and the output table carries the map as
     schema metadata (``schema.with_doc_map``), so the map is written
-    with the file. Rank order is doc-id order: rows, blocks and
-    block-max bounds are the ones the ids themselves would give."""
+    with the file. Rank order is doc-id order: rows and blocks are the
+    ones the ids themselves would give."""
 
-    avgdl: float
-    k1: float = BM25_K1
-    b: float = BM25_B
     block_size: int = BLOCK_SIZE
 
     def __call__(self, group: pa.Table,
@@ -185,18 +184,15 @@ class SegmentEncoder:
         else:
             local = np.searchsorted(doc_map, doc_ids)
         tfs = np.asarray(group["tf"].combine_chunks()).astype(np.int64)
-        doc_lens = np.asarray(group["doc_len"].combine_chunks()).astype(np.int64)
         shards = np.asarray(group["shard"].combine_chunks()).astype(np.int32)
         order = np.lexsort((local, codes, shards))
-        codes, local, tfs, doc_lens, shards = (
-            codes[order], local[order], tfs[order], doc_lens[order], shards[order])
+        codes, local, tfs, shards = (
+            codes[order], local[order], tfs[order], shards[order])
         # boundaries where (shard, code) changes
         change = np.flatnonzero((np.diff(codes) != 0) | (np.diff(shards) != 0)) + 1
         starts = np.concatenate(([0], change))
         ends = np.concatenate((change, [len(codes)]))
-        segs = encode_segments(local, tfs, doc_lens, starts, ends,
-                               avgdl=self.avgdl, k1=self.k1, b=self.b,
-                               block_size=self.block_size)
+        segs = encode_segments(local, tfs, starts, ends, self.block_size)
         cols = {"term": vocab.take(pa.array(codes[starts])).cast(pa.string()),
                 "shard": pa.array(shards[starts], type=pa.int32()),
                 **segs.arrow_columns()}
@@ -222,12 +218,9 @@ def _empty_segments_table(positions: bool = False,
     """A segments table with no rows. Like every segments table it
     carries a doc map (empty unless given), so the file of a shard
     without postings reads like any other."""
-    from .schema import SEGMENTS_SCHEMA
+    from .schema import segments_schema
 
-    schema = SEGMENTS_SCHEMA
-    if positions:
-        schema = schema.append(pa.field("positions", pa.binary()))
-    return with_doc_map(schema.empty_table(),
+    return with_doc_map(segments_schema(positions).empty_table(),
                         np.empty(0, np.int64) if doc_map is None
                         else doc_map)
 
@@ -364,9 +357,11 @@ def load_stats(index_dir: str) -> dict:
 
 def check_format(stats: dict, index_dir: str) -> dict:
     """Raise unless ``stats`` (an index's stats.json) records this
-    code's index format; returns ``stats``. An older index decodes
-    wrongly here — v4 postings hold global ids where v5 reads local
-    doc numbers — so every reader and writer refuses it instead."""
+    code's index format; returns ``stats``. An older index is refused
+    by every reader and writer rather than misread: v4 postings hold
+    global ids where later formats read local doc numbers, and v5
+    files carry per-block list columns that v6 dropped, which a v6
+    writer would mix with its own files."""
     got = stats.get("format_version")
     if got != INDEX_FORMAT_VERSION:
         raise ValueError(
@@ -395,9 +390,8 @@ def idf(n_docs: int, df: int) -> float:
 
 def index_disk_usage(index_dir: str) -> dict:
     """Per-component on-disk byte accounting for one index (the ES
-    ``_disk_usage`` API analog): segments (postings + block-max
-    metadata + positional sidecar when present), docs sidecar,
-    term_dict, delete artifacts (tombstones/deleted-df parquets),
+    ``_disk_usage`` API analog): segments (postings + positional
+    sidecar when present), docs sidecar, term_dict, delete artifacts (tombstones/deleted-df parquets),
     pruning sidecar, stats — plus totals and the n_docs denominator so
     bytes/doc is one division away. Pure directory walk; no index
     open."""

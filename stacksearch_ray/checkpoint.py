@@ -88,10 +88,6 @@ from .state.manifest import Manifest, atomic_write_parquet
 from .text import term_frequencies
 
 
-# doc_len lookup for postings staged without it: (shard, doc_ids) → lens
-DocLens = Callable[[int, np.ndarray], np.ndarray]
-
-
 class BuildInterrupted(RuntimeError):
     """Raised by the deterministic failure-injection hook (resume test)."""
 
@@ -182,7 +178,7 @@ def stage_partition(batch: pa.Table, cfg: IndexBuildConfig, docs_path: str,
     part (doc_id, meta columns, content sha256, doc_len, shard; empty
     docs dropped, as the reference's empty-doc filter does) and the
     staged postings part
-    (term, doc_id, tf, doc_len, shard[, pos]) sorted by (shard, term)
+    (term, doc_id, tf, shard[, pos]) sorted by (shard, term)
     with one row group per shard. Returns the partition's counts and
     content-hash rollup."""
     if doc_ids is None:
@@ -205,13 +201,11 @@ def stage_partition(batch: pa.Table, cfg: IndexBuildConfig, docs_path: str,
     docs = docs.filter(pc.greater(docs["doc_len"], 0))
 
     p_doc = doc_ids[tf.doc_idx]
-    p_len = tf.doc_lens[tf.doc_idx]
     p_shard = shard_of(p_doc, cfg.num_shards)
     pcols = {
         "term": tf.terms,
         "doc_id": p_doc,
         "tf": tf.tf,
-        "doc_len": p_len,
         "shard": p_shard,
     }
     if cfg.store_positions:
@@ -284,25 +278,19 @@ def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
 def encode_shard_files(shards: list[int], seg_paths: list[str],
                        rows_of: Callable[[int], pa.Table],
                        encoder: SegmentEncoder, store_positions: bool,
-                       doc_lens: DocLens | None = None,
                        shared_s: float = 0.0) -> dict:
     """One writer task's encode: shard ``k``'s postings ``rows_of(k)``
     → one segment file, per shard. Returns the task's result for
     ``collect_shards``: a lineage record per shard, with the file's
     sidecar entry taken from the term column just written, and one
     (term, df, cf) partial over the task's files, so no writer re-reads
-    what it wrote. ``doc_lens(shard, doc_ids)`` supplies doc_len for
-    postings staged without it (compaction joins it from the docs
-    table); ``shared_s``, seconds spent for all the task's shards at
-    once, is charged to each shard's wall time in equal shares."""
+    what it wrote. ``shared_s``, seconds spent for all the task's
+    shards at once, is charged to each shard's wall time in equal
+    shares."""
     recs, stats = [], []
     for shard, seg_path in zip(shards, seg_paths):
         t1 = time.time()
         sub = rows_of(shard)
-        if doc_lens is not None and sub.num_rows:
-            ids = np.asarray(sub["doc_id"].combine_chunks()).astype(np.int64)
-            sub = sub.append_column(
-                "doc_len", pa.array(doc_lens(shard, ids).astype(np.int64)))
         seg_table = (encoder(sub) if sub.num_rows
                      else _empty_segments_table(store_positions))
         # rows keep the staged order (the encoder numbers terms by first
@@ -330,8 +318,7 @@ def encode_shard_files(shards: list[int], seg_paths: list[str],
 
 def _encode_shards(shards: list[int], stage_postings_dir: str,
                    seg_paths: list[str], encoder: SegmentEncoder,
-                   store_positions: bool = False,
-                   doc_lens: DocLens | None = None) -> dict:
+                   store_positions: bool = False) -> dict:
     """Encode a BATCH of shards from ONE staged-postings scan. With one
     scan per shard, a high shard count pays S × n_partition_files
     parquet opens (measured: 41 s → 106 s shard phase going 256 → 1024
@@ -356,7 +343,7 @@ def _encode_shards(shards: list[int], stage_postings_dir: str,
                 if table.num_rows else table)
 
     return encode_shard_files(shards, seg_paths, rows_of, encoder,
-                              store_positions, doc_lens, time.time() - t0)
+                              store_positions, time.time() - t0)
 
 
 class ShardOutput(NamedTuple):
@@ -404,16 +391,15 @@ def _pending_shards(manifest: Manifest, segments_dir: str,
 
 def shard_phase(shards: list[int], stage_postings: str, seg_paths: list[str],
                 encoder: SegmentEncoder, store_positions: bool,
-                concurrency: int | None = None,
-                doc_lens: DocLens | None = None) -> ShardOutput:
+                concurrency: int | None = None) -> ShardOutput:
     """Encode ``shards`` from the staged postings into ``seg_paths``
     through ``map_units``. Shards are batched per task because a task's
     scan opens every staged file once, whatever its shard count (see
-    _encode_shards). ``doc_lens`` is passed to ``_encode_shards``."""
+    _encode_shards)."""
     def run(us: list[dict]) -> list[dict]:
         return [_encode_shards([u["shard"] for u in us], stage_postings,
                                [u["seg_path"] for u in us],
-                               encoder, store_positions, doc_lens)]
+                               encoder, store_positions)]
 
     return collect_shards(map_units(
         run, [{"shard": k, "seg_path": p} for k, p in zip(shards, seg_paths)],
@@ -445,8 +431,7 @@ def _finish_build(index_dir: str, cfg: IndexBuildConfig, manifest: Manifest,
 
     # ---- phase: shards ----
     t0 = time.time()
-    encoder = SegmentEncoder(avgdl=stats["avgdl"], k1=cfg.k1, b=cfg.b,
-                             block_size=cfg.block_size)
+    encoder = SegmentEncoder(block_size=cfg.block_size)
     pending = _pending_shards(manifest, segments_dir, cfg.num_shards)
     stage_postings = os.path.join(index_dir, "stage", "postings")
     out = shard_phase(pending, stage_postings,

@@ -1,33 +1,32 @@
-"""Posting-list compression: delta + varint, skip blocks, block-max metadata.
+"""Posting-list compression: delta + varint in fixed-size blocks.
 
 The reference's external-memory index spills sorted pickled blocks with a
 sparse (offset, first_key) side index (/root/reference/index/hash_index.py:
 112-139,165-195). Ours is the columnar, compressed analog: per (term, shard)
 segment, doc numbers are stored sorted as LEB128 varints of within-block
-deltas (the first value of each block is absolute, so any block decodes
-independently), tfs as plain varints, with one skip entry per block of
-``block_size`` postings carrying first_doc, byte offsets, and block-max
-upper bounds for BM25 WAND pruning.
+deltas (the first value of each block of ``block_size`` postings is
+absolute, so any block decodes independently), tfs as plain varints.
 
 The codec encodes whatever sorted non-negative integers it is given. The
-index (format v5) gives it LOCAL doc numbers: ``build.SegmentEncoder``
-numbers each segment file's postings by the doc's rank in the file's
-sorted doc-id set, the file's doc map (``schema.DOC_MAP_KEY``), the
-per-segment docID model of Lucene. Dense numbers keep deltas to one or
-two varint bytes where 63-bit hash ids (``schema.doc_id_for``) needed
-eight or nine, and rank order is doc-id order, so blocks and bounds are
-unchanged. Readers map a decoded number n back to ``doc_map[n]``.
+index gives it LOCAL doc numbers: ``build.SegmentEncoder`` numbers each
+segment file's postings by the doc's rank in the file's sorted doc-id
+set, the file's doc map (``schema.DOC_MAP_KEY``), the per-segment docID
+model of Lucene. Dense numbers keep deltas to one or two varint bytes
+where 63-bit hash ids (``schema.doc_id_for``) needed eight or nine, and
+rank order is doc-id order. Readers map a decoded number n back to
+``doc_map[n]``.
+
+No per-block metadata is stored (index format v6). The block-max scorer
+takes each block's first doc and its BM25 bound from the row's decode
+(``QueryEngine._blocks``), under the engine's own avgdl and doc lengths,
+so the bounds are exact and can never be stale, and the encoder needs no
+global statistics.
 
 All encode/decode paths are NumPy-vectorized — no Python per-posting loops.
 Encoding is batched per shuffle group as well: ``encode_segments`` encodes
 every (term, shard) row of a group in one pass over the group's flat,
 row-contiguous posting arrays, so there is no Python per-row loop either
 (``encode_segment`` is its one-row adapter).
-
-``block_max_score`` stores the idf-free part of the BM25 upper bound,
-``max over block of (k1+1)*tf / (tf + k1*(1-b+b*dl/avgdl))``; the query
-engine multiplies by the term's idf (global df is only known after the
-per-shard merge, so idf cannot be baked in at encode time).
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ import numpy as np
 BLOCK_SIZE = 128
 # a value needs k+1 LEB128 bytes when it is >= the k-th threshold 2**7k
 _THRESHOLDS = np.uint64(1) << (np.arange(1, 10, dtype=np.uint64) * np.uint64(7))
-# Arrow binary/list columns and the stored skip offsets are int32: an
-# encode whose byte offsets reach this limit raises instead of wrapping
+# Arrow binary column offsets are int32: an encode whose byte offsets
+# reach this limit raises instead of wrapping
 INT32_OFFSET_LIMIT = 2**31
 
 BM25_K1 = 1.2
@@ -110,11 +109,6 @@ class EncodedSegment:
     cf: int
     doc_ids: bytes
     tfs: bytes
-    skip_first_doc: np.ndarray   # int64 per block (first doc number)
-    skip_doc_offset: np.ndarray  # int32 byte offset into doc_ids per block
-    skip_tf_offset: np.ndarray   # int32 byte offset into tfs per block
-    block_max_tf: np.ndarray     # int64 per block
-    block_max_score: np.ndarray  # float64 per block (idf-free upper bound)
 
 
 def bm25_tf_part(tf: np.ndarray, doc_len: np.ndarray, avgdl: float,
@@ -128,9 +122,7 @@ def bm25_tf_part(tf: np.ndarray, doc_len: np.ndarray, avgdl: float,
 @dataclass
 class EncodedSegments:
     """Every segment row of one group, back to back: row r's id bytes
-    are ``doc_ids[id_offsets[r]:id_offsets[r+1]]`` (tfs likewise) and
-    its skip blocks are entries ``block_offsets[r]:block_offsets[r+1]``
-    of the per-block arrays."""
+    are ``doc_ids[id_offsets[r]:id_offsets[r+1]]`` (tfs likewise)."""
 
     df: np.ndarray               # int64 per row
     cf: np.ndarray               # int64 per row
@@ -138,16 +130,10 @@ class EncodedSegments:
     id_offsets: np.ndarray       # int64 per row + 1
     tfs: np.ndarray              # uint8, every row's tf varints
     tf_offsets: np.ndarray       # int64 per row + 1
-    block_offsets: np.ndarray    # int64 per row + 1
-    skip_first_doc: np.ndarray   # int64 per block; stored as int32
-    skip_doc_offset: np.ndarray  # int32 per block, relative to its row
-    skip_tf_offset: np.ndarray   # int32 per block, relative to its row
-    block_max_tf: np.ndarray     # int64 per block
-    block_max_score: np.ndarray  # float64 per block (idf-free upper bound)
 
     def arrow_columns(self) -> dict:
-        """The ``df`` … ``block_max_score`` segment columns as Arrow
-        arrays built straight from these buffers."""
+        """The ``df`` … ``tfs`` segment columns as Arrow arrays built
+        straight from these buffers."""
         import pyarrow as pa
 
         def binary(buf, offs):
@@ -155,34 +141,16 @@ class EncodedSegments:
                 pa.binary(), len(offs) - 1,
                 [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
 
-        blk_offs = pa.array(self.block_offsets.astype(np.int32))
-        # skip_first_doc is stored as int32: first docs are local doc
-        # numbers, below the file's doc-map length
-        if len(self.skip_first_doc) and (
-                int(self.skip_first_doc.max()) >= INT32_OFFSET_LIMIT):
-            raise ValueError(
-                f"skip_first_doc {int(self.skip_first_doc.max())} exceeds "
-                "the int32 range; increase num_shards so files shrink")
-
-        def lists(values, typ):
-            return pa.ListArray.from_arrays(blk_offs, pa.array(values, typ))
-
         return {
             "df": pa.array(self.df, pa.int64()),
             "cf": pa.array(self.cf, pa.int64()),
             "doc_ids": binary(self.doc_ids, self.id_offsets),
             "tfs": binary(self.tfs, self.tf_offsets),
-            "skip_first_doc": lists(self.skip_first_doc, pa.int32()),
-            "skip_doc_offset": lists(self.skip_doc_offset, pa.int32()),
-            "skip_tf_offset": lists(self.skip_tf_offset, pa.int32()),
-            "block_max_tf": lists(self.block_max_tf, pa.int64()),
-            "block_max_score": lists(self.block_max_score, pa.float64()),
         }
 
 
-def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndarray,
-                    starts: np.ndarray, ends: np.ndarray, avgdl: float,
-                    k1: float = BM25_K1, b: float = BM25_B,
+def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray,
+                    starts: np.ndarray, ends: np.ndarray,
                     block_size: int = BLOCK_SIZE) -> EncodedSegments:
     """Encode many (term, shard) posting lists in one vectorized pass.
     Row r is postings ``starts[r]:ends[r]`` of the flat arrays; rows
@@ -210,54 +178,42 @@ def encode_segments(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndarray,
     deltas[block_starts] = doc_ids[block_starts]
     id_buf, id_cum = _varint_encode_array(deltas)
     tf_buf, tf_cum = _varint_encode_array(tfs)
-    # skip offsets and the Arrow binary columns are int32: a group past
-    # 2 GiB would silently wrap and decode garbage — fail loudly instead
-    # (reachable only with a misconfigured num_shards at very large
-    # scale; the fix is more shards, which also bounds per-task memory)
+    # the Arrow binary columns are int32: a group past 2 GiB would
+    # silently wrap and decode garbage — fail loudly instead (reachable
+    # only with a misconfigured num_shards at very large scale; the fix
+    # is more shards, which also bounds per-task memory)
     if id_cum[-1] >= INT32_OFFSET_LIMIT or tf_cum[-1] >= INT32_OFFSET_LIMIT:
         raise ValueError(
             f"encoded segments exceed int32 offset range "
             f"({int(id_cum[-1])}/{int(tf_cum[-1])} bytes, {n} postings in "
             f"{len(df)} rows); increase num_shards so groups shrink")
-    id_offsets, tf_offsets = id_cum[bounds], tf_cum[bounds]
     tf_sums = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(tfs, out=tf_sums[1:])
-    scores = bm25_tf_part(tfs, doc_lens, avgdl, k1, b)
     return EncodedSegments(
         df=df,
         cf=np.diff(tf_sums[bounds]),
         doc_ids=id_buf,
-        id_offsets=id_offsets,
+        id_offsets=id_cum[bounds],
         tfs=tf_buf,
-        tf_offsets=tf_offsets,
-        block_offsets=block_offsets,
-        skip_first_doc=doc_ids[block_starts],
-        skip_doc_offset=(id_cum[block_starts]
-                         - np.repeat(id_offsets[:-1], nblocks)).astype(np.int32),
-        skip_tf_offset=(tf_cum[block_starts]
-                        - np.repeat(tf_offsets[:-1], nblocks)).astype(np.int32),
-        block_max_tf=np.maximum.reduceat(tfs, block_starts),
-        block_max_score=np.maximum.reduceat(scores, block_starts),
+        tf_offsets=tf_cum[bounds],
     )
 
 
-def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens: np.ndarray,
-                   avgdl: float, k1: float = BM25_K1, b: float = BM25_B,
+def encode_segment(doc_ids: np.ndarray, tfs: np.ndarray, doc_lens=None,
+                   avgdl=None, k1=None, b=None,
                    block_size: int = BLOCK_SIZE) -> EncodedSegment:
-    """Encode one (term, shard) posting list. Inputs must be doc_id-sorted."""
+    """Encode one (term, shard) posting list. Inputs must be
+    doc_id-sorted. ``doc_lens``, ``avgdl``, ``k1`` and ``b`` are
+    unused: the format stores no score bounds, and they stay only so
+    that callers written against the older signature keep working."""
     n = len(doc_ids)
-    seg = encode_segments(doc_ids, tfs, doc_lens, np.zeros(1, np.int64),
-                          np.array([n]), avgdl, k1, b, block_size)
+    seg = encode_segments(doc_ids, tfs, np.zeros(1, np.int64),
+                          np.array([n]), block_size)
     return EncodedSegment(
         df=n,
         cf=int(seg.cf[0]),
         doc_ids=seg.doc_ids.tobytes(),
         tfs=seg.tfs.tobytes(),
-        skip_first_doc=seg.skip_first_doc,
-        skip_doc_offset=seg.skip_doc_offset,
-        skip_tf_offset=seg.skip_tf_offset,
-        block_max_tf=seg.block_max_tf,
-        block_max_score=seg.block_max_score,
     )
 
 
@@ -343,22 +299,6 @@ def decode_doc_ids_batch(bufs: list[bytes],
 def decode_tfs_batch(bufs: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     vals, offs = varint_decode_batch(bufs)
     return vals.astype(np.int64), offs
-
-
-def decode_block(seg_doc_ids: bytes, seg_tfs: bytes,
-                 skip_doc_offset: np.ndarray, skip_tf_offset: np.ndarray,
-                 block: int, n_postings: int,
-                 block_size: int = BLOCK_SIZE) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a single skip block (ids absolute, tfs) without touching others."""
-    n_blocks = len(skip_doc_offset)
-    d_lo = int(skip_doc_offset[block])
-    d_hi = int(skip_doc_offset[block + 1]) if block + 1 < n_blocks else len(seg_doc_ids)
-    t_lo = int(skip_tf_offset[block])
-    t_hi = int(skip_tf_offset[block + 1]) if block + 1 < n_blocks else len(seg_tfs)
-    deltas = varint_decode(memoryview(seg_doc_ids)[d_lo:d_hi]).astype(np.int64)
-    ids = np.cumsum(deltas)
-    tfs = varint_decode(memoryview(seg_tfs)[t_lo:t_hi]).astype(np.int64)
-    return ids, tfs
 
 
 def encode_position_lists(pos_sorted: np.ndarray,

@@ -21,13 +21,20 @@ Checks (each independent; all violations collected, not just the first):
    ascending positions per doc.
 5. term_dict == groupby(term).sum(df, cf) over the segment rows.
 6. referenced sidecar files (tombstones / deleted-df) exist.
-7. pruning soundness: multiple segment rows per (term, shard) are only
-   legal while stats["appended"] is set (a compacted index must be one
-   row per key — stale block-max bounds would otherwise serve).
+7. one row per key: multiple segment rows per (term, shard) are only
+   legal while stats["appended"] is set (builds and compaction write
+   exactly one, so a second row on an index with the flag clear is a
+   writer or copy fault, such as a segment file duplicated).
 8. seg_bucket_map.json: an entry whose (size, mtime_ns) matches its
    segment file lists exactly that file's term buckets (a wrong entry
    with a matching key would silently prune away a file that holds the
    term; an entry that does not match is stale and readers rebuild it).
+9. segment layout: every segment file has exactly the columns and types
+   of ``schema.segments_schema`` (``positions`` exactly when
+   stats["store_positions"] is set), and its footer carries statistics
+   on ``term`` and ``shard`` only (``schema.segment_write_kwargs``). A
+   file of an older format, or one written outside that policy, is
+   reported.
 
 The audit streams the index artifacts driver-side (they are orders of
 magnitude smaller than the corpus); at extreme index sizes run the
@@ -45,7 +52,14 @@ import pyarrow.parquet as pq
 
 from .build import check_format, load_stats
 from .codec import decode_doc_ids, decode_positions, decode_tfs
-from .schema import SEG_MAP_NAME, read_doc_map, scan_seg_bucket_map, shard_of
+from .schema import (
+    SEG_MAP_NAME,
+    SEGMENT_STATS_COLUMNS,
+    read_doc_map,
+    scan_seg_bucket_map,
+    segments_schema,
+    shard_of,
+)
 
 
 @dataclass
@@ -126,7 +140,7 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
         if name and not os.path.exists(os.path.join(index_dir, name)):
             rep._err(f"stats.{key} -> {name} missing on disk")
 
-    # ---- 4 + 7. segments ----
+    # ---- 4 + 7 + 9. segments ----
     seg_dir = os.path.join(index_dir, "segments")
     if not os.path.isdir(seg_dir):
         rep._err("segments/ missing")
@@ -138,7 +152,8 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     td_counts: dict[str, list[int]] = {}
     seen_keys: set[tuple[str, int]] = set()
     dup_keys = 0
-    for rb, doc_map in _segment_batches(seg_dir, seg_cols, rep):
+    layout = segments_schema(bool(stats.get("store_positions")))
+    for rb, doc_map in _segment_batches(seg_dir, seg_cols, layout, rep):
         terms = rb.column(0).to_pylist()
         sh = rb.column(1).to_pylist()
         dfs = rb.column(2).to_pylist()
@@ -207,7 +222,7 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
             td_counts[term][1] += cf
     if dup_keys and not stats.get("appended"):
         rep._err(f"{dup_keys} duplicate (term, shard) segment row(s) on "
-                 "a compacted index — pruning bounds are unsound")
+                 "a compacted index")
 
     # ---- 8. file-pruning sidecar ----
     try:
@@ -246,14 +261,42 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     return rep
 
 
-def _segment_batches(seg_dir: str, columns: list[str], rep: FsckReport):
+def _check_layout(name: str, pf: pq.ParquetFile, layout, rep: FsckReport
+                  ) -> None:
+    """Report a segment file whose columns or footer statistics differ
+    from what every writer produces (check 9)."""
+    got = [(f.name, str(f.type)) for f in pf.schema_arrow]
+    want = [(f.name, str(f.type)) for f in layout]
+    if got != want:
+        rep._err(f"{name}: segment columns {got} differ from the "
+                 f"index format's {want}")
+    md = pf.metadata
+    extra = sorted({md.row_group(i).column(j).path_in_schema
+                    for i in range(md.num_row_groups)
+                    for j in range(md.num_columns)
+                    if md.row_group(i).column(j).is_stats_set}
+                   - set(SEGMENT_STATS_COLUMNS))
+    if extra:
+        rep._err(f"{name}: footer statistics on {extra}; segment files "
+                 f"keep them for {' and '.join(SEGMENT_STATS_COLUMNS)} "
+                 "only")
+
+
+def _segment_batches(seg_dir: str, columns: list[str], layout,
+                     rep: FsckReport):
     """(record batch, the file's doc map) over every segment file whose
     doc map is readable and strictly ascending — the rank order every
-    local doc number relies on; other files are reported and skipped."""
+    local doc number relies on; other files are reported and skipped.
+    Each file's layout is checked against ``layout`` first; a file that
+    lacks one of ``columns`` is skipped after that report."""
     for name in sorted(os.listdir(seg_dir)):
         if not name.endswith(".parquet"):
             continue
         path = os.path.join(seg_dir, name)
+        pf = pq.ParquetFile(path)
+        _check_layout(name, pf, layout, rep)
+        if not set(columns) <= set(pf.schema_arrow.names):
+            continue
         try:
             doc_map = read_doc_map(path)
         except ValueError as ex:
@@ -262,5 +305,5 @@ def _segment_batches(seg_dir: str, columns: list[str], rep: FsckReport):
         if len(doc_map) > 1 and not (np.diff(doc_map) > 0).all():
             rep._err(f"{name}: doc map not strictly ascending")
             continue
-        for rb in pq.ParquetFile(path).iter_batches(columns=columns):
+        for rb in pf.iter_batches(columns=columns):
             yield rb, doc_map

@@ -283,9 +283,7 @@ class QueryEngine:
 
     # the scoring path never reads the (optional, heavy) positions
     # column — positional reads go through term_positions only
-    _SEG_COLUMNS = ["term", "shard", "df", "cf", "doc_ids", "tfs",
-                    "skip_first_doc", "skip_doc_offset", "skip_tf_offset",
-                    "block_max_tf", "block_max_score"]
+    _SEG_COLUMNS = ["term", "shard", "df", "cf", "doc_ids", "tfs"]
 
     # file-level term pruning: segment files group terms by the BUILD's
     # hash buckets, which range statistics can't prune (hashed terms
@@ -574,8 +572,8 @@ class QueryEngine:
     def search_boosted(self, boosts: dict[str, float], k: int = 10
                        ) -> list[tuple[int, float]]:
         """Per-term query boosts (the Lucene ``term^2.0`` analog):
-        score = Σ_t boost_t · idf_t · tf_part. Exhaustive only — stored
-        block-max bounds know nothing about boosts, so pruning would be
+        score = Σ_t boost_t · idf_t · tf_part. Exhaustive only — bmax's
+        block bounds know nothing about boosts, so pruning would be
         unsound. Weight expression order is (idf · boost) · part,
         mirrored exactly by the SQL oracle."""
         bmap = {}
@@ -594,7 +592,7 @@ class QueryEngine:
 
         max (not sum) keeps a doc mentioning one group member many times
         from out-ranking genuine multi-concept matches when the group's
-        variants co-occur. Exhaustive only — stored block-max bounds
+        variants co-occur. Exhaustive only — bmax's block bounds
         upper-bound per-term sums, not group maxima. Bitwise contract:
         per-term contributions reuse the exhaustive chain (idf · part);
         np.maximum is exact; groups accumulate in sorted order of their
@@ -767,8 +765,8 @@ class QueryEngine:
 
         ``feature_ids`` / ``feature_vals``: parallel arrays mapping
         doc_id → feature value; docs without a row default to 0.0.
-        Exhaustive-only (the stored block-max bounds upper-bound the
-        text score, not the combined score). Float expression order is
+        Exhaustive-only (bmax's block bounds upper-bound the text
+        score, not the combined score). Float expression order is
         ``acc + weight·feat`` per doc, mirrored by the DuckDB oracle
         (pipelines/sql.py feature_boost_topk_sql) micros-bitwise."""
         terms = sorted(set(clean_query(query)))
@@ -797,7 +795,7 @@ class QueryEngine:
         origin value): pass feature = the decay factor in [0, 1].
         Docs without a feature row keep factor 1.0 (unscaled), matching
         ES's missing-value behavior. Exhaustive-only, like the additive
-        sibling (stored bounds cap the text score, not the product)."""
+        sibling (block bounds cap the text score, not the product)."""
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
@@ -1412,16 +1410,19 @@ class QueryEngine:
     def _blocks(self, term: str, row_i: int, row: dict
                 ) -> tuple[np.ndarray, np.ndarray]:
         """(first doc id per block as int64, idf-free block-max scores
-        as float64 behind a leading 0.0) for one segment row, cached
-        next to the decode cache so bmax never rebuilds them from the
-        row's Python lists per query. The leading zero lets a segment
-        before the term's first block index its bound without a mask."""
+        as float64 behind a leading 0.0) for one segment row, taken
+        from its cached decode (``_decoded``) and cached next to it.
+        The bounds are the maxima of the row's own BM25 parts under this
+        engine's avgdl and doc lengths, so they are exact and never
+        stale. The leading zero lets a segment before the term's first
+        block index its bound without a mask."""
         key = (term, row_i)
         hit = self._blk_cache.get(key)
         if hit is None:
-            hit = (row["doc_map"][0][np.asarray(row["skip_first_doc"], dtype=np.int64)],
-                   np.concatenate(([0.0], np.asarray(row["block_max_score"],
-                                                     dtype=np.float64))))
+            ids, _, _, part, _ = self._decoded(term, row_i, row)
+            st = np.arange(0, len(ids), self.block_size)
+            hit = (ids[st],
+                   np.concatenate(([0.0], np.maximum.reduceat(part, st))))
             if len(self._blk_cache) < self.max_cached_segments:
                 self._blk_cache[key] = hit
         return hit
@@ -1829,8 +1830,8 @@ class QueryEngine:
         (tested).
 
         ``scorer``: a registry.py scorer name (§2.10 pluggable-ranking
-        hook); non-bm25 scorers use the exhaustive path (block-max
-        metadata only upper-bounds BM25).
+        hook); non-bm25 scorers use the exhaustive path (bmax's block
+        bounds only upper-bound BM25).
 
         With ``request_cache`` enabled at construction, results are
         LRU-memoized on (query, k, method, scorer) — see __init__ for
@@ -1856,9 +1857,10 @@ class QueryEngine:
         if scorer != "bm25":
             return self._search_exhaustive(terms, k, scorer)
         if self.stats.get("appended"):
-            # appended segments leave pre-existing block-max bounds stale
-            # (encoded against an older avgdl) — pruning would be unsound;
-            # exhaustive recomputes exactly under the fresh stats (append.py)
+            # appended, deleted and merged indexes: exhaustive masks
+            # tombstoned docs, which bmax's threshold does not (block
+            # bounds come from the decode under this engine's stats, so
+            # they are never stale; append.py)
             method = "exhaustive"
         if method == "auto":
             method = self._route_auto(terms, self._segments_for(terms))[0]
@@ -1876,8 +1878,8 @@ class QueryEngine:
                     ) -> tuple[str, int, float]:
         """The ``method="auto"`` decision as (method, physical postings,
         df skew) — the one rule behind both ``search`` and ``plan``.
-        Appended indexes always score exhaustively (their block-max
-        bounds are stale). Otherwise bmax for very large candidate sets,
+        Appended, deleted and merged indexes always score exhaustively,
+        since bmax's threshold does not mask tombstoned docs. Otherwise bmax for very large candidate sets,
         or below that when term dfs are near-uniform and large and the
         corpus's doc lengths disperse enough for pruning to pay
         (skew-sensing fast path — see the knobs in __init__); TAAT is

@@ -9,7 +9,7 @@ Tables:
   /root/reference/results.py:149-158).
 - ``postings``— exploded (term, doc_id, tf) — the shuffle payload.
 - ``segments``— the persisted index: one row per (term, shard), doc_id-sorted
-  delta+varint-compressed postings with skip blocks + block-max metadata
+  delta+varint-compressed postings in independently decodable blocks
   (replaces the pickle blobs of /root/reference/index/index.py:68-76).
   Postings hold LOCAL doc numbers: a doc's rank in its file's sorted
   doc-id set, the file's doc map (``DOC_MAP_KEY``).
@@ -65,13 +65,17 @@ SEGMENTS_SCHEMA = pa.schema(
         ("cf", pa.int64()),          # total occurrences, within this shard
         ("doc_ids", pa.binary()),    # delta+varint-compressed sorted local doc numbers
         ("tfs", pa.binary()),        # varint-compressed tfs, aligned
-        ("skip_first_doc", pa.list_(pa.int32())),   # first local doc number per block
-        ("skip_doc_offset", pa.list_(pa.int32())),  # byte offset into doc_ids per block
-        ("skip_tf_offset", pa.list_(pa.int32())),   # byte offset into tfs per block
-        ("block_max_tf", pa.list_(pa.int64())),     # max tf per block
-        ("block_max_score", pa.list_(pa.float64())),  # BM25 upper bound per block
     ]
 )
+
+
+def segments_schema(positions: bool = False) -> pa.Schema:
+    """The columns of every segment file of an index, with the
+    ``positions`` column when the index stores positions."""
+    if positions:
+        return SEGMENTS_SCHEMA.append(pa.field("positions", pa.binary()))
+    return SEGMENTS_SCHEMA
+
 
 TERM_DICT_SCHEMA = pa.schema(
     [
@@ -84,7 +88,16 @@ TERM_DICT_SCHEMA = pa.schema(
 # Bump when the on-disk index layout changes (segments schema, codec,
 # stats fields) — consumers embed it in cache paths so stale indexes from
 # older code are never read.
-INDEX_FORMAT_VERSION = 5  # v5: postings store local doc numbers — a
+INDEX_FORMAT_VERSION = 6  # v6: a segment row is term, shard, df, cf,
+#     doc_ids, tfs (+ positions). The five per-block list columns
+#     (skip_first_doc, two skip offsets, block_max_tf, block_max_score)
+#     are gone: the block-max scorer takes first docs and bounds from
+#     the row's decode, exact under the engine's own stats, and no
+#     reader used the offsets. The encoder needs no avgdl or doc lengths.
+#     v5 files still carry the dropped columns: a writer adding v6
+#     files next to them would mix two schemas in one segments dir, so
+#     the gate refuses v5 and the index is rebuilt.
+# v5: postings store local doc numbers — a
 #     doc's rank in its segment file's sorted doc-id set — and the file
 #     carries that set as its doc map (schema metadata DOC_MAP_KEY);
 #     skip_first_doc is list<int32>; segment footers keep min/max
@@ -156,6 +169,11 @@ def shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
     return (spread % np.uint64(num_shards)).astype(np.int32)
 
 
+# the segment columns whose footer min/max statistics readers filter
+# on; segment files keep statistics for these only
+SEGMENT_STATS_COLUMNS = ("term", "shard")
+
+
 def segment_compression(schema: pa.Schema) -> dict[str, str] | None:
     """THE per-column parquet codec policy for index artifacts: the
     position-blob column (``positions`` in segments, ``pos`` in staged
@@ -185,11 +203,10 @@ def segment_write_kwargs(schema: pa.Schema) -> dict:
     segment writer cannot silently omit the codec policy."""
     comp = segment_compression(schema)
     kw = {"compression": comp} if comp is not None else {}
-    if "skip_first_doc" in schema.names:
-        # segment files: min/max statistics only where a reader filters
-        # (``term`` and ``shard``); on the blob and list columns they
-        # were most of the footer bytes
-        kw["write_statistics"] = ["term", "shard"]
+    if "doc_ids" in schema.names:
+        # segment files: on the blob columns statistics were most of
+        # the footer bytes
+        kw["write_statistics"] = list(SEGMENT_STATS_COLUMNS)
     return kw
 
 

@@ -1,19 +1,36 @@
-"""Codec round-trip + skip-block properties (SURVEY.md §7 step 5).
+"""Codec round-trip + block properties (SURVEY.md §7 step 5).
 
 Seeded property-style loops (no external deps) mirroring the reference's
 multi-block spill test style (/root/reference/tests/index_test.py:11-32)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from stacksearch_ray.codec import (
     bm25_tf_part,
-    decode_block,
     decode_doc_ids,
     decode_tfs,
     encode_segment,
     varint_decode,
     varint_encode,
 )
+from stacksearch_ray.query import QueryEngine
+
+
+def block_bounds(ids, tfs, lens, avgdl, block_size=128):
+    """``QueryEngine._blocks`` of one row whose local doc numbers are
+    its ranks in ``ids`` (the row's doc map), on an engine whose docs
+    are ``ids`` with lengths ``lens``."""
+    eng = object.__new__(QueryEngine)
+    eng.doclens = SimpleNamespace(ids=ids, lens=lens)
+    eng.avgdl, eng.k1, eng.b = float(avgdl), 1.2, 0.75
+    eng.block_size = block_size
+    eng._dec_cache, eng._blk_cache, eng.max_cached_segments = {}, {}, 8
+    local = np.arange(len(ids), dtype=np.int64)
+    seg = encode_segment(local, tfs, block_size=block_size)
+    row = {"doc_ids": seg.doc_ids, "tfs": seg.tfs, "doc_map": (ids, local)}
+    return eng._blocks("t", 0, row)
 
 
 def test_varint_roundtrip_edges():
@@ -46,32 +63,33 @@ def test_segment_roundtrip_and_skips():
     for n in [0, 1, 127, 128, 129, 1000, 4096]:
         ids, tfs, lens = _random_postings(rng, max(n, 1))
         ids, tfs, lens = ids[:n], tfs[:n], lens[:n]
-        seg = encode_segment(ids, tfs, lens, avgdl=120.0, block_size=128)
+        seg = encode_segment(ids, tfs, block_size=128)
         assert seg.df == n and seg.cf == int(tfs.sum())
         assert decode_doc_ids(seg.doc_ids, block_size=128).tolist() == ids.tolist()
         assert decode_tfs(seg.tfs).tolist() == tfs.tolist()
-        n_blocks = (n + 127) // 128
-        assert len(seg.skip_first_doc) == n_blocks
-        for blk in range(n_blocks):
-            b_ids, b_tfs = decode_block(seg.doc_ids, seg.tfs, seg.skip_doc_offset,
-                                        seg.skip_tf_offset, blk, n, block_size=128)
-            lo, hi = blk * 128, min(n, (blk + 1) * 128)
-            assert b_ids.tolist() == ids[lo:hi].tolist()
-            assert b_tfs.tolist() == tfs[lo:hi].tolist()
-            assert seg.skip_first_doc[blk] == ids[lo]
-            assert seg.block_max_tf[blk] == tfs[lo:hi].max()
-            # block-max upper bound dominates every true score in the block
+        if n == 0:
+            continue
+        # every block starts with an absolute value, so a block's first
+        # doc is its raw varint and the blocks decode independently
+        starts = np.arange(0, n, 128)
+        assert varint_decode(seg.doc_ids)[starts].tolist() == ids[starts].tolist()
+        first, bmax0 = block_bounds(ids, tfs, lens, 120.0)
+        assert first.tolist() == ids[starts].tolist()
+        assert bmax0[0] == 0.0 and len(bmax0) == len(starts) + 1
+        for blk, lo in enumerate(starts):
+            hi = min(n, lo + 128)
+            # the block-max bound is the block's best score, exactly
             scores = bm25_tf_part(tfs[lo:hi], lens[lo:hi], 120.0)
-            assert seg.block_max_score[blk] >= scores.max() - 1e-12
+            assert bmax0[blk + 1] == scores.max()
 
 
 def test_block_max_is_tight():
     ids = np.arange(1, 257, dtype=np.int64)
     tfs = np.ones(256, dtype=np.int64)
     lens = np.full(256, 100, dtype=np.int64)
-    seg = encode_segment(ids, tfs, lens, avgdl=100.0, block_size=128)
+    _, bmax0 = block_bounds(ids, tfs, lens, 100.0)
     expect = bm25_tf_part(np.array([1]), np.array([100]), 100.0)[0]
-    assert np.allclose(seg.block_max_score, expect)
+    assert bmax0[1:].tolist() == [expect, expect]
 
 
 def test_batched_decode_matches_per_row():
@@ -93,8 +111,7 @@ def test_batched_decode_matches_per_row():
         n = int(rng.integers(1, 500))
         ids = np.sort(rng.choice(10**7, n, replace=False)).astype(np.int64)
         tfs = rng.integers(1, 9, n).astype(np.int64)
-        seg = encode_segment(ids, tfs, np.full(n, 40, np.int64),
-                             avgdl=40.0, k1=1.2, b=0.75, block_size=128)
+        seg = encode_segment(ids, tfs, block_size=128)
         bufs_d.append(seg.doc_ids)
         bufs_t.append(seg.tfs)
         exp_i.append(decode_doc_ids(seg.doc_ids, 128))

@@ -1,6 +1,8 @@
 """Property-based codec tests (hypothesis): round-trips hold for ANY
 sorted posting list, not just the seeded samples in test_codec.py."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -11,7 +13,6 @@ from stacksearch_ray import codec
 from stacksearch_ray.build import SegmentEncoder, _empty_segments_table
 from stacksearch_ray.codec import (
     bm25_tf_part,
-    decode_block,
     decode_doc_ids,
     decode_tfs,
     encode_segment,
@@ -19,6 +20,7 @@ from stacksearch_ray.codec import (
     varint_decode,
     varint_encode,
 )
+from stacksearch_ray.query import QueryEngine
 from stacksearch_ray.schema import DOC_MAP_KEY, SEGMENTS_SCHEMA
 
 
@@ -42,21 +44,18 @@ def test_segment_roundtrip_any(id_set, block_size, data):
     n = len(ids)
     tfs = np.array(data.draw(st.lists(st.integers(1, 10_000),
                                       min_size=n, max_size=n)), dtype=np.int64)
-    lens = np.array(data.draw(st.lists(st.integers(1, 100_000),
-                                       min_size=n, max_size=n)), dtype=np.int64)
-    seg = encode_segment(ids, tfs, lens, avgdl=123.4, block_size=block_size)
+    seg = encode_segment(ids, tfs, block_size=block_size)
     assert seg.df == n and seg.cf == int(tfs.sum())
     assert decode_doc_ids(seg.doc_ids, block_size).tolist() == ids.tolist()
     assert decode_tfs(seg.tfs).tolist() == tfs.tolist()
     n_blocks = (n + block_size - 1) // block_size
-    assert len(seg.skip_first_doc) == n_blocks
-    # random block decodes independently and matches the slice
+    # a random block decodes from its own values alone (its first value
+    # is absolute) and matches the slice
     blk = data.draw(st.integers(0, n_blocks - 1))
-    b_ids, b_tfs = decode_block(seg.doc_ids, seg.tfs, seg.skip_doc_offset,
-                                seg.skip_tf_offset, blk, n, block_size)
     lo, hi = blk * block_size, min(n, (blk + 1) * block_size)
-    assert b_ids.tolist() == ids[lo:hi].tolist()
-    assert b_tfs.tolist() == tfs[lo:hi].tolist()
+    raw = varint_decode(seg.doc_ids).astype(np.int64)
+    assert np.cumsum(raw[lo:hi]).tolist() == ids[lo:hi].tolist()
+    assert decode_tfs(seg.tfs)[lo:hi].tolist() == tfs[lo:hi].tolist()
 
 
 # --- batched encoder vs the per-row reference ------------------------------
@@ -75,7 +74,9 @@ def _leb128(v: int) -> bytes:
 
 
 def _ref_encode_segment(doc_ids, tfs, doc_lens, avgdl, k1, b, block_size):
-    """One (term, shard) row, encoded value by value."""
+    """One (term, shard) row, encoded value by value, with the per-block
+    skip entries and BM25 bounds a format-v5 row stored besides its
+    v6 fields (df, cf, doc_ids, tfs)."""
     n = len(doc_ids)
     block_starts = list(range(0, n, block_size))
     id_bytes, tf_bytes, id_offs, tf_offs = b"", b"", [], []
@@ -100,7 +101,7 @@ def _ref_encode_segment(doc_ids, tfs, doc_lens, avgdl, k1, b, block_size):
     }
 
 
-def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
+def _ref_segment_encoder(group: pa.Table, block_size) -> pa.Table:
     """The per-(term, shard) loop SegmentEncoder ran before encoding was
     batched per group: sort, split into rows, encode each row alone —
     over local doc numbers, each doc id's rank in the group's sorted
@@ -112,7 +113,6 @@ def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
     doc_ids = np.asarray(group["doc_id"]).astype(np.int64)
     doc_ids = np.searchsorted(np.unique(doc_ids), doc_ids)
     tfs = np.asarray(group["tf"]).astype(np.int64)
-    doc_lens = np.asarray(group["doc_len"]).astype(np.int64)
     shards = np.asarray(group["shard"]).astype(np.int32)
     pos = group["pos"].to_pylist() if has_pos else None
     rows: dict = {}
@@ -127,12 +127,12 @@ def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
         out["positions"] = []
     for (shard, term), idx in sorted(rows.items(),
                                      key=lambda kv: (kv[0][0], rank[kv[0][1]])):
-        seg = _ref_encode_segment(doc_ids[idx], tfs[idx], doc_lens[idx],
-                                  avgdl, k1, b, block_size)
+        seg = _ref_encode_segment(doc_ids[idx], tfs[idx], np.ones(len(idx)),
+                                  1.0, 1.2, 0.75, block_size)
         out["term"].append(term)
         out["shard"].append(shard)
-        for k, v in seg.items():
-            out[k].append(v)
+        for k in ("df", "cf", "doc_ids", "tfs"):
+            out[k].append(seg[k])
         if has_pos:
             out["positions"].append(b"".join(pos[i] or b"" for i in idx))
     schema = SEGMENTS_SCHEMA
@@ -144,7 +144,7 @@ def _ref_segment_encoder(group: pa.Table, avgdl, k1, b, block_size) -> pa.Table:
 def _random_group(rng, dfs, n_shards, positions, block_size):
     """A shuffle group: term t has postings in ``dfs[t]`` distinct docs
     per shard it appears in, rows shuffled."""
-    cols = {k: [] for k in ("term", "doc_id", "tf", "doc_len", "shard")}
+    cols = {k: [] for k in ("term", "doc_id", "tf", "shard")}
     pos = []
     for t, df in enumerate(dfs):
         for shard in rng.choice(n_shards, size=int(rng.integers(1, n_shards + 1)),
@@ -154,7 +154,6 @@ def _random_group(rng, dfs, n_shards, positions, block_size):
             cols["term"] += [f"t{t}"] * df
             cols["doc_id"] += ids.tolist()
             cols["tf"] += tf.tolist()
-            cols["doc_len"] += rng.integers(1, 5000, size=df).tolist()
             cols["shard"] += [int(shard)] * df
             pos += [None if rng.random() < 0.05 else rng.bytes(int(x) % 7)
                     for x in tf]
@@ -163,7 +162,6 @@ def _random_group(rng, dfs, n_shards, positions, block_size):
         "term": pa.array([cols["term"][i] for i in perm], pa.string()),
         "doc_id": pa.array(np.asarray(cols["doc_id"], np.int64)[perm]),
         "tf": pa.array(np.asarray(cols["tf"], np.int64)[perm]),
-        "doc_len": pa.array(np.asarray(cols["doc_len"], np.int64)[perm]),
         "shard": pa.array(np.asarray(cols["shard"], np.int32)[perm]),
     })
     if positions:
@@ -180,9 +178,9 @@ def test_segment_encoder_equals_per_row_reference(positions, block_size):
     dfs = [1, bs - 1, bs, bs + 1, 3 * bs + 5, 2, 7]
     for seed_shards in (1, 3, 8):
         group = _random_group(rng, dfs, seed_shards, positions, bs)
-        enc = SegmentEncoder(avgdl=417.25, k1=1.1, b=0.6, block_size=bs)
+        enc = SegmentEncoder(block_size=bs)
         got = enc(group)
-        want = _ref_segment_encoder(group, 417.25, 1.1, 0.6, bs)
+        want = _ref_segment_encoder(group, bs)
         assert got.equals(want)
         assert np.frombuffer(got.schema.metadata[DOC_MAP_KEY],
                              "<i8").tolist() == sorted(
@@ -196,10 +194,9 @@ def test_segment_encoder_equals_per_row_reference(positions, block_size):
 @pytest.mark.parametrize("positions", [False, True])
 def test_segment_encoder_empty_group(positions):
     group = _random_group(np.random.default_rng(0), [1], 1, positions, 128)
-    got = SegmentEncoder(avgdl=10.0)(group.slice(0, 0))
+    got = SegmentEncoder()(group.slice(0, 0))
     assert got.num_rows == 0
-    assert got.equals(_ref_segment_encoder(group.slice(0, 0), 10.0,
-                                           1.2, 0.75, 128))
+    assert got.equals(_ref_segment_encoder(group.slice(0, 0), 128))
 
 
 def test_encode_segment_adapter_equals_reference():
@@ -208,24 +205,59 @@ def test_encode_segment_adapter_equals_reference():
         ids = np.sort(rng.choice(10**12, size=n, replace=False)).astype(np.int64)
         tfs = rng.integers(1, 1000, size=n).astype(np.int64)
         lens = rng.integers(1, 9000, size=n).astype(np.int64)
-        seg = encode_segment(ids, tfs, lens, avgdl=300.0)
         ref = _ref_encode_segment(ids, tfs, lens, 300.0, 1.2, 0.75, 128)
-        assert (seg.df, seg.cf, seg.doc_ids, seg.tfs) == (
-            ref["df"], ref["cf"], ref["doc_ids"], ref["tfs"])
-        for k in ("skip_first_doc", "skip_doc_offset", "skip_tf_offset",
-                  "block_max_tf", "block_max_score"):
-            assert getattr(seg, k).tolist() == ref[k], k
-        assert seg.skip_doc_offset.dtype == np.int32
-        assert seg.block_max_score.dtype == np.float64
+        # the score arguments are accepted and ignored
+        for seg in (encode_segment(ids, tfs, lens, 300.0),
+                    encode_segment(ids, tfs)):
+            assert (seg.df, seg.cf, seg.doc_ids, seg.tfs) == (
+                ref["df"], ref["cf"], ref["doc_ids"], ref["tfs"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=200),
+    st.data(),
+)
+def test_blocks_equal_v5_stored_bounds(n_docs, block_size, data):
+    """bmax's block bounds, now derived from the decode by
+    ``QueryEngine._blocks``, equal bitwise what a v5 row stored: the
+    first doc of each block and the idf-free BM25 block maxima at the
+    build's avgdl. The engine holds ``n_docs`` docs, the row's file
+    maps a subset of them, and the row posts to a subset of that."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    doc_ids = np.unique(rng.choice(2**62, size=n_docs))
+    lens = rng.integers(1, 5000, size=len(doc_ids)).astype(np.int64)
+    avgdl = int(lens.sum()) / len(lens)  # as a build computes it
+    doc_map = np.sort(rng.choice(doc_ids, size=int(rng.integers(
+        1, len(doc_ids) + 1)), replace=False))
+    local = np.sort(rng.choice(len(doc_map), size=int(rng.integers(
+        1, len(doc_map) + 1)), replace=False)).astype(np.int64)
+    tfs = rng.integers(1, 300, size=len(local)).astype(np.int64)
+    dense = np.searchsorted(doc_ids, doc_map)
+    k1, b = 1.2, 0.75
+    ref = _ref_encode_segment(local, tfs, lens[dense[local]], avgdl, k1, b,
+                              block_size)
+    eng = object.__new__(QueryEngine)
+    eng.doclens = SimpleNamespace(ids=doc_ids, lens=lens)
+    eng.avgdl, eng.k1, eng.b, eng.block_size = avgdl, k1, b, block_size
+    eng._dec_cache, eng._blk_cache, eng.max_cached_segments = {}, {}, 8
+    row = {"doc_ids": ref["doc_ids"], "tfs": ref["tfs"],
+           "doc_map": (doc_map, dense)}
+    first, bounds = eng._blocks("t", 0, row)
+    assert first.dtype == np.int64 and bounds.dtype == np.float64
+    assert np.array_equal(first, doc_map[ref["skip_first_doc"]])
+    assert np.array_equal(bounds, [0.0] + ref["block_max_score"])
+    assert eng._blocks("t", 0, row)[0] is first  # cached per row
 
 
 def test_encode_segments_rejects_non_contiguous_rows():
     ids = np.arange(6, dtype=np.int64)
     one = np.ones(6, np.int64)
     with pytest.raises(ValueError, match="contiguous"):
-        encode_segments(ids, one, one, np.array([0, 3]), np.array([2, 6]), 5.0)
+        encode_segments(ids, one, np.array([0, 3]), np.array([2, 6]))
     with pytest.raises(ValueError, match="contiguous"):
-        encode_segments(ids, one, one, np.array([0]), np.array([5]), 5.0)
+        encode_segments(ids, one, np.array([0]), np.array([5]))
 
 
 def test_varint_encode_matches_scalar_leb128():
@@ -245,13 +277,13 @@ def test_encode_offset_guard_raises_past_limit(monkeypatch):
     """A group whose id or tf bytes reach the int32 limit raises rather
     than wrapping; the limit is patched down so the test stays small."""
     group = _random_group(np.random.default_rng(3), [50, 60], 2, False, 128)
-    enc = SegmentEncoder(avgdl=9.0)(group)
+    enc = SegmentEncoder()(group)
     total = max(len(b"".join(enc[c].to_pylist())) for c in ("doc_ids", "tfs"))
     monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total + 1)
-    SegmentEncoder(avgdl=9.0)(group)
+    SegmentEncoder()(group)
     monkeypatch.setattr(codec, "INT32_OFFSET_LIMIT", total)
     with pytest.raises(ValueError, match="int32 offset range"):
-        SegmentEncoder(avgdl=9.0)(group)
+        SegmentEncoder()(group)
 
 
 @settings(max_examples=100, deadline=None)

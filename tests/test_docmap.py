@@ -1,9 +1,9 @@
-"""Index format v5: postings over per-file local doc numbers.
+"""Per-file local doc numbers (index format v5, kept by v6).
 
 Every writer (path build, Dataset build, append + compact, delete +
 purge, merge) must store exactly the oracle's (term, doc id, tf)
 postings once each file's local numbers go back through its doc map;
-the format gate refuses indexes without ``format_version: 5``; fsck
+the format gate refuses indexes without ``format_version: 6``; fsck
 catches each doc-map corruption."""
 
 import json
@@ -173,10 +173,10 @@ def test_format_gate_refuses_other_versions(small_idx, corpus, tmp_path):
     from stacksearch_ray.query import QueryEngine
     from stacksearch_ray.schema import INDEX_FORMAT_VERSION
 
-    assert INDEX_FORMAT_VERSION == 5
-    assert load_stats(small_idx)["format_version"] == 5
+    assert INDEX_FORMAT_VERSION == 6
+    assert load_stats(small_idx)["format_version"] == 6
     delta = corpus[2][0]
-    for version in (None, 4):
+    for version in (None, 4, 5):
         idx = str(tmp_path / f"v{version}")
         shutil.copytree(small_idx, idx)
         path = os.path.join(idx, "stats.json")
@@ -186,7 +186,7 @@ def test_format_gate_refuses_other_versions(small_idx, corpus, tmp_path):
         else:
             st["format_version"] = version
         json.dump(st, open(path, "w"))
-        match = f"format version {version} .*reads version 5"
+        match = f"format version {version} .*reads version 6"
         calls = [
             lambda: QueryEngine(idx),
             lambda: append_to_index(delta, idx),

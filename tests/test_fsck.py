@@ -1,6 +1,7 @@
 """fsck_index: clean indexes pass through every lifecycle state;
 seeded corruptions are detected (stats drift, missing docs, decode
-mismatches, illegal duplicate segment rows, term_dict drift)."""
+mismatches, illegal duplicate segment rows, term_dict drift, segment
+files of another layout)."""
 
 import json
 import os
@@ -118,3 +119,38 @@ def test_fsck_detects_corruptions(fsck_idx, ray_session, tmp_path):
     pq.write_table(t, os.path.join(td_dir, f))
     rep = fsck_index(c)
     assert not rep.ok and any("term_dict" in e for e in rep.errors)
+
+
+def test_fsck_checks_segment_layout(fsck_idx, ray_session, tmp_path):
+    """A segment file with a column the format does not have (here a
+    format-v5 per-block list column), or with footer statistics on a
+    column other than term and shard, is reported."""
+    import pyarrow as pa
+
+    from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.schema import segment_write_kwargs
+
+    def rewrite(name, edit, kw):
+        c = _copy(fsck_idx, tmp_path, name)
+        seg_dir = os.path.join(c, "segments")
+        f = os.path.join(seg_dir, sorted(os.listdir(seg_dir))[0])
+        t = edit(pq.read_table(f))
+        pq.write_table(t, f, **kw(t.schema))
+        return fsck_index(c), os.path.basename(f)
+
+    def v5_column(t):
+        firsts = pa.array([[0]] * t.num_rows, pa.list_(pa.int32()))
+        return t.add_column(6, "skip_first_doc", firsts)
+
+    rep, f = rewrite("c_v5", v5_column, segment_write_kwargs)
+    assert not rep.ok
+    assert any(f in e and "skip_first_doc" in e and "columns" in e
+               for e in rep.errors), rep.errors
+    # the file's rows still decode: the layout error is the only one
+    assert len(rep.errors) == 1
+
+    rep, f = rewrite("c_stats", lambda t: t, lambda s: {})
+    assert not rep.ok
+    assert rep.errors == [f"{f}: footer statistics on ['cf', 'df', 'doc_ids',"
+                          " 'positions', 'tfs']; segment files keep them for "
+                          "term and shard only"]
