@@ -3,9 +3,10 @@ compaction it replaces on the upsert path.
 
 Build the bench's 400k-doc corpus index once, hardlink-clone it, delete
 the SAME 1k-doc set from both; then purge one clone and compact the
-other. Prints one JSON line and writes BENCH/purge_drill_r4.json.
+other. Prints one JSON line and writes it to ``--out``.
 
     python scripts/purge_drill.py [--rows 400000] [--n-del 1000]
+        [--num-shards 64] [--cpus 16] [--out BENCH/purge_drill_r4.json]
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import shutil
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
 
 
 def hardlink_clone(src: str, dst: str) -> None:
@@ -32,11 +34,17 @@ def main() -> int:
     p.add_argument("--rows", type=int, default=400_000)
     p.add_argument("--n-del", type=int, default=1_000)
     p.add_argument("--num-shards", type=int, default=64)
+    p.add_argument("--cpus", type=int, default=16,
+                   help="CPUs of the local Ray session and the build's "
+                        "task concurrency")
+    p.add_argument("--out",
+                   default=os.path.join(REPO, "BENCH", "purge_drill_r4.json"),
+                   help="where the JSON result is written")
     args = p.parse_args()
 
     import ray
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
+    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
 
@@ -65,7 +73,7 @@ def main() -> int:
     shutil.rmtree(base, ignore_errors=True)
     t0 = time.time()
     build_index_resumable(corpus, idx, num_shards=args.num_shards,
-                          files_per_partition=1, concurrency=16)
+                          files_per_partition=1, concurrency=args.cpus)
     build_s = time.time() - t0
 
     ids = pq.read_table(os.path.join(idx, "docs"),
@@ -106,7 +114,7 @@ def main() -> int:
     agree = a == b
 
     out = {"rows": args.rows, "n_del": len(dels),
-           "num_shards": args.num_shards,
+           "num_shards": args.num_shards, "cpus": args.cpus,
            "build_s": round(build_s, 2), "delete_s": round(delete_s, 2),
            "purge_s": round(purge_s, 2), "compact_s": round(compact_s, 2),
            "purge_10_ids_s": round(purge_small_s, 2),
@@ -114,9 +122,7 @@ def main() -> int:
            "purge10_vs_compact_speedup": round(compact_s / purge_small_s, 1),
            "post_purge_query_agrees_with_post_compact": agree}
     print(json.dumps(out))
-    with open(os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "BENCH",
-            "purge_drill_r4.json"), "w") as f:
+    with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
     shutil.rmtree(base, ignore_errors=True)
     ray.shutdown()

@@ -45,6 +45,7 @@ from .build import (
     build_config,
     check_doc_id_collisions,
     doc_totals,
+    write_segment_file,
 )
 from .checkpoint import map_units, write_term_dict
 from .schema import SEG_MAP_NAME, read_seg_map_entry, write_seg_bucket_map
@@ -300,169 +301,58 @@ def resolve_index_alias(path: str) -> str:
         f"(alias.json)")
 
 
-def _gather_spans(offs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Flat indices covering rows' spans [offs[r], offs[r+1])."""
-    from .codec import gather_ranges
+def _purge_file(src: str, dst: str, D: np.ndarray, block_size: int,
+                store_positions: bool) -> dict:
+    """Re-encode segment file ``src`` without the postings of the
+    sorted doc ids ``D``, as compaction re-encodes a file: its kept
+    postings (``_kept_postings``), the build's encoder, and the
+    segment-file writer into ``dst``, with a fresh doc map. Returns the
+    action — "skip" (no posting dropped: a map written before fresh
+    maps can still list ids purged earlier), "rename" (``dst`` replaces
+    ``src``) or "removal" (no posting left) — and the file's removed
+    (term, df, cf): its old rows' counts minus its new rows'."""
+    from .checkpoint import sum_term_stats
+    from .schema import read_doc_map
 
-    return gather_ranges(offs[rows], offs[rows + 1])
+    old = pq.read_table(src, use_threads=False)
+    kept = _kept_postings(old, read_doc_map(src), D, block_size,
+                          store_positions)
+    if kept.num_rows == pc.sum(old["df"]).as_py():
+        return {"action": "skip"}
+    new = SegmentEncoder(block_size=block_size)(kept)
+    if new.num_rows:
+        write_segment_file(new, dst)
+    cols = ["term", "df", "cf"]
+    removed = sum_term_stats([old.select(cols), _negated(new.select(cols))])
+    return {"action": "rename" if new.num_rows else "removal",
+            "removed": {c: removed[c].to_numpy().tolist() for c in cols}}
 
 
-def _purge_segment_file(fpath: str, out_path: str, D: np.ndarray,
-                        affected: list[int], block_size: int,
-                        store_positions: bool, encoder
-                        ) -> tuple[str, dict[str, list[int]]]:
-    """Rewrite ONE segment file without the purged ids. Returns
-    (action, {term: [removed_df, removed_cf]}): action is "skip" (no
-    purged posting in the file — live file untouched), "rename" (the
-    staged rewrite at out_path replaces it), or "removal" (every row
-    emptied). Untouched rows keep their original encoded bytes verbatim
-    (table slices); affected rows are batch re-encoded with ONE decode
-    pass + ONE encoder call ((term, shard) is unique within a file —
-    build/append/compact each emit one row per group, though one FILE
-    may coalesce several shards' groups, so per-term counts SUM across
-    rows) and spliced back in original row order. Re-encoded rows keep
-    the file's doc map, so the untouched rows' local doc numbers stay
-    valid; the map then also lists the purged ids, which no posting
-    references any more."""
-    from .codec import (
-        decode_doc_ids_batch,
-        decode_positions,
-        decode_tfs_batch,
-        encode_position_lists,
-    )
-    from .query import sorted_member_mask
-    from .schema import local_numbers, read_doc_map
-
-    # the purged ids in this file's local numbering (D_loc): a file
-    # whose map lists none of them costs one footer read
-    doc_map = read_doc_map(fpath)
-    D_loc = local_numbers(doc_map, D)
-    if len(D_loc) == 0:
-        return "skip", {}
-    # staged reads so untouched files cost ~nothing: (1) a
-    # row-group-pruned detection read (shard + doc_ids; checkpoint
-    # builds align row groups to shard spans) — most candidate rows
-    # contain no purged doc; (2) the full read only for files that
-    # actually rewrite. (The caller already pruned files whose shard
-    # column is disjoint from the purge set.)
-    det = pq.read_table(fpath, columns=["shard", "doc_ids"],
-                        filters=[("shard", "in", list(affected))])
-    if det.num_rows == 0:
-        return "skip", {}
-    ids_d, offs_d = decode_doc_ids_batch(det["doc_ids"].to_pylist(),
-                                         block_size)
-    if not sorted_member_mask(D_loc, ids_d).any():
-        return "skip", {}
-
-    tb = pq.read_table(fpath)
-    shards_np = np.asarray(tb["shard"].combine_chunks())
-    cand = np.flatnonzero(np.isin(
-        shards_np, np.asarray(affected, dtype=shards_np.dtype)))
-    if len(cand) == det.num_rows:
-        # the filtered detection read returned exactly the candidate
-        # rows in file order — reuse its decode (the det pass is ~half
-        # the file's decode cost)
-        ids_f, offs = ids_d, offs_d
-    else:
-        bufs = tb["doc_ids"].take(pa.array(cand, pa.int64())).to_pylist()
-        ids_f, offs = decode_doc_ids_batch(bufs, block_size)
-    hit_flat = sorted_member_mask(D_loc, ids_f)
-    row_hits = np.add.reduceat(hit_flat, offs[:-1]) if len(ids_f) \
-        else np.zeros(len(cand), dtype=np.int64)
-    # reduceat on an empty row span yields the NEXT element; zero
-    # rows can't exist in segments (df >= 1), but guard anyway
-    row_hits = np.where(np.diff(offs) > 0, row_hits, 0)
-    hit_in_cand = np.flatnonzero(row_hits)
-    if len(hit_in_cand) == 0:
-        return "skip", {}
-    hit_rows = cand[hit_in_cand]
-    flat_idx = _gather_spans(offs, hit_in_cand)
-    ids_h = doc_map[ids_f[flat_idx]]
-    keep = ~hit_flat[flat_idx]
-    sizes_h = (offs[hit_in_cand + 1] - offs[hit_in_cand]).astype(np.int64)
-    tfs_h, _ = decode_tfs_batch(
-        tb["tfs"].take(pa.array(hit_rows, pa.int64())).to_pylist())
-    terms_h = np.asarray(
-        tb["term"].take(pa.array(hit_rows, pa.int64())).to_pylist(),
-        dtype=object)
-    shards_h = shards_np[hit_rows]
-    row_starts = np.concatenate(([0], np.cumsum(sizes_h)[:-1]))
-    removed_per_row = np.add.reduceat(~keep, row_starts)
-    removed_cf_per_row = np.add.reduceat(
-        np.where(keep, 0, tfs_h), row_starts)
-    counts: dict[str, list[int]] = {}
-    for t, c, cf in zip(terms_h, removed_per_row, removed_cf_per_row):
-        if c:  # SUM across rows — one file can hold a term in >1 shard
-            cur = counts.setdefault(str(t), [0, 0])
-            cur[0] += int(c)
-            cur[1] += int(cf)
-    cols = {
-        "term": pa.array(np.repeat(terms_h, sizes_h)[keep], pa.string()),
-        "doc_id": pa.array(ids_h[keep], pa.int64()),
-        "tf": pa.array(tfs_h[keep], pa.int64()),
-        "shard": pa.array(np.repeat(shards_h, sizes_h)[keep]),
-    }
-    if store_positions:
-        blobs_keep: list[bytes] = []
-        pos_bufs = tb["positions"].take(
-            pa.array(hit_rows, pa.int64())).to_pylist()
-        ends_h = np.cumsum(sizes_h)
-        for r, blob in enumerate(pos_bufs):
-            tf_r = tfs_h[ends_h[r] - sizes_h[r]:ends_h[r]]
-            flat = decode_positions(blob, tf_r)
-            ends = np.cumsum(tf_r)
-            blobs = encode_position_lists(flat, ends - tf_r, ends)
-            k_r = keep[ends_h[r] - sizes_h[r]:ends_h[r]]
-            blobs_keep.extend(bl for bl, k in zip(blobs, k_r) if k)
-        cols["pos"] = pa.array(blobs_keep, pa.binary())
-    enc = (encoder(pa.table(cols), doc_map).select(tb.column_names)
-           .cast(tb.schema) if keep.any()
-           else tb.schema.empty_table())
-    enc_of = {(enc["term"][i].as_py(), enc["shard"][i].as_py()): i
-              for i in range(enc.num_rows)}
-    pieces, prev = [], 0
-    for ri, i in enumerate(hit_rows.tolist()):
-        if i > prev:
-            pieces.append(tb.slice(prev, i - prev))
-        ei = enc_of.get((terms_h[ri], int(shards_h[ri])))
-        if ei is not None:
-            pieces.append(enc.slice(ei, 1))
-        prev = i + 1
-    if prev < tb.num_rows:
-        pieces.append(tb.slice(prev, tb.num_rows - prev))
-    if not pieces:  # every row emptied: concat_tables([]) would raise
-        return "removal", counts
-    new_tb = pa.concat_tables(pieces)
-    if new_tb.num_rows:
-        from .schema import segment_write_kwargs
-
-        # v4 codec policy: pos → zstd
-        pq.write_table(new_tb, out_path,
-                       **segment_write_kwargs(new_tb.schema))
-        return "rename", counts
-    return "removal", counts
+def _negated(counts: pa.Table) -> pa.Table:
+    """A count table (term, then counts) with every count negated."""
+    return pa.table({c: counts[c] if c == "term" else pc.negate(counts[c])
+                     for c in counts.column_names})
 
 
 def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     """Physically remove a bounded set of TOMBSTONED ids without a full
     compaction — the surgical middle ground between delete_from_index
     (O(delete-set), logical) and compact_index (O(index), physical).
-    Cost is O(size of the affected shards' files): only segment files
-    whose rows contain a purged id and docs files holding a purged row
-    are rewritten; every untouched row keeps its original encoded bytes
-    verbatim. After the purge the ids are fully gone, so they can be
+    Cost is O(size of the affected files): only segment files whose doc
+    map lists a purged id and docs files holding a purged row are
+    rewritten. After the purge the ids are fully gone, so they can be
     RE-ADDED by a normal append (the upsert path: delete → purge →
     append replaces the previous delete → FULL compact).
 
-    Affected segment rows are re-encoded from their surviving postings
-    in their file's doc map, so they hold the same postings as a
-    rebuild's rows (positions re-split per doc, identity round-trip).
+    Each affected segment file is re-encoded, as compaction would
+    re-encode it (``_purge_file``): its rows hold the same postings as
+    a rebuild's rows (positions re-split per doc, identity round-trip).
     ``appended`` stays True: tombstones or appended rows may remain.
 
-    Sidecars shrink exactly: the purged ids leave the tombstone set and
-    each rewritten row's removed-posting count is subtracted from the
-    per-term deleted-df sidecar (computed from the same decode that
-    drives the rewrite, so the correction can't drift from the bytes).
+    Sidecars and the term_dict shrink exactly: the purged ids leave the
+    tombstone set, and the rewritten files' removed (term, df, cf) — old
+    rows' counts minus new rows' — are subtracted from the term_dict and
+    the per-term deleted-df sidecar.
 
     Crash story (single writer): staged rewrites + fresh sidecars are
     written first, then a ``purge.pending-{id}.json`` journal records
@@ -473,10 +363,10 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     reader ever sees purged segments under the old (over-counting)
     deleted-df sidecar."""
     import shutil
-    import uuid
 
     from .build import check_format, load_stats, write_stats
-    from .codec import decode_positions, encode_position_lists
+    from .checkpoint import sum_term_stats
+    from .schema import TERM_DICT_SCHEMA, local_numbers, read_doc_map
 
     recover_segments(index_dir)
     recover_appends(index_dir)
@@ -497,49 +387,28 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     block_size = int(stats["block_size"])
     store_positions = bool(stats.get("store_positions"))
 
-    dt = pq.read_table(docs_dir, columns=["doc_id", "shard"],
-                       filters=[("doc_id", "in", D.tolist())])
-    affected_shards = set(dt["shard"].to_pylist())
-
     aid = uuid.uuid4().hex
     staged_root = f"purge.staged-{aid}"
     staged_dir = os.path.join(index_dir, staged_root)
     os.makedirs(os.path.join(staged_dir, "segments"), exist_ok=True)
     os.makedirs(os.path.join(staged_dir, "docs"), exist_ok=True)
-    removed_counts: dict[str, list[int]] = {}  # term -> [df, cf] removed
     renames: list[list[str]] = []
     removals: list[str] = []
 
-    # --- segment rewrite. Driver pre-filter: a file can hold a purged
-    # posting only if its shard column intersects the affected shards —
-    # one cheap column read per file (0.09 s for a 64-file/600 MB
-    # index) prunes the work list to the handful of files a bounded
-    # purge actually touches. Small work lists run inline (Ray task
-    # launch costs more than the work: a 10-id purge measured 5.5 s of
-    # pure fan-out overhead across 64 mostly-skip tasks); large ones
-    # fan out one task per file group, compact-style.
-    aff_sorted = sorted(int(s) for s in affected_shards)
-    cand_files = []
-    for f in sorted(os.listdir(seg_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        sh = np.asarray(pq.read_table(
-            os.path.join(seg_dir, f), columns=["shard"])
-            ["shard"].combine_chunks())
-        if np.isin(sh, np.asarray(aff_sorted, dtype=sh.dtype)).any():
-            cand_files.append(f)
+    # --- segment rewrite. A file can hold a purged posting only if its
+    # doc map lists a purged id: one footer read per file, exact. Small
+    # work lists run inline (Ray task launch costs more than the work: a
+    # 10-id purge measured 5.5 s of pure fan-out overhead across 64
+    # mostly-skip tasks); large ones fan out through map_units.
+    cand_files = [f for f in sorted(os.listdir(seg_dir))
+                  if f.endswith(".parquet") and len(local_numbers(
+                      read_doc_map(os.path.join(seg_dir, f)), D))]
 
     def _run_files(units: list[dict]) -> list[dict]:
-        encoder = SegmentEncoder(block_size=block_size)
-        out = []
-        for u in units:
-            action, counts = _purge_segment_file(
-                os.path.join(seg_dir, u["fname"]),
-                os.path.join(staged_dir, "segments", u["fname"]),
-                D, aff_sorted, block_size, store_positions, encoder)
-            out.append({"fname": u["fname"], "action": action,
-                        "counts": counts})
-        return out
+        return [{"fname": u["fname"], **_purge_file(
+            os.path.join(seg_dir, u["fname"]),
+            os.path.join(staged_dir, "segments", u["fname"]),
+            D, block_size, store_positions)} for u in units]
 
     # crossover (4-CPU host, 8k docs over 32 shards): serial work costs
     # ~0.05 s/file, one map_units execution ~0.065 s of wall and
@@ -551,92 +420,48 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
                else map_units(_run_files, units))
     for r in sorted(results, key=lambda r: r["fname"]):
         fname, action = r["fname"], r["action"]
-        for t, (c_df, c_cf) in r["counts"].items():
-            cur = removed_counts.setdefault(t, [0, 0])
-            cur[0] += c_df
-            cur[1] += c_cf
         if action == "rename":
             renames.append([f"{staged_root}/segments/{fname}",
                             f"segments/{fname}"])
         elif action == "removal":
             removals.append(f"segments/{fname}")
+    removed = sum_term_stats([TERM_DICT_SCHEMA.empty_table()] + [
+        pa.table(r["removed"], schema=TERM_DICT_SCHEMA)
+        for r in results if r["action"] != "skip"])
 
     for fname in sorted(os.listdir(docs_dir)):
         if not fname.endswith(".parquet"):
             continue
-        fpath = os.path.join(docs_dir, fname)
-        tb = pq.read_table(fpath)
-        ids = np.asarray(tb["doc_id"].combine_chunks()).astype(np.int64)
-        j = np.minimum(np.searchsorted(D, ids), len(D) - 1)
-        keep = D[j] != ids
-        if keep.all():
-            continue
-        new_tb = tb.filter(pa.array(keep))
-        if new_tb.num_rows:
-            pq.write_table(new_tb, os.path.join(staged_dir, "docs", fname))
-            renames.append([f"{staged_root}/docs/{fname}",
-                            f"docs/{fname}"])
-        else:
+        n = _rewrite_docs_part(os.path.join(docs_dir, fname),
+                               os.path.join(staged_dir, "docs", fname), D)
+        if n:
+            renames.append([f"{staged_root}/docs/{fname}", f"docs/{fname}"])
+        elif n == 0:
             removals.append(f"docs/{fname}")
 
-    # fresh sidecars (inert until the journaled stats switch)
-    new_stats = dict(stats)
-    new_tomb = np.setdiff1d(tomb, D, assume_unique=True)
-    for key in ("tombstones_file", "deleted_df_file", "n_tombstones"):
-        new_stats.pop(key, None)
-    if len(new_tomb):
-        tomb_name = f"tombstones-{aid}.parquet"
-        pq.write_table(pa.table({"doc_id": pa.array(new_tomb, pa.int64())}),
-                       os.path.join(index_dir, tomb_name))
-        new_stats["tombstones_file"] = tomb_name
-        new_stats["n_tombstones"] = len(new_tomb)
-        if stats.get("deleted_df_file"):
-            old_ddf = pq.read_table(
-                os.path.join(index_dir, stats["deleted_df_file"]))
-            ddf = dict(zip(old_ddf["term"].to_pylist(),
-                           (int(x) for x in old_ddf["ddf"].to_pylist())))
-            for term, (c_df, _c_cf) in removed_counts.items():
-                left = ddf.get(term, 0) - c_df
-                if left > 0:
-                    ddf[term] = left
-                else:
-                    ddf.pop(term, None)
-            ddf_name = f"deleted-df-{aid}.parquet"
-            ts = sorted(ddf)
-            pq.write_table(pa.table({
-                "term": pa.array(ts, pa.string()),
-                "ddf": pa.array([ddf[t] for t in ts], pa.int64()),
-            }), os.path.join(index_dir, ddf_name))
-            new_stats["deleted_df_file"] = ddf_name
+    # fresh sidecars (inert until the journaled stats switch): the
+    # removed postings' docs were all tombstoned, so their df leaves the
+    # deleted-df counts
+    ddf = None
+    if stats.get("deleted_df_file"):
+        ddf = [pq.read_table(os.path.join(index_dir, stats["deleted_df_file"])),
+               _negated(removed.select(["term", "df"])
+                        .rename_columns(["term", "ddf"]))]
+    new_stats = _write_delete_sidecars(
+        index_dir, stats, np.setdiff1d(tomb, D, assume_unique=True), ddf)
 
     # term_dict update — INCREMENTAL (vocab-sized, keeps purge
     # O(affected files) where a segments-scan rebuild would be
-    # O(index)): term_dict tracks PHYSICAL segment df/cf, and the
-    # rewrite's exact removed (df, cf) per term is already in hand.
-    # Staged as a full replacement dir so the journal can roll the
-    # swap forward; without this, shard-subset engines (which read df
-    # from term_dict) would score against stale counts.
+    # O(index)): term_dict tracks PHYSICAL segment df/cf, less the
+    # removed counts; fully purged terms leave it. Staged as a full
+    # replacement dir so the journal can roll the swap forward; without
+    # this, shard-subset engines (which read df from term_dict) would
+    # score against stale counts.
     dir_swaps: list[list[str]] = []
     td_dir = os.path.join(index_dir, "term_dict")
-    if removed_counts and os.path.isdir(td_dir):
-        old_td = pq.read_table(td_dir)
-        t_l = old_td["term"].to_pylist()
-        df_l = old_td["df"].to_pylist()
-        cf_l = old_td["cf"].to_pylist()
-        new_rows = []
-        for t, df_v, cf_v in zip(t_l, df_l, cf_l):
-            rem = removed_counts.get(t)
-            if rem is not None:
-                df_v, cf_v = int(df_v) - rem[0], int(cf_v) - rem[1]
-            if df_v > 0:  # fully-purged terms leave the dictionary
-                new_rows.append((t, int(df_v), int(cf_v)))
-        td_staged = os.path.join(staged_dir, "term_dict")
-        os.makedirs(td_staged, exist_ok=True)
-        pq.write_table(pa.table({
-            "term": pa.array([r[0] for r in new_rows], pa.string()),
-            "df": pa.array([r[1] for r in new_rows], pa.int64()),
-            "cf": pa.array([r[2] for r in new_rows], pa.int64()),
-        }), os.path.join(td_staged, "term_dict.parquet"))
+    if removed.num_rows and os.path.isdir(td_dir):
+        write_term_dict(os.path.join(staged_dir, "term_dict"),
+                        [pq.read_table(td_dir), _negated(removed)])
         dir_swaps.append([f"{staged_root}/term_dict", "term_dict"])
 
     journal = os.path.join(index_dir, f"purge.pending-{aid}.json")
@@ -665,6 +490,61 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     return new_stats
 
 
+def _write_delete_sidecars(index_dir: str, stats: dict, tomb: np.ndarray,
+                           ddf: list[pa.Table] | None) -> dict:
+    """A copy of ``stats`` naming fresh delete sidecars, written to
+    ``index_dir`` (inert until the caller writes the stats; superseded
+    ones stay until ``_sweep_orphan_sidecars``): the sorted tombstoned
+    ids ``tomb``, and the per-term deleted-doc counts, the sum of the
+    (term, ddf) tables ``ddf`` with rows of ddf ≤ 0 dropped. With no
+    tombstones the copy names no sidecar; with ``ddf`` None, no
+    deleted-df file."""
+    stats = {k: v for k, v in stats.items() if k not in
+             ("tombstones_file", "n_tombstones", "deleted_df_file")}
+    if len(tomb) == 0:
+        return stats
+    sid = uuid.uuid4().hex
+    stats["tombstones_file"] = f"tombstones-{sid}.parquet"
+    stats["n_tombstones"] = len(tomb)
+    pq.write_table(pa.table({"doc_id": pa.array(tomb, pa.int64())}),
+                   os.path.join(index_dir, stats["tombstones_file"]))
+    if ddf is not None:
+        schema = pa.schema([("term", pa.string()), ("ddf", pa.int64())])
+        t = (pa.concat_tables([p.cast(schema) for p in ddf])
+             .group_by("term").aggregate([("ddf", "sum")])
+             .rename_columns(schema.names).sort_by("term"))
+        stats["deleted_df_file"] = f"deleted-df-{sid}.parquet"
+        pq.write_table(t.filter(pc.greater(t["ddf"], 0)),
+                       os.path.join(index_dir, stats["deleted_df_file"]))
+    return stats
+
+
+def _rewrite_docs_part(src: str, dst: str, dead: np.ndarray,
+                       num_shards: int | None = None) -> int | None:
+    """Docs part ``src`` without the rows whose ids are in the sorted
+    ``dead`` — and, given ``num_shards`` (compaction's shard count),
+    with its shard column recomputed for that many shards — written to
+    ``dst``. Returns the rows written, or None (nothing written) when no
+    row is dead and no shard count is given. A part left empty is
+    written too, so a fully deleted index still has a docs schema to
+    open."""
+    from .query import sorted_member_mask
+    from .schema import shard_of
+
+    bt = pq.read_table(src, use_threads=False)
+    ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
+    keep = ~sorted_member_mask(dead, ids)
+    if keep.all() and num_shards is None:
+        return None
+    bt, ids = bt.filter(pa.array(keep)), ids[keep]
+    if num_shards is not None:
+        i = bt.column_names.index("shard")
+        bt = bt.set_column(i, "shard",
+                           pa.array(shard_of(ids, num_shards), pa.int32()))
+    pq.write_table(bt, dst)
+    return bt.num_rows
+
+
 def delete_from_index(index_dir: str, doc_ids) -> dict:
     """Tombstone deletion — the missing quarter of the lifecycle
     (build / append / DELETE / compact). O(delete-set) work now;
@@ -672,7 +552,8 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
 
     Commit is ONE atomic stats.json replace: the full (old ∪ new)
     deleted-id set is first written to a fresh ``tombstones-{id}``
-    parquet, then stats.json switches to it — a crash anywhere shows
+    parquet (``_write_delete_sidecars``), then stats.json switches to
+    it — a crash anywhere shows
     either the old or the new delete set, never a torn state. Global
     stats (n_docs / total_len / avgdl) are recomputed from the
     actually-present deleted rows, and ``appended`` is set: deleted
@@ -683,11 +564,6 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     its physical row to be gone first — ``purge_doc_ids`` (surgical,
     O(affected files)) or ``compact_index`` (full) — because the append
     collision check sees the tombstoned row (by design)."""
-    import uuid
-
-    import numpy as np
-    import pyarrow.parquet as pq
-
     from .build import check_format, load_stats, write_stats
 
     recover_segments(index_dir)
@@ -710,10 +586,6 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     allt = np.union1d(old, found)
     n_docs = int(stats["n_docs"]) - len(found)
     total_len = int(stats["total_len"]) - removed_len
-    aid = uuid.uuid4().hex
-    tomb_name = f"tombstones-{aid}.parquet"
-    pq.write_table(pa.table({"doc_id": pa.array(allt, pa.int64())}),
-                   os.path.join(index_dir, tomb_name))
 
     # per-term deleted-df sidecar: physical segment dfs still count
     # tombstoned docs, but exact idf needs df over ALIVE docs — and the
@@ -724,25 +596,16 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     block_size = int(stats["block_size"])
     seg_dir = os.path.join(index_dir, "segments")
     counts = _deleted_df_counts(seg_dir, allt, block_size)
-    ddf_name = f"deleted-df-{aid}.parquet"
-    terms_sorted = sorted(counts)
-    pq.write_table(pa.table({
-        "term": pa.array(terms_sorted, pa.string()),
-        "ddf": pa.array([counts[t] for t in terms_sorted], pa.int64()),
-    }), os.path.join(index_dir, ddf_name))
-
+    stats = _write_delete_sidecars(index_dir, stats, allt, [pa.table({
+        "term": pa.array(list(counts), pa.string()),
+        "ddf": pa.array(list(counts.values()), pa.int64())})])
     stats.update({
         "n_docs": n_docs, "total_len": total_len,
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
         "appended": True,  # exhaustive scoring masks the tombstones
-        "tombstones_file": tomb_name, "n_tombstones": len(allt),
-        "deleted_df_file": ddf_name,
     })
     write_stats(index_dir, stats)  # COMMIT POINT (atomic replace)
-    for name in os.listdir(index_dir):  # sweep superseded sidecars
-        if (name.startswith(("tombstones-", "deleted-df-"))
-                and aid not in name):
-            os.remove(os.path.join(index_dir, name))
+    _sweep_orphan_sidecars(index_dir, stats)
     return stats
 
 
@@ -1233,21 +1096,17 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     if len(sources) < 2:
         raise ValueError("merge_indexes needs at least two source indexes")
     stats_list = []
-    tomb_arrays: list[np.ndarray] = []
-    ddf_counts: dict[str, int] = {}
+    tomb_arrays = [np.empty(0, np.int64)]
+    ddf_parts: list[pa.Table] = []
     for s in sources:
         recover_segments(s)
         recover_appends(s)
         recover_purges(s)
         st = check_format(load_stats(s), s)
-        tmb = load_tombstones(s, st)
-        if len(tmb):
-            tomb_arrays.append(np.asarray(tmb, dtype=np.int64))
-            if st.get("deleted_df_file"):
-                dt = pq.read_table(os.path.join(s, st["deleted_df_file"]))
-                for term, ddf in zip(dt["term"].to_pylist(),
-                                     dt["ddf"].to_pylist()):
-                    ddf_counts[term] = ddf_counts.get(term, 0) + int(ddf)
+        tomb_arrays.append(load_tombstones(s, st))
+        if len(tomb_arrays[-1]) and st.get("deleted_df_file"):
+            ddf_parts.append(
+                pq.read_table(os.path.join(s, st["deleted_df_file"])))
         stats_list.append(st)
     base = stats_list[0]
     # meta_cols must also agree: a union of docs sidecars with
@@ -1313,32 +1172,14 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     check_doc_id_collisions(docs_out, n_docs)
 
     write_term_dict(os.path.join(out_dir, "term_dict"), term_stats)
-    stats = dict(base)
-    for drop in ("tombstones_file", "deleted_df_file", "last_append_id"):
-        stats.pop(drop, None)
+    # union the sources' tombstone sets + sum their ddf sidecars
+    # (disjoint doc spaces -> additive, exact) into fresh sidecars
+    stats = _write_delete_sidecars(
+        out_dir, {k: v for k, v in base.items() if k != "last_append_id"},
+        np.unique(np.concatenate(tomb_arrays)), ddf_parts or None)
     stats.update({"n_docs": n_docs, "total_len": total_len,
                   "avgdl": (total_len / n_docs) if n_docs else 0.0,
                   "appended": True})
-    if tomb_arrays:
-        # union the sources' tombstone sets + sum their ddf sidecars
-        # (disjoint doc spaces -> additive, exact) into fresh sidecars
-        import uuid
-
-        allt = np.unique(np.concatenate(tomb_arrays))
-        aid = uuid.uuid4().hex
-        tomb_name = f"tombstones-{aid}.parquet"
-        pq.write_table(pa.table({"doc_id": pa.array(allt, pa.int64())}),
-                       os.path.join(out_dir, tomb_name))
-        ddf_name = f"deleted-df-{aid}.parquet"
-        terms_sorted = sorted(ddf_counts)
-        pq.write_table(pa.table({
-            "term": pa.array(terms_sorted, pa.string()),
-            "ddf": pa.array([ddf_counts[t] for t in terms_sorted],
-                            pa.int64()),
-        }), os.path.join(out_dir, ddf_name))
-        stats.update({"tombstones_file": tomb_name,
-                      "n_tombstones": len(allt),
-                      "deleted_df_file": ddf_name})
     write_seg_bucket_map(out_dir, seg_map)
     write_stats(out_dir, stats)  # COMMIT POINT — index readable from here
     return stats
@@ -1355,7 +1196,7 @@ def _split_doc_blobs(positions: pa.ChunkedArray, tfs: np.ndarray,
     """Segment-row position blobs → the per-doc blobs a build partition
     stages, for the postings ``keep`` selects (``tfs``: every posting's
     tf, in row order). Each doc's first position is absolute
-    (codec.encode_position_lists), so a doc's blob is the byte slice of
+    (codec.encode_position_lists_arrow), so a doc's blob is the byte slice of
     its row blob ending at the varint that closes its tf-th position:
     no decode and re-encode."""
     from .codec import INT32_OFFSET_LIMIT
@@ -1370,6 +1211,37 @@ def _split_doc_blobs(positions: pa.ChunkedArray, tfs: np.ndarray,
         pa.binary(), len(tfs),
         [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
     return blobs.filter(pa.array(keep))
+
+
+def _kept_postings(table: pa.Table, doc_map: np.ndarray, dead: np.ndarray,
+                   block_size: int, store_positions: bool) -> pa.Table:
+    """The postings of one segment file's rows ``table`` (local doc
+    numbers in its ``doc_map``) without those of the sorted doc ids
+    ``dead``, as staged postings (term, doc_id, tf, shard[, pos]) in
+    row order — compaction's and purge's one way to drop tombstoned
+    postings. ONE batched varint decode for the file (per-row numpy
+    fixed cost dominates when rows are small — fine sharding × small
+    vocab; measured 30× on 50k tiny rows), then flat filters; the dead
+    ids are tested in the file's local numbering and only kept
+    postings map back to doc ids."""
+    from .codec import decode_doc_ids_batch, decode_tfs_batch
+    from .query import sorted_member_mask
+    from .schema import local_numbers
+
+    local, offs = decode_doc_ids_batch(table["doc_ids"].to_pylist(),
+                                       block_size)
+    tfs, _ = decode_tfs_batch(table["tfs"].to_pylist())
+    keep = ~sorted_member_mask(local_numbers(doc_map, dead), local)
+    rows = pa.array(np.repeat(np.arange(table.num_rows), np.diff(offs))[keep])
+    cols = {
+        "term": table["term"].combine_chunks().take(rows),
+        "doc_id": doc_map[local[keep]].astype(np.int64),
+        "tf": tfs[keep].astype(np.int64),
+        "shard": table["shard"].combine_chunks().take(rows),
+    }
+    if store_positions:
+        cols["pos"] = _split_doc_blobs(table["positions"], tfs, keep)
+    return pa.table(cols)
 
 
 def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
@@ -1394,25 +1266,21 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     the exploded postings measured 117 s against the build's 76 s at 2M
     docs/256 shards). With the shard count unchanged, one ``map_units``
     pass runs one unit per shard: it reads the shard's files (base,
-    appended, merged — each file's name ends in its shard), decodes them
-    (one batched varint decode per file), drops tombstoned local numbers
-    through each file's doc map, and encodes ONE segment file. A
-    reshard takes two passes: segment-file tasks decode rows to
-    postings and stage them like a build partition
+    appended, merged — each file's name ends in its shard), keeps its
+    postings (``_kept_postings``, as purge does), and encodes ONE
+    segment file. A reshard takes two passes: segment-file tasks decode
+    rows to postings and stage them like a build partition
     (``checkpoint.write_staged_postings``), then the build's
-    ``shard_phase`` encodes each new shard. Both order a shard's rows the
+    ``shard_phase`` encodes each new shard. The first pass's tasks also
+    rewrite the docs parts. Both order a shard's rows the
     same way: files in groups of ``len(files) // 64``, each group sorted
     by term. Like a build, the tasks hand back the term_dict partials and
     sidecar entries, so nothing re-reads the new files. Temp dir → swap.
     Output segment rows are bitwise identical to a rebuild's (tested)."""
     import shutil
 
-    import numpy as np
-
     from .build import check_format, load_stats
-    from .codec import decode_doc_ids_batch, decode_tfs_batch
-    from .query import sorted_member_mask
-    from .schema import local_numbers, read_doc_map, shard_of
+    from .schema import read_doc_map, shard_of
 
     recover_appends(index_dir)
     recover_purges(index_dir)
@@ -1425,59 +1293,12 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     segments_dir = os.path.join(index_dir, "segments")
     docs_dir = os.path.join(index_dir, "docs")
     # tombstone purge: compaction drops deleted docs' postings AND doc
-    # rows physically; the sorted id set rides each explode closure
+    # rows physically; the sorted id set rides each task's closure
     # (delete sets are tiny next to the corpus; ray.put it at 10⁸+)
     tomb = load_tombstones(index_dir, stats)
-
-    def explode(batch: pa.Table, doc_map: np.ndarray) -> pa.Table:
-        # ONE batched varint decode for one segment file (per-row numpy
-        # fixed cost dominates when rows are small — fine sharding ×
-        # small vocab; measured 30× on 50k tiny rows), then flat
-        # filters/repeats; tombstones are tested in the file's local
-        # numbering and only kept postings map back to doc ids
-        local, offs = decode_doc_ids_batch(batch["doc_ids"].to_pylist(),
-                                           block_size)
-        tfs, _ = decode_tfs_batch(batch["tfs"].to_pylist())
-        row_idx = np.repeat(np.arange(batch.num_rows), np.diff(offs))
-        dead = local_numbers(doc_map, tomb)
-        keep = ~sorted_member_mask(dead, local)
-        ids_f = doc_map[local[keep]]
-        tfs_f, row_idx = tfs[keep], row_idx[keep]
-        if reshard:
-            sh = shard_of(ids_f, s_new).astype(np.int32)
-        else:
-            sh = np.asarray(batch["shard"].to_pylist(), np.int32)[row_idx]
-        cols = {
-            "term": batch["term"].combine_chunks().take(pa.array(row_idx)),
-            "doc_id": ids_f.astype(np.int64),
-            "tf": tfs_f.astype(np.int64),
-            "shard": sh,
-        }
-        if store_positions:
-            cols["pos"] = _split_doc_blobs(batch["positions"], tfs, keep)
-        return pa.table(cols)
-
     encoder = SegmentEncoder(block_size=block_size)
 
     recover_segments(index_dir)  # heal any half-finished prior swap first
-
-    def rewrite_docs(units: list[dict]) -> list[dict]:
-        # one docs part → the same name under docs.compact; a part
-        # left empty is written too, so a fully deleted index still
-        # has a docs schema to open
-        for u in units:
-            bt = pq.read_table(u["src"], use_threads=False)
-            ids = np.asarray(bt["doc_id"].combine_chunks()).astype(np.int64)
-            if len(tomb):
-                keep = ~sorted_member_mask(tomb, ids)
-                bt = bt.filter(pa.array(keep))
-                ids = ids[keep]
-            if reshard:
-                i = bt.column_names.index("shard")
-                bt = bt.set_column(i, "shard",
-                                   pa.array(shard_of(ids, s_new), pa.int32()))
-            pq.write_table(bt, u["dst"])
-        return []
 
     def swap_in(live: str) -> None:
         # live.compact → live through live.old; recover_segments heals a
@@ -1494,21 +1315,30 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
 
     def swap_in_docs() -> None:
         _maybe_fail("compact_docs")
-        docs_tmp = docs_dir + ".compact"
-        shutil.rmtree(docs_tmp, ignore_errors=True)
-        os.makedirs(docs_tmp)
-        map_units(rewrite_docs, [
-            {"src": os.path.join(docs_dir, f), "dst": os.path.join(docs_tmp, f)}
-            for f in sorted(os.listdir(docs_dir)) if f.endswith(".parquet")])
         swap_in(docs_dir)
 
-    if reshard:
-        # docs table first, with the NEW shard column (the rewrite
-        # folds the tombstone drop in). Crash between here and the
-        # final stats write leaves a fully-correct single-process index
-        # (scoring never reads docs.shard); re-running
-        # compact_index(num_shards=...) heals.
-        swap_in_docs()
+    # the docs parts to rewrite into docs.compact (tombstoned rows
+    # dropped, the new shard column on a reshard), dealt round-robin
+    # onto the segment units: the rewrite rides the segment work's
+    # map_units execution and adds no task of its own
+    docs_tmp = docs_dir + ".compact"
+    docs_parts = []
+    if reshard or len(tomb):
+        shutil.rmtree(docs_tmp, ignore_errors=True)
+        os.makedirs(docs_tmp)
+        docs_parts = sorted(f for f in os.listdir(docs_dir)
+                            if f.endswith(".parquet"))
+
+    def with_docs(units: list[dict]) -> list[dict]:
+        for i, f in enumerate(docs_parts):
+            units[i % len(units)].setdefault("docs", []).append(f)
+        return units
+
+    def rewrite_docs(units: list[dict]) -> None:
+        for u in units:
+            for f in u.get("docs") or []:
+                _rewrite_docs_part(os.path.join(docs_dir, f),
+                                   os.path.join(docs_tmp, f), tomb, s_new)
 
     from .checkpoint import (collect_shards, encode_shard_files, shard_phase,
                              write_staged_postings)
@@ -1522,7 +1352,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     # count alone, never on how many tasks run
     files_per_part = max(1, len(seg_files) // 64)
     groups = [seg_files[i:i + files_per_part]
-              for i in range(0, len(seg_files), files_per_part)]
+              for i in range(0, len(seg_files), files_per_part)] or [[]]
     tmp = segments_dir + ".compact"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
@@ -1541,7 +1371,8 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
                 raise ValueError(f"{f} holds rows of a shard other than "
                                  f"{shard}")
             if t.num_rows:
-                parts.append(explode(t, read_doc_map(f)))
+                parts.append(_kept_postings(t, read_doc_map(f), tomb,
+                                            block_size, store_positions))
         return pa.concat_tables(parts) if parts else None
 
     shard_of_file = [_SHARD_FILE.search(f) for f in seg_files]
@@ -1554,15 +1385,29 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         os.makedirs(stage_dir, exist_ok=True)
 
         def run_explode(units: list[dict]) -> list[dict]:
+            rewrite_docs(units)
             for u in units:
                 postings = postings_of(u["files"])
-                if postings is not None and postings.num_rows:
-                    write_staged_postings(postings, u["out"])
+                if postings is None or not postings.num_rows:
+                    continue
+                if reshard:
+                    postings = postings.set_column(
+                        postings.column_names.index("shard"), "shard",
+                        pa.array(shard_of(postings["doc_id"].to_numpy(),
+                                          s_new), pa.int32()))
+                write_staged_postings(postings, u["out"])
             return []
 
-        map_units(run_explode, [
+        map_units(run_explode, with_docs([
             {"files": g, "out": os.path.join(stage_dir, f"part-{i:05d}.parquet")}
-            for i, g in enumerate(groups)])
+            for i, g in enumerate(groups)]))
+        if reshard:
+            # docs table first, with the NEW shard column (the rewrite
+            # folds the tombstone drop in). Crash between here and the
+            # final stats write leaves a fully-correct single-process
+            # index (scoring never reads docs.shard); re-running
+            # compact_index(num_shards=...) heals.
+            swap_in_docs()
         # a fully tombstoned / empty corpus stages nothing: every shard
         # file is then written empty
         out = shard_phase(list(range(s_new)), stage_dir, out_paths, encoder,
@@ -1575,6 +1420,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
                       for f, m in zip(seg_files, shard_of_file)}
 
         def run_shards(units: list[dict]) -> list[dict]:
+            rewrite_docs(units)
             groups_of = {u["shard"]: u["groups"] for u in units}
 
             def rows_of(shard: int) -> pa.Table:
@@ -1587,11 +1433,11 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
                 [u["shard"] for u in units], [u["seg_path"] for u in units],
                 rows_of, encoder, store_positions)]
 
-        out = collect_shards(map_units(run_shards, [
+        out = collect_shards(map_units(run_shards, with_docs([
             {"shard": k, "seg_path": out_paths[k],
              "groups": [fs for g in groups
                         if (fs := [f for f in g if file_shard[f] == k])]}
-            for k in range(s_new)]))
+            for k in range(s_new)])))
     swap_in(segments_dir)
 
     from .build import write_stats
@@ -1610,9 +1456,9 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
         write_stats(index_dir, stats)
 
     if len(tomb) and not reshard:
-        # rewrite the docs table without the tombstoned rows (same
+        # swap in the docs table without the tombstoned rows (same
         # .compact → .old swap; recover_segments heals docs/ too).
-        # (a reshard already rewrote docs, tombstone drop folded in)
+        # (a reshard already swapped docs, tombstone drop folded in)
         # Ordering keeps every crash point consistent: segments are
         # already purged, but stats still carries tombstones_file until
         # the final write, so engines keep masking (a no-op once purged)
@@ -1625,13 +1471,10 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
 
     stats["appended"] = False
     stats["num_shards"] = s_new  # reshard commit rides the final write
-    tomb_file = stats.pop("tombstones_file", None)
+    stats.pop("tombstones_file", None)
     stats.pop("n_tombstones", None)
     write_stats(index_dir, stats)
-    if tomb_file:  # purge complete: drop every delete artifact
-        for name in os.listdir(index_dir):
-            if name.startswith(("tombstones-", "deleted-df-")):
-                os.remove(os.path.join(index_dir, name))
+    _sweep_orphan_sidecars(index_dir, stats)  # every delete artifact
     write_seg_bucket_map(index_dir, out.seg_map)  # every file is new
     return stats
 

@@ -157,32 +157,25 @@ class SegmentEncoder:
     sort, then one batched encode of every row
     (``codec.encode_segments``).
 
-    Postings are numbered in a doc map: the sorted doc ids of the group
-    unless ``doc_map`` is given. A posting stores its doc's rank in the
-    map (its local doc number) and the output table carries the map as
-    schema metadata (``schema.with_doc_map``), so the map is written
-    with the file. Rank order is doc-id order: rows and blocks are the
-    ones the ids themselves would give."""
+    Postings are numbered in a doc map: the sorted doc ids of the
+    group. A posting stores its doc's rank in the map (its local doc
+    number) and the output table carries the map as schema metadata
+    (``schema.with_doc_map``), so the map is written with the file.
+    Rank order is doc-id order: rows and blocks are the ones the ids
+    themselves would give."""
 
     block_size: int = BLOCK_SIZE
 
-    def __call__(self, group: pa.Table,
-                 doc_map: np.ndarray | None = None) -> pa.Table:
-        """``doc_map``: number the postings in this existing map (every
-        doc id of the group must be in it) — purge re-encodes rows in
-        their file's map so the file's other rows stay valid."""
+    def __call__(self, group: pa.Table) -> pa.Table:
         has_pos = "pos" in group.column_names
         if group.num_rows == 0:
-            return _empty_segments_table(has_pos, doc_map)
+            return _empty_segments_table(has_pos)
         terms = group["term"].combine_chunks()
         dict_arr = terms.dictionary_encode()
         codes = np.asarray(dict_arr.indices).astype(np.int64)
         vocab = dict_arr.dictionary
         doc_ids = np.asarray(group["doc_id"].combine_chunks()).astype(np.int64)
-        if doc_map is None:
-            doc_map, local = np.unique(doc_ids, return_inverse=True)
-        else:
-            local = np.searchsorted(doc_map, doc_ids)
+        doc_map, local = np.unique(doc_ids, return_inverse=True)
         tfs = np.asarray(group["tf"].combine_chunks()).astype(np.int64)
         shards = np.asarray(group["shard"].combine_chunks()).astype(np.int32)
         order = np.lexsort((local, codes, shards))
@@ -213,16 +206,28 @@ class SegmentEncoder:
         return with_doc_map(pa.table(cols), doc_map)
 
 
-def _empty_segments_table(positions: bool = False,
-                          doc_map: np.ndarray | None = None) -> pa.Table:
+def _empty_segments_table(positions: bool = False) -> pa.Table:
     """A segments table with no rows. Like every segments table it
-    carries a doc map (empty unless given), so the file of a shard
-    without postings reads like any other."""
+    carries a doc map (an empty one), so the file of a shard without
+    postings reads like any other."""
     from .schema import segments_schema
 
     return with_doc_map(segments_schema(positions).empty_table(),
-                        np.empty(0, np.int64) if doc_map is None
-                        else doc_map)
+                        np.empty(0, np.int64))
+
+
+def write_segment_file(seg_table: pa.Table, path: str) -> None:
+    """THE segment-file writer (build, append, compaction and purge),
+    temp-then-rename. Rows keep the encoder's order (terms by first
+    appearance in its input); 64 rows per row group keeps each group's
+    footer term min/max narrow for a reader that picks groups itself
+    (pyarrow 16.1's ``("term", "in", ...)`` read filter prunes no row
+    group; equality filters do)."""
+    from .state.manifest import atomic_write_parquet
+
+    atomic_write_parquet(
+        seg_table, path,
+        row_group_boundaries=list(range(64, seg_table.num_rows, 64)))
 
 
 def build_index(source, index_dir: str,

@@ -74,6 +74,7 @@ from .build import (
     check_doc_id_collisions,
     doc_totals,
     index_stats,
+    write_segment_file,
     write_stats,
 )
 from .schema import (
@@ -293,15 +294,9 @@ def encode_shard_files(shards: list[int], seg_paths: list[str],
         sub = rows_of(shard)
         seg_table = (encoder(sub) if sub.num_rows
                      else _empty_segments_table(store_positions))
-        # rows keep the staged order (the encoder numbers terms by first
-        # appearance): term-sorted within each staged part, a later
-        # part's new terms after an earlier part's. 64 rows/group keeps
-        # each group's footer term min/max narrow for a reader that
-        # picks groups itself; pyarrow 16.1's ``("term", "in", ...)``
-        # read filter prunes no row group (equality filters do).
-        atomic_write_parquet(
-            seg_table, seg_path,
-            row_group_boundaries=list(range(64, seg_table.num_rows, 64)))
+        # rows keep the staged order: term-sorted within each staged
+        # part, a later part's new terms after an earlier part's
+        write_segment_file(seg_table, seg_path)
         stats.append(seg_table.select(["term", "df", "cf"]))
         recs.append({
             "shard": shard, "postings": sub.num_rows,
@@ -572,10 +567,13 @@ _TERM_DICT_RAY_THRESHOLD = 20_000_000
 
 def sum_term_stats(parts: list[pa.Table]) -> pa.Table:
     """term_dict rows from (term, df, cf) partials: Σdf and Σcf per
-    term, sorted by term (a prefix filter then prunes row groups)."""
+    term, sorted by term (a prefix filter then prunes row groups). A
+    term whose Σdf is not positive — a purge subtracted its last
+    posting — has no row."""
     t = pa.concat_tables([p.cast(TERM_DICT_SCHEMA) for p in parts])
     t = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-    return t.rename_columns(["term", "df", "cf"]).sort_by("term")
+    t = t.rename_columns(["term", "df", "cf"]).sort_by("term")
+    return t.filter(pc.greater(t["df"], 0))
 
 
 def write_term_dict(term_dict_dir: str, parts: list[pa.Table],

@@ -49,7 +49,7 @@ BM25_B = 0.75
 def gather_ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Flat int64 indices covering [begin[i], end[i]) for every i, in
     order — the vectorized gather for slicing per-row spans out of a
-    flat array without a Python loop (shared by the purge rewrite and
+    flat array without a Python loop (shared by the training export and
     the fielded-search token split)."""
     ln = (end - begin).astype(np.int64)
     tot = int(ln.sum())
@@ -308,7 +308,9 @@ def encode_position_lists(pos_sorted: np.ndarray,
     contiguously in ``pos_sorted`` (group g = pos_sorted[starts[g]:
     ends[g]]). Each group's first value is ABSOLUTE so any group blob
     decodes independently; the whole stream is varint-encoded in ONE
-    vectorized pass and split into per-group byte slices."""
+    vectorized pass and split into per-group byte slices. No writer
+    calls it: it is the reference that the tests pin
+    ``encode_position_lists_arrow``, which every writer uses, against."""
     n = len(pos_sorted)
     if n == 0:
         return [b""] * len(starts)

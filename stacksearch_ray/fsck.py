@@ -16,7 +16,8 @@ Checks (each independent; all violations collected, not just the first):
    posting count == tf count; cf == Σtf; local doc numbers strictly
    ascending and below the map's length; every doc id a posting maps
    to exists in the docs table (tombstoned docs stay there until a
-   purge; a purge leaves its ids in the maps, unreferenced); the row's
+   purge; a map may list ids no posting references, which purges
+   written before purge re-encoded whole files left behind); the row's
    shard matches its docs' shard; positional rows decode to exactly Σtf
    ascending positions per doc.
 5. term_dict == groupby(term).sum(df, cf) over the segment rows.

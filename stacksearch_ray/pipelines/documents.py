@@ -711,7 +711,7 @@ _fielded_engines: dict[str, tuple[QueryEngine, QueryEngine]] = {}
 
 def _take_ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Flat int64 indices covering [begin[i], end[i]) for every i, in
-    order — codec.gather_ranges, shared with the purge rewrite."""
+    order — codec.gather_ranges."""
     from ..codec import gather_ranges
 
     return gather_ranges(begin, end)

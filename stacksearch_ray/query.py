@@ -214,7 +214,7 @@ class QueryEngine:
             self._alive[pos[self.doclens.ids[pos] == deleted[ok]]] = False
         self.has_deletes = bool(len(deleted))
         self._ddf_file = self.stats.get("deleted_df_file")
-        self._ddf_cache: dict[str, int] = {}
+        self._ddf: dict[str, int] | None = None  # see _deleted_df
         self._seg_dir = os.path.join(index_dir, "segments")
         self._term_dict_dir = os.path.join(index_dir, "term_dict")
         self.shard_subset = sorted(shard_subset) if shard_subset is not None else None
@@ -479,17 +479,17 @@ class QueryEngine:
         return {m: int(found.get(m, 0)) for m in terms}
 
     def _deleted_df(self, terms: list[str]) -> dict[str, int]:
-        missing = [t for t in terms if t not in self._ddf_cache]
-        if missing and self._ddf_file:
-            t = pq.read_table(os.path.join(self.index_dir, self._ddf_file),
-                              filters=[("term", "in", missing)])
-            found = dict(zip(t["term"].to_pylist(), t["ddf"].to_pylist()))
-            for m in missing:
-                self._ddf_cache[m] = int(found.get(m, 0))
-        else:
-            for m in missing:
-                self._ddf_cache[m] = 0
-        return {t: self._ddf_cache[t] for t in terms}
+        """Tombstoned docs per term. The deleted-df sidecar is
+        vocabulary-bounded and fixed for an open engine (like
+        ``_alive``), so it is read once, on first use."""
+        if self._ddf is None:
+            self._ddf = {}
+            if self._ddf_file:
+                t = pq.read_table(os.path.join(self.index_dir,
+                                               self._ddf_file))
+                self._ddf = dict(zip(t["term"].to_pylist(),
+                                     t["ddf"].to_pylist()))
+        return {t: self._ddf.get(t, 0) for t in terms}
 
     def _read_rows(self, paths: list[str] | None, filters: list,
                    columns: list[str]) -> list[dict]:

@@ -416,6 +416,42 @@ def test_compact_crash_after_segment_swap_scores_exactly(
         assert eng.search(q, 10, "exhaustive") == before[q], q
 
 
+def test_compact_with_tombstones_runs_one_map_units(ray_session, tmp_path,
+                                                    monkeypatch):
+    """A same-shard-count compaction with tombstones rewrites its docs
+    parts in the same map_units execution as its segment units, with no
+    units of their own."""
+    import os
+
+    import stacksearch_ray.append as A
+    from stacksearch_ray.append import compact_index, delete_from_index
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.fsck import fsck_index
+
+    corpus = str(tmp_path / "c")
+    write_corpus(corpus, 120, rows_per_file=40)
+    idx = str(tmp_path / "i")
+    build_index(corpus, idx, num_shards=3)
+    docs = os.path.join(idx, "docs")
+    ids = pq.read_table(docs, columns=["doc_id"])["doc_id"].to_pylist()
+    delete_from_index(idx, ids[::5])
+
+    calls = []
+    real = A.map_units
+
+    def counting(fn, units, *args, **kwargs):
+        calls.append(len(units))
+        return real(fn, units, *args, **kwargs)
+
+    monkeypatch.setattr(A, "map_units", counting)
+    compact_index(idx)
+    assert calls == [3]  # one unit per shard
+    left = pq.read_table(docs, columns=["doc_id"])["doc_id"].to_pylist()
+    assert sorted(left) == sorted(set(ids) - set(ids[::5]))
+    rep = fsck_index(idx)
+    assert rep.ok, rep.errors
+
+
 def test_index_alias_atomic_flip(ray_session, tmp_path_factory):
     """set_index_alias + open_index: readers opened through the alias
     pin their view at open; flipping the alias atomically retargets

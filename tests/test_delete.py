@@ -178,6 +178,30 @@ def test_delete_random_sets_match_bm25_oracle(ray_session, tmp_path):
             assert eng.search(q, 10) == oracle.search(q, 10), (seed, q)
 
 
+def test_deleted_df_read_once_per_engine(deleted_setup, monkeypatch):
+    """The deleted-df sidecar is fixed for an open engine: one read
+    serves every later query, whatever terms miss the caches, and the
+    scores stay the rebuild's."""
+    from stacksearch_ray.build import load_stats
+    from stacksearch_ray.query import QueryEngine
+
+    idx, ref, _, _, _ = deleted_setup
+    ddf_file = load_stats(idx)["deleted_df_file"]
+    reads = []
+    real = pq.read_table
+
+    def counting(source, *args, **kwargs):
+        if str(source).endswith(ddf_file):
+            reads.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", counting)
+    e, r = QueryEngine(idx), QueryEngine(ref)
+    for q in QUERIES + ["stream window join", "sort dup", "merge"]:
+        assert e.search(q, 10, "exhaustive") == r.search(q, 10, "exhaustive")
+    assert len(reads) == 1
+
+
 def test_deleted_df_distributed_equals_driver(deleted_setup, ray_session):
     """The deleted-df sidecar scan has two execution strategies (driver
     Arrow stream vs Ray map_batches partials); both must produce the

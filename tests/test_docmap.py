@@ -76,7 +76,8 @@ def test_every_writer_stores_the_oracle_postings(corpus):
         merge_indexes,
         purge_doc_ids,
     )
-    from stacksearch_ray.build import build_index
+    from stacksearch_ray.append import _kept_postings
+    from stacksearch_ray.build import SegmentEncoder, build_index, load_stats
     from stacksearch_ray.fsck import fsck_index
     from stacksearch_ray.schema import read_doc_map
 
@@ -118,16 +119,26 @@ def test_every_writer_stores_the_oracle_postings(corpus):
     build_index(full, purged, **kw)
     ids = np.sort(pq.read_table(os.path.join(purged, "docs"),
                                 columns=["doc_id"])["doc_id"].to_numpy())
-    dead = ids[::7].tolist()
-    delete_from_index(purged, dead)
-    purge_doc_ids(purged, dead)
-    check(purged, _oracle_postings(table, drop=dead))
-    # purge keeps each rewritten file's map: the purged ids stay in it,
-    # referenced by no posting
-    maps = np.concatenate([
-        read_doc_map(os.path.join(purged, "segments", n))
-        for n in os.listdir(os.path.join(purged, "segments"))])
-    assert np.isin(dead, maps).any()
+    dead = ids[::7]
+    delete_from_index(purged, dead.tolist())
+    seg, before = os.path.join(purged, "segments"), str(root / "pre_purge")
+    shutil.copytree(seg, before)
+    purge_doc_ids(purged, dead.tolist())
+    check(purged, _oracle_postings(table, drop=dead.tolist()))
+    # every file is what compaction's split and the build's encoder make
+    # of its pre-purge self, row for row, under a fresh doc map that
+    # lists no purged id
+    bs = load_stats(purged)["block_size"]
+    for name in sorted(os.listdir(before)):
+        old = os.path.join(before, name)
+        kept = _kept_postings(pq.read_table(old), read_doc_map(old), dead,
+                              bs, False)
+        want_rows = SegmentEncoder(bs)(kept)
+        got = pq.read_table(os.path.join(seg, name))
+        assert got.equals(want_rows), name
+        assert (read_doc_map(os.path.join(seg, name)).tolist()
+                == np.unique(kept["doc_id"].to_numpy()).tolist())
+        assert not np.isin(dead, read_doc_map(os.path.join(seg, name))).any()
 
     half_a, half_b = str(root / "half_a"), str(root / "half_b")
     build_index(parts[:2], half_a, **kw)

@@ -3,9 +3,10 @@
 
 Every writer (path build, Dataset build, append, compact with and
 without a reshard, delete + purge, merge) writes segment files with
-exactly those columns and with footer statistics on ``term`` and
-``shard`` only; and bmax stays bitwise equal to exhaustive scoring on
-an index that went through append, delete and compaction."""
+exactly those columns, with footer statistics on ``term`` and
+``shard`` only, in row groups of 64 rows; and bmax stays bitwise equal
+to exhaustive scoring on an index that went through append, delete and
+compaction."""
 
 import os
 
@@ -18,7 +19,8 @@ from stacksearch_ray.corpus import write_corpus
 
 
 def _layout(idx: str) -> dict[str, tuple]:
-    """Per segment file: (column names, columns with footer stats)."""
+    """Per segment file: (column names, columns with footer stats, rows
+    per row group)."""
     seg = os.path.join(idx, "segments")
     out = {}
     for f in sorted(os.listdir(seg)):
@@ -28,7 +30,8 @@ def _layout(idx: str) -> dict[str, tuple]:
                  for i in range(md.num_row_groups)
                  for j in range(md.num_columns)
                  if md.row_group(i).column(j).is_stats_set}
-        out[f] = (pf.schema_arrow.names, stats)
+        groups = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
+        out[f] = (pf.schema_arrow.names, stats, groups)
     return out
 
 
@@ -41,11 +44,17 @@ def _assert_v6(idx: str, positions: bool) -> None:
     want = segments_schema(positions).names
     layout = _layout(idx)
     assert layout
-    for f, (names, stats) in layout.items():
+    for f, (names, stats, groups) in layout.items():
         assert names == want, f
         assert stats <= {"term", "shard"}, (f, stats)
+        # one writer sizes every file's row groups: 64 rows, the last
+        # group holding the rest
+        assert all(n == 64 for n in groups[:-1]) and groups[-1] <= 64, \
+            (f, groups)
     # every non-empty file keeps the term statistics readers prune on
-    assert any(stats == {"term", "shard"} for _, stats in layout.values())
+    assert any(stats == {"term", "shard"} for _, stats, _ in layout.values())
+    # and some file spans several row groups, so the check above bites
+    assert any(len(groups) > 1 for _, _, groups in layout.values())
     rep = fsck_index(idx)
     assert rep.ok, rep.errors
 

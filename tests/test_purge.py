@@ -234,3 +234,54 @@ def test_snapshot_index(ray_session, tmp_path_factory):
     assert QueryEngine(snap).search(QUERIES[0], 10) == before
     with pytest.raises(ValueError, match="not empty"):
         snapshot_index(idx, snap)
+
+
+def test_purge_skips_a_file_whose_map_only_lists_the_id(ray_session,
+                                                       tmp_path_factory):
+    """A doc map can list an id that no posting of its file references
+    (purges that kept a file's old map left such ids behind). Purging
+    that id rewrites the file that holds its postings and skips the
+    other: its bytes stay as they were."""
+    from stacksearch_ray.append import (
+        _kept_postings,
+        delete_from_index,
+        purge_doc_ids,
+    )
+    from stacksearch_ray.build import (
+        SegmentEncoder,
+        build_index,
+        load_stats,
+        write_segment_file,
+    )
+    from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.schema import read_doc_map
+
+    root = tmp_path_factory.mktemp("stale_map")
+    idx = str(root / "idx")
+    build_index(DOCS, idx, **KW)
+    bs = load_stats(idx)["block_size"]
+    seg = os.path.join(idx, "segments")
+    holder, stale = (os.path.join(seg, n) for n in sorted(os.listdir(seg))[:2])
+    rid = int(read_doc_map(holder)[0])
+    # re-encode the other file with one extra posting of rid under a
+    # sentinel term, then drop that row: rid stays in the map only
+    kept = _kept_postings(pq.read_table(stale), read_doc_map(stale),
+                          np.empty(0, np.int64), bs, True)
+    extra = pa.table({"term": ["zz_sentinel"], "doc_id": [rid], "tf": [1],
+                      "shard": pa.array([kept["shard"][0].as_py()], pa.int32()),
+                      "pos": [b"\x01"]}).cast(kept.schema)
+    enc = SegmentEncoder(bs)(pa.concat_tables([kept, extra]))
+    write_segment_file(enc.filter(pc.not_equal(enc["term"], "zz_sentinel")),
+                       stale)
+    assert rid in read_doc_map(stale)
+    stale_bytes = open(stale, "rb").read()
+    holder_bytes = open(holder, "rb").read()
+
+    delete_from_index(idx, [rid])
+    purge_doc_ids(idx, [rid])
+    assert open(stale, "rb").read() == stale_bytes
+    assert open(holder, "rb").read() != holder_bytes
+    assert rid not in read_doc_map(holder)
+    rep = fsck_index(idx)
+    assert rep.ok, rep.errors
+    _assert_same_search(idx, _rebuild_without(root, [rid], "ref"))
