@@ -50,6 +50,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from stacksearch_ray.pipelines import documents as P
 
     return {
+        # single-call searches over the cached documents index: one row
+        # each in documents.SEARCH_ENTRIES
+        **P.search_entries(),
         # tokenize / index-side aggregates (M2-M8, A1-A7)
         "term_counts": P.term_counts,
         "term_df": P.term_df,
@@ -58,31 +61,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ["stopword_ratio_micros"]),
         "quality_filter": P.quality_filter,
         "corpus_stats": P.corpus_stats,
-        # BM25 top-k (T1-T4): same oracle for both scorers = rank identity
-        "bm25_topk": P.bm25_topk,
+        # ranked search beyond one engine call (T1-T4)
         "score_explain": P.score_explain,
-        "bm25_topk_wand": P.bm25_topk_wand,
-        "boosted_search": P.boosted_search,
-        "tfidf_search": P.tfidf_search,
-        "lm_dirichlet_search": P.lm_dirichlet_search,
-        "lm_jm_search": P.lm_jm_search,
-        "dfi_search": P.dfi_search,
-        "dfr_search": P.dfr_search,
-        "boosting_search": P.boosting_search,
-        "bm25plus_search": P.bm25plus_search,
-        "proximity_boost_search": P.proximity_boost_search,
-        "rescore_search": P.rescore_search,
-        "coord_search": P.coord_search,
         "decay_search": P.decay_search,
         "collapse_search": P.collapse_search,
         "msearch": P.msearch,
         "top_hits_by_label": P.top_hits_by_label,
         "rank_feature_search": P.rank_feature_search,
-        "span_first_search": P.span_first_search,
-        "span_not_search": P.span_not_search,
         "chunk_documents": P.chunk_documents,
         "passage_search": P.passage_search,
-        "phrase_prefix_search": P.phrase_prefix_search,
         "knn_hnsw": P.knn_hnsw,
         "pinned_search": P.pinned_search,
         "has_child_search": P.has_child_search,
@@ -96,7 +83,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_ivf_compacted": P.knn_ivf_compacted,
         "boolean_dsl_search": P.boolean_dsl_search,
         "sorted_boolean_search": P.sorted_boolean_search,
-        "bool_query_search": P.bool_query_search,
         "es_request_search": P.es_request_search,
         "match_stats_agg": P.match_stats_agg,
         "match_histogram": P.match_histogram,
@@ -105,15 +91,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "feature_boost_search": P.feature_boost_search,
         "spellfix_search": P.spellfix_search,
         "ir_eval": P.ir_eval,
-        "min_match_search": P.min_match_search,
-        "terms_set_search": P.terms_set_search,
-        "query_string_search": P.query_string_search,
-        "simple_query_string_search": P.simple_query_string_search,
-        "match_bool_prefix_search": P.match_bool_prefix_search,
-        "constant_score_search": P.constant_score_search,
-        "span_near_search": P.span_near_search,
-        "intervals_search": P.intervals_search,
-        "span_containing_search": P.span_containing_search,
         "embedding_decontamination": P.embedding_decontamination,
         "stemmed_search": P.stemmed_search,
         "dismax_search": P.dismax_search,
@@ -124,9 +101,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dsir_weights": P.dsir_weights,
         "query_completion": P.query_completion,
         "context_completion": P.context_completion,
-        "synonym_search": P.synonym_search,
         "fielded_search": P.fielded_search,
-        "prf_search": P.prf_search,
         "prf_expansion": P.prf_expansion,
         "bm25_topk_appended": P.bm25_topk_appended,
         "bm25_topk_merged": P.bm25_topk_merged,
@@ -253,8 +228,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "content_regex_search": P.content_regex_search,
         "min_window_search": P.min_window_search,
         "sloppy_phrase_search": P.sloppy_phrase_search,
-        "phrase_ranked_search": P.phrase_ranked_search,
-        "conjunctive_search": P.conjunctive_search,
         "orders_monthly": P.orders_monthly,
         "lineitem_profile": P.lineitem_profile,
         "curated_packed_sequences": P.curated_packed_sequences,

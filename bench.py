@@ -205,6 +205,7 @@ def run_bench() -> dict:
     # ---- operator suite over sf tables ----
     from stacksearch_ray.pipelines import documents as P
 
+    S = P.search_entries()
     for name, fn in [("term_counts", P.term_counts),
                      ("exact_dedup", P.exact_dedup),
                      ("dedup_corpus", P.dedup_corpus),
@@ -238,10 +239,10 @@ def run_bench() -> dict:
                      ("global_shuffle", P.global_shuffle),
                      ("wildcard_search", P.wildcard_search),
                      ("min_window_search", P.min_window_search),
-                     ("synonym_search", P.synonym_search),
-                     ("prf_search", P.prf_search),
+                     ("synonym_search", S["synonym_search"]),
+                     ("prf_search", S["prf_search"]),
                      ("spellfix_search", P.spellfix_search),
-                     ("min_match_search", P.min_match_search),
+                     ("min_match_search", S["min_match_search"]),
                      ("feature_boost_search", P.feature_boost_search),
                      ("dismax_search", P.dismax_search),
                      ("stemmed_search", P.stemmed_search),
@@ -249,12 +250,12 @@ def run_bench() -> dict:
                      ("embedding_decontamination",
                       P.embedding_decontamination),
                      ("sloppy_phrase_search", P.sloppy_phrase_search),
-                     ("proximity_boost_search", P.proximity_boost_search),
+                     ("proximity_boost_search", S["proximity_boost_search"]),
                      ("collapse_search", P.collapse_search),
                      ("boolean_dsl_search", P.boolean_dsl_search),
                      ("sorted_boolean_search", P.sorted_boolean_search),
-                     ("phrase_ranked_search", P.phrase_ranked_search),
-                     ("bm25plus_search", P.bm25plus_search),
+                     ("phrase_ranked_search", S["phrase_ranked_search"]),
+                     ("bm25plus_search", S["bm25plus_search"]),
                      ("bool_query_search", P.bool_query_search),
                      ("knn_pq", P.knn_pq),
                      ("pq_dedup_groups", P.pq_dedup_groups),
@@ -267,8 +268,8 @@ def run_bench() -> dict:
                      ("neardup_keep_longest", P.neardup_keep_longest),
                      ("knn_bq", P.knn_bq),
                      ("knn_bq_rerank", P.knn_bq_rerank),
-                     ("rescore_search", P.rescore_search),
-                     ("coord_search", P.coord_search),
+                     ("rescore_search", S["rescore_search"]),
+                     ("coord_search", S["coord_search"]),
                      ("decay_search", P.decay_search),
                      ("cross_fields_search", P.cross_fields_search),
                      ("shipping_priority", P.shipping_priority),

@@ -1,6 +1,9 @@
 """Driver-conformance self-check: run every __ray_entry__.queries() entry
 and compare against oracle_sql() via DuckDB the way the driver does
-(row count + schema + order-insensitive value hash).
+(row count + schema + order-insensitive value hash). Every ``ok`` line
+ends with the entry's ``value_hash=``, rows-only entries included, so
+two runs' outputs compare with ``diff`` over each run's
+``awk '/^ok/{print $2, $NF}' run.txt | sort``.
 
     python scripts/selfcheck.py [--sf-dir /root/testdata/sf0.01] [names...]
     python scripts/selfcheck.py --shard 0/4   # deterministic name-split
@@ -86,9 +89,11 @@ def main() -> int:
             failures += 1
             continue
         wall = time.time() - t0
+        mine_hash = value_hash(mine)
         if name not in sqls:
             print(f"ok   {name}: rows-only, {len(mine)} rows, "
-                  f"cols={sorted(mine.columns)} ({wall:.1f}s)")
+                  f"cols={sorted(mine.columns)} ({wall:.1f}s) "
+                  f"value_hash={mine_hash}")
             continue
         try:
             oracle = con.sql(sqls[name]).df()
@@ -98,9 +103,10 @@ def main() -> int:
             continue
         ok_rows = len(mine) == len(oracle)
         ok_cols = sorted(mine.columns) == sorted(oracle.columns)
-        ok_hash = ok_cols and value_hash(mine) == value_hash(oracle)
+        ok_hash = ok_cols and mine_hash == value_hash(oracle)
         if ok_rows and ok_cols and ok_hash:
-            print(f"ok   {name}: {len(mine)} rows match ({wall:.1f}s)")
+            print(f"ok   {name}: {len(mine)} rows match ({wall:.1f}s) "
+                  f"value_hash={mine_hash}")
         else:
             failures += 1
             print(f"FAIL {name}: rows {len(mine)}/{len(oracle)} "

@@ -136,12 +136,14 @@ def task_slots(concurrency: int | None = None) -> int:
 
 def task_plan(n_units: int, slots: int) -> tuple[int, int]:
     """(tasks, units per task) for ``n_units`` over ``slots``. Up to 4
-    units per slot run in one wave; more keep four waves per slot, so a
-    task never holds more units than the four-wave rule gives it."""
+    units per slot run in one wave; past that a task takes at least the
+    4 units a one-wave task may hold, and from 16 units per slot on, the
+    share four waves per slot give it. Units per task never fall and
+    the task count never jumps as ``n_units`` grows."""
     if n_units <= 4 * slots:
         per_task = -(-n_units // slots)
     else:
-        per_task = n_units // (4 * slots)
+        per_task = max(4, n_units // (4 * slots))
     return -(-n_units // per_task), per_task
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -41,7 +43,7 @@ from ..functions.textstats import (
     token_stats_batch,
 )
 from ..query import QueryEngine
-from ..text import term_frequencies, tokenize_array
+from ..text import clean_query, term_frequencies, tokenize_array
 
 from ..schema import INDEX_FORMAT_VERSION
 from ..runtime import cap_execution_cpus
@@ -82,19 +84,211 @@ def _ensure_built(ready_path: str, build) -> None:
             build()
 
 
+def _cache_dir(sf_dir: str, *names: str) -> str:
+    """THE conformance-cache layout: CACHE_ROOT/<sf_dir with "/" → "_">/
+    names... — every cached artifact of one input lives under it."""
+    return os.path.join(CACHE_ROOT, sf_dir.strip("/").replace("/", "_"),
+                        *names)
+
+
+def _cached(sf_dir: str, name: str, build: Callable[[str], None]) -> str:
+    """Cache artifact ``name`` made by ``build(path)`` in several steps:
+    a partial one from a crashed run is removed first, and a
+    ``<path>._done`` marker written after the last step commits it."""
+    path = _cache_dir(sf_dir, name)
+    done = path + "._done"
+
+    def run():
+        shutil.rmtree(path, ignore_errors=True)  # heal partials
+        build(path)
+        open(done, "w").close()
+
+    _ensure_built(done, run)
+    return path
+
+
+# the standard documents index build (4 shards, lang/source stored)
+_DOCS_INDEX = dict(content_col="text", id_col="doc_id",
+                   meta_cols=("lang", "source"), num_shards=4)
+
+
+def _docs_half(sf_dir: str, second: bool):
+    """The documents with doc_id below (or, ``second``, from) n // 2."""
+    cut = pq.read_metadata(_docs(sf_dir)).num_rows // 2
+    doc_id = pads.field("doc_id")
+    return rd.read_parquet(_docs(sf_dir),
+                           filter=doc_id >= cut if second else doc_id < cut)
+
+
+def _mutated_index(sf_dir: str, name: str, mutate: Callable[[str], None],
+                   source=None, **build_kw) -> str:
+    """Cached index ``name``: the standard documents build (of
+    ``source()`` if given, with ``build_kw`` overrides), then
+    ``mutate(index_dir)`` — the lifecycle under test."""
+    def build(index_dir: str) -> None:
+        build_index(source() if source else _docs(sf_dir), index_dir,
+                    **{**_DOCS_INDEX, **build_kw})
+        mutate(index_dir)
+
+    return _cached(sf_dir, name, build)
+
+
+def _bm25_on(index_dir: str) -> pa.Table:
+    """The fixed query's top 10 on a lifecycle index; each lifecycle
+    entry's oracle is the bm25 chain over the corpus it ends at."""
+    return _hits_table(QueryEngine(index_dir).search(BM25_QUERY, 10,
+                                                     method="auto"))
+
+
 def _index_for(sf_dir: str) -> QueryEngine:
     """Build (once per sf_dir per process) the BM25 index over documents."""
     if sf_dir not in _engines:
-        tag = sf_dir.strip("/").replace("/", "_")
-        index_dir = os.path.join(CACHE_ROOT, tag, "index")
+        index_dir = _cache_dir(sf_dir, "index")
         _ensure_built(
             os.path.join(index_dir, "stats.json"),
-            lambda: build_index(_docs(sf_dir), index_dir, content_col="text",
-                                id_col="doc_id", meta_cols=("lang", "source"),
-                                num_shards=4,
-                                store_positions=True))
+            lambda: build_index(_docs(sf_dir), index_dir,
+                                store_positions=True, **_DOCS_INDEX))
         _engines[sf_dir] = QueryEngine(index_dir)
     return _engines[sf_dir]
+
+
+def _hits_table(hits) -> pa.Table:
+    """THE ranked-hits table of the search entries, for ``hits`` =
+    [(doc_id, score), ...] in rank order: int64 doc_id, score_micros
+    (one vectorized micros pass) and rank from 1."""
+    hits = list(hits)
+    return pa.table({
+        "doc_id": pa.array(np.array([d for d, _ in hits], np.int64)),
+        "score_micros": pa.array(to_micros([s for _, s in hits]),
+                                 pa.int64()),
+        "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
+    })
+
+
+# ---------------- single-call search entries ----------------
+# Entries whose whole body is one engine call over the cached documents
+# index: name → (engine, sf_dir) → ranked [(doc_id, score), ...].
+# search_entries() makes each row a driver entry returning _hits_table;
+# a row's comment keeps what its oracle relies on.
+
+PROX_BOOST_W = 2.0
+RESCORE_WINDOW, RESCORE_QW, RESCORE_RW = 30, 1.0, 2.0
+SPAN_FIRST_TERM, SPAN_FIRST_LIMIT = "merge", 3
+SPAN_NOT_INC, SPAN_NOT_EXC, SPAN_NOT_DIST = "merge", "sort", 2
+BOOSTS = {"merge": 2.0, "sort": 1.0, "join": 0.25,
+          "stream": 1.5, "window": 0.5}
+SYN_GROUPS = [["merge", "join"], ["sort", "order"], ["stream", "batch"]]
+MIN_MATCH_M = 3
+BOOSTING_NEG, BOOSTING_NB = "window OR filter", 0.25
+QS_QUERY = '("merge sort"~2 AND stream^2.0) OR (join AND NOT wind*)'
+SQS_QUERY, SQS_DEFAULT_OP = '"sort join"~2 +stream | spark -quer*', "and"
+MBP_TEXT = "merge sort str"  # last token is the as-you-type prefix
+PHRASE_PREFIX, PP_MAX_EXP = "merge s", 50  # ES expansion cap
+IV_TERMS = ("sort", "join")   # ordered interval terms
+IV_MAX_GAPS = 2               # ES intervals max_gaps
+IV_NOT = "merge"              # not_containing filter term
+SC_BIG = ("merge", "sort")  # big ordered span
+SC_LITTLE = "join"          # span_term little query
+SC_MAX_GAPS = 6
+
+SEARCH_ENTRIES: dict[str, Callable[[QueryEngine, str], list]] = {
+    # bm25 on the exhaustive scorer; the wand entry, the lifecycle
+    # indexes and federation share its oracle (rank + score identity)
+    "bm25_topk": lambda e, sf: e.search(BM25_QUERY, 10,
+                                        method="exhaustive"),
+    "bm25_topk_wand": lambda e, sf: e.search(BM25_QUERY, 10,
+                                             method="wand"),
+    # registry scorers (§2.10) run exhaustive (stored bounds are bm25's);
+    # lm_*, dfi and dfr get global cf and total_len bound per query
+    "tfidf_search": lambda e, sf: e.search(BM25_QUERY, 10, scorer="tfidf"),
+    "lm_dirichlet_search": lambda e, sf: e.search(BM25_QUERY, 10,
+                                                  scorer="lm_dirichlet"),
+    "lm_jm_search": lambda e, sf: e.search(BM25_QUERY, 10,
+                                           scorer="lm_jelinek_mercer"),
+    "dfi_search": lambda e, sf: e.search(BM25_QUERY, 10, scorer="dfi"),
+    "dfr_search": lambda e, sf: e.search(BM25_QUERY, 10, scorer="dfr"),
+    # BM25+: ln((n_docs+1)/df)·(bm25_tf_part + 1.0)
+    "bm25plus_search": lambda e, sf: e.search(BM25_QUERY, 10,
+                                              scorer="bm25_plus"),
+    # bm25 + 2.0/(1 + min cover window) for docs with every term
+    "proximity_boost_search": lambda e, sf: e.search_proximity_boost(
+        BM25_QUERY, 10, weight=PROX_BOOST_W),
+    # top-30 window re-ranked by 1.0·bm25 + 2.0·prox, prox over the window
+    "rescore_search": lambda e, sf: e.search_rescore(
+        BM25_QUERY, 10, window_size=RESCORE_WINDOW,
+        query_weight=RESCORE_QW, rescore_weight=RESCORE_RW),
+    # bm25 · (matched terms / query terms), in that expression order
+    "coord_search": lambda e, sf: e.search_coord(BM25_QUERY, 10),
+    # exhaustive; (idf · boost) · part expression order
+    "boosted_search": lambda e, sf: e.search_boosted(BOOSTS, 10),
+    # per (doc, group) max of the members' idf·part, groups sum
+    "synonym_search": lambda e, sf: e.search_synonym_groups(SYN_GROUPS,
+                                                            10),
+    # Rocchio: micros-ranked expansion terms (term-asc ties), weight 0.4
+    "prf_search": lambda e, sf: e.search_prf(
+        BM25_QUERY, 10, fb_docs=PRF_FB_DOCS, fb_terms=PRF_FB_TERMS,
+        beta=PRF_BETA, text_lookup=_sf_text_lookup(sf))[0],
+    # match sets gate; survivors keep their full accumulated scores
+    "min_match_search": lambda e, sf: e.search_min_should_match(
+        BM25_QUERY, MIN_MATCH_M, 10),
+    "terms_set_search": lambda e, sf: e.search_terms_set(
+        BM25_QUERY, _terms_set_msm, 10),
+    "conjunctive_search": lambda e, sf: e.search_conjunctive(BM25_QUERY,
+                                                             10),
+    # every match scores the boost; total ties go doc_id ascending
+    "constant_score_search": lambda e, sf: e.search_constant_score(
+        BOOL_DSL, CONST_SCORE_BOOST, 10),
+    # must AND filter, must_not excluded; scores over must + should
+    "bool_query_search": lambda e, sf: e.search_bool_query(
+        BQ_MUST, BQ_SHOULD, BQ_NOT, 10),
+    # set algebra picks the matches; boosted bm25 over the positive
+    # scoring terms, prefix atoms filter only, zero-scored matches last
+    "query_string_search": lambda e, sf: e.search_query_string(QS_QUERY,
+                                                               10),
+    "simple_query_string_search": lambda e, sf:
+        e.search_simple_query_string(SQS_QUERY, 10, SQS_DEFAULT_OP),
+    "match_bool_prefix_search": lambda e, sf:
+        e.search_match_bool_prefix(MBP_TEXT, 10),
+    # docs matching the negative expression scaled by 0.25, not dropped
+    "boosting_search": lambda e, sf: e.search_boosting(
+        BM25_QUERY, BOOSTING_NEG, BOOSTING_NB, 10),
+    # positional gates are filters: survivors keep unfiltered scores
+    "span_first_search": lambda e, sf: e.search_span_first(
+        BM25_QUERY, 10, first_term=SPAN_FIRST_TERM,
+        limit=SPAN_FIRST_LIMIT),
+    "span_not_search": lambda e, sf: e.search_span_not(
+        BM25_QUERY, 10, include_term=SPAN_NOT_INC,
+        exclude_term=SPAN_NOT_EXC, dist=SPAN_NOT_DIST),
+    "span_near_search": lambda e, sf: e.search_span_near(
+        clean_query(BM25_QUERY), 10, slop=SPAN_NEAR_SLOP),
+    "phrase_ranked_search": lambda e, sf: e.search_phrase_ranked(
+        " ".join(SLOPPY_TERMS), 10, slop=SLOPPY_SLOP),
+    "phrase_prefix_search": lambda e, sf: e.search_phrase_prefix(
+        PHRASE_PREFIX, 10, max_expansions=PP_MAX_EXP),
+    "intervals_search": lambda e, sf: e.search_intervals(
+        list(IV_TERMS), 10, max_gaps=IV_MAX_GAPS, not_containing=IV_NOT),
+    "span_containing_search": lambda e, sf: e.search_span_containing(
+        list(SC_BIG), SC_LITTLE, 10, max_gaps=SC_MAX_GAPS),
+}
+
+
+def _search_entry(name: str) -> Callable[[str], pa.Table]:
+    call = SEARCH_ENTRIES[name]
+
+    def entry(sf_dir: str) -> pa.Table:
+        return _hits_table(call(_index_for(sf_dir), sf_dir))
+
+    entry.__name__ = entry.__qualname__ = name
+    return entry
+
+
+def search_entries() -> dict[str, Callable[[str], pa.Table]]:
+    """One driver entry per SEARCH_ENTRIES row (for queries())."""
+    return {name: _search_entry(name) for name in SEARCH_ENTRIES}
+
+
+bm25_topk = _search_entry("bm25_topk")  # other entries rank off it
+bool_query_search = _search_entry("bool_query_search")
 
 
 def _postings_ds(sf_dir: str):
@@ -266,93 +460,6 @@ def corpus_stats(sf_dir: str):
     })
 
 
-def bm25_topk(sf_dir: str):
-    """Top-10 BM25 (exhaustive scorer) for the fixed query."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, method="exhaustive")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def tfidf_search(sf_dir: str):
-    """Top-10 under the registry ``tfidf`` scorer (§2.10 pluggable
-    ranking exercised end-to-end at the driver): score =
-    Σ ln(n_docs/df)·ln(1+tf). Non-bm25 scorers route through the
-    exhaustive path (stored block-max bounds are bm25-specific)."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="tfidf")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def lm_dirichlet_search(sf_dir: str):
-    """Top-10 under query-likelihood with Dirichlet smoothing (Zhai &
-    Lafferty 2001; Lucene LMDirichletSimilarity analog) — the
-    collection-stats scorer hook: the engine binds each term's global
-    cf (segment rows / term_dict) and the corpus total_len from
-    stats.json into the registered scorer, once per query."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="lm_dirichlet")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def lm_jm_search(sf_dir: str):
-    """Top-10 under query-likelihood with Jelinek-Mercer smoothing
-    (Zhai & Lafferty 2001; Lucene LMJelinekMercerSimilarity analog) —
-    the second collection-stats scorer through the §2.10 hook, proving
-    the cf/total_len binding is scorer-generic."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="lm_jelinek_mercer")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def bm25plus_search(sf_dir: str):
-    """Top-10 under BM25+ (Lv & Zhai 2011) — the lower-bounded tf
-    normalization through the §2.10 scorer registry: score =
-    Σ ln((n_docs+1)/df)·(bm25_tf_part + δ), δ = 1.0. Long matching
-    docs keep a score floor that plain BM25's saturation erodes."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="bm25_plus")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-PROX_BOOST_W = 2.0
-
-
-def proximity_boost_search(sf_dir: str):
-    """Relevance + proximity ranking (the classic web-search phrase
-    boost): combined = bm25 + 2.0/(1 + min_cover_window) for docs
-    containing ALL query terms, plain bm25 otherwise — term closeness
-    promotes docs where the query words cluster. Positional-sidecar
-    feature through the proven feature-boost accumulation; oracle =
-    bm25 chain + min-window CTE ladder, LEFT JOIN coalesce-0.0."""
-    eng = _index_for(sf_dir)
-    res = eng.search_proximity_boost(BM25_QUERY, 10, weight=PROX_BOOST_W)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
 DECAY_ORIGIN, DECAY_DENOM = 300.0, 600.0
 
 
@@ -372,46 +479,7 @@ def decay_search(sf_dir: str):
     res = eng.search_feature_scale(
         BM25_QUERY, 10, feature_ids=t["doc_id"].to_numpy(),
         feature_vals=factor)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def coord_search(sf_dir: str):
-    """Coordination-factor ranking (classic Lucene coord(q,d)): top-10
-    under bm25 · (matched_terms / n_query_terms) — docs matching more
-    of the query promoted multiplicatively. The matched counter rides
-    the min-should-match scatter path; the oracle multiplies the bm25
-    chain by count(DISTINCT term)/|q| in the same expression order."""
-    eng = _index_for(sf_dir)
-    res = eng.search_coord(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-RESCORE_WINDOW, RESCORE_QW, RESCORE_RW = 30, 1.0, 2.0
-
-
-def rescore_search(sf_dir: str):
-    """Two-phase ranking (ES ``rescore``): BM25 top-30 window, window
-    re-ranked by 1.0·bm25 + 2.0·prox (prox = 1/(1+min_cover_window)
-    over window docs containing all terms, else 0.0), final top-10.
-    Unlike proximity_boost_search the positional scan touches ONLY the
-    window — the production shape when phase two is expensive."""
-    eng = _index_for(sf_dir)
-    res = eng.search_rescore(BM25_QUERY, 10, window_size=RESCORE_WINDOW,
-                             query_weight=RESCORE_QW,
-                             rescore_weight=RESCORE_RW)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(res)
 
 
 def collapse_search(sf_dir: str):
@@ -429,14 +497,9 @@ def collapse_search(sf_dir: str):
     uniq, codes = np.unique(src, return_inverse=True)
     res = eng.search_collapse(BM25_QUERY, 10, group_ids=ids,
                               group_codes=codes.astype(np.int64))
-    return pa.table({
-        "doc_id": pa.array([d for d, _, _ in res], pa.int64()),
-        "source": pa.array([str(uniq[g]) if g >= 0 else ""
-                            for _, g, _ in res], pa.string()),
-        "score_micros": pa.array([to_micros(s) for _, _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table((d, s) for d, _, s in res).add_column(
+        1, "source", pa.array([str(uniq[g]) if g >= 0 else ""
+                               for _, g, _ in res], pa.string()))
 
 
 FEATURE_BOOST_W = 0.25
@@ -454,11 +517,7 @@ def feature_boost_search(sf_dir: str):
     res = eng.search_feature_boost(
         BM25_QUERY, 10, feature_ids=t["doc_id"].to_numpy(),
         feature_vals=feat, weight=FEATURE_BOOST_W)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(res)
 
 
 MSEARCH_QUERIES = [BM25_QUERY, "hash table scan",
@@ -473,20 +532,10 @@ def msearch(sf_dir: str):
     batch rides ONE RPC per worker (ShardedQueryEngine.search_many).
     Output is every query's top-10, keyed by query_id."""
     eng = _index_for(sf_dir)
-    res = eng.search_many(MSEARCH_QUERIES, 10)
-    qids, dids, sm, rk = [], [], [], []
-    for qi, hits in enumerate(res):
-        for r, (d, s) in enumerate(hits, 1):
-            qids.append(qi)
-            dids.append(d)
-            sm.append(to_micros(s))
-            rk.append(r)
-    return pa.table({
-        "query_id": pa.array(qids, pa.int64()),
-        "doc_id": pa.array(dids, pa.int64()),
-        "score_micros": pa.array(sm, pa.int64()),
-        "rank": pa.array(rk, pa.int64()),
-    })
+    return pa.concat_tables(
+        _hits_table(hits).add_column(
+            0, "query_id", pa.array(np.full(len(hits), qi, np.int64)))
+        for qi, hits in enumerate(eng.search_many(MSEARCH_QUERIES, 10)))
 
 
 TOPHITS_PER_GROUP = 2
@@ -546,56 +595,7 @@ def rank_feature_search(sf_dir: str):
     res = eng.search_feature_boost(
         BM25_QUERY, 10, feature_ids=t["doc_id"].to_numpy(),
         feature_vals=sat, weight=RANK_FEATURE_W)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-SPAN_FIRST_TERM, SPAN_FIRST_LIMIT = "merge", 3
-
-
-def span_first_search(sf_dir: str):
-    """Span-first-gated ranking (the Lucene ``SpanFirstQuery`` shape):
-    only docs whose FIRST 'merge' occurrence sits within the leading 3
-    kept-token positions are eligible; survivors are ranked by the
-    standard query with their UNFILTERED scores (the gate is a filter,
-    never a score contribution). The gate is one positional-sidecar
-    read — per-doc first position is O(1) off each posting run's
-    start."""
-    eng = _index_for(sf_dir)
-    res = eng.search_span_first(BM25_QUERY, 10,
-                                first_term=SPAN_FIRST_TERM,
-                                limit=SPAN_FIRST_LIMIT)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-SPAN_NOT_INC, SPAN_NOT_EXC, SPAN_NOT_DIST = "merge", "sort", 2
-
-
-def span_not_search(sf_dir: str):
-    """Span-NOT-gated ranking (the Lucene ``SpanNotQuery`` shape,
-    pre = post = dist): docs eligible iff SOME 'merge' occurrence has
-    NO 'sort' occurrence within 2 kept-token positions on either side —
-    "merge, but not the merge of 'merge sort'". Survivors ranked by
-    the standard query with UNFILTERED scores (gate = filter). Both
-    position streams come off the positional sidecar; the
-    per-occurrence nearest-exclude check is one packed searchsorted."""
-    eng = _index_for(sf_dir)
-    res = eng.search_span_not(BM25_QUERY, 10,
-                              include_term=SPAN_NOT_INC,
-                              exclude_term=SPAN_NOT_EXC,
-                              dist=SPAN_NOT_DIST)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(res)
 
 
 CHUNK_W, CHUNK_S = 16, 8  # window / stride in kept tokens (overlap 8)
@@ -634,17 +634,10 @@ def passage_search(sf_dir: str):
     pid // 64."""
     from ..functions.training_export import chunk_dataset
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag)
-    chunks_dir = os.path.join(base, "chunks")
-    index_dir = os.path.join(base, "index_passages")
-    done = index_dir + "._done"  # multi-step build → explicit marker
+    chunks_dir = _cache_dir(sf_dir, "chunks")
 
-    def _build_passages():
-        import shutil
-
+    def _build_passages(index_dir: str) -> None:
         shutil.rmtree(chunks_dir, ignore_errors=True)  # heal partials
-        shutil.rmtree(index_dir, ignore_errors=True)
 
         def with_pid(b: pa.Table) -> pa.Table:
             pid = (np.asarray(b["doc_id"].combine_chunks()
@@ -664,10 +657,8 @@ def passage_search(sf_dir: str):
          .write_parquet(chunks_dir))
         build_index(chunks_dir, index_dir, content_col="chunk_text",
                     id_col="pid", num_shards=4)
-        open(done, "w").close()
 
-    _ensure_built(done, _build_passages)
-    eng = QueryEngine(index_dir)
+    eng = QueryEngine(_cached(sf_dir, "index_passages", _build_passages))
     pids, scores = eng.export_matches(BM25_QUERY)
     docs = pids // PASSAGE_STRIDE_IDS
     # per-doc max over the matched passages (docs is sorted — pids are)
@@ -679,29 +670,7 @@ def passage_search(sf_dir: str):
     # the micros rounding absorbs the gap, doc_id breaks ties
     bm = to_micros(best) if len(best) else best.astype(np.int64)
     order = np.lexsort((udocs, -bm))[:10]
-    return pa.table({
-        "doc_id": pa.array(udocs[order], pa.int64()),
-        "score_micros": pa.array(bm[order], pa.int64()),
-        "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-    })
-
-
-BOOSTS = {"merge": 2.0, "sort": 1.0, "join": 0.25,
-          "stream": 1.5, "window": 0.5}
-
-
-def boosted_search(sf_dir: str):
-    """Per-term query boosts (Lucene term^2.0 analog): top-10 under
-    score = Σ boost·idf·tf_part — exhaustive (boosts invalidate stored
-    pruning bounds). Oracle: the bm25 chain with a CASE boost factor in
-    the same (idf · boost) · part expression order."""
-    eng = _index_for(sf_dir)
-    res = eng.search_boosted(BOOSTS, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(zip(udocs[order], best[order]))
 
 
 TITLE_K, FIELD_W_TITLE, FIELD_W_BODY = 8, 2.0, 1.0
@@ -748,24 +717,14 @@ def _fielded_for(sf_dir: str) -> tuple[QueryEngine, QueryEngine]:
     field is non-empty (the build's empty-doc filter), exactly like the
     SQL mirror's per-field CTE chains."""
     if sf_dir not in _fielded_engines:
-        tag = sf_dir.strip("/").replace("/", "_")
-        base = os.path.join(CACHE_ROOT, tag)
-        fields_dir = os.path.join(base, "fields")
-        done = os.path.join(base, "fields._done")  # outside the parquet dir
-
-        def _write_fields():
-            import shutil
-
-            shutil.rmtree(fields_dir, ignore_errors=True)  # heal partials
-            (rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-             .map_batches(_field_split_batch, batch_format="pyarrow")
-             .write_parquet(fields_dir))
-            open(done, "w").close()
-
-        _ensure_built(done, _write_fields)
+        fields_dir = _cached(
+            sf_dir, "fields", lambda path:
+            rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+            .map_batches(_field_split_batch, batch_format="pyarrow")
+            .write_parquet(path))
         engines = []
         for field in ("title", "body"):
-            idx_dir = os.path.join(base, f"index_{field}")
+            idx_dir = _cache_dir(sf_dir, f"index_{field}")
             _ensure_built(
                 os.path.join(idx_dir, "stats.json"),
                 lambda idx_dir=idx_dir, field=field: build_index(
@@ -792,11 +751,7 @@ def fielded_search(sf_dir: str):
     scores = {d: FIELD_W_TITLE * st.get(d, 0.0) + FIELD_W_BODY * sb.get(d, 0.0)
               for d in set(st) | set(sb)}
     top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in top], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in top], pa.int64()),
-        "rank": pa.array(list(range(1, len(top) + 1)), pa.int64()),
-    })
+    return _hits_table(top)
 
 
 DISMAX_TIE = 0.3
@@ -821,11 +776,7 @@ def dismax_search(sf_dir: str):
         mx = max(t, b)
         scores[d] = mx + DISMAX_TIE * (t + b - mx)
     top = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in top], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in top], pa.int64()),
-        "rank": pa.array(list(range(1, len(top) + 1)), pa.int64()),
-    })
+    return _hits_table(top)
 
 
 BM25F_WT, BM25F_WB, BM25F_K1, BM25F_B = 2.0, 1.0, 1.2, 0.75
@@ -850,8 +801,6 @@ def bm25f_search(sf_dir: str):
     At 100 TB the same math runs inside one engine whose segments carry
     per-field tf columns; entry-level composition keeps the two-index
     lifecycle per field (SCALE.md)."""
-    from ..text import clean_query
-
     et, eb = _fielded_for(sf_dir)
     terms = sorted(set(clean_query(BM25_QUERY)))
     n_docs = float(len(et.doclens.ids))
@@ -902,11 +851,7 @@ def bm25f_search(sf_dir: str):
     m = np.flatnonzero(hit)
     top = sorted(((int(et.doclens.ids[i]), float(acc[i])) for i in m),
                  key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in top], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in top], pa.int64()),
-        "rank": pa.array(list(range(1, len(top) + 1)), pa.int64()),
-    })
+    return _hits_table(top)
 
 
 XF_WT, XF_WB = 2.0, 1.0
@@ -923,8 +868,6 @@ def cross_fields_search(sf_dir: str):
     by its commonest exposure. part_f is the standard per-field bm25 tf
     saturation; a missing field contributes exactly 0.0. Float
     expression order matches cross_fields_topk_sql term for term."""
-    from ..text import clean_query
-
     et, eb = _fielded_for(sf_dir)
     terms = sorted(set(clean_query(BM25_QUERY)))
     n_docs = float(len(et.doclens.ids))
@@ -973,28 +916,7 @@ def cross_fields_search(sf_dir: str):
     m = np.flatnonzero(hit)
     top = sorted(((int(et.doclens.ids[i]), float(acc[i])) for i in m),
                  key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in top], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in top], pa.int64()),
-        "rank": pa.array(list(range(1, len(top) + 1)), pa.int64()),
-    })
-
-
-SYN_GROUPS = [["merge", "join"], ["sort", "order"], ["stream", "batch"]]
-
-
-def synonym_search(sf_dir: str):
-    """Synonym-group retrieval (Lucene SynonymQuery analog): each group
-    contributes the MAX of its members' idf·part contributions per doc,
-    groups sum. Oracle: per-(doc, group) max over the bm25 chain's
-    contribution expression, then a per-doc sum."""
-    eng = _index_for(sf_dir)
-    res = eng.search_synonym_groups(SYN_GROUPS, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(top)
 
 
 PRF_FB_DOCS, PRF_FB_TERMS, PRF_BETA = 5, 3, 0.4
@@ -1010,22 +932,6 @@ def _sf_text_lookup(sf_dir: str):
     return lookup
 
 
-def prf_search(sf_dir: str):
-    """Rocchio pseudo-relevance feedback: BM25 top-5 feedback docs →
-    top-3 expansion terms by summed idf·part weight (micros-ranked,
-    term-asc tie-break) → boosted re-search (original terms 1.0,
-    expansion 0.4). Fully SQL-oracled end-to-end (prf_topk_sql)."""
-    eng = _index_for(sf_dir)
-    res, _ = eng.search_prf(BM25_QUERY, 10, fb_docs=PRF_FB_DOCS,
-                            fb_terms=PRF_FB_TERMS, beta=PRF_BETA,
-                            text_lookup=_sf_text_lookup(sf_dir))
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
 def prf_expansion(sf_dir: str):
     """The PRF expansion terms themselves (stage 2 of prf_search), with
     their feedback weights — oracled by the cw/expn CTE chain."""
@@ -1036,17 +942,6 @@ def prf_expansion(sf_dir: str):
     return pa.table({
         "term": pa.array([t for t, _ in ranked], pa.string()),
         "weight_micros": pa.array([w for _, w in ranked], pa.int64()),
-    })
-
-
-def bm25_topk_wand(sf_dir: str):
-    """Same result via block-max WAND (oracle: same SQL — rank identity)."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, method="wand")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
     })
 
 
@@ -1082,8 +977,6 @@ def term_vectors(sf_dir: str):
     postings (term_doc_ids), so contributions are bitwise the engine's
     own idf·part chain — a query of exactly these terms scores this
     doc as their sum."""
-    import pyarrow.dataset as pads
-
     from ..codec import bm25_tf_part
     from ..build import idf as idf_fn
 
@@ -1116,8 +1009,6 @@ def term_vectors(sf_dir: str):
 def docstore_join(sf_dir: str):
     """Top-k ids joined back to the doc-store (J1/J2 analog): broadcast
     semi-join of the small result set against the documents table."""
-    import pyarrow.dataset as pads
-
     eng = _index_for(sf_dir)
     res = eng.search(BM25_QUERY, 10, method="wand")
     scores = {d: to_micros(s) for d, s in res}
@@ -1199,8 +1090,6 @@ def dedup_corpus(sf_dir: str):
 
 def filter_en_long(sf_dir: str):
     """Filter + project with predicate pushdown at the read."""
-    import pyarrow.dataset as pads
-
     return rd.read_parquet(
         _docs(sf_dir), columns=["doc_id", "source", "n_chars"],
         filter=(pads.field("lang") == "en") & (pads.field("n_chars") >= 200))
@@ -1230,9 +1119,8 @@ def top_terms_per_lang(sf_dir: str):
     """Top-3 terms by count per language (cnt desc, term asc)."""
     def explode(batch: pa.Table) -> pa.Table:
         tf = term_frequencies(batch["text"].combine_chunks())
-        langs = np.asarray(batch["lang"].to_pylist(), dtype=object)
         t = pa.table({
-            "lang": pa.array(list(langs[tf.doc_idx]), pa.string()),
+            "lang": batch["lang"].combine_chunks().take(tf.doc_idx),
             "term": tf.terms,
             "tf": tf.tf,
         })
@@ -1438,19 +1326,11 @@ def semantic_knn(sf_dir: str):
     from ..functions.semantic import SemanticEncoder, train_semantic_artifact
     from ..functions.similarity import knn_brute_force
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    art_dir = os.path.join(CACHE_ROOT, tag, "semantic_ppmi_svd")
-
-    def _train_semantic():
-        import shutil
-
-        shutil.rmtree(art_dir, ignore_errors=True)  # heal partial trains
-        ds = rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-        train_semantic_artifact(ds, art_dir, vocab_size=2000,
-                                window=4, dim=64)
-        open(art_dir + "._done", "w").close()
-
-    _ensure_built(art_dir + "._done", _train_semantic)
+    art_dir = _cached(sf_dir, "semantic_ppmi_svd", lambda path:
+                      train_semantic_artifact(
+                          rd.read_parquet(_docs(sf_dir),
+                                          columns=["doc_id", "text"]),
+                          path, vocab_size=2000, window=4, dim=64))
     enc = SemanticEncoder(art_dir)
     q_tbl = pq.read_table(_docs(sf_dir), filters=[("doc_id", "=", 0)],
                           columns=["text"])
@@ -1478,20 +1358,12 @@ def autoencoder_embed(sf_dir: str):
         train_linear_autoencoder,
     )
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    art_dir = os.path.join(CACHE_ROOT, tag, "linear_dae")
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-
-    def _train_dae():
-        import shutil
-
-        shutil.rmtree(art_dir, ignore_errors=True)  # heal partial trains
-        train_linear_autoencoder(
-            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-            art_dir, dim_out=8, epochs=12)
-        open(art_dir + "._done", "w").close()
-
-    _ensure_built(art_dir + "._done", _train_dae)
+    art_dir = _cached(sf_dir, "linear_dae", lambda path:
+                      train_linear_autoencoder(
+                          rd.read_parquet(emb_path,
+                                          columns=["vec_id", "embedding"]),
+                          path, dim_out=8, epochs=12))
     return rd.read_parquet(emb_path, columns=["vec_id", "embedding"]) \
         .map_batches(AutoencoderEncoder, batch_format="pyarrow",
                      batch_size=256, concurrency=2,
@@ -1513,20 +1385,12 @@ def conv_autoencoder_embed(sf_dir: str):
         train_conv_autoencoder,
     )
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    art_dir = os.path.join(CACHE_ROOT, tag, "conv_dae")
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-
-    def _train_conv():
-        import shutil
-
-        shutil.rmtree(art_dir, ignore_errors=True)  # heal partial trains
-        train_conv_autoencoder(
-            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-            art_dir, dim_out=8, epochs=10)
-        open(art_dir + "._done", "w").close()
-
-    _ensure_built(art_dir + "._done", _train_conv)
+    art_dir = _cached(sf_dir, "conv_dae", lambda path:
+                      train_conv_autoencoder(
+                          rd.read_parquet(emb_path,
+                                          columns=["vec_id", "embedding"]),
+                          path, dim_out=8, epochs=10))
     return rd.read_parquet(emb_path, columns=["vec_id", "embedding"]) \
         .map_batches(ConvAutoencoderEncoder, batch_format="pyarrow",
                      batch_size=256, concurrency=2,
@@ -1661,8 +1525,6 @@ def events_asof(sf_dir: str):
     event matched to the user's most recent click at-or-before it; the
     output carries the GAP (int64 µs, tie-proof — equal-ts right rows
     give equal gaps, so DuckDB's arbitrary tie pick can't diverge)."""
-    import pyarrow.dataset as pads
-
     from ..functions.joins import asof_join
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1702,8 +1564,6 @@ def events_range_join(sf_dir: str):
     24 h at-or-before the purchase — one-to-many, unlike the as-of
     join's most-recent-one. Banded equality merge: no per-user
     cartesian (functions/joins.py range_join)."""
-    import pyarrow.dataset as pads
-
     from ..functions.joins import range_join
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1933,8 +1793,6 @@ def lineitem_semi(sf_dir: str):
     The key side becomes a fixed-size broadcast bitmap regardless of
     key count; only bloom survivors enter the verify shuffle —
     verify="join" forces the at-scale path so the bench exercises it."""
-    import pyarrow.dataset as pads
-
     from ..functions.bloom import bloom_semi_join
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1980,8 +1838,6 @@ def lineitem_anti(sf_dir: str):
     the key bitmap are guaranteed non-members and bypass the shuffle;
     only bloom hits enter the exact bucketed check — the verify
     shuffle carries ~|matches| rows, not the whole table."""
-    import pyarrow.dataset as pads
-
     from ..functions.bloom import bloom_anti_join
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -2418,10 +2274,6 @@ def phrase_search_indexed(sf_dir: str):
     instead of the corpus. Candidate ids pass through the driver
     (8 B/candidate — the docstore_join pattern; for pathological
     all-doc phrases route to the streaming variant)."""
-    import pyarrow.dataset as pads
-
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     cands = eng.search_boolean_dsl(" AND ".join(clean_query(PHRASE)))
     if len(cands) == 0:
@@ -3912,8 +3764,6 @@ def longest_docs(sf_dir: str):
 
 def union_langs(sf_dir: str):
     """Set op: union of two filtered reads (en ∪ de), projected."""
-    import pyarrow.dataset as pads
-
     en = rd.read_parquet(_docs(sf_dir), columns=["doc_id", "lang"],
                          filter=pads.field("lang") == "en")
     de = rd.read_parquet(_docs(sf_dir), columns=["doc_id", "lang"],
@@ -4017,7 +3867,6 @@ def eval_recall(sf_dir: str):
     tokens of 20 documents, expected = the source doc; recall@10 per
     (config, variant) for bm25 vs tfidf scorers."""
     from ..eval import evaluate
-    from ..text import clean_query
 
     eng = _index_for(sf_dir)
     docs = pq.read_table(_docs(sf_dir), columns=["doc_id", "text"])
@@ -4092,8 +3941,7 @@ def minhash_search(sf_dir: str):
     query signature; est = matching-perm fraction)."""
     from ..minhash_index import MinHashSearchIndex
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag, "minhash_index_md5")
+    idx_dir = _cache_dir(sf_dir, "minhash_index_md5")
     _ensure_built(
         os.path.join(idx_dir, "config.json"),  # written last by build()
         lambda: MinHashSearchIndex.build(
@@ -4136,6 +3984,20 @@ def knn_ann_lsh(sf_dir: str):
     return knn_lsh(ds, q, k=10, n_planes=8, multiprobe=2).drop_columns(["query_id"])
 
 
+def _ivf_for(sf_dir: str):
+    """The k=8 IVF index over the embeddings, built once per sf_dir."""
+    from ..functions.ivf import IVFIndex
+
+    emb_path = os.path.join(sf_dir, "embeddings.parquet")
+    idx_dir = _cache_dir(sf_dir, "ivf_index")
+    _ensure_built(
+        os.path.join(idx_dir, "config.json"),  # written last by build()
+        lambda: IVFIndex.build(
+            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
+            idx_dir, k=8, iters=4, seed=17))
+    return IVFIndex(idx_dir)
+
+
 def knn_ivf(sf_dir: str):
     """IVF ANN (the coarse-quantizer scale path): distributed k-means
     centroids partition the corpus into hive parquet lists; the query
@@ -4144,17 +4006,8 @@ def knn_ivf(sf_dir: str):
     the SAME centroids via the pure-NumPy mirror and embeds them as SQL
     literals — the whole chain (assign → probe → exact rescore) is
     value-checked against DuckDB."""
-    from ..functions.ivf import IVFIndex
-
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    tag = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag, "ivf_index")
-    _ensure_built(
-        os.path.join(idx_dir, "config.json"),  # written last by build()
-        lambda: IVFIndex.build(
-            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-            idx_dir, k=8, iters=4, seed=17))
-    idx = IVFIndex(idx_dir)
+    idx = _ivf_for(sf_dir)
     t = pq.read_table(emb_path, filters=[("vec_id", "=", 0)])
     q = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)[0]
     return idx.search(q, k=10, nprobe=2)
@@ -4953,38 +4806,15 @@ def bm25_topk_appended(sf_dir: str):
     from-scratch rebuild, pinned by test_append), then run the fixed
     BM25 query. Shares bm25_topk's oracle SQL: rank AND score identity
     of the incremental path against DuckDB over the full corpus."""
-    import pyarrow.dataset as pads
-
     from ..append import append_to_index, compact_index
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_appended")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_appended():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        n = pq.read_metadata(_docs(sf_dir)).num_rows
-        cut = int(n) // 2
-        first = rd.read_parquet(_docs(sf_dir),
-                                filter=pads.field("doc_id") < cut)
-        second = rd.read_parquet(_docs(sf_dir),
-                                 filter=pads.field("doc_id") >= cut)
-        build_index(first, index_dir, content_col="text", id_col="doc_id",
-                    meta_cols=("lang", "source"), num_shards=4)
-        append_to_index(second, index_dir)
+    def grow(index_dir: str) -> None:
+        append_to_index(_docs_half(sf_dir, second=True), index_dir)
         compact_index(index_dir)
-        open(done, "w").close()
 
-    _ensure_built(done, _build_appended)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _bm25_on(_mutated_index(
+        sf_dir, "index_appended", grow,
+        source=lambda: _docs_half(sf_dir, second=False)))
 
 
 def bm25_topk_merged(sf_dir: str):
@@ -4994,42 +4824,20 @@ def bm25_topk_merged(sf_dir: str):
     pinned by test_merge), then run the fixed BM25 query. Shares
     bm25_topk's oracle SQL — rank AND score identity of the
     merge lifecycle against DuckDB over the full corpus."""
-    import pyarrow.dataset as pads
-
     from ..append import compact_index, merge_indexes
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_merged")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_merged():
-        import shutil
-
-        n = pq.read_metadata(_docs(sf_dir)).num_rows
-        cut = int(n) // 2
-        half_a = os.path.join(CACHE_ROOT, tag, "index_merge_half_a")
-        half_b = os.path.join(CACHE_ROOT, tag, "index_merge_half_b")
-        for half, pred in ((half_a, pads.field("doc_id") < cut),
-                           (half_b, pads.field("doc_id") >= cut)):
+    def merge(index_dir: str) -> None:
+        halves = [_cache_dir(sf_dir, "index_merge_half_a"),
+                  _cache_dir(sf_dir, "index_merge_half_b")]
+        for half, second in zip(halves, (False, True)):
             shutil.rmtree(half, ignore_errors=True)
-            build_index(rd.read_parquet(_docs(sf_dir), filter=pred),
-                        half, content_col="text", id_col="doc_id",
-                        meta_cols=("lang", "source"), num_shards=4)
-        shutil.rmtree(index_dir, ignore_errors=True)
-        merge_indexes([half_a, half_b], index_dir)
+            build_index(_docs_half(sf_dir, second), half, **_DOCS_INDEX)
+        merge_indexes(halves, index_dir)
         compact_index(index_dir)
-        shutil.rmtree(half_a, ignore_errors=True)
-        shutil.rmtree(half_b, ignore_errors=True)
-        open(done, "w").close()
+        for half in halves:
+            shutil.rmtree(half, ignore_errors=True)
 
-    _ensure_built(done, _build_merged)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _bm25_on(_cached(sf_dir, "index_merged", merge))
 
 
 Q10_LO, Q10_HI = "1998-01-01", "1998-04-01"
@@ -5052,16 +4860,13 @@ def returned_items(sf_dir: str):
     hi = np.datetime64(Q10_HI, "us")
 
     def lrev(b: pa.Table) -> pa.Table:
-        rf = np.asarray(b["l_returnflag"].combine_chunks().to_pylist(),
-                        dtype=object)
-        m = rf == "R"
+        b = b.filter(pc.equal(b["l_returnflag"], "R"))
         price = np.asarray(b["l_extendedprice"].combine_chunks(),
-                           dtype=np.float64)[m]
+                           dtype=np.float64)
         disc = np.asarray(b["l_discount"].combine_chunks(),
-                          dtype=np.float64)[m]
+                          dtype=np.float64)
         t = pa.table({
-            "l_orderkey": b["l_orderkey"].combine_chunks().cast(
-                pa.int64()).filter(pa.array(m)),
+            "l_orderkey": b["l_orderkey"].combine_chunks().cast(pa.int64()),
             "rev": pa.array(to_micros(price * (1.0 - disc)), pa.int64()),
         })
         return _partial_sums(t, ["l_orderkey"], {"rev": "rev"})
@@ -5498,31 +5303,12 @@ def bm25_topk_deleted(sf_dir: str):
     per-term df corrections)."""
     from ..append import delete_from_index
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_deleted")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_deleted():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        build_index(_docs(sf_dir), index_dir, content_col="text",
-                    id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4)
+    def delete(index_dir: str) -> None:
         ids = pq.read_table(_docs(sf_dir),
                             columns=["doc_id"])["doc_id"].to_pylist()
         delete_from_index(index_dir, [i for i in ids if i % 7 == 0])
-        open(done, "w").close()
 
-    _ensure_built(done, _build_deleted)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
+    return _bm25_on(_mutated_index(sf_dir, "index_deleted", delete))
 
 
 DBQ_EXPR = "stream AND window"
@@ -5539,29 +5325,8 @@ def delete_by_query_search(sf_dir: str):
     engine rather than handed in)."""
     from ..append import delete_by_query
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_dbq")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_dbq():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        build_index(_docs(sf_dir), index_dir, content_col="text",
-                    id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4)
-        delete_by_query(index_dir, DBQ_EXPR)
-        open(done, "w").close()
-
-    _ensure_built(done, _build_dbq)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
+    return _bm25_on(_mutated_index(
+        sf_dir, "index_dbq", lambda d: delete_by_query(d, DBQ_EXPR)))
 
 
 REIDX_MOD = 11
@@ -5578,36 +5343,18 @@ def reindex_search(sf_dir: str):
     layout also re-proves scores are layout-invariant."""
     from ..append import delete_from_index, reindex_index
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag)
-    src_dir = os.path.join(base, "index_reidx_src")
-    out_dir = os.path.join(base, "index_reidx")
-    done = out_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_reidx():
-        import shutil
-
+    def reindex(out_dir: str) -> None:
+        src_dir = _cache_dir(sf_dir, "index_reidx_src")
         shutil.rmtree(src_dir, ignore_errors=True)  # heal partials
-        shutil.rmtree(out_dir, ignore_errors=True)
-        build_index(_docs(sf_dir), src_dir, content_col="text",
-                    id_col="doc_id", meta_cols=("lang", "source", "text"),
-                    num_shards=4)
+        build_index(_docs(sf_dir), src_dir,
+                    **{**_DOCS_INDEX, "meta_cols": ("lang", "source", "text")})
         ids = pq.read_table(_docs(sf_dir),
                             columns=["doc_id"])["doc_id"].to_pylist()
         delete_from_index(src_dir, [i for i in ids if i % REIDX_MOD == 0])
         reindex_index(src_dir, out_dir, content_col="text",
                       num_shards=2)
-        open(done, "w").close()
 
-    _ensure_built(done, _build_reidx)
-    eng = QueryEngine(out_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
+    return _bm25_on(_cached(sf_dir, "index_reidx", reindex))
 
 
 PIT_PAGE = 5
@@ -5623,36 +5370,19 @@ def pit_paged_search(sf_dir: str):
     (score, doc_id) exactly as ES's search_after sort values."""
     from ..append import delete_by_query, snapshot_index
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag)
-    index_dir = os.path.join(base, "index_pit")
-    snap_dir = os.path.join(base, "index_pit_snap")
-    done = index_dir + "._done"  # multi-step build → explicit marker
+    snap_dir = _cache_dir(sf_dir, "index_pit_snap")
 
-    def _build_pit():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        shutil.rmtree(snap_dir, ignore_errors=True)
-        build_index(_docs(sf_dir), index_dir, content_col="text",
-                    id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4)
+    def snapshot_then_delete(index_dir: str) -> None:
+        shutil.rmtree(snap_dir, ignore_errors=True)  # heal partials
         snapshot_index(index_dir, snap_dir)
         delete_by_query(index_dir, DBQ_EXPR)  # live mutates AFTER the PIT
-        open(done, "w").close()
 
-    _ensure_built(done, _build_pit)
+    _mutated_index(sf_dir, "index_pit", snapshot_then_delete)
     eng = QueryEngine(snap_dir)
     p1 = eng.search(BM25_QUERY, PIT_PAGE, method="auto")
     p2 = eng.search_after(BM25_QUERY, p1[-1][1], p1[-1][0], PIT_PAGE)
-    res = p1 + p2
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-        "page": pa.array([1] * len(p1) + [2] * len(p2), pa.int64()),
-    })
+    return _hits_table(p1 + p2).append_column(
+        "page", pa.array([1] * len(p1) + [2] * len(p2), pa.int64()))
 
 
 UBQ_EXPR, UBQ_SUFFIX = "hash AND batch", " merge merge stream"
@@ -5669,37 +5399,16 @@ def update_by_query_search(sf_dir: str):
     corpus)."""
     from ..append import update_by_query
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_ubq")
-    done = index_dir + "._done"  # multi-step build → explicit marker
+    def patch(b: pa.Table) -> pa.Table:
+        new_text = pc.binary_join_element_wise(
+            b["text"].combine_chunks(),
+            pa.array([UBQ_SUFFIX] * b.num_rows, pa.string()), "")
+        return b.set_column(b.schema.get_field_index("text"),
+                            "text", new_text)
 
-    def _build_ubq():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        build_index(_docs(sf_dir), index_dir, content_col="text",
-                    id_col="doc_id", meta_cols=("lang", "source"),
-                    num_shards=4)
-
-        def patch(b: pa.Table) -> pa.Table:
-            new_text = pc.binary_join_element_wise(
-                b["text"].combine_chunks(),
-                pa.array([UBQ_SUFFIX] * b.num_rows, pa.string()), "")
-            return b.set_column(b.schema.get_field_index("text"),
-                                "text", new_text)
-
-        update_by_query(index_dir, UBQ_EXPR, _docs(sf_dir), patch)
-        open(done, "w").close()
-
-    _ensure_built(done, _build_ubq)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
+    return _bm25_on(_mutated_index(
+        sf_dir, "index_ubq",
+        lambda d: update_by_query(d, UBQ_EXPR, _docs(sf_dir), patch)))
 
 
 def event_trigrams(sf_dir: str):
@@ -6263,27 +5972,7 @@ def es_request_search(sf_dir: str):
         "must_not": [{"term": {"text": t}} for t in BQ_NOT],
     }}, "size": 10}
     hits = es_search(eng, body)["hits"]["hits"]
-    return pa.table({
-        "doc_id": pa.array([int(h["_id"]) for h in hits], pa.int64()),
-        "score_micros": pa.array([to_micros(h["_score"]) for h in hits],
-                                 pa.int64()),
-        "rank": pa.array(list(range(1, len(hits) + 1)), pa.int64()),
-    })
-
-
-def bool_query_search(sf_dir: str):
-    """The ES ``bool`` query with scoring: must-match AND filter,
-    must_not exclusion, should terms boosting the score of survivors —
-    QueryEngine.search_bool_query (postings set algebra → filtered
-    scorer; survivor scores bitwise equal their unfiltered scores over
-    must+should)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_bool_query(BQ_MUST, BQ_SHOULD, BQ_NOT, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table((int(h["_id"]), h["_score"]) for h in hits)
 
 
 HIST_W = 200  # n_chars histogram bucket width
@@ -6570,22 +6259,12 @@ def _stemmed_index_for(sf_dir: str) -> QueryEngine:
     """BM25 index under the stemming analyzer, built once per sf_dir
     from a derived stemmed-text table (same pattern as _fielded_for)."""
     if sf_dir not in _stem_engines:
-        tag = sf_dir.strip("/").replace("/", "_")
-        base = os.path.join(CACHE_ROOT, tag)
-        stem_dir = os.path.join(base, "stemmed")
-        done = os.path.join(base, "stemmed._done")
-
-        def _write_stemmed():
-            import shutil
-
-            shutil.rmtree(stem_dir, ignore_errors=True)  # heal partials
-            (rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-             .map_batches(_stem_join_batch, batch_format="pyarrow")
-             .write_parquet(stem_dir))
-            open(done, "w").close()
-
-        _ensure_built(done, _write_stemmed)
-        idx_dir = os.path.join(base, "index_stem")
+        stem_dir = _cached(
+            sf_dir, "stemmed", lambda path:
+            rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+            .map_batches(_stem_join_batch, batch_format="pyarrow")
+            .write_parquet(path))
+        idx_dir = _cache_dir(sf_dir, "index_stem")
         _ensure_built(
             os.path.join(idx_dir, "stats.json"),
             lambda: build_index(stem_dir, idx_dir, content_col="stemmed_text",
@@ -6600,16 +6279,10 @@ def stemmed_search(sf_dir: str):
     (s/ed/ing), so morphological query variants conflate with corpus
     terms ("sorting joins streams windows" retrieves sort/join/stream/
     window docs). BM25 top-10 under the stemmed index's own stats."""
-    from ..text import clean_query
-
     eng = _stemmed_index_for(sf_dir)
     stemmed = {_stem_token(t) for t in clean_query(STEM_QUERY)}
     res = eng.search(" ".join(sorted(stemmed)), 10, method="exhaustive")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(res)
 
 
 COMPLETION_PREFIXES = ("merge", "sort", "window")
@@ -6760,23 +6433,6 @@ def embedding_decontamination(sf_dir: str):
     })
 
 
-MIN_MATCH_M = 3
-
-
-def min_match_search(sf_dir: str):
-    """Minimum-should-match retrieval (Lucene minimum_should_match):
-    BM25 top-10 over docs matching ≥3 of the 5 query terms — the
-    middle ground between OR and AND semantics; survivors keep their
-    full accumulated scores."""
-    eng = _index_for(sf_dir)
-    res = eng.search_min_should_match(BM25_QUERY, MIN_MATCH_M, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
 IR_EVAL_QUERIES = ("merge sort", "dup scan", "dup query window",
                    "filter vector", "dup")
 IR_EVAL_K = 10
@@ -6791,8 +6447,6 @@ def ir_eval(sf_dir: str):
     log, binary gains). DCG sums travel per-row round-then-sum in
     micros (CLAUDE.md rule 4) so both engines sum exact int64; nDCG =
     dcg/idcg is derivable and base-invariant."""
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     out = {c: [] for c in ("query", "n_rel", "hits_at_10", "rr_micros",
                            "dcg_micros", "idcg_micros")}
@@ -6864,15 +6518,9 @@ def spellfix_search(sf_dir: str):
         j = np.lexsort((ct, -cdf, cd))[0]  # dist asc, df desc, term asc
         corrected.add(str(ct[j]))
     if not corrected:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "score_micros": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
+        return _hits_table([])
     res = eng.search(" ".join(sorted(corrected)), 10, method="exhaustive")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(res)
 
 
 SHUFFLE_SEED = 7
@@ -7033,13 +6681,7 @@ def more_like_this(sf_dir: str):
     qterms = [str(x) for x in terms[top]]
     res = eng.search(" ".join(qterms), 11, method="exhaustive")
     out = [(d, s) for d, s in res if d != MLT_DOC][:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in out], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in out], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(1, len(out) + 1, dtype=np.int64)),
-    })
+    return _hits_table(out)
 
 
 N_BPE_MERGES = 10
@@ -7125,8 +6767,6 @@ def near_search(sf_dir: str):
     in (doc, pos) order (the token stream is already sorted), and the
     min |Δpos| per doc is the min over ADJACENT opposite-label pairs —
     one diff + one scatter-min, no per-doc loop."""
-    import pyarrow.dataset as pads
-
     eng = _index_for(sf_dir)
     ta, tb = NEAR_TERMS
     cands = np.intersect1d(eng.term_doc_ids(ta), eng.term_doc_ids(tb),
@@ -7197,15 +6837,8 @@ def search_page(sf_dir: str):
     query — deep paging served from one k=20 top-k pass (the engine's
     tie-exact partial select), sliced after ranking exactly like SQL's
     OFFSET."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 20, method="exhaustive")[10:20]
-    return pa.table({
-        "doc_id": pa.array([int(d) for d, _ in res], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in res], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(11, 11 + len(res), dtype=np.int64)),
-    })
+    res = _index_for(sf_dir).search(BM25_QUERY, 20, method="exhaustive")
+    return _hits_table(res).slice(10)
 
 
 def federated_search(sf_dir: str):
@@ -7218,28 +6851,18 @@ def federated_search(sf_dir: str):
     strongest possible cross-check of the union-stats math."""
     from ..query import FederatedQueryEngine
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag)
     halves = []
     for par in (0, 1):
-        half_dir = os.path.join(base, f"fed_docs_{par}")
-        done = os.path.join(base, f"fed_docs_{par}._done")
+        def keep(batch: pa.Table, par=par) -> pa.Table:
+            ids = np.asarray(batch["doc_id"].combine_chunks())
+            return batch.filter(pa.array(ids % 2 == par))
 
-        def _write(par=par, half_dir=half_dir, done=done):
-            import shutil
-
-            shutil.rmtree(half_dir, ignore_errors=True)
-            def keep(batch: pa.Table, par=par) -> pa.Table:
-                ids = np.asarray(batch["doc_id"].combine_chunks())
-                return batch.filter(pa.array(ids % 2 == par))
-
-            (rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-             .map_batches(keep, batch_format="pyarrow")
-             .write_parquet(half_dir))
-            open(done, "w").close()
-
-        _ensure_built(done, _write)
-        idx_dir = os.path.join(base, f"fed_index_{par}")
+        half_dir = _cached(
+            sf_dir, f"fed_docs_{par}", lambda path, keep=keep:
+            rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+            .map_batches(keep, batch_format="pyarrow")
+            .write_parquet(path))
+        idx_dir = _cache_dir(sf_dir, f"fed_index_{par}")
         _ensure_built(
             os.path.join(idx_dir, "stats.json"),
             lambda half_dir=half_dir, idx_dir=idx_dir: build_index(
@@ -7248,12 +6871,7 @@ def federated_search(sf_dir: str):
         halves.append(idx_dir)
     fed = FederatedQueryEngine(halves)
     res = fed.search(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array([int(d) for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1, dtype=np.int64)),
-    })
+    return _hits_table(res)
 
 
 def search_after_page(sf_dir: str):
@@ -7266,18 +6884,10 @@ def search_after_page(sf_dir: str):
     eng = _index_for(sf_dir)
     page1 = eng.search(BM25_QUERY, 10, method="exhaustive")
     if not page1:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "score_micros": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
+        return _hits_table([])
     after_doc, after_score = page1[-1][0], page1[-1][1]
     res = eng.search_after(BM25_QUERY, after_score, after_doc, 10)
-    return pa.table({
-        "doc_id": pa.array([int(d) for d, _ in res], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in res], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(11, 11 + len(res), dtype=np.int64)),
-    })
+    return _hits_table(page1 + res).slice(len(page1))  # ranks run on
 
 
 def domain_temperature_mix(sf_dir: str):
@@ -7466,8 +7076,6 @@ def percolate(sf_dir: str):
     tests term membership vectorized against the (tiny) stored-query
     term lists; no index, no shuffle — the corpus streams once, which
     is the percolator's scale shape (queries are the small side)."""
-    from ..text import clean_query
-
     qterms = [sorted(set(clean_query(q))) for q in PERCOLATE_QUERIES]
 
     def match(b: pa.Table) -> pa.Table:
@@ -7505,10 +7113,6 @@ def snippet_windows(sf_dir: str):
     search; the window scan is one searchsorted over each doc's sorted
     hit positions (c_i = #hits in [p_i, p_i+W-1]) — no per-position
     loop."""
-    import pyarrow.dataset as pads
-
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     res = eng.search(BM25_QUERY, 10, method="exhaustive")
     ids = [int(d) for d, _ in res]
@@ -7560,10 +7164,6 @@ def snippet_fragments(sf_dir: str):
     CONSTRUCTION, which is what keeps the selection one vectorized
     group-count instead of a sequential greedy (and makes it exactly
     SQL-mirrorable). Output: (doc_id, frag_id, n_hits, frag_rank)."""
-    import pyarrow.dataset as pads
-
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     res = eng.search(BM25_QUERY, 10, method="exhaustive")
     ids = [int(d) for d, _ in res]
@@ -7790,7 +7390,6 @@ def corrected_search(sf_dir: str):
     Correction ranks on integers only, so engine and oracle agree
     exactly; retrieval shares bm25_topk's scoring identity."""
     from ..functions.curation import _encode_ascii, myers_levenshtein
-    from ..text import clean_query
 
     eng = _index_for(sf_dir)
     qtoks = sorted(set(clean_query(CORRECT_QUERY)))
@@ -7814,17 +7413,9 @@ def corrected_search(sf_dir: str):
             order = np.lexsort((terms[hit], -dfv[hit], d[hit]))
             corrected.add(str(terms[hit][order[0]]))
     if not corrected:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "score_micros": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
+        return _hits_table([])
     res = eng.search(" ".join(sorted(corrected)), 10, method="exhaustive")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in res], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1, dtype=np.int64)),
-    })
+    return _hits_table(res)
 
 
 FILTER_LANG = "en"
@@ -7842,13 +7433,7 @@ def filtered_search(sf_dir: str):
                       filters=[("lang", "=", FILTER_LANG)])
     allowed = np.asarray(t["doc_id"].to_pylist(), dtype=np.int64)
     res = eng.search_filtered(BM25_QUERY, 10, allowed_doc_ids=allowed)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in res], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1, dtype=np.int64)),
-    })
+    return _hits_table(res)
 
 
 def zipf_fit(sf_dir: str):
@@ -7967,8 +7552,7 @@ def ingest_dedup_indexed(sf_dir: str):
 
     n_docs = pq.read_metadata(_docs(sf_dir)).num_rows
     split = n_docs // 2
-    tag = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag, "minhash_ingest_idx")
+    idx_dir = _cache_dir(sf_dir, "minhash_ingest_idx")
     docs = rd.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
 
     def nonempty(b: pa.Table) -> pa.Table:
@@ -8064,32 +7648,13 @@ def phrase_search_appended(sf_dir: str):
     avgdl, unlike block-max bounds). Shares phrase_search's oracle:
     the incremental positional path must match the DuckDB full-corpus
     streaming truth, row for row."""
-    import pyarrow.dataset as pads
-
     from ..append import append_to_index
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_pos_appended")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_pos_appended():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        n = pq.read_metadata(_docs(sf_dir)).num_rows
-        cut = int(n) // 2
-        first = rd.read_parquet(_docs(sf_dir),
-                                filter=pads.field("doc_id") < cut)
-        second = rd.read_parquet(_docs(sf_dir),
-                                 filter=pads.field("doc_id") >= cut)
-        build_index(first, index_dir, content_col="text", id_col="doc_id",
-                    meta_cols=("lang", "source"), num_shards=4,
-                    store_positions=True)
-        append_to_index(second, index_dir)
-        open(done, "w").close()
-
-    _ensure_built(done, _build_pos_appended)
-    eng = QueryEngine(index_dir)
+    eng = QueryEngine(_mutated_index(
+        sf_dir, "index_pos_appended",
+        lambda d: append_to_index(_docs_half(sf_dir, second=True), d),
+        source=lambda: _docs_half(sf_dir, second=False),
+        store_positions=True))
     ids, counts = eng.phrase_occurrences(PHRASE)
     return pa.table({
         "doc_id": pa.array(ids, pa.int64()),
@@ -8171,22 +7736,6 @@ def lineitem_profile(sf_dir: str):
                        Max("max_micros", alias_name="max_micros")))
 
 
-def conjunctive_search(sf_dir: str):
-    """AND-semantics ranked retrieval: BM25 top-10 over docs containing
-    EVERY query term (QueryEngine.search_conjunctive — posting id-set
-    intersection feeds the selective filtered scorer, which probes only
-    the candidates). Oracle: the bm25 score chain + a HAVING-all-terms
-    candidate filter."""
-    eng = _index_for(sf_dir)
-    res = eng.search_conjunctive(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
-
-
 WILDCARD_PREFIX = "mer"
 
 
@@ -8231,8 +7780,6 @@ def min_window_search(sf_dir: str):
     searchsorted per term over packed doc<<32|pos streams). Oracle:
     per-start next-occurrence max in SQL over the tokenize-mirror
     positions."""
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     ids, w = eng.min_cover_windows(clean_query(BM25_QUERY))
     return pa.table({
@@ -8256,22 +7803,6 @@ def near_search_positional(sf_dir: str):
 
 SLOPPY_TERMS = ("sort", "merge", "join")   # order-significant
 SLOPPY_SLOP = 2                            # match iff span - 3 <= 2
-
-
-def phrase_ranked_search(sf_dir: str):
-    """Quoted-phrase search-box semantics: docs matching the sloppy
-    phrase (ordered span ≤ n+slop from the positional sidecar) RANKED
-    by BM25 over the phrase terms — QueryEngine.search_phrase_ranked,
-    the min_ordered_spans → search_filtered composition (survivor
-    scores bitwise equal their unfiltered scores)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_phrase_ranked(" ".join(SLOPPY_TERMS), 10,
-                                   slop=SLOPPY_SLOP)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
 
 
 def sloppy_phrase_search(sf_dir: str):
@@ -8308,8 +7839,7 @@ def _tri_for(sf_dir: str) -> TrigramSearcher:
     hex-encoded into tri_text, standard index build over it, original
     text riding in the docstore for candidate verification."""
     if sf_dir not in _tri_searchers:
-        tag = sf_dir.strip("/").replace("/", "_")
-        idx_dir = os.path.join(CACHE_ROOT, tag, "index_tri")
+        idx_dir = _cache_dir(sf_dir, "index_tri")
         _ensure_built(
             os.path.join(idx_dir, "stats.json"),
             lambda: build_trigram_index(_docs(sf_dir), idx_dir,
@@ -8416,52 +7946,11 @@ def rollover_search(sf_dir: str):
     end."""
     from ..rollover import open_rollover, rollover_ingest
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag, "rollover")
-    done = base + "._done"
     n = pq.read_metadata(_docs(sf_dir)).num_rows
-
-    def _build():
-        import shutil
-
-        shutil.rmtree(base, ignore_errors=True)
-        rollover_ingest(_docs(sf_dir), base, max_docs=(n + 2) // 3,
-                        content_col="text", id_col="doc_id",
-                        num_shards=4)
-        open(done, "w").close()
-
-    _ensure_built(done, _build)
-    eng = open_rollover(base)
-    res = eng.search(BM25_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array([int(d) for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1, dtype=np.int64)),
-    })
-
-
-PHRASE_PREFIX = "merge s"
-PP_MAX_EXP = 50
-
-
-def phrase_prefix_search(sf_dir: str):
-    """Phrase-prefix retrieval (ES ``match_phrase_prefix``): "merge s"
-    matches any doc where 'merge' is immediately followed by an
-    s-prefixed kept token; the prefix expands through the term_dict's
-    sorted range capped at 50 terms (the ES expansion cap — bounded
-    work however common the prefix). Survivors rank by the fixed terms
-    with unfiltered scores (the phrase_ranked/span_first filter
-    convention)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_phrase_prefix(PHRASE_PREFIX, 10,
-                                   max_expansions=PP_MAX_EXP)
-    return pa.table({
-        "doc_id": pa.array([int(d) for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1, dtype=np.int64)),
-    })
+    base = _cached(sf_dir, "rollover", lambda path: rollover_ingest(
+        _docs(sf_dir), path, max_docs=(n + 2) // 3, content_col="text",
+        id_col="doc_id", num_shards=4))
+    return _hits_table(open_rollover(base).search(BM25_QUERY, 10))
 
 
 HNSW_NQ = 5
@@ -8516,13 +8005,8 @@ def pinned_search(sf_dir: str):
     eng = _index_for(sf_dir)
     res = eng.search_pinned(BM25_QUERY, PINNED_IDS, k=10,
                             method="exhaustive")
-    return pa.table({
-        "doc_id": pa.array([d for d, _, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s, _ in res],
-                                 pa.int64()),
-        "pinned": pa.array([int(p) for _, _, p in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table((d, s) for d, s, _ in res).add_column(
+        2, "pinned", pa.array([int(p) for _, _, p in res], pa.int64()))
 
 
 HC_STATUS, HC_SEGMENT, HC_K = "F", "BUILDING", 15
@@ -8848,13 +8332,10 @@ def knn_ivf_appended(sf_dir: str):
     centroid literals trained on the even half only (micros-exact
     k-means mirror) and assignment over ALL rows — exactly the frozen-
     quantizer contract."""
-    import shutil
-
     from ..functions.ivf import IVFIndex
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    tag_d = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag_d, "ivf_index_appended")
+    idx_dir = _cache_dir(sf_dir, "ivf_index_appended")
 
     def _half(parity: int):
         def f(b: pa.Table) -> pa.Table:
@@ -8892,14 +8373,11 @@ def _ivf_lifecycle(sf_dir: str):
     into a sibling dir. Each step's commit artifact gates _ensure_built
     so the chain is idempotent and crash-resumable at step
     granularity."""
-    import shutil
-
     from ..functions.ivf import IVFIndex
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    tag_d = sf_dir.strip("/").replace("/", "_")
-    base = os.path.join(CACHE_ROOT, tag_d, "ivf_index_del")
-    comp = os.path.join(CACHE_ROOT, tag_d, "ivf_index_compacted")
+    base = _cache_dir(sf_dir, "ivf_index_del")
+    comp = _cache_dir(sf_dir, "ivf_index_compacted")
 
     def build_delete():
         if os.path.isdir(base):
@@ -9405,103 +8883,6 @@ def _terms_set_msm(ids: np.ndarray) -> np.ndarray:
     return 1 + (np.asarray(ids, dtype=np.int64) % TERMS_SET_MOD)
 
 
-def terms_set_search(sf_dir: str):
-    """ES ``terms_set`` query: per-DOC minimum-should-match from a
-    doc-values function — docs matching at least their OWN threshold
-    (1 + doc_id % 3) of the query terms, ranked by BM25 with full
-    accumulated scores (QueryEngine.search_terms_set)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_terms_set(BM25_QUERY, _terms_set_msm, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def constant_score_search(sf_dir: str):
-    """ES ``constant_score`` query: the boolean-DSL filter context with
-    every match scored exactly the boost — no per-term scoring work at
-    all; deterministic order is doc_id ascending (Lucene index order
-    on total ties)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_constant_score(BOOL_DSL, CONST_SCORE_BOOST, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def span_near_search(sf_dir: str):
-    """Lucene ``span_near`` with in_order=false: docs where some token
-    window of ≤ n_terms + slop covers EVERY query term in ANY order
-    (positional sidecar, min_cover_windows), ranked by BM25 — the
-    unordered sibling of phrase_ranked_search; survivor scores bitwise
-    equal their unfiltered scores."""
-    from ..text import clean_query
-
-    eng = _index_for(sf_dir)
-    res = eng.search_span_near(clean_query(BM25_QUERY), 10,
-                               slop=SPAN_NEAR_SLOP)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-QS_QUERY = '("merge sort"~2 AND stream^2.0) OR (join AND NOT wind*)'
-
-
-def query_string_search(sf_dir: str):
-    """Lucene/ES ``query_string``: boolean structure + ranking hints in
-    ONE string — quoted sloppy phrase, per-term ^boost, prefix* filter
-    atoms, AND/OR/NOT/parens (QueryEngine.search_query_string). Matched
-    set by set algebra over postings / span gates / prefix unions;
-    ranked by boosted BM25 over the positive scoring terms, zero-scored
-    matches after every scored doc."""
-    eng = _index_for(sf_dir)
-    res = eng.search_query_string(QS_QUERY, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-def dfi_search(sf_dir: str):
-    """Top-10 under divergence-from-independence (Lucene DFISimilarity,
-    standardized measure) — the third collection-stats scorer through
-    the §2.10 registry hook: e = (cf·dl)/total_len, score per term =
-    log2(1 + max(tf−e, 0)/√e)."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="dfi")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-BOOSTING_NEG = "window OR filter"
-BOOSTING_NB = 0.25
-
-
-def boosting_search(sf_dir: str):
-    """ES ``boosting`` query: BM25 ranking of the positive query with
-    docs matching the negative boolean expression DEMOTED (score ·
-    negative_boost — never excluded, unlike must_not). Rides the
-    multiplicative feature path, negative set from the boolean DSL."""
-    eng = _index_for(sf_dir)
-    res = eng.search_boosting(BM25_QUERY, BOOSTING_NEG, BOOSTING_NB, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
 GEO_BOX = (-30_000_000, 50_000_000, -90_000_000, 40_000_000)
 # (lat_lo, lat_hi, lon_lo, lon_hi) micro-degrees
 
@@ -9690,8 +9071,6 @@ def maxsim_search(sf_dir: str):
     token; a (doc × |q|) max-groupby (the only shuffle — rows are
     |q| ints per doc, never vectors); score + partial top-10 per batch,
     driver merges 10-row lists."""
-    from ..text import clean_query
-
     qterms = sorted(set(clean_query(BM25_QUERY)))
     Q = _maxsim_vec(qterms)  # |q| × DIM
 
@@ -9750,8 +9129,6 @@ def maxsim_rerank(sf_dir: str):
     (score desc, doc_id asc), exact both engines; re-rank is the
     integer MaxSim of maxsim_search restricted to the shortlist via a
     broadcast membership probe."""
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     short = eng.search(BM25_QUERY, MAXSIM_SHORTLIST, method="exhaustive")
     allowed = np.array(sorted(d for d, _ in short), dtype=np.int64)
@@ -9930,8 +9307,6 @@ def combined_fields_search(sf_dir: str):
     field" semantics). All weighted quantities are exact (integer tfs/
     lens scaled by small weights), so the only float work is the single
     BM25 curve — same expression order as combined_fields_topk_sql."""
-    from ..text import clean_query
-
     et, eb = _fielded_for(sf_dir)
     terms = sorted(set(clean_query(BM25_QUERY)))
     n_docs = float(len(et.doclens.ids))
@@ -9964,33 +9339,7 @@ def combined_fields_search(sf_dir: str):
     m = np.flatnonzero(hit)
     top = sorted(((int(et.doclens.ids[i]), float(acc[i])) for i in m),
                  key=lambda kv: (-kv[1], kv[0]))[:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in top], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in top], pa.int64()),
-        "rank": pa.array(list(range(1, len(top) + 1)), pa.int64()),
-    })
-
-
-SQS_QUERY = '"sort join"~2 +stream | spark -quer*'
-SQS_DEFAULT_OP = "and"
-
-
-def simple_query_string_search(sf_dir: str):
-    """ES ``simple_query_string``: the end-user-safe grammar — ``+``
-    AND, ``|`` OR, ``-`` NOT, quoted sloppy phrase, trailing-* prefix,
-    implicit default_operator between adjacent clauses — translated
-    onto the query_string machinery with Lucene MUST_NOT hoisting
-    (QueryEngine.search_simple_query_string). Matched set =
-    ((ordered sort→join span ≤ 4 AND has stream) OR has spark) AND no
-    'quer%' term; ranked by BM25 over the positive scoring terms,
-    prefix atoms filter-only, zero-scored matches last."""
-    eng = _index_for(sf_dir)
-    res = eng.search_simple_query_string(SQS_QUERY, 10, SQS_DEFAULT_OP)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
+    return _hits_table(top)
 
 
 SEMDEDUP_T_MICROS = 300_000  # within-cell cosine ≥ 0.30 (micros) = near-dup
@@ -10012,18 +9361,7 @@ def semdedup_corpus(sf_dir: str):
     independently, and no cross-cell pair is ever formed. The
     similarity gate compares int64 micros in BOTH engines (rule 4), so
     a 1-ulp float gap cannot flip the kept set."""
-    from ..functions.ivf import IVFIndex
-
-    emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    tag = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag, "ivf_index")
-    _ensure_built(
-        os.path.join(idx_dir, "config.json"),  # written last by build()
-        lambda: IVFIndex.build(
-            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-            idx_dir, k=8, iters=4, seed=17))
-
-    idx = IVFIndex(idx_dir)
+    idx = _ivf_for(sf_dir)
     t = (idx.semdedup(SEMDEDUP_T_MICROS)  # one task per cell, NO shuffle
          .to_pandas()  # n rows at conformance scale; a sink at 100 TB
          .sort_values("vec_id"))
@@ -10052,70 +9390,6 @@ def normalize_pipeline(sf_dir: str):
         "m": pa.array(t["m"].to_numpy(np.int64)),
         "n": pa.array(n),
         "norm_micros": pa.array(norm),
-    })
-
-
-IV_TERMS = ("sort", "join")   # ordered interval terms
-IV_MAX_GAPS = 2               # ES intervals max_gaps
-IV_NOT = "merge"              # not_containing filter term
-
-
-def intervals_search(sf_dir: str):
-    """ES ``intervals`` query: docs with an ORDERED sort→join interval
-    using ≤ IV_MAX_GAPS gap positions AND no 'merge' occurrence inside
-    the interval (the not_containing filter), ranked by BM25 over the
-    interval terms (QueryEngine.search_intervals — per-start greedy
-    minimal intervals, exact by the superset argument in its
-    docstring). Survivor scores bitwise equal their unfiltered
-    scores."""
-    eng = _index_for(sf_dir)
-    res = eng.search_intervals(list(IV_TERMS), 10,
-                               max_gaps=IV_MAX_GAPS,
-                               not_containing=IV_NOT)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-SC_BIG = ("merge", "sort")  # big ordered span
-SC_LITTLE = "join"          # span_term little query
-SC_MAX_GAPS = 6
-
-
-def span_containing_search(sf_dir: str):
-    """Lucene/ES ``span_containing``: docs where SOME ordered
-    merge→sort interval (≤ SC_MAX_GAPS gap positions) CONTAINS a
-    'join' occurrence, ranked by BM25 over the big-span terms
-    (QueryEngine.search_span_containing — widest-reachable-interval
-    construction, exact per its docstring). Survivor scores bitwise
-    equal their unfiltered scores."""
-    eng = _index_for(sf_dir)
-    res = eng.search_span_containing(list(SC_BIG), SC_LITTLE, 10,
-                                     max_gaps=SC_MAX_GAPS)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
-    })
-
-
-MBP_TEXT = "merge sort str"  # last token is the as-you-type prefix
-
-
-def match_bool_prefix_search(sf_dir: str):
-    """ES ``match_bool_prefix`` (search-as-you-type): SHOULD
-    disjunction of the analyzed terms with the LAST as a prefix —
-    docs with merge OR sort OR any 'str…' term, BM25-scored over the
-    full terms only (prefix filters, never scores), zero-scored
-    matches last (QueryEngine.search_match_bool_prefix)."""
-    eng = _index_for(sf_dir)
-    res = eng.search_match_bool_prefix(MBP_TEXT, 10)
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
     })
 
 
@@ -10177,17 +9451,7 @@ def bulk_search(sf_dir: str):
     bitwise (the upsert rebuild contract)."""
     from ..append import bulk_apply
 
-    tag = sf_dir.strip("/").replace("/", "_")
-    index_dir = os.path.join(CACHE_ROOT, tag, "index_bulk")
-    done = index_dir + "._done"  # multi-step build → explicit marker
-
-    def _build_bulk():
-        import shutil
-
-        shutil.rmtree(index_dir, ignore_errors=True)  # heal partials
-        build_index(_docs(sf_dir), index_dir, content_col="text",
-                    id_col="doc_id", meta_cols=(),
-                    num_shards=4)
+    def apply(index_dir: str) -> None:
         old = pq.read_table(_docs(sf_dir),
                             filters=[("doc_id", "=", BULK_UPD_ID)],
                             columns=["text"])["text"][0].as_py()
@@ -10203,17 +9467,9 @@ def bulk_search(sf_dir: str):
         results = [it["result"] for it in out["items"]]
         assert results == ["deleted", "updated", "created",
                            "conflict"], results
-        open(done, "w").close()
 
-    _ensure_built(done, _build_bulk)
-    eng = QueryEngine(index_dir)
-    res = eng.search(BM25_QUERY, 10, method="auto")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res],
-                                 pa.int64()),
-        "rank": pa.array(np.arange(1, len(res) + 1), pa.int64()),
-    })
+    return _bm25_on(_mutated_index(sf_dir, "index_bulk", apply,
+                                   meta_cols=()))
 
 
 CTX_LANGS = ("en", "es")  # completion contexts (ES category contexts)
@@ -10226,8 +9482,6 @@ def context_completion(sf_dir: str):
     (_completion_suggestions kernel with the context column threaded
     through the partial sums)."""
     return _completion_suggestions(sf_dir, CTX_LANGS)
-
-
 
 
 def significant_text_agg(sf_dir: str):
@@ -10429,8 +9683,6 @@ def mlt_unlike_search(sf_dir: str):
     contains, and both example docs are filtered from the results.
     Same term-selection and retrieval chain as more_like_this
     otherwise (integer tf/df ties, bitwise-shared ln)."""
-    from ..text import clean_query
-
     eng = _index_for(sf_dir)
     t = pq.read_table(_docs(sf_dir), columns=["doc_id", "text"],
                       filters=[("doc_id", "=", MLT_DOC)])
@@ -10443,9 +9695,7 @@ def mlt_unlike_search(sf_dir: str):
         if veto else np.ones(len(terms), bool)
     terms, tfs = terms[keep], tf.tf[keep]
     if len(terms) == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "score_micros": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
+        return _hits_table([])
     df_pd = term_df(sf_dir).to_pandas()  # vocab-sized
     n_docs = pq.read_metadata(_docs(sf_dir)).num_rows
     idf = pd.Series(
@@ -10457,13 +9707,7 @@ def mlt_unlike_search(sf_dir: str):
     res = eng.search(" ".join(qterms), 12, method="exhaustive")
     out = [(d, s) for d, s in res
            if d not in (MLT_DOC, MLT_UNLIKE_DOC)][:10]
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in out], pa.int64()),
-        "score_micros": pa.array(
-            to_micros(np.array([s for _, s in out], np.float64)),
-            pa.int64()),
-        "rank": pa.array(np.arange(1, len(out) + 1, dtype=np.int64)),
-    })
+    return _hits_table(out)
 
 
 PERCOLATE_DSL_QUERIES = (
@@ -10524,21 +9768,6 @@ def percolate_dsl(sf_dir: str):
     return pa.table({
         "doc_id": pa.array(t["doc_id"].to_numpy(np.int64)),
         "query_id": pa.array(t["query_id"].to_numpy(np.int64)),
-    })
-
-
-def dfr_search(sf_dir: str):
-    """Top-10 under divergence-from-randomness (Lucene DFRSimilarity,
-    basic model G + Laplace after-effect + H2 length normalization) —
-    the FOURTH collection-stats scorer through the §2.10 registry hook
-    (after lm_dirichlet / lm_jm / dfi): λ = cf/n_docs, tfn =
-    tf·log2(1 + avgdl/dl), gain Laplace-normalized, clamped ≥ 0."""
-    eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, scorer="dfr")
-    return pa.table({
-        "doc_id": pa.array([d for d, _ in res], pa.int64()),
-        "score_micros": pa.array([to_micros(s) for _, s in res], pa.int64()),
-        "rank": pa.array(list(range(1, len(res) + 1)), pa.int64()),
     })
 
 
@@ -10633,18 +9862,11 @@ def prototype_prune(sf_dir: str):
     semdedup keep flag, and the final D4 keep flag. sf0.01-oracled
     ONLY (the variable_width_histogram class): d² against the literal
     centroids is data-dependent and the sf0.001 embeddings differ."""
-    from ..functions.ivf import IVFIndex, centroid_d2
+    from ..functions.ivf import centroid_d2
     from ..functions.similarity import _emb_matrix
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
-    tag = sf_dir.strip("/").replace("/", "_")
-    idx_dir = os.path.join(CACHE_ROOT, tag, "ivf_index")
-    _ensure_built(
-        os.path.join(idx_dir, "config.json"),  # written last by build()
-        lambda: IVFIndex.build(
-            rd.read_parquet(emb_path, columns=["vec_id", "embedding"]),
-            idx_dir, k=8, iters=4, seed=17))
-    idx = IVFIndex(idx_dir)
+    idx = _ivf_for(sf_dir)
     sem = idx.semdedup(SEMDEDUP_T_MICROS).to_pandas()  # bounded here
     cents = idx.centroids
     import ray as _ray

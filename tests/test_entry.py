@@ -38,6 +38,31 @@ def test_queries_oracle_keys_consistent(entry_mod):
         assert callable(fn), name
 
 
+ROWS_ONLY = {"semantic_knn", "autoencoder_embed", "conv_autoencoder_embed",
+             "multimodal_features", "video_frame_sample", "audio_windows"}
+
+
+def test_search_entries_expand_into_queries(entry_mod):
+    """Every row of documents.SEARCH_ENTRIES reaches queries() once,
+    through the table's expansion and never also as a hand-listed key,
+    and queries() keeps its 304 names: 298 oracled, 6 rows-only."""
+    import ast
+    import inspect
+
+    from stacksearch_ray.pipelines import documents as P
+
+    tree = ast.parse(inspect.getsource(entry_mod.queries))
+    literal = next(n for n in ast.walk(tree) if isinstance(n, ast.Dict))
+    listed = [k.value for k in literal.keys if k is not None]
+    assert len(listed) == len(set(listed))
+    assert not set(listed) & set(P.SEARCH_ENTRIES)
+    qs = entry_mod.queries()
+    for name in P.SEARCH_ENTRIES:
+        assert qs[name].__name__ == name
+    assert len(qs) == 304 and len(P.SEARCH_ENTRIES) >= 29
+    assert set(qs) == set(entry_mod.oracle_sql()) | ROWS_ONLY
+
+
 def test_sql_tokenizer_unicode_parity():
     """Engine and oracle CTE strip non-[a-zA-Z0-9 \\n] BEFORE lowercasing;
     they must agree on non-ASCII uppercase whose lowercase is ASCII
@@ -84,7 +109,9 @@ def test_sql_tokenizer_unicode_parity():
                                   "js_divergence", "robust_outliers",
                                   "hard_negatives", "term_coverage",
                                   "mmr_rerank", "dup_rate_by_source",
-                                  "stopword_discovery"])
+                                  "stopword_discovery", "tfidf_search",
+                                  "lm_dirichlet_search", "span_first_search",
+                                  "query_string_search", "prf_search"])
 def test_sampled_entries_match_oracle(entry_mod, name):
     import duckdb
 

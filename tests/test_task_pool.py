@@ -20,8 +20,9 @@ from stacksearch_ray.corpus import write_corpus
     (8, 4, 4, 2),       # an 8-file build on 4 CPUs: one wave of pairs
     (10, 4, 4, 3),
     (16, 4, 4, 4),      # the largest one-wave plan: 4 units per slot
-    (17, 4, 17, 1),     # past it, the four-wave rule
-    (100, 4, 17, 6),
+    (17, 4, 5, 4),      # past it, still 4 units a task
+    (65, 16, 17, 4),
+    (100, 4, 17, 6),    # from 16 units a slot, the four-wave rule
     (3, 1, 1, 3),
     (8, 16, 8, 1),
     (64, 16, 16, 4),
@@ -33,8 +34,22 @@ def test_task_plan(n_units, slots, tasks, per_task):
     assert (tasks - 1) * per_task < n_units <= tasks * per_task
     if n_units <= 4 * slots:  # one wave, at most 4 units a task
         assert tasks <= slots and per_task <= 4
-    else:  # at least four waves, as many units a task as before
-        assert tasks >= 4 * slots and per_task == n_units // (4 * slots)
+    else:  # 4 units a task until four waves need more
+        assert per_task == max(4, n_units // (4 * slots))
+        assert tasks >= min(4 * slots, -(-n_units // 4))
+
+
+@pytest.mark.parametrize("slots", [1, 2, 4, 16])
+def test_task_plan_grows_smoothly(slots):
+    """One more unit never shrinks a task's share and adds at most one
+    task: no cliff where a unit past one wave splits the work into
+    one-unit tasks."""
+    prev_tasks, prev_per_task = task_plan(1, slots)
+    for n_units in range(2, 2001):
+        tasks, per_task = task_plan(n_units, slots)
+        assert per_task >= prev_per_task, n_units
+        assert tasks <= prev_tasks + 1, n_units
+        prev_tasks, prev_per_task = tasks, per_task
 
 
 def test_task_slots_caps():
