@@ -46,7 +46,12 @@ from .codec import (
     encode_position_lists_arrow,
     encode_segments,
 )
-from .schema import INDEX_FORMAT_VERSION, doc_ids_batch, with_doc_map
+from .schema import (
+    INDEX_FORMAT_VERSION,
+    SEGMENT_ROW_GROUP_ROWS,
+    doc_ids_batch,
+    with_doc_map,
+)
 from .text import BatchTermFreqs, tokenize_array
 
 
@@ -219,15 +224,27 @@ def _empty_segments_table(positions: bool = False) -> pa.Table:
 def write_segment_file(seg_table: pa.Table, path: str) -> None:
     """THE segment-file writer (build, append, compaction and purge),
     temp-then-rename. Rows keep the encoder's order (terms by first
-    appearance in its input); 64 rows per row group keeps each group's
-    footer term min/max narrow for a reader that picks groups itself
-    (pyarrow 16.1's ``("term", "in", ...)`` read filter prunes no row
-    group; equality filters do)."""
+    appearance in its input), cut into row groups of
+    ``SEGMENT_ROW_GROUP_ROWS`` rows.
+
+    Why 128: Arrow pays a fixed price per row group on every write and
+    every read, and no reader picks row groups yet (pyarrow 16.1's
+    ``("term", "in", ...)`` read filter prunes no row group, so a term
+    read decodes every group of the file). On one 4,874-row segment
+    file, a write took 16.1 ms in 64-row groups, 10.4 ms in 128-row
+    groups and 6.4 ms as one group, and a three-term
+    ``("term", "in", ...)`` read 31.0, 18.5 and 4.8 ms. Going from 64
+    to 128 rows cut ``serve_es`` CPU per request from 70 to 44 ms and
+    index bytes by about 11% (BENCH/row_groups_r15.json); 256 and 512
+    rows cut more, but make requests fast enough to run that
+    benchmark's body pool dry. Readers do not depend on the size: files
+    written at another size read the same, and compaction rewrites
+    them at this one."""
     from .state.manifest import atomic_write_parquet
 
-    atomic_write_parquet(
-        seg_table, path,
-        row_group_boundaries=list(range(64, seg_table.num_rows, 64)))
+    n = SEGMENT_ROW_GROUP_ROWS
+    atomic_write_parquet(seg_table, path,
+                         row_group_boundaries=range(n, seg_table.num_rows, n))
 
 
 def build_index(source, index_dir: str,

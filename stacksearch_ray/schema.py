@@ -172,6 +172,11 @@ def shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
 # the segment columns whose footer min/max statistics readers filter
 # on; segment files keep statistics for these only
 SEGMENT_STATS_COLUMNS = ("term", "shard")
+# rows per parquet row group in a segment file (the last group may be
+# shorter; an empty file has none). No reader depends on it, so a
+# change is a writer constant, not a format bump: see
+# build.write_segment_file
+SEGMENT_ROW_GROUP_ROWS = 128
 
 
 def segment_compression(schema: pa.Schema) -> dict[str, str] | None:

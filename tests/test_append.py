@@ -51,9 +51,12 @@ def test_append_equals_rebuild_and_oracle(appended):
 def test_appended_segment_files_are_term_sorted_row_groups(appended):
     """An append encodes its delta the way the build does: one segment
     file per shard the delta touches, rows term-sorted, row groups of
-    at most 64 rows whose footer term ranges do not overlap."""
+    ``SEGMENT_ROW_GROUP_ROWS`` rows (the last one at most that) whose
+    footer term ranges do not overlap."""
     import os
     import re
+
+    from stacksearch_ray.schema import SEGMENT_ROW_GROUP_ROWS
 
     idx_inc, _ = appended
     seg_dir = os.path.join(idx_inc, "segments")
@@ -72,7 +75,9 @@ def test_appended_segment_files_are_term_sorted_row_groups(appended):
         ranges = []
         for g in range(meta.num_row_groups):
             rg = meta.row_group(g)
-            assert 0 < rg.num_rows <= 64, f
+            if g < meta.num_row_groups - 1:
+                assert rg.num_rows == SEGMENT_ROW_GROUP_ROWS, f
+            assert 0 < rg.num_rows <= SEGMENT_ROW_GROUP_ROWS, f
             st = rg.column(t.schema.get_field_index("term")).statistics
             ranges.append((st.min, st.max))
         assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:])), f

@@ -4,9 +4,11 @@
 Every writer (path build, Dataset build, append, compact with and
 without a reshard, delete + purge, merge) writes segment files with
 exactly those columns, with footer statistics on ``term`` and
-``shard`` only, in row groups of 64 rows; and bmax stays bitwise equal
-to exhaustive scoring on an index that went through append, delete and
-compaction."""
+``shard`` only, in row groups of ``schema.SEGMENT_ROW_GROUP_ROWS`` rows;
+and bmax stays bitwise equal to exhaustive scoring on an index that
+went through append, delete and compaction. Segment files written with
+another row-group size (64 rows, the size before it) still open, check
+and score the same, and compaction rewrites them at the current size."""
 
 import os
 
@@ -38,7 +40,7 @@ def _layout(idx: str) -> dict[str, tuple]:
 def _assert_v6(idx: str, positions: bool) -> None:
     from stacksearch_ray.build import load_stats
     from stacksearch_ray.fsck import fsck_index
-    from stacksearch_ray.schema import segments_schema
+    from stacksearch_ray.schema import SEGMENT_ROW_GROUP_ROWS, segments_schema
 
     assert load_stats(idx)["format_version"] == 6
     want = segments_schema(positions).names
@@ -47,10 +49,11 @@ def _assert_v6(idx: str, positions: bool) -> None:
     for f, (names, stats, groups) in layout.items():
         assert names == want, f
         assert stats <= {"term", "shard"}, (f, stats)
-        # one writer sizes every file's row groups: 64 rows, the last
-        # group holding the rest
-        assert all(n == 64 for n in groups[:-1]) and groups[-1] <= 64, \
-            (f, groups)
+        # one writer sizes every file's row groups, the last group
+        # holding the rest (an empty file has none)
+        n = SEGMENT_ROW_GROUP_ROWS
+        assert all(g == n for g in groups[:-1]), (f, groups)
+        assert all(0 < g <= n for g in groups[-1:]), (f, groups)
     # every non-empty file keeps the term statistics readers prune on
     assert any(stats == {"term", "shard"} for _, stats, _ in layout.values())
     # and some file spans several row groups, so the check above bites
@@ -171,3 +174,50 @@ def test_bmax_bitwise_after_append_delete_compact(ray_session, tmp_path):
             assert first.tolist() == ids_r[starts].tolist()
             for b, lo in enumerate(starts):
                 assert bounds[b + 1] == part[lo:lo + eng.block_size].max()
+
+
+def test_64_row_group_files_open_and_compact_to_current_size(ray_session,
+                                                            tmp_path):
+    """A v6 index whose segment files were written in 64-row groups
+    (the size before ``SEGMENT_ROW_GROUP_ROWS``) passes fsck and scores
+    bitwise like the same index at the current size, under exhaustive
+    and bmax; its next compaction rewrites every file at the current
+    size. No reader depends on the row-group size, so changing it needs
+    no format bump."""
+    import shutil
+
+    from stacksearch_ray.append import compact_index
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.query import QueryEngine
+    from stacksearch_ray.schema import SEGMENT_ROW_GROUP_ROWS
+    from stacksearch_ray.state.manifest import atomic_write_parquet
+
+    assert SEGMENT_ROW_GROUP_ROWS != 64
+    new, old = str(tmp_path / "new"), str(tmp_path / "old")
+    build_index(_write(_zipf_docs(600, 3), str(tmp_path / "a.parquet")), new,
+                content_col="text", id_col="doc_id", num_shards=2)
+    _assert_v6(new, False)
+    shutil.copytree(new, old)
+    seg = os.path.join(old, "segments")
+    for f in os.listdir(seg):
+        path = os.path.join(seg, f)
+        t = pq.read_table(path)  # schema metadata (the doc map) included
+        atomic_write_parquet(t, path,
+                             row_group_boundaries=range(64, t.num_rows, 64))
+    groups = [g for _, _, g in _layout(old).values()]
+    assert any(len(g) > 1 for g in groups)
+    assert all(n == 64 for g in groups for n in g[:-1]), groups
+    rep = fsck_index(old)
+    assert rep.ok, rep.errors
+
+    eng_old, eng_new = QueryEngine(old), QueryEngine(new)
+    for q in ["t0000", "t0001 t0002", "t0003 t0040 t0100", "t0500 t0001",
+              "t0007 t0799"]:
+        for method in ("exhaustive", "bmax"):
+            assert (eng_old.search(q, 10, method)
+                    == eng_new.search(q, 10, method)), (q, method)
+
+    compact_index(old)
+    _assert_v6(old, False)
+    assert _layout(old) == _layout(new)
