@@ -38,7 +38,7 @@ def entry() -> Any:
     ]
     rows = []
     for q in golden:
-        for rank, (doc_id, score) in enumerate(eng.search(q, 10, "wand"), 1):
+        for rank, (doc_id, score) in enumerate(eng.search(q, 10, "bmax"), 1):
             rows.append({"query": q, "rank": rank, "doc_id": doc_id,
                          "score": score})
     import pandas as pd

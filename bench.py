@@ -167,15 +167,15 @@ def run_bench() -> dict:
     eng = QueryEngine(idx_dir)
     for q in GOLDEN_QUERIES:  # warm segment cache
         eng.search(q, 10, "auto")
-        eng.search(q, 10, "wand")
-    for method in ("auto", "wand"):
+        eng.search(q, 10, "bmax")
+    for method in ("auto", "bmax"):
         lat = []
         for _ in range(50):
             for q in GOLDEN_QUERIES:
                 t0 = time.time()
                 eng.search(q, 10, method)
                 lat.append(time.time() - t0)
-        suffix = "" if method == "auto" else "_wand"
+        suffix = "" if method == "auto" else "_bmax"
         timings[f"query_p50{suffix}"] = statistics.median(lat)
         timings[f"query_p95{suffix}"] = statistics.quantiles(lat, n=20)[18]
 

@@ -33,8 +33,8 @@ def main() -> int:
     p.add_argument("--append", action="store_true",
                    help="append source docs to an EXISTING index (new ids only)")
     p.add_argument("--compact", action="store_true",
-                   help="merge appended segments of an EXISTING index under "
-                        "fresh stats (restores wand/bmax pruning)")
+                   help="merge appended segments of an EXISTING index into "
+                        "one row per (term, shard) and purge tombstones")
     p.add_argument("--reshard", type=int, default=None, metavar="S",
                    help="with --compact: change the shard count to S while "
                         "compacting (no re-tokenize; == a rebuild at S)")

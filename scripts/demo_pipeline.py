@@ -117,15 +117,15 @@ def main() -> int:
     top2 = QueryEngine(idx).search(q, 3)
     stage("append", t0, n_docs=stats2["n_docs"], new_top1=top2[0][0])
 
-    # 6b. compact: merge appended segments under fresh stats → pruning
-    # scorers (wand/bmax) are sound again without a rebuild
+    # 6b. compact: merge appended segments into one row per (term,
+    # shard) and purge tombstones, bitwise equal to a rebuild
     t0 = time.time()
     from stacksearch_ray.append import compact_index
 
     cstats = compact_index(idx)
     eng3 = QueryEngine(idx)
     pruned_same = (eng3.search(q, 3, "bmax") == eng3.search(q, 3, "exhaustive"))
-    stage("compact", t0, appended=cstats["appended"],
+    stage("compact", t0, n_docs=cstats["n_docs"],
           pruning_identical=pruned_same)
 
     # 6c. text → embedding → kNN: persisted projection encoder restored

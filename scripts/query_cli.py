@@ -21,7 +21,7 @@ def main() -> int:
     p = argparse.ArgumentParser(description="BM25 top-k query")
     p.add_argument("--index-dir", required=True)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--method", choices=["auto", "wand", "bmax", "exhaustive"],
+    p.add_argument("--method", choices=["auto", "bmax", "exhaustive"],
                    default="auto")
     p.add_argument("--scorer", default="bm25",
                    help="registry scorer name (bm25, tfidf, ...)")

@@ -4,9 +4,12 @@ where block maxima genuinely vary and pruning can pay off.
 Generates (once, cached under ``--root``) a corpus with a heavily skewed
 term distribution, builds the index, then times exhaustive / bmax / auto
 on a query mix (hot, rare, hot+rare, many near-uniform hot terms) and
-asserts all methods return bitwise-identical rankings. Results feed the
-BASELINE.md shoot-out table and the BENCH/scorer_shootout_*.json
-artifacts.
+asserts all methods return bitwise-identical rankings. Every shape is
+timed twice: on the clean index and on a copy of it with 1% of its docs
+deleted (also cached), where bmax must keep pruning. Each index also
+reports the method ``auto`` routes each shape to. Results feed the
+BASELINE.md shoot-out table and the BENCH/scorer_shootout_*.json and
+BENCH/one_path_*.json artifacts.
 
     python scripts/scorer_shootout.py [--n-docs 200000] [--repeats 5]
         [--root /tmp/zipf_shootout]
@@ -57,6 +60,50 @@ def gen_corpus(path: str, n_docs: int, seed: int = 42,
     }), path)
 
 
+def deleted_copy(index_dir: str, n_docs: int, seed: int = 7) -> str:
+    """A copy of ``index_dir`` with 1% of its docs tombstoned, built
+    once next to it."""
+    import shutil
+
+    from stacksearch_ray.append import delete_from_index
+
+    out = index_dir + "_deleted1pct"
+    if not os.path.exists(os.path.join(out, "stats.json")):
+        print("deleting 1% of docs in a copy ...", file=sys.stderr)
+        shutil.rmtree(out, ignore_errors=True)
+        shutil.copytree(index_dir, out)
+        rng = np.random.default_rng(seed)
+        delete_from_index(out, rng.choice(n_docs, n_docs // 100,
+                                          replace=False).tolist())
+    return out
+
+
+def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict]:
+    """(p50 ms per shape and method, the method auto routes each shape
+    to); all methods must rank each shape bitwise alike."""
+    results: dict[str, dict[str, float]] = {}
+    for qname, q in QUERIES.items():
+        ref = None
+        row: dict[str, float] = {}
+        for method in ("exhaustive", "bmax", "auto"):
+            # warm (decode caches shared across methods — measure compute)
+            eng.search(q, k, method=method)
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                res = eng.search(q, k, method=method)
+                times.append(time.perf_counter() - t0)
+            if ref is None:
+                ref = res
+            assert res == ref, f"rank mismatch: {qname} {method}"
+            row[method] = sorted(times)[len(times) // 2] * 1e3
+        results[qname] = row
+        print(f"{qname:12s} " + "  ".join(
+            f"{m}={row[m]:8.2f}ms" for m in row))
+    return results, {qname: eng.plan(q, k)["method"]
+                     for qname, q in QUERIES.items()}
+
+
 def main() -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--n-docs", type=int, default=200_000)
@@ -90,27 +137,16 @@ def main() -> int:
         print("building index ...", file=sys.stderr)
         build_index(corpus, index_dir, content_col="text", id_col="doc_id")
 
-    eng = QueryEngine(index_dir)
-    results: dict[str, dict[str, float]] = {}
-    for qname, q in QUERIES.items():
-        ref = None
-        row: dict[str, float] = {}
-        for method in ("exhaustive", "bmax", "auto"):  # "wand" = bmax
-            # warm (decode caches shared across methods — measure compute)
-            eng.search(q, args.k, method=method)
-            times = []
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                res = eng.search(q, args.k, method=method)
-                times.append(time.perf_counter() - t0)
-            if ref is None:
-                ref = res
-            assert res == ref, f"rank mismatch: {qname} {method}"
-            row[method] = sorted(times)[len(times) // 2] * 1e3
-        results[qname] = row
-        print(f"{qname:12s} " + "  ".join(
-            f"{m}={row[m]:8.2f}ms" for m in row))
-    print(json.dumps({"n_docs": args.n_docs, "p50_ms": results}))
+    results, routes = time_shapes(QueryEngine(index_dir), args.k,
+                                  args.repeats)
+    print("-- 1% of docs deleted --")
+    del_results, del_routes = time_shapes(
+        QueryEngine(deleted_copy(index_dir, args.n_docs)), args.k,
+        args.repeats)
+    print(json.dumps({"n_docs": args.n_docs, "p50_ms": results,
+                      "auto_route": routes,
+                      "deleted_1pct": {"p50_ms": del_results,
+                                       "auto_route": del_routes}}))
     ray.shutdown()
     return 0
 

@@ -12,12 +12,10 @@ Segment rows store no score bounds (index format v6): the block-max
 scorer computes each block's bound from the decoded row under the
 engine's current avgdl and doc lengths, so an append that changes avgdl
 leaves no stale bound behind, and encoding needs no global statistics.
-Appended, deleted and merged indexes still set ``stats["appended"] =
-true``, and the query engine then routes every method to the exhaustive
-scorer, which masks tombstoned docs; bmax's top-k threshold does not.
-``compact_index`` purges tombstones, re-encodes one row per (term,
-shard) and clears the flag, restoring bmax without a from-scratch
-rebuild (and bitwise equal to one, tested).
+Appended, deleted and merged indexes serve every scorer: bmax's top-k
+threshold admits only live docs, so tombstones never prune a live one.
+``compact_index`` purges tombstones and re-encodes one row per (term,
+shard), bitwise equal to a from-scratch rebuild (tested).
 
 QueryEngine instances hold stats/doclens/segment caches from load time —
 re-instantiate engines (and sharded pools) after an append to see the
@@ -347,7 +345,6 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
     Each affected segment file is re-encoded, as compaction would
     re-encode it (``_purge_file``): its rows hold the same postings as
     a rebuild's rows (positions re-split per doc, identity round-trip).
-    ``appended`` stays True: tombstones or appended rows may remain.
 
     Sidecars and the term_dict shrink exactly: the purged ids leave the
     tombstone set, and the rewritten files' removed (term, df, cf) — old
@@ -556,10 +553,9 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     it — a crash anywhere shows
     either the old or the new delete set, never a torn state. Global
     stats (n_docs / total_len / avgdl) are recomputed from the
-    actually-present deleted rows, and ``appended`` is set: deleted
-    docs must never surface, so every query routes to the exhaustive
-    scorer, which masks tombstones (results bitwise equal to a rebuild without
-    the deleted docs — tested). Ids not present in the index are
+    actually-present deleted rows. Every scorer masks tombstones, so
+    results are bitwise equal to a rebuild without the deleted docs
+    (tested). Ids not present in the index are
     ignored (deletes are idempotent). Re-adding a deleted id requires
     its physical row to be gone first — ``purge_doc_ids`` (surgical,
     O(affected files)) or ``compact_index`` (full) — because the append
@@ -602,7 +598,6 @@ def delete_from_index(index_dir: str, doc_ids) -> dict:
     stats.update({
         "n_docs": n_docs, "total_len": total_len,
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
-        "appended": True,  # exhaustive scoring masks the tombstones
     })
     write_stats(index_dir, stats)  # COMMIT POINT (atomic replace)
     _sweep_orphan_sidecars(index_dir, stats)
@@ -865,8 +860,7 @@ def append_to_index(source, index_dir: str,
         avgdl = (total_len / n_docs) if n_docs else 0.0
         stats = dict(prev)
         stats.update({"n_docs": n_docs, "total_len": total_len,
-                      "avgdl": avgdl, "appended": True,
-                      "last_append_id": aid})
+                      "avgdl": avgdl, "last_append_id": aid})
 
         # encode the NEW docs' postings → one STAGED segment file per
         # shard the delta touches (the live segments/ dir is untouched
@@ -1074,12 +1068,12 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
     Compacting the merged index purges them physically, bitwise equal
     to a rebuild without the deleted docs (test_merge).
 
-    The merged index is marked ``appended``, as an append would leave
-    it: it holds one row per (term, shard) per source, and may hold the
-    sources' tombstones. Exhaustive scoring is exact over it (bitwise ==
-    a full rebuild's search results, pytest), and a follow-up
-    ``compact_index`` restores bmax (compacted merge bitwise == rebuild,
-    including positions).
+    Like an appended index, the merged index holds one row per (term,
+    shard) per source, and may hold the sources' tombstones. Every
+    scorer is exact over it (bitwise == a full rebuild's search
+    results, pytest), and a follow-up ``compact_index`` leaves one row
+    per (term, shard) (compacted merge bitwise == rebuild, including
+    positions).
 
     The term_dict is the sum of the sources' term_dicts (each exact over
     its files) and the sidecar carries each source's entries over under
@@ -1178,8 +1172,7 @@ def merge_indexes(sources: list[str], out_dir: str) -> dict:
         out_dir, {k: v for k, v in base.items() if k != "last_append_id"},
         np.unique(np.concatenate(tomb_arrays)), ddf_parts or None)
     stats.update({"n_docs": n_docs, "total_len": total_len,
-                  "avgdl": (total_len / n_docs) if n_docs else 0.0,
-                  "appended": True})
+                  "avgdl": (total_len / n_docs) if n_docs else 0.0})
     write_seg_bucket_map(out_dir, seg_map)
     write_stats(out_dir, stats)  # COMMIT POINT — index readable from here
     return stats
@@ -1247,9 +1240,8 @@ def _kept_postings(table: pa.Table, doc_map: np.ndarray, dead: np.ndarray,
 def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     """Segment-merge compaction: decode every (term, shard) posting row,
     drop tombstoned postings, re-group, and re-encode exactly ONE row
-    per (term, shard), then clear ``stats["appended"]`` — restoring
-    bmax routing after appends, deletes and merges. The compacted index
-    is bitwise equal to a from-scratch rebuild of the same corpus
+    per (term, shard) after appends, deletes and merges. The compacted
+    index is bitwise equal to a from-scratch rebuild of the same corpus
     (tested).
 
     ``num_shards``: RESHARD while compacting — the cluster-growth op: a
@@ -1469,7 +1461,6 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     write_term_dict(term_dict_dir, out.term_stats,
                     sum(r["terms"] for r in out.lineage), segments_dir)
 
-    stats["appended"] = False
     stats["num_shards"] = s_new  # reshard commit rides the final write
     stats.pop("tombstones_file", None)
     stats.pop("n_tombstones", None)

@@ -365,16 +365,13 @@ def _fuzzy_boosts(engine, token: str, fuzziness, max_expansions: int,
 def _match_all(engine, k: int) -> list[tuple[int, float]]:
     """match_all: every alive doc at constant score 1.0, doc_id
     ascending (Lucene index order for equal scores). Needs the local
-    doc universe (QueryEngine / FederatedQueryEngine expose doclens);
+    doc universe (a QueryEngine's doclens);
     a sharded fan-out engine raises rather than guessing."""
     if not hasattr(engine, "doclens"):
         raise UnsupportedEsQuery(
             "match_all needs an engine with a local doc universe "
             "(QueryEngine); use a concrete query on sharded engines")
-    ids = engine.doclens.ids
-    if getattr(engine, "has_deletes", False):
-        ids = ids[engine._alive]
-    return [(int(d), 1.0) for d in ids[:k]]
+    return [(int(d), 1.0) for d in engine._alive_ids()[:k]]
 
 
 def es_search(engine, body: dict) -> dict:

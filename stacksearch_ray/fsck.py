@@ -22,10 +22,12 @@ Checks (each independent; all violations collected, not just the first):
    ascending positions per doc.
 5. term_dict == groupby(term).sum(df, cf) over the segment rows.
 6. referenced sidecar files (tombstones / deleted-df) exist.
-7. one row per key: multiple segment rows per (term, shard) are only
-   legal while stats["appended"] is set (builds and compaction write
-   exactly one, so a second row on an index with the flag clear is a
-   writer or copy fault, such as a segment file duplicated).
+7. one row per key in a file, one file per doc: a (term, shard) key
+   repeated inside one segment file, or a doc id that the postings of
+   two segment files of one shard both reference, is a writer or copy
+   fault, such as a segment file duplicated under a second name.
+   Appends and merges add files whose keys repeat those of older
+   files, but whose docs are new.
 8. seg_bucket_map.json: an entry whose (size, mtime_ns) matches its
    segment file lists exactly that file's term buckets (a wrong entry
    with a matching key would silently prune away a file that holds the
@@ -151,10 +153,14 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
     if has_pos:
         seg_cols.append("positions")
     td_counts: dict[str, list[int]] = {}
-    seen_keys: set[tuple[str, int]] = set()
-    dup_keys = 0
+    file_keys: dict[str, set[tuple[str, int]]] = {}
+    dup_keys: dict[str, int] = {}
+    # (shard, file) -> (doc map, which of its docs a posting references)
+    refs: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
     layout = segments_schema(bool(stats.get("store_positions")))
-    for rb, doc_map in _segment_batches(seg_dir, seg_cols, layout, rep):
+    for name, rb, doc_map in _segment_batches(seg_dir, seg_cols, layout,
+                                              rep):
+        seen_keys = file_keys.setdefault(name, set())
         terms = rb.column(0).to_pylist()
         sh = rb.column(1).to_pylist()
         dfs = rb.column(2).to_pylist()
@@ -167,7 +173,7 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
             rep.checked_segment_rows += 1
             key = (term, int(shard))
             if key in seen_keys:
-                dup_keys += 1
+                dup_keys[name] = dup_keys.get(name, 0) + 1
             seen_keys.add(key)
             local = decode_doc_ids(blob, block_size)
             p_tfs = decode_tfs(tfb).astype(np.int64)
@@ -186,6 +192,9 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
                          f"{int(local.max())} beyond the file's doc map "
                          f"({len(doc_map)} ids)")
                 continue
+            used = refs.setdefault((key[1], name), (
+                doc_map, np.zeros(len(doc_map), dtype=bool)))[1]
+            used[local] = True
             p_ids = doc_map[local]
             j = np.searchsorted(ids, p_ids)
             ok = (j < len(ids))
@@ -221,9 +230,18 @@ def fsck_index(index_dir: str, check_positions: bool = True) -> FsckReport:
             td_counts.setdefault(term, [0, 0])
             td_counts[term][0] += df
             td_counts[term][1] += cf
-    if dup_keys and not stats.get("appended"):
-        rep._err(f"{dup_keys} duplicate (term, shard) segment row(s) on "
-                 "a compacted index")
+    for name, n in dup_keys.items():
+        rep._err(f"{name}: {n} duplicate (term, shard) segment row(s)")
+    by_shard: dict[int, list[tuple[str, np.ndarray]]] = {}
+    for (shard, name), (doc_map, used) in sorted(refs.items()):
+        by_shard.setdefault(shard, []).append((name, doc_map[used]))
+    for shard, parts in by_shard.items():
+        _, counts = np.unique(np.concatenate([p for _, p in parts]),
+                              return_counts=True)
+        if (counts > 1).any():
+            rep._err(f"shard {shard}: {int((counts > 1).sum())} doc id(s) "
+                     "referenced by the postings of more than one "
+                     f"segment file ({', '.join(n for n, _ in parts)})")
 
     # ---- 8. file-pruning sidecar ----
     try:
@@ -285,11 +303,12 @@ def _check_layout(name: str, pf: pq.ParquetFile, layout, rep: FsckReport
 
 def _segment_batches(seg_dir: str, columns: list[str], layout,
                      rep: FsckReport):
-    """(record batch, the file's doc map) over every segment file whose
-    doc map is readable and strictly ascending — the rank order every
-    local doc number relies on; other files are reported and skipped.
-    Each file's layout is checked against ``layout`` first; a file that
-    lacks one of ``columns`` is skipped after that report."""
+    """(file name, record batch, the file's doc map) over every segment
+    file whose doc map is readable and strictly ascending — the rank
+    order every local doc number relies on; other files are reported
+    and skipped. Each file's layout is checked against ``layout``
+    first; a file that lacks one of ``columns`` is skipped after that
+    report."""
     for name in sorted(os.listdir(seg_dir)):
         if not name.endswith(".parquet"):
             continue
@@ -307,4 +326,4 @@ def _segment_batches(seg_dir: str, columns: list[str], layout,
             rep._err(f"{name}: doc map not strictly ascending")
             continue
         for rb in pf.iter_batches(columns=columns):
-            yield rb, doc_map
+            yield name, rb, doc_map

@@ -192,12 +192,13 @@ SC_LITTLE = "join"          # span_term little query
 SC_MAX_GAPS = 6
 
 SEARCH_ENTRIES: dict[str, Callable[[QueryEngine, str], list]] = {
-    # bm25 on the exhaustive scorer; the wand entry, the lifecycle
-    # indexes and federation share its oracle (rank + score identity)
+    # bm25 on the exhaustive scorer; the bmax entry (bm25_topk_wand),
+    # the lifecycle indexes and federation share its oracle (rank +
+    # score identity)
     "bm25_topk": lambda e, sf: e.search(BM25_QUERY, 10,
                                         method="exhaustive"),
     "bm25_topk_wand": lambda e, sf: e.search(BM25_QUERY, 10,
-                                             method="wand"),
+                                             method="bmax"),
     # registry scorers (§2.10) run exhaustive (stored bounds are bm25's);
     # lm_*, dfi and dfr get global cf and total_len bound per query
     "tfidf_search": lambda e, sf: e.search(BM25_QUERY, 10, scorer="tfidf"),
@@ -1010,7 +1011,7 @@ def docstore_join(sf_dir: str):
     """Top-k ids joined back to the doc-store (J1/J2 analog): broadcast
     semi-join of the small result set against the documents table."""
     eng = _index_for(sf_dir)
-    res = eng.search(BM25_QUERY, 10, method="wand")
+    res = eng.search(BM25_QUERY, 10, method="bmax")
     scores = {d: to_micros(s) for d, s in res}
 
     def attach(batch: pa.Table) -> pa.Table:

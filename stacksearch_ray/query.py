@@ -15,16 +15,17 @@ Two scorers, verified rank-identical in tests:
   Jaccard re-rank (reference index/index_new.py:65-72). Bounds
   that cannot cut are pure overhead, so bmax stops using them: when,
   after its first batch, more than half of the first shard's postings
-  still sit under bounds ≥ θ (the k-th best score) it hands the query
-  to ``exhaustive``, and once a finished shard has scored more than half
-  of its postings the remaining shards are swept term-at-a-time.
+  still sit under bounds ≥ θ (the k-th best live score) it hands the
+  query to ``exhaustive``, and once a finished shard has scored more
+  than half of its postings the remaining shards are swept
+  term-at-a-time.
   Measured on the 200k-doc zipf corpus (scripts/scorer_shootout.py,
   BENCH/scorer_shootout_r6.json, p50 ms bmax vs exhaustive): hot1 1.8
   vs 7.4, hot2 2.9 vs 9.9, hot8 26 vs 25 (the fallback; 128 before it),
-  hot3+rare 12 vs 11. ``method="wand"`` is an alias — the classic
-  per-doc Python DAAT pivot loop was retired after bmax beat it in every
-  measured shape; block-skip binary search lives on in the
-  segment-offset searchsorted of bmax.
+  hot3+rare 12 vs 11. Tombstoned docs never enter θ, so bmax serves
+  appended, deleted and merged indexes like clean ones.
+
+Any other ``method`` name raises ``ValueError``.
 
 Scoring: float64, idf = ln((N-df+0.5)/(df+0.5)+1) from GLOBAL stats only,
 contributions accumulated in sorted-term order so scores are bitwise
@@ -200,8 +201,7 @@ class QueryEngine:
         self.doclens = _DocLens(os.path.join(index_dir, "docs"), shard_subset)
         # tombstoned docs (delete_from_index) stay physically present
         # until compaction; a dense alive-mask over the local doc space
-        # hides them from every query path. stats["appended"] is set by
-        # deletes, so scoring already routes to the exhaustive scorer.
+        # (all True on a clean index) hides them from every query path.
         from .append import load_tombstones
 
         deleted = load_tombstones(index_dir, self.stats)
@@ -212,7 +212,6 @@ class QueryEngine:
             ok = pos < len(self.doclens.ids)
             pos = pos[ok]
             self._alive[pos[self.doclens.ids[pos] == deleted[ok]]] = False
-        self.has_deletes = bool(len(deleted))
         self._ddf_file = self.stats.get("deleted_df_file")
         self._ddf: dict[str, int] | None = None  # see _deleted_df
         self._seg_dir = os.path.join(index_dir, "segments")
@@ -432,11 +431,8 @@ class QueryEngine:
                                 t["df"].to_pylist()):
                 phys[term] += int(df)
             self._df_cache.update(phys)
-        dfs = {m: self._df_cache[m] for m in terms}
-        if self.has_deletes:
-            ddf = self._deleted_df(terms)
-            dfs = {m: dfs[m] - ddf[m] for m in terms}
-        return dfs
+        ddf = self._deleted_df()
+        return {m: self._df_cache[m] - ddf.get(m, 0) for m in terms}
 
     def _df_global(self, terms: list[str],
                    segs: dict[str, list[dict]]) -> dict[str, int]:
@@ -459,10 +455,8 @@ class QueryEngine:
                 for m in missing:
                     self._df_cache[m] = int(found.get(m, 0))
             dfs = {t: self._df_cache[t] for t in terms}
-        if self.has_deletes:
-            ddf = self._deleted_df(terms)
-            dfs = {t: dfs[t] - ddf[t] for t in terms}
-        return dfs
+        ddf = self._deleted_df()
+        return {t: dfs[t] - ddf.get(t, 0) for t in terms}
 
     def _cf_global(self, terms: list[str],
                    segs: dict[str, list[dict]]) -> dict[str, int]:
@@ -478,8 +472,9 @@ class QueryEngine:
         found = dict(zip(t["term"].to_pylist(), t["cf"].to_pylist()))
         return {m: int(found.get(m, 0)) for m in terms}
 
-    def _deleted_df(self, terms: list[str]) -> dict[str, int]:
-        """Tombstoned docs per term. The deleted-df sidecar is
+    def _deleted_df(self) -> dict[str, int]:
+        """Tombstoned docs per term (a term absent from it has none;
+        empty on an index without deletes). The deleted-df sidecar is
         vocabulary-bounded and fixed for an open engine (like
         ``_alive``), so it is read once, on first use."""
         if self._ddf is None:
@@ -489,7 +484,7 @@ class QueryEngine:
                                                self._ddf_file))
                 self._ddf = dict(zip(t["term"].to_pylist(),
                                      t["ddf"].to_pylist()))
-        return {t: self._ddf.get(t, 0) for t in terms}
+        return self._ddf
 
     def _read_rows(self, paths: list[str] | None, filters: list,
                    columns: list[str]) -> list[dict]:
@@ -829,8 +824,7 @@ class QueryEngine:
             scorer=scorer)
 
     def _alive_ids(self) -> np.ndarray:
-        ids = self.doclens.ids
-        return ids[self._alive] if self.has_deletes else ids
+        return self.doclens.ids[self._alive]
 
     def _match_tree(self, tree: tuple,
                     boosts: dict[str, float] | None = None) -> np.ndarray:
@@ -902,9 +896,6 @@ class QueryEngine:
         scores bitwise."""
         bmap: dict[str, float] = {}
         matched = self._match_tree(_parse_query_string(qs), bmap)
-        if self.has_deletes:
-            matched = np.intersect1d(matched, self._alive_ids(),
-                                     assume_unique=True)
         if len(matched) == 0:
             return []
         res: list[tuple[int, float]] = []
@@ -1035,8 +1026,7 @@ class QueryEngine:
                 continue
             seen.add(di)
             p = int(np.searchsorted(lid, di))
-            if p < len(lid) and lid[p] == di and (
-                    not self.has_deletes or self._alive[p]):
+            if p < len(lid) and lid[p] == di and self._alive[p]:
                 pinned.append(
                     (di, self.explain(query, di, scorer=scorer)["score"],
                      True))
@@ -1261,8 +1251,7 @@ class QueryEngine:
         scorer (plain / boosted / synonym-group). Moved verbatim from
         _search_exhaustive: masking and ordering only, scores untouched."""
         n_local = len(self.doclens.ids)
-        if self.has_deletes:
-            hit &= self._alive  # tombstoned docs never surface
+        hit &= self._alive  # tombstoned docs never surface
         if allowed is not None:
             # dense allowed-set mask over the local doc space (sorted
             # membership probe — scores are untouched, so filtered
@@ -1306,8 +1295,8 @@ class QueryEngine:
            range, so scoring any set of segments is a vectorized
            multi-range gather (repeat+cumsum arange trick).
         3. Segments are consumed best-first in geometrically growing
-           BATCHES with θ (the k-th best score so far) re-read between
-           batches; once the next segment's bound is < θ nothing
+           BATCHES with θ (the k-th best live score so far) re-read
+           between batches; once the next segment's bound is < θ nothing
            remaining can contribute — sound early exit. Every batch
            scatters into one dense accumulator over the sorted local
            doc space through the rows' cached dense index, the way
@@ -1396,7 +1385,11 @@ class QueryEngine:
                     new.append(fresh)
                     scored += n
                 if new:
-                    cand = np.concatenate((top, acc[np.concatenate(new)]))
+                    # θ holds live scores only: a tombstoned doc's score
+                    # must not prune a live one
+                    fresh = np.concatenate(new)
+                    cand = np.concatenate(
+                        (top, acc[fresh[self._alive[fresh]]]))
                     top = (np.partition(cand, len(cand) - k)[-k:]
                            if len(cand) > k else cand)
                 if first_batch:
@@ -1448,9 +1441,7 @@ class QueryEngine:
         # the dense index ascends with the doc id
         didx = np.unique(np.concatenate(
             [self._decoded(term, i, r)[4] for i, r in enumerate(segs)]))
-        if self.has_deletes:
-            didx = didx[self._alive[didx]]
-        return self.doclens.ids[didx]
+        return self.doclens.ids[didx[self._alive[didx]]]
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """(doc_ids, tfs) for one term, merged across its segment rows
@@ -1468,12 +1459,8 @@ class QueryEngine:
         ids = np.concatenate([d[0] for d in dec])
         tfs = np.concatenate([d[1] for d in dec]).astype(np.int64)
         order = np.argsort(ids, kind="stable")
-        ids, tfs = ids[order], tfs[order]
-        if self.has_deletes:
-            didx = np.concatenate([d[4] for d in dec])[order]
-            alive = self._alive[didx]
-            ids, tfs = ids[alive], tfs[alive]
-        return ids, tfs
+        alive = self._alive[np.concatenate([d[4] for d in dec])[order]]
+        return ids[order][alive], tfs[order][alive]
 
     def term_positions(self, term: str
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1558,10 +1545,7 @@ class QueryEngine:
                 break
         if common is None:
             return np.empty(0, np.int64)
-        if self.has_deletes and len(common):
-            common = common[
-                self._alive[np.searchsorted(self.doclens.ids, common)]]
-        return common
+        return common[self._alive[np.searchsorted(self.doclens.ids, common)]]
 
     def phrase_occurrences(self, phrase: str
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -1695,10 +1679,8 @@ class QueryEngine:
         n_terms = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
         n_tokens = np.zeros(len(uniq), dtype=np.int64)
         np.add.at(n_tokens, inv, tfs)  # int64 scatter-add, never float
-        if self.has_deletes:
-            keep = self._alive[np.searchsorted(self.doclens.ids, uniq)]
-            uniq, n_terms, n_tokens = uniq[keep], n_terms[keep], n_tokens[keep]
-        return uniq, n_terms, n_tokens
+        keep = self._alive[np.searchsorted(self.doclens.ids, uniq)]
+        return uniq[keep], n_terms[keep], n_tokens[keep]
 
     def min_cover_windows(self, terms: list[str],
                           within: np.ndarray | None = None
@@ -1793,14 +1775,10 @@ class QueryEngine:
         parquet predicate pushdown on doc_id over the docs table."""
         t = pq.read_table(os.path.join(self.index_dir, "docs"),
                           filters=[("doc_id", "in", list(doc_ids))])
-        by_id = {r["doc_id"]: r for r in t.to_pylist()}
-        if self.has_deletes:
-            dl = self._deleted_sorted
-            j = np.searchsorted(dl, np.asarray(sorted(by_id),
-                                               dtype=np.int64))
-            j = np.minimum(j, len(dl) - 1)
-            dead = {d for d, p in zip(sorted(by_id), j) if dl[p] == d}
-            by_id = {d: r for d, r in by_id.items() if d not in dead}
+        rows = t.to_pylist()
+        dead = sorted_member_mask(self._deleted_sorted, np.asarray(
+            [r["doc_id"] for r in rows], dtype=np.int64))
+        by_id = {r["doc_id"]: r for r, x in zip(rows, dead) if not x}
         return [by_id[d] for d in doc_ids if d in by_id]
 
     def search_with_docs(self, query: str, k: int = 10, method: str = "auto",
@@ -1851,25 +1829,16 @@ class QueryEngine:
 
     def _search_uncached(self, query: str, k: int, method: str,
                          scorer: str) -> list[tuple[int, float]]:
+        if method not in ("auto", "bmax", "exhaustive"):
+            raise ValueError(f"unknown search method {method!r}: "
+                             "expected 'auto', 'bmax' or 'exhaustive'")
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
         if scorer != "bm25":
             return self._search_exhaustive(terms, k, scorer)
-        if self.stats.get("appended"):
-            # appended, deleted and merged indexes: exhaustive masks
-            # tombstoned docs, which bmax's threshold does not (block
-            # bounds come from the decode under this engine's stats, so
-            # they are never stale; append.py)
-            method = "exhaustive"
         if method == "auto":
             method = self._route_auto(terms, self._segments_for(terms))[0]
-        if method == "wand":
-            # the classic per-doc Python DAAT loop was retired: bmax is
-            # the block-max pruning scorer (rank-identical, measured
-            # faster in every shape — scripts/scorer_shootout.py), so
-            # "wand" is now an alias for it
-            method = "bmax"
         if method == "bmax":
             return self._search_bmax(terms, k)
         return self._search_exhaustive(terms, k)
@@ -1877,19 +1846,17 @@ class QueryEngine:
     def _route_auto(self, terms: list[str], segs: dict[str, list[dict]]
                     ) -> tuple[str, int, float]:
         """The ``method="auto"`` decision as (method, physical postings,
-        df skew) — the one rule behind both ``search`` and ``plan``.
-        Appended, deleted and merged indexes always score exhaustively,
-        since bmax's threshold does not mask tombstoned docs. Otherwise bmax for very large candidate sets,
-        or below that when term dfs are near-uniform and large and the
-        corpus's doc lengths disperse enough for pruning to pay
-        (skew-sensing fast path — see the knobs in __init__); TAAT is
-        the default. bmax itself falls back to exhaustive scoring when
-        its bounds turn out not to prune (_search_bmax)."""
+        df skew) — the one rule behind both ``search`` and ``plan``,
+        the same on clean, appended, deleted and merged indexes: bmax
+        for very large candidate sets, or below that when term dfs are
+        near-uniform and large and the corpus's doc lengths disperse
+        enough for pruning to pay (skew-sensing fast path — see the
+        knobs in __init__); TAAT is the default. bmax itself falls back
+        to exhaustive scoring when its bounds turn out not to prune
+        (_search_bmax)."""
         dfs = [sum(r["df"] for r in segs[t]) for t in terms]
         n_postings = int(sum(dfs))
         skew = float(max(dfs) / max(1, min(dfs))) if dfs else 1.0
-        if self.stats.get("appended"):
-            return "exhaustive", n_postings, skew
         bmax = (n_postings >= self.wand_min_postings
                 or (n_postings >= self.bmax_uniform_min_postings
                     and skew <= self.bmax_uniform_max_skew
@@ -1933,9 +1900,7 @@ class QueryEngine:
                 any_rows = True
         if not any_rows:
             return empty
-        if self.has_deletes:
-            hit &= self._alive
-        m = np.flatnonzero(hit)
+        m = np.flatnonzero(hit & self._alive)
         return self.doclens.ids[m].astype(np.int64), acc[m]
 
     def search_filtered(self, query: str, k: int = 10,
@@ -2235,8 +2200,7 @@ class QueryEngine:
                      "scorer": scorer, "terms": []}
         lid = self.doclens.ids
         pos = int(np.searchsorted(lid, doc_id))
-        if pos >= len(lid) or lid[pos] != doc_id or (
-                self.has_deletes and not self._alive[pos]):
+        if pos >= len(lid) or lid[pos] != doc_id or not self._alive[pos]:
             out["alive"] = False
             return out
         if not terms:
@@ -2566,8 +2530,7 @@ class QueryEngine:
         postings never scatter into the full doc space, so cost scales
         with |allowed| · rows, not Σ df. Per-doc adds happen in the same
         sorted-term row order as the dense path → bitwise identical."""
-        if self.has_deletes:
-            apos = apos[self._alive[apos]]
+        apos = apos[self._alive[apos]]
         if len(apos) == 0:
             return []
         segs = self._segments_for(terms)
@@ -3237,9 +3200,8 @@ class FederatedQueryEngine:
     keep their own lifecycle (append, delete, compact) while serving
     one query surface; each sub-engine can itself be a
     ShardedQueryEngine pool on its own nodes. Scoring is exhaustive by
-    construction, exactly like a fresh (pre-compaction) physical merge —
-    merge_indexes + compact_index remains the throughput option when
-    block-max pruning eligibility matters."""
+    construction; a physical ``merge_indexes`` serves bmax as well, so
+    it remains the throughput option when block-max pruning matters."""
 
     def __init__(self, index_dirs: list[str]):
         from .append import resolve_index_alias

@@ -62,7 +62,7 @@ def test_build_query_on_nasty_corpus(ray_session, tmp_path):
     for q in queries:
         o = oracle.search(q, 10)
         assert eng.search(q, 10, "exhaustive") == o, repr(q)
-        assert eng.search(q, 10, "wand") == o, repr(q)
+        assert eng.search(q, 10, "bmax") == o, repr(q)
 
 
 def test_query_engine_missing_index_dir():

@@ -1,6 +1,6 @@
 """Incremental append: appended index == full rebuild == oracle over the
-combined corpus (exhaustive path), and exhaustive routing while the
-index is marked appended."""
+combined corpus, and an appended index routes and scores like a clean
+one."""
 
 import pyarrow.parquet as pq
 import pytest
@@ -85,23 +85,37 @@ def test_appended_segment_files_are_term_sorted_row_groups(appended):
     assert multi_group  # the delta is big enough to exercise grouping
 
 
-def test_appended_flag_routes_to_exhaustive(appended):
-    from stacksearch_ray.build import load_stats
+def test_appended_index_routes_like_a_clean_one(appended):
+    """With the router's fast path opened up to this tiny corpus, the
+    appended index routes every query as its rebuild does, and auto and
+    explicit bmax requests run the block-max scorer, bitwise equal to
+    exhaustive scoring."""
+    from unittest import mock
+
     from stacksearch_ray.query import QueryEngine
 
     idx_inc, idx_full = appended
-    assert load_stats(idx_inc).get("appended") is True
-    assert load_stats(idx_full).get("appended") is None
-    inc = QueryEngine(idx_inc)
-    # even explicit wand/bmax requests produce exact (= oracle) results
-    for q in QUERIES[:2]:
-        assert inc.search(q, 10, "wand") == inc.search(q, 10, "exhaustive")
-        assert inc.search(q, 10, "bmax") == inc.search(q, 10, "exhaustive")
+    inc, full = QueryEngine(idx_inc), QueryEngine(idx_full)
+    for eng in (inc, full):
+        eng.bmax_uniform_min_postings, eng.bmax_min_dl_cv = 1, 0.0
+    for q in QUERIES:
+        method = inc.plan(q, 10)["method"]
+        assert method == full.plan(q, 10)["method"], q
+        want = inc.search(q, 10, "exhaustive")
+        with mock.patch.object(inc, "_search_bmax",
+                               wraps=inc._search_bmax) as mb:
+            assert inc.search(q, 10) == want, q
+        assert mb.called == (method == "bmax"), q
+        with mock.patch.object(inc, "_search_bmax",
+                               wraps=inc._search_bmax) as mb:
+            assert inc.search(q, 10, "bmax") == want, q
+        assert mb.called, q
+    assert any(inc.plan(q, 10)["method"] == "bmax" for q in QUERIES)
 
 
 def test_compact_restores_pruning_and_matches_rebuild(appended, tmp_path):
-    """append → compact: appended flag cleared, wand/bmax run for real
-    and stay bitwise equal to the rebuild; segment rows (including
+    """append → compact: only compacted files remain, bmax stays
+    bitwise equal to the rebuild; segment rows (including
     encoded postings and block-max metadata) equal the from-scratch
     rebuild's."""
     import os
@@ -117,8 +131,9 @@ def test_compact_restores_pruning_and_matches_rebuild(appended, tmp_path):
     idx_c = str(tmp_path / "compacted")
     shutil.copytree(idx_inc, idx_c)
     stats = compact_index(idx_c)
-    assert stats["appended"] is False
-    assert load_stats(idx_c)["appended"] is False
+    assert stats == load_stats(idx_c)
+    assert not [f for f in os.listdir(os.path.join(idx_c, "segments"))
+                if f.startswith("append-")]
     # one segment row per (term, shard), bitwise equal to the rebuild's
     a = pq.read_table(os.path.join(idx_c, "segments")).to_pandas()
     b = pq.read_table(os.path.join(idx_full, "segments")).to_pandas()
@@ -132,11 +147,11 @@ def test_compact_restores_pruning_and_matches_rebuild(appended, tmp_path):
     for col in SEGMENTS_SCHEMA.names:
         assert (a[col] == b[col]).all(), col
     assert load_stats(idx_c)["avgdl"] == load_stats(idx_full)["avgdl"]
-    # pruning actually re-enabled: all scorers bitwise equal to rebuild
+    # all scorers bitwise equal to rebuild
     eng_c, eng_f = QueryEngine(idx_c), QueryEngine(idx_full)
     for q in QUERIES:
         expected = eng_f.search(q, 10, "exhaustive")
-        for m in ("exhaustive", "wand", "bmax", "auto"):
+        for m in ("exhaustive", "bmax", "auto"):
             assert eng_c.search(q, 10, m) == expected, (q, m)
 
 
@@ -244,6 +259,7 @@ def test_append_crash_recovery_journal(ray_session, tmp_path):
 
     import stacksearch_ray.append as A
     from stacksearch_ray.build import build_index, load_stats
+    from stacksearch_ray.fsck import fsck_index
     from stacksearch_ray.query import QueryEngine
 
     corpus = str(tmp_path / "c")
@@ -283,7 +299,7 @@ def test_append_crash_recovery_journal(ray_session, tmp_path):
     eng = QueryEngine(idx)
     assert not debris()
     st = load_stats(idx)
-    assert st["n_docs"] == 200 and st["appended"] is True
+    assert st["n_docs"] == 200 and fsck_index(idx).ok
     idx2 = str(tmp_path / "i2")
     build_index(base, idx2, num_shards=2)
     A.append_to_index(delta, idx2)

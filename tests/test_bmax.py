@@ -2,7 +2,8 @@
 the pure-Python oracle, bitwise, on a multi-shard zipf-term /
 lognormal-length corpus: the pruning path, the fallback to exhaustive
 scoring when the block bounds cannot prune, k above the match count,
-and exact score ties at the k boundary."""
+exact score ties at the k boundary, and the auto router on a clean and
+on an appended and deleted copy of the index."""
 from unittest import mock
 
 import numpy as np
@@ -15,36 +16,44 @@ N_TIES = 12          # docs scoring exactly alike on t00000, spread out
 TIE_TEXT = " ".join(["t00000"] * 40)
 
 
-def _corpus() -> dict[int, str]:
-    rng = np.random.default_rng(11)
+AUTO_QUERIES = ("t00000", "t00000 t00001", "t00000 t02998",
+                " ".join(f"t{i:05d}" for i in range(8)), "t02000 t02500")
+
+
+def _corpus(n_docs: int = N_DOCS, seed: int = 11,
+            first_id: int = 0) -> dict[int, str]:
+    rng = np.random.default_rng(seed)
     vocab = np.array([f"t{i:05d}" for i in range(3000)], dtype=object)
-    lens = np.clip(rng.lognormal(3.2, 1.0, N_DOCS).astype(np.int64), 5, 1500)
+    lens = np.clip(rng.lognormal(3.2, 1.0, n_docs).astype(np.int64), 5, 1500)
     ranks = np.minimum(rng.zipf(1.3, int(lens.sum())), len(vocab)) - 1
     toks = vocab[ranks]
     ends = np.cumsum(lens)
-    docs = {i: " ".join(toks[e - n:e]) for i, (e, n) in enumerate(zip(ends, lens))}
-    for i in range(N_TIES):
-        docs[i * (N_DOCS // N_TIES) + 7] = TIE_TEXT
-    return docs
+    return {first_id + i: " ".join(toks[e - n:e])
+            for i, (e, n) in enumerate(zip(ends, lens))}
+
+
+def _write(docs: dict[int, str], path: str) -> str:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array(list(docs), pa.int64()),
+        "text": pa.array(list(docs.values()), pa.string())}), path)
+    return path
 
 
 @pytest.fixture(scope="module")
 def zipf(ray_session, tmp_path_factory):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     from stacksearch_ray.build import build_index
     from stacksearch_ray.query import QueryEngine
 
     docs = _corpus()
+    for i in range(N_TIES):
+        docs[i * (N_DOCS // N_TIES) + 7] = TIE_TEXT
     root = tmp_path_factory.mktemp("bmax")
-    src = str(root / "docs.parquet")
-    pq.write_table(pa.table({
-        "doc_id": pa.array(list(docs), pa.int64()),
-        "text": pa.array(list(docs.values()), pa.string())}), src)
     idx = str(root / "index")
-    build_index(src, idx, content_col="text", id_col="doc_id",
-                num_shards=4)
+    build_index(_write(docs, str(root / "docs.parquet")), idx,
+                content_col="text", id_col="doc_id", num_shards=4)
     eng = QueryEngine(idx)
     assert eng._doclen_cv() >= 0.8
     assert len({r["shard"] for r in eng._segments_for(["t00000"])["t00000"]}) == 4
@@ -104,19 +113,50 @@ def test_ties_at_k_boundary(zipf, k):
     assert got == ref[:k] == oracle.search("t00000", k)
 
 
-def test_auto_matches_plan_and_exhaustive(zipf):
+@pytest.fixture(scope="module")
+def zipf_mutated(zipf, tmp_path_factory):
+    """A copy of the zipf index with 2,000 docs appended, then 1% of
+    its docs deleted along with the exhaustive top-3 of every
+    ``AUTO_QUERIES`` query."""
+    import shutil
+
+    from stacksearch_ray.append import append_to_index, delete_from_index
+    from stacksearch_ray.query import QueryEngine
+
+    root = tmp_path_factory.mktemp("bmax_mutated")
+    idx = str(root / "index")
+    shutil.copytree(zipf[0].index_dir, idx)
+    append_to_index(_write(_corpus(2000, 12, N_DOCS),
+                           str(root / "delta.parquet")), idx)
+    eng = QueryEngine(idx)
+    dead = set(np.random.default_rng(13).choice(
+        N_DOCS + 2000, (N_DOCS + 2000) // 100, replace=False).tolist())
+    for q in AUTO_QUERIES:
+        dead.update(d for d, _ in eng.search(q, 3, method="exhaustive"))
+    delete_from_index(idx, sorted(dead))
+    eng = QueryEngine(idx)
+    assert not eng._alive.all()
+    return eng, None
+
+
+@pytest.mark.parametrize("index", ["clean", "mutated"])
+def test_auto_matches_plan_and_exhaustive(request, index):
     """plan() names the method search() runs, and auto is bitwise
-    exhaustive either way (size threshold scaled to this corpus)."""
-    eng, _ = zipf
+    exhaustive either way (size threshold scaled to this corpus) — on
+    an appended and deleted index as on a clean one."""
+    eng, _ = request.getfixturevalue(
+        "zipf" if index == "clean" else "zipf_mutated")
     saved = eng.bmax_uniform_min_postings
     eng.bmax_uniform_min_postings = 1000
     try:
-        for q in ("t00000", "t00000 t00001", "t00000 t02998",
-                  " ".join(f"t{i:05d}" for i in range(8)), "t02000 t02500"):
+        methods = []
+        for q in AUTO_QUERIES:
+            methods.append(eng.plan(q, 10)["method"])
             with mock.patch.object(eng, "_search_bmax",
                                    wraps=eng._search_bmax) as mb:
                 got = eng.search(q, 10)
-            assert mb.called == (eng.plan(q, 10)["method"] == "bmax"), q
+            assert mb.called == (methods[-1] == "bmax"), q
             assert got == eng.search(q, 10, method="exhaustive"), q
+        assert "bmax" in methods and "exhaustive" in methods
     finally:
         eng.bmax_uniform_min_postings = saved

@@ -70,8 +70,11 @@ def test_rank_identity_both_scorers(built_index, oracle):
     for q in QUERIES:
         expected = o.search(q, 10)
         assert eng.search(q, 10, method="exhaustive") == expected, q
-        assert eng.search(q, 10, method="wand") == expected, q
         assert eng.search(q, 10, method="bmax") == expected, q
+    # one name per scorer: a misspelt or retired name raises
+    for bad in ("wand", "bmx", "BMAX", ""):
+        with pytest.raises(ValueError, match="unknown search method"):
+            eng.search(QUERIES[0], 10, method=bad)
 
 
 def test_golden_docs_in_top10(built_index, oracle):

@@ -49,8 +49,8 @@ def test_delete_masks_equal_rebuild(deleted_setup):
     e, r = QueryEngine(idx), QueryEngine(ref)
     for q in QUERIES:
         want = r.search(q, 10, "exhaustive")
-        # appended flag routes every method to the masked exhaustive path
-        for m in ("auto", "exhaustive", "wand", "bmax"):
+        # every scorer masks the tombstones
+        for m in ("auto", "exhaustive", "bmax"):
             assert e.search(q, 10, m) == want, (q, m)
     # positional, wildcard, candidate and doc-store paths all mask
     assert (e.phrase_occurrences("merge sort")[0].tolist()
@@ -85,13 +85,14 @@ def test_compact_purges_tombstones(deleted_setup, tmp_path):
 
     from stacksearch_ray.append import compact_index
     from stacksearch_ray.build import load_stats
+    from stacksearch_ray.fsck import fsck_index
     from stacksearch_ray.query import QueryEngine
 
     idx, ref, del_ids, _, _ = deleted_setup
     c = str(tmp_path / "compacted")
     shutil.copytree(idx, c)
     stats = compact_index(c)
-    assert stats["appended"] is False
+    assert fsck_index(c).ok
     assert "tombstones_file" not in stats
     assert not [n for n in os.listdir(c) if n.startswith("tombstones-")]
     # physical purge: docs table == rebuild's rows; segments bitwise ==
@@ -104,9 +105,9 @@ def test_compact_purges_tombstones(deleted_setup, tmp_path):
         assert (a[col] == b[col]).all(), col
     assert (pq.read_table(os.path.join(c, "docs")).num_rows
             == pq.read_table(os.path.join(ref, "docs")).num_rows)
-    # pruning restored and still identical to the rebuild
+    # nothing left to mask, and still identical to the rebuild
     ec, er = QueryEngine(c), QueryEngine(ref)
-    assert not ec.has_deletes
+    assert ec._alive.all() and len(ec._deleted_sorted) == 0
     for q in QUERIES:
         want = er.search(q, 10, "exhaustive")
         for m in ("auto", "exhaustive", "bmax"):

@@ -128,18 +128,19 @@ def _write(docs: dict[int, str], path: str) -> str:
 
 
 def test_bmax_bitwise_after_append_delete_compact(ray_session, tmp_path):
-    """After append and delete the index scores exhaustively; once
-    compact_index clears ``appended``, bmax runs on bounds derived under
-    the compacted stats and equals exhaustive scoring and a rebuild of
-    the surviving docs, bitwise."""
+    """After append and delete, bmax equals exhaustive scoring on the
+    mutated index; once compact_index leaves one row per (term, shard),
+    bmax runs on bounds derived under the compacted stats and equals
+    exhaustive scoring and a rebuild of the surviving docs, bitwise."""
     from stacksearch_ray.append import (
         append_to_index,
         compact_index,
         delete_from_index,
     )
-    from stacksearch_ray.build import build_index, load_stats
+    from stacksearch_ray.build import build_index
     from stacksearch_ray.query import QueryEngine
 
+    queries = ["t0000", "t0001", "t0000 t0003", "t0002 t0040", "t0500 t0001"]
     docs = _zipf_docs(3000, 5)
     ids = list(docs)
     base = _write({i: docs[i] for i in ids[:2000]}, str(tmp_path / "a.parquet"))
@@ -152,15 +153,20 @@ def test_bmax_bitwise_after_append_delete_compact(ray_session, tmp_path):
     build_index(base, idx, **kw)
     append_to_index(delta, idx)
     delete_from_index(idx, dead)
-    assert load_stats(idx)["appended"] is True
+    mutated = QueryEngine(idx)
+    for q in queries:
+        assert (mutated.search(q, 10, "bmax")
+                == mutated.search(q, 10, "exhaustive")), q
     compact_index(idx)
-    assert load_stats(idx)["appended"] is False
+    seg = pq.read_table(os.path.join(idx, "segments"),
+                        columns=["term", "shard"]).to_pandas()
+    assert not seg.duplicated(["term", "shard"]).any()
     ref = str(tmp_path / "ref")
     build_index(_write(alive, str(tmp_path / "alive.parquet")), ref, **kw)
 
     eng, eng_ref = QueryEngine(idx), QueryEngine(ref)
     assert eng.avgdl == eng_ref.avgdl
-    for q in ["t0000", "t0001", "t0000 t0003", "t0002 t0040", "t0500 t0001"]:
+    for q in queries:
         want = eng_ref.search(q, 10, "exhaustive")
         assert eng.search(q, 10, "exhaustive") == want, q
         assert eng.search(q, 10, "bmax") == want, q

@@ -1,7 +1,8 @@
 """fsck_index: clean indexes pass through every lifecycle state;
 seeded corruptions are detected (stats drift, missing docs, decode
-mismatches, illegal duplicate segment rows, term_dict drift, segment
-files of another layout)."""
+mismatches, a segment file copied under a second name, a (term, shard)
+key repeated inside one file, term_dict drift, segment files of
+another layout)."""
 
 import json
 import os
@@ -53,7 +54,7 @@ def test_fsck_clean_through_lifecycle(fsck_idx, ray_session, tmp_path):
     dp = str(tmp_path / "delta.parquet")
     pq.write_table(delta, dp)
     append_to_index(dp, idx)
-    assert fsck_index(idx).ok  # appended: duplicate keys legal
+    assert fsck_index(idx).ok  # appended: keys repeat across files
     delete_from_index(idx, list(range(0, 100, 3)))
     assert fsck_index(idx).ok  # tombstoned: stats alive-adjusted
     compact_index(idx)
@@ -95,7 +96,8 @@ def test_fsck_detects_corruptions(fsck_idx, ray_session, tmp_path):
     rep = fsck_index(c)
     assert not rep.ok and any("decode" in e for e in rep.errors)
 
-    # d) duplicate (term, shard) rows on a NON-appended index
+    # d) a segment file copied under a second name: its docs are
+    # referenced by two files of one shard
     c = _copy(fsck_idx, tmp_path, "c_dup")
     seg_dir = os.path.join(c, "segments")
     f = sorted(os.listdir(seg_dir))[0]
@@ -103,7 +105,8 @@ def test_fsck_detects_corruptions(fsck_idx, ray_session, tmp_path):
                     os.path.join(seg_dir, "dup-" + f))
     rep = fsck_index(c)
     assert not rep.ok
-    assert any("duplicate (term, shard)" in e for e in rep.errors)
+    assert any("more than one segment file" in e and "dup-" + f in e
+               for e in rep.errors)
 
     # e) term_dict drift
     c = _copy(fsck_idx, tmp_path, "c_td")
@@ -119,6 +122,53 @@ def test_fsck_detects_corruptions(fsck_idx, ray_session, tmp_path):
     pq.write_table(t, os.path.join(td_dir, f))
     rep = fsck_index(c)
     assert not rep.ok and any("term_dict" in e for e in rep.errors)
+
+
+def test_fsck_reports_copied_file_on_appended_index(fsck_idx, ray_session,
+                                                    tmp_path):
+    """An appended index holds several files per shard whose keys
+    repeat; a segment file copied under a second append-style name is
+    still reported, because its docs are referenced twice."""
+    import numpy as np
+    import pyarrow as pa
+
+    from stacksearch_ray.append import append_to_index
+    from stacksearch_ray.fsck import fsck_index
+
+    idx = _copy(fsck_idx, tmp_path, "app_copy")
+    dp = str(tmp_path / "delta.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(20_000, 20_040, dtype=np.int64)),
+        "text": pa.array([f"merge sort appended doc {i}" for i in range(40)]),
+    }), dp)
+    append_to_index(dp, idx)
+    assert fsck_index(idx).ok
+    seg_dir = os.path.join(idx, "segments")
+    src = sorted(f for f in os.listdir(seg_dir) if f.startswith("append-"))[0]
+    dst = "append-feedbeef" + src[src.index("-shard-"):]
+    shutil.copyfile(os.path.join(seg_dir, src), os.path.join(seg_dir, dst))
+    rep = fsck_index(idx)
+    assert any("more than one segment file" in e and src in e and dst in e
+               for e in rep.errors), rep.errors
+
+
+def test_fsck_reports_key_repeated_inside_one_file(fsck_idx, ray_session,
+                                                   tmp_path):
+    import pyarrow as pa
+
+    from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.schema import segment_write_kwargs
+
+    c = _copy(fsck_idx, tmp_path, "c_rowdup")
+    seg_dir = os.path.join(c, "segments")
+    name = sorted(os.listdir(seg_dir))[0]
+    f = os.path.join(seg_dir, name)
+    t = pq.read_table(f)
+    t = pa.concat_tables([t, t.slice(0, 1)])
+    pq.write_table(t, f, **segment_write_kwargs(t.schema))
+    rep = fsck_index(c)
+    assert any(e == f"{name}: 1 duplicate (term, shard) segment row(s)"
+               for e in rep.errors), rep.errors
 
 
 def test_fsck_checks_segment_layout(fsck_idx, ray_session, tmp_path):

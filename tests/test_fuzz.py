@@ -55,4 +55,4 @@ def test_fuzzed_queries_rank_identical(fuzz_index):
         n = int(rng.integers(0, 6))
         q = " ".join(rng.choice(pieces, size=n)) if n else ""
         assert eng.search(q, 10) == oracle.search(q, 10), repr(q)
-        assert eng.search(q, 10, "wand") == oracle.search(q, 10), repr(q)
+        assert eng.search(q, 10, "bmax") == oracle.search(q, 10), repr(q)

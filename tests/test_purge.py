@@ -38,7 +38,7 @@ def _assert_same_search(idx, ref):
 
     e, r = QueryEngine(idx), QueryEngine(ref)
     for q in QUERIES:
-        for m in ("auto", "exhaustive", "wand", "bmax"):
+        for m in ("auto", "exhaustive", "bmax"):
             assert e.search(q, 10, m) == r.search(q, 10, m), (q, m)
     assert (e.phrase_occurrences("merge sort")[0].tolist()
             == r.phrase_occurrences("merge sort")[0].tolist())

@@ -971,6 +971,7 @@ def test_positional_append_compact_lifecycle(P, ray_session, tmp_path):
 
     from stacksearch_ray.append import append_to_index, compact_index
     from stacksearch_ray.build import build_index, load_stats
+    from stacksearch_ray.fsck import fsck_index
     from stacksearch_ray.query import QueryEngine
 
     docs = os.path.join(SF, "documents.parquet")
@@ -1007,8 +1008,8 @@ def test_positional_append_compact_lifecycle(P, ray_session, tmp_path):
 
     same_positional_surface(eng_i, eng_f)
 
-    stats = compact_index(idx)
-    assert stats["appended"] is False
+    compact_index(idx)
+    assert fsck_index(idx).ok
     a = pq.read_table(os.path.join(idx, "segments")).to_pandas()
     b = pq.read_table(os.path.join(full, "segments")).to_pandas()
     a = a.sort_values(["term", "shard"]).reset_index(drop=True)
