@@ -17,10 +17,10 @@ rank order is doc-id order. Readers map a decoded number n back to
 ``doc_map[n]``.
 
 No per-block metadata is stored (index format v6). The block-max scorer
-takes each block's first doc and its BM25 bound from the row's decode
-(``QueryEngine._blocks``), under the engine's own avgdl and doc lengths,
-so the bounds are exact and can never be stale, and the encoder needs no
-global statistics.
+bounds fixed intervals of ``block_size`` docs of the engine's doc space
+from each term's merged decode (``QueryEngine._decoded``), under the
+engine's own avgdl and doc lengths, so the bounds are exact and can
+never be stale, and the encoder needs no global statistics.
 
 All encode/decode paths are NumPy-vectorized — no Python per-posting loops.
 Encoding is batched per shuffle group as well: ``encode_segments`` encodes

@@ -6,24 +6,26 @@ Two scorers, verified rank-identical in tests:
   (decoded fully, NumPy-vectorized) — the distributed analog of the
   reference's ``brute_force_search`` (/root/reference/index/hash_index.py:
   81-90) and the conformance ground truth.
-- ``bmax``: vectorized block-max pruning (SURVEY.md §2.6 T1/T2) — doc
-  space partitioned into segments at block boundaries, scored best-first
-  in growing batches via precomputed segment slice offsets (multi-range
-  gather into the same dense accumulator exhaustive uses, no per-block
-  or per-doc Python), sound early exit — candidate pruning with exact
-  re-scoring, the analog of the reference's LSH-candidates → exact
-  Jaccard re-rank (reference index/index_new.py:65-72). Bounds
-  that cannot cut are pure overhead, so bmax stops using them: when,
-  after its first batch, more than half of the first shard's postings
-  still sit under bounds ≥ θ (the k-th best live score) it hands the
-  query to ``exhaustive``, and once a finished shard has scored more
-  than half of its postings the remaining shards are swept
-  term-at-a-time.
+- ``bmax``: vectorized block-max pruning (SURVEY.md §2.6 T1/T2) — the
+  sorted doc space cut into fixed intervals of ``block_size`` docs
+  (Dimopoulos et al., WSDM'13), scored best-first in growing batches
+  via each term's cached interval offsets (multi-range gather into the
+  same dense accumulator exhaustive uses, no per-block or per-doc
+  Python), sound early exit — candidate pruning with exact re-scoring,
+  the analog of the reference's LSH-candidates → exact Jaccard re-rank
+  (reference index/index_new.py:65-72). Bounds that cannot cut are pure
+  overhead, so when, after its first batch, more than half of the
+  query's postings still sit under bounds ≥ θ (the k-th best live
+  score), bmax hands the query to ``exhaustive``.
   Measured on the 200k-doc zipf corpus (scripts/scorer_shootout.py,
-  BENCH/scorer_shootout_r6.json, p50 ms bmax vs exhaustive): hot1 1.8
-  vs 7.4, hot2 2.9 vs 9.9, hot8 26 vs 25 (the fallback; 128 before it),
-  hot3+rare 12 vs 11. Tombstoned docs never enter θ, so bmax serves
-  appended, deleted and merged indexes like clean ones.
+  BENCH/merged_postings_r17.json, p50 ms bmax vs exhaustive): hot1 0.8
+  vs 3.5, hot2 1.5 vs 5.9, hot3+rare 0.9 vs 6.2, hot8 11-21 vs 11-13
+  (the fallback). Tombstoned docs never enter θ, so bmax serves appended,
+  deleted and merged indexes like clean ones.
+
+Both read a term through one cache (``_decoded``): its postings over
+every segment row that holds it — each shard's, each appended file's —
+decoded once per engine and merged into dense doc order.
 
 Any other ``method`` name raises ``ValueError``.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import os
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -59,6 +62,7 @@ from .codec import (
     decode_doc_ids,
     decode_positions,
     decode_tfs,
+    gather_ranges,
 )
 from .micros import to_micros
 from .schema import (
@@ -94,6 +98,42 @@ class _DocLens:
 
     def lookup_one(self, doc_id: int) -> float:
         return float(self.lens[self.ids.searchsorted(doc_id)])
+
+
+class _Postings(NamedTuple):
+    """One term's postings over every segment row that holds it (each
+    shard's, each appended file's), merged into dense doc order: entry
+    i is doc ``ids[i]``, at position ``didx[i]`` (strictly increasing)
+    of the engine's sorted doc ids, with ``part[i]`` its idf-free BM25
+    part. ``iv``/``ivmax``/``off`` summarize the postings over fixed
+    intervals of ``block_size`` dense positions, for bmax: the
+    intervals the term touches (ascending), its max ``part`` in each,
+    and where each one's postings start (``off[j]:off[j + 1]``)."""
+    ids: np.ndarray
+    tfs: np.ndarray
+    dls: np.ndarray
+    part: np.ndarray
+    didx: np.ndarray
+    iv: np.ndarray
+    ivmax: np.ndarray
+    off: np.ndarray
+
+
+def _topk_select(acc: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` of ``cand`` (ascending positions into ``acc``,
+    ascending with doc id) in (score desc, doc id asc) order. Past 4k
+    candidates, the k-th largest score of a stride sample (every 16th
+    candidate, once that sample holds k) is a lower bound on the k-th
+    largest of all, so only candidates scoring at least that are sorted;
+    every candidate tied with the k-th score survives the filter, which
+    keeps the order exact."""
+    s = acc[cand]
+    if len(cand) > 4 * k:
+        sample = s[::16] if len(s) >= 16 * k else s
+        thresh = np.partition(sample, len(sample) - k)[len(sample) - k]
+        keep = s >= thresh
+        cand, s = cand[keep], s[keep]
+    return cand[np.lexsort((cand, -s))[:k]]
 
 
 def _file_version(path: str) -> tuple[int, int, int]:
@@ -222,8 +262,7 @@ class QueryEngine:
         self._seg_map_loaded = False
         self._pos_cache: dict[str, tuple] = {}
         self._df_cache: dict[str, int] = {}
-        self._dec_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._blk_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._dec_cache: dict[str, _Postings] = {}  # see _decoded
         self._map_cache: dict[tuple[str, tuple],
                               tuple[np.ndarray, np.ndarray]] = {}
         # ES-style request cache: memoize full search() results, LRU
@@ -248,32 +287,28 @@ class QueryEngine:
         # TAAT is the robust default far longer than classic IR lore
         # suggests
         self.wand_min_postings = 20_000_000
-        # Skew-sensing fast path (measured, scripts/scorer_shootout.py on
-        # the 200k-doc zipf corpus, BENCH/scorer_shootout_r6.json, p50
-        # ms bmax vs exhaustive): bmax's block pruning wins BELOW the
-        # general threshold when the query's term dfs are NEAR-UNIFORM
-        # and large (hot1 1.8 vs 7.4, hot2 2.9 vs 9.9 at 200–390k
-        # postings), and still loses a little when a rare term joins a
-        # hot one (hot+rare 9.1 vs 8.5, hot3+rare 12.1 vs 11.3) — the
-        # vectorized TAAT only scans the rare term's short candidate
-        # rows while bmax pays per-segment setup on the hot term. Route
-        # bmax early only when df skew ≤ 4 AND the corpus's doc-length
-        # dispersion says pruning can pay: with flat doc lengths every
-        # posting scores alike and the top-k threshold never clears the
-        # block bounds (uniform-corpus "def import": bmax 66 ms vs TAAT
-        # 30 ms at cv=0.45 before the fallback; block-max METADATA
-        # spread is flat on both corpora, so doc-length cv is the
-        # discriminating signal). Near-uniform shapes whose bounds still
+        # Fast path (measured, scripts/scorer_shootout.py on the 200k-doc
+        # zipf corpus, BENCH/merged_postings_r17.json, p50 ms bmax vs
+        # exhaustive): over fixed doc-id intervals bmax wins BELOW the
+        # general threshold on every shape with a hot term (hot1 0.8 vs
+        # 3.5, hot2 1.5 vs 5.9, hot+rare 0.6 vs 4.2, hot3+rare 0.9 vs
+        # 6.2), whatever the df skew, and loses on small candidate sets
+        # (rare2 0.5 vs 0.3, mid2 0.9 vs 0.4), where its set-up is most
+        # of the work. So bmax routes early when the query holds
+        # ≥ bmax_min_postings postings AND the corpus's doc lengths
+        # disperse (doc-length cv ≥ bmax_min_dl_cv). Shapes whose bounds
         # cannot prune (hot8: 8 hot terms) are caught inside bmax, which
-        # falls back to exhaustive after one batch (26 vs 25 ms; 128 ms
-        # before the fallback) — see _search_bmax.
-        self.bmax_uniform_min_postings = 100_000
-        self.bmax_uniform_max_skew = 4.0
+        # falls back to exhaustive after one batch (11-21 vs 11-13 ms
+        # over two runs) — see _search_bmax; the cv gate keeps that
+        # first batch off flat-length corpora, where hot8 cost 20.4 vs
+        # 15.6 ms, although interval bmax wins there too on the other
+        # hot shapes (hot1 0.7 vs 3.6 ms at cv 0.1; ROADMAP direction 2).
+        self.bmax_min_postings = 100_000
         self.bmax_min_dl_cv = 0.8
         self._dl_cv: float | None = None
         # search_filtered plan="auto": route the postings-probe plan when
         # |allowed| * factor <= local doc count (selective cost is
-        # |allowed|·log df per segment row vs Σ df + an n_local pass for
+        # |allowed|·log df per query term vs Σ df + an n_local pass for
         # the dense mask). Measured on a 200k-doc corpus (5-term query,
         # 16 shards): selective 7.5×/3.4×/1.2× faster at |allowed| =
         # 10/100/1000, crossover ≈ n/100 — factor 128 routes just inside
@@ -412,7 +447,7 @@ class QueryEngine:
             return self._df_global(terms, {})
         # memoized into the same PHYSICAL-df cache the shard-subset
         # path uses (an open engine is an immutable snapshot — the
-        # _seg_cache/_blk_cache contract): repeated idf-only lookups
+        # _seg_cache/_dec_cache contract): repeated idf-only lookups
         # (every FederatedQueryEngine query, PRF rounds) must not
         # re-read segment parquet footers per call
         missing = [m for m in terms if m not in self._df_cache]
@@ -540,28 +575,44 @@ class QueryEngine:
 
     # ---------- exhaustive TAAT ----------
 
-    def _decoded(self, term: str, row_i: int, row: dict
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]:
-        """(doc_ids, tfs, doc_lens, idf-free bm25 parts, dense doc index)
-        for one segment row, cached — idf is applied per query (it
-        depends only on global df, which is fixed), so the cache is
-        query-independent. The dense index maps each posting's doc into
-        the engine's sorted local doc-id space, so exhaustive scoring
-        accumulates into a flat array instead of sorting ids per query;
-        ids and dense index are two takes through the file's doc map."""
-        key = (term, row_i)
-        hit = self._dec_cache.get(key)
-        if hit is None:
-            local = decode_doc_ids(row["doc_ids"], self.block_size)
-            doc_map, dense = row["doc_map"]
-            ids, didx = doc_map[local], dense[local]
-            tfs = decode_tfs(row["tfs"])
-            dls = self.doclens.lens[didx]
-            part = bm25_tf_part(tfs, dls, self.avgdl, self.k1, self.b)
-            hit = (ids, tfs, dls, part, didx)
-            if len(self._dec_cache) < self.max_cached_segments:
-                self._dec_cache[key] = hit
+    def _decoded(self, term: str, rows: list[dict]) -> _Postings:
+        """The term's postings over all of its segment ``rows``, merged
+        into dense doc order (``_Postings``) and cached per term: the
+        engine's one decode cache, capped at ``max_cached_segments``
+        terms. idf is applied per query (it depends only on global df,
+        which is fixed), so the cache is query-independent, and every
+        kernel scatters once per term.
+
+        A doc posted twice for one term (a segment file copied under a
+        second name) raises: a fancy-indexed ``acc[didx] += ...`` would
+        drop the repeat silently."""
+        hit = self._dec_cache.get(term)
+        if hit is not None:
+            return hit
+        cols = []
+        for r in rows:
+            local = decode_doc_ids(r["doc_ids"], self.block_size)
+            doc_map, dense = r["doc_map"]
+            cols.append((doc_map[local], decode_tfs(r["tfs"]), dense[local]))
+        ids, tfs, didx = (np.concatenate(c) for c in zip(*cols))
+        if len(rows) > 1:
+            order = np.argsort(didx, kind="stable")
+            ids, tfs, didx = ids[order], tfs[order], didx[order]
+        bad = np.flatnonzero(didx[1:] <= didx[:-1])
+        if len(bad):
+            raise RuntimeError(
+                f"term {term!r} posts doc {int(ids[bad[0] + 1])} more than "
+                f"once across the segment files of index {self.index_dir!r}"
+                " (run fsck_index)")
+        dls = self.doclens.lens[didx]
+        part = bm25_tf_part(tfs, dls, self.avgdl, self.k1, self.b)
+        iv = didx // self.block_size
+        first = np.flatnonzero(np.concatenate(([True], iv[1:] != iv[:-1])))
+        hit = _Postings(ids, tfs, dls, part, didx, iv[first],
+                        np.maximum.reduceat(part, first),
+                        np.append(first, len(didx)))
+        if len(self._dec_cache) < self.max_cached_segments:
+            self._dec_cache[term] = hit
         return hit
 
     def search_boosted(self, boosts: dict[str, float], k: int = 10
@@ -617,11 +668,10 @@ class QueryEngine:
                 if not rows:
                     continue
                 w = idf_fn(self.n_docs, dfs[t])
+                p = self._decoded(t, rows)
                 tacc[:] = 0.0
-                for i, r in enumerate(rows):
-                    ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                    tacc[didx] += w * part
-                    hit[didx] = True
+                tacc[p.didx] += w * p.part
+                hit[p.didx] = True
                 ghit = True
                 any_rows = True
                 np.maximum(gacc, tacc, out=gacc)
@@ -1204,11 +1254,9 @@ class QueryEngine:
                   else self._resolve_scorer(scorer, terms, segs))
         dfs = self._df_global(terms, segs)
         # dense accumulator over the engine's sorted local doc-id space:
-        # no per-query np.unique sort — each segment row scatters once
-        # via its cached dense index (doc ids are unique within a row,
-        # so plain fancy += is exact). Accumulation order per doc is
-        # sorted-term row order, bitwise identical to the previous
-        # chunk-concat + add.at formulation.
+        # each term scatters once through its merged dense index (a doc
+        # appears once per term, so plain fancy += is exact), and each
+        # doc accumulates in sorted-term order
         n_local = len(self.doclens.ids)
         acc = np.zeros(n_local, dtype=np.float64)
         hit = np.zeros(n_local, dtype=bool)
@@ -1221,14 +1269,13 @@ class QueryEngine:
             w = idf_fn(self.n_docs, df_global)
             if boosts is not None:
                 w = w * boosts[t]
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                if custom is None:
-                    acc[didx] += w * part
-                else:
-                    acc[didx] += custom(tfs, dls, df_global, t)
-                hit[didx] = True
-                any_rows = True
+            p = self._decoded(t, rows)
+            if custom is None:
+                acc[p.didx] += w * p.part
+            else:
+                acc[p.didx] += custom(p.tfs, p.dls, df_global, t)
+            hit[p.didx] = True
+            any_rows = True
         if not any_rows:
             return []
         if feature is not None:
@@ -1247,9 +1294,9 @@ class QueryEngine:
                     allowed: np.ndarray | None = None
                     ) -> list[tuple[int, float]]:
         """(score desc, doc_id asc) top-k from a dense accumulator over
-        the sorted local doc space — the shared tail of every exhaustive
-        scorer (plain / boosted / synonym-group). Moved verbatim from
-        _search_exhaustive: masking and ordering only, scores untouched."""
+        the sorted local doc space — the shared tail of every dense
+        scorer (exhaustive, bmax, boosted, synonym-group, ...): masking
+        and ordering only, scores untouched."""
         n_local = len(self.doclens.ids)
         hit &= self._alive  # tombstoned docs never surface
         if allowed is not None:
@@ -1266,159 +1313,95 @@ class QueryEngine:
         cand = np.flatnonzero(hit)
         if len(cand) == 0 or k < 1:
             return []
-        if len(cand) > 4 * k:
-            # partial select, then widen to the full boundary-tie set so
-            # the (score desc, doc_id asc) order stays globally exact
-            part_idx = np.argpartition(-acc[cand], k - 1)[:k]
-            thresh = acc[cand[part_idx]].min()
-            cand = cand[acc[cand] >= thresh]
-        order = np.lexsort((cand, -acc[cand]))[:k]
-        sel = cand[order]
-        local_ids = self.doclens.ids
-        return [(int(local_ids[i]), float(acc[i])) for i in sel]
+        sel = _topk_select(acc, cand, k)
+        return list(zip(self.doclens.ids[sel].tolist(), acc[sel].tolist()))
 
-    # ---------- vectorized block-max scoring (best-first segments) ----------
+    # ---------- vectorized block-max scoring (best-first intervals) ----------
 
     def _search_bmax(self, terms: list[str], k: int) -> list[tuple[int, float]]:
-        """Vectorized block-max pruning, batched best-first — no per-doc
-        Python anywhere:
+        """Vectorized block-max pruning over fixed doc-id intervals
+        (Dimopoulos, Nepomnyachiy & Suel, WSDM'13), batched best-first —
+        no per-doc Python anywhere:
 
-        1. Per shard, the doc-id space is partitioned into segments at
-           the union of the terms' block boundaries; a segment's upper
-           bound is Σ_t idf_t · block_max(t, segment's block), summed in
-           sorted-term order. Floating-point addition and idf·x are
-           monotone, so every doc's score (the same sum over the terms
-           it holds) is ≤ its segment's bound EXACTLY, ties included.
-        2. Per (term, shard) the cached full decode (ids sorted) is
-           sliced by segment via ONE ``searchsorted(ids, bounds)`` —
-           after that a segment's postings for a term are an index
-           range, so scoring any set of segments is a vectorized
-           multi-range gather (repeat+cumsum arange trick).
-        3. Segments are consumed best-first in geometrically growing
+        1. The engine's sorted local doc space is cut into intervals of
+           ``block_size`` dense positions. An interval's upper bound is
+           Σ_t idf_t · max_t(interval) over the terms that touch it,
+           summed in sorted-term order from each term's cached interval
+           maxima (``_Postings.ivmax``). Floating-point addition and
+           idf·x are monotone, so every doc's score (the same sum over
+           the terms it holds) is ≤ its interval's bound EXACTLY, ties
+           included.
+        2. Intervals are consumed best-first in geometrically growing
            BATCHES with θ (the k-th best live score so far) re-read
-           between batches; once the next segment's bound is < θ nothing
-           remaining can contribute — sound early exit. Every batch
-           scatters into one dense accumulator over the sorted local
-           doc space through the rows' cached dense index, the way
-           ``_search_exhaustive`` does (segments partition a shard's
-           docs and shards are disjoint, so no doc is scored twice).
-        4. Pruning that cannot cut is pure overhead, so the scorer
-           stops using its bounds when they do not pay: if, after the
-           first batch of the first shard, more than half of that
-           shard's postings sit in segments whose bound is ≥ θ, the
-           query goes to ``_search_exhaustive``; and once a finished
-           shard has scored more than half of its postings, the
-           remaining shards are swept term-at-a-time into the same
-           accumulator.
+           between batches; once the next interval's bound is < θ
+           nothing remaining can contribute — sound early exit. A
+           batch gathers each term's postings in its intervals through
+           the term's cached offsets (one searchsorted per term) and
+           scatters them into one dense accumulator, the way
+           ``_search_exhaustive`` does; a doc lies in one interval, so
+           it is scored once, all its terms in sorted-term order.
+        3. Bounds that cannot cut are pure overhead: if, after the first
+           batch, more than half of the query's postings sit in
+           intervals whose bound is ≥ θ, the query goes to
+           ``_search_exhaustive``.
 
-        Contributions accumulate in sorted-term order → bitwise
-        identical to exhaustive/oracle (tested)."""
+        Tombstoned docs never enter θ. Contributions accumulate in
+        sorted-term order → bitwise identical to exhaustive/oracle
+        (tested)."""
         if k < 1:
             return []
         segs = self._segments_for(terms)
         dfs = self._df_global(terms, segs)
-        term_idf = {t: idf_fn(self.n_docs, dfs[t]) for t in terms if segs[t]}
-        by_shard: dict[int, list[tuple[str, int, dict]]] = {}
-        for t in terms:
-            for i, r in enumerate(segs[t]):
-                by_shard.setdefault(r["shard"], []).append((t, i, r))
-        if not by_shard:
+        posts = [(idf_fn(self.n_docs, dfs[t]), self._decoded(t, segs[t]))
+                 for t in terms if segs[t]]
+        if not posts:
             return []
         n_local = len(self.doclens.ids)
+        n_iv = -(-n_local // self.block_size)
+        ub = np.zeros(n_iv, dtype=np.float64)
+        n_post = np.zeros(n_iv, dtype=np.int64)
+        for w, p in posts:  # sorted-term order, as every doc's own sum
+            ub[p.iv] += w * p.ivmax
+            n_post[p.iv] += p.off[1:] - p.off[:-1]
+        order = np.flatnonzero(n_post)
+        order = order[np.argsort(-ub[order], kind="stable")]
+        total = int(n_post.sum())
         acc = np.zeros(n_local, dtype=np.float64)
         hit = np.zeros(n_local, dtype=bool)
-        top = np.empty(0, dtype=np.float64)  # the k best scores so far
-        first_batch, sweep = True, False
-        for rows in by_shard.values():
-            if sweep:
-                for t, ri, r in rows:  # sorted-term order per doc
-                    _, _, _, part, didx = self._decoded(t, ri, r)
-                    acc[didx] += term_idf[t] * part
-                    hit[didx] = True
-                continue
-            blocks = [(t, ri, r) + self._blocks(t, ri, r) for t, ri, r in rows]
-            blocks = [b for b in blocks if len(b[3])]
-            if not blocks:
-                continue
-            bounds = np.unique(np.concatenate(
-                [b[3] for b in blocks] + [[np.iinfo(np.int64).max]]))
-            starts = bounds[:-1]
-            seg_ub = np.zeros(len(starts), dtype=np.float64)
-            seg_post = np.zeros(len(starts), dtype=np.int64)
-            term_dat = []
-            for t, ri, r, first, bmax0 in blocks:
-                w = term_idf[t]
-                # block of each segment, +1: index 0 is the zero bound
-                # of segments before the term's first block
-                seg_ub += (w * bmax0)[np.searchsorted(first, starts, "right")]
-                ids, _, _, part, didx = self._decoded(t, ri, r)
-                pos = np.searchsorted(ids, bounds)
-                lens = np.diff(pos)
-                seg_post += lens
-                term_dat.append((w, part, didx, pos, lens))
-            order = np.argsort(-seg_ub, kind="stable")
-            total = int(seg_post.sum())
-            scored = 0
-            i, batch_n = 0, 16
-            while i < len(order):
+        top = np.empty(0, dtype=np.float64)  # the k best live scores so far
+        i, batch_n = 0, 16
+        while i < len(order):
+            theta = top.min() if len(top) >= k else -np.inf
+            if ub[order[i]] < theta:
+                break  # best-first: nothing further can beat theta
+            batch = order[i:i + batch_n]
+            batch = np.sort(batch[ub[batch] >= theta])
+            first_batch = i == 0
+            i += batch_n
+            batch_n *= 4  # establish theta cheaply, then go wide
+            new = []
+            for w, p in posts:
+                j = np.minimum(np.searchsorted(p.iv, batch), len(p.iv) - 1)
+                j = j[p.iv[j] == batch]
+                idx = gather_ranges(p.off[j], p.off[j + 1])
+                if len(idx) == 0:
+                    continue
+                d = p.didx[idx]
+                acc[d] += w * p.part[idx]
+                fresh = d[~hit[d]]
+                hit[fresh] = True
+                new.append(fresh)
+            # θ holds live scores only: a tombstoned doc's score must
+            # not prune a live one
+            fresh = np.concatenate(new)
+            cand = np.concatenate((top, acc[fresh[self._alive[fresh]]]))
+            top = (np.partition(cand, len(cand) - k)[-k:]
+                   if len(cand) > k else cand)
+            if first_batch:
                 theta = top.min() if len(top) >= k else -np.inf
-                if seg_ub[order[i]] < theta:
-                    break  # best-first: nothing further can beat theta
-                batch = order[i:i + batch_n]
-                batch = np.sort(batch[seg_ub[batch] >= theta])
-                i += batch_n
-                batch_n *= 4  # establish theta cheaply, then go wide
-                new = []
-                for w, part, didx, pos, lens in term_dat:
-                    lo, ln = pos[batch], lens[batch]
-                    n = int(ln.sum())
-                    if n == 0:
-                        continue
-                    cl = np.cumsum(ln)
-                    # concatenated aranges: [lo0..hi0) + [lo1..hi1) + ...
-                    idx = (np.arange(n, dtype=np.int64)
-                           + np.repeat(lo - (cl - ln), ln))
-                    d = didx[idx]
-                    acc[d] += w * part[idx]
-                    fresh = d[~hit[d]]
-                    hit[fresh] = True
-                    new.append(fresh)
-                    scored += n
-                if new:
-                    # θ holds live scores only: a tombstoned doc's score
-                    # must not prune a live one
-                    fresh = np.concatenate(new)
-                    cand = np.concatenate(
-                        (top, acc[fresh[self._alive[fresh]]]))
-                    top = (np.partition(cand, len(cand) - k)[-k:]
-                           if len(cand) > k else cand)
-                if first_batch:
-                    first_batch = False
-                    theta = top.min() if len(top) >= k else -np.inf
-                    if 2 * int(seg_post[seg_ub >= theta].sum()) > total:
-                        return self._search_exhaustive(terms, k)
-            sweep = 2 * scored > total
+                if 2 * int(n_post[ub >= theta].sum()) > total:
+                    return self._search_exhaustive(terms, k)
         return self._topk_dense(acc, hit, k)
-
-    def _blocks(self, term: str, row_i: int, row: dict
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """(first doc id per block as int64, idf-free block-max scores
-        as float64 behind a leading 0.0) for one segment row, taken
-        from its cached decode (``_decoded``) and cached next to it.
-        The bounds are the maxima of the row's own BM25 parts under this
-        engine's avgdl and doc lengths, so they are exact and never
-        stale. The leading zero lets a segment before the term's first
-        block index its bound without a mask."""
-        key = (term, row_i)
-        hit = self._blk_cache.get(key)
-        if hit is None:
-            ids, _, _, part, _ = self._decoded(term, row_i, row)
-            st = np.arange(0, len(ids), self.block_size)
-            hit = (ids[st],
-                   np.concatenate(([0.0], np.maximum.reduceat(part, st))))
-            if len(self._blk_cache) < self.max_cached_segments:
-                self._blk_cache[key] = hit
-        return hit
 
     def _doclen_cv(self) -> float:
         """Coefficient of variation of doc lengths (computed once per
@@ -1435,32 +1418,24 @@ class QueryEngine:
         of the term's segment postings. The candidate-generation
         primitive for two-stage queries (phrase / proximity): intersect
         per-term id sets, then verify only the candidates."""
-        segs = self._segments_for([term]).get(term, [])
-        if not segs:
+        rows = self._segments_for([term])[term]
+        if not rows:
             return np.empty(0, np.int64)
-        # the dense index ascends with the doc id
-        didx = np.unique(np.concatenate(
-            [self._decoded(term, i, r)[4] for i, r in enumerate(segs)]))
-        return self.doclens.ids[didx[self._alive[didx]]]
+        p = self._decoded(term, rows)
+        return p.ids[self._alive[p.didx]]
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, tfs) for one term, merged across its segment rows
-        into GLOBAL doc_id order (a doc appears in exactly one shard's
-        segment row per term, so concatenation + one argsort is a
-        permutation, never a merge of duplicates). Alive-masked under
-        tombstones. The raw-frequency primitive for scorers composed
-        OUTSIDE the engine (e.g. BM25F, which mixes per-field tfs
-        before saturation and so can't reuse the cached idf-free
-        parts)."""
-        segs = self._segments_for([term]).get(term, [])
-        if not segs:
+        """(doc_ids, tfs) for one term in doc_id order: its merged
+        decode (``_decoded``), alive-masked under tombstones. The
+        raw-frequency primitive for scorers composed OUTSIDE the engine
+        (e.g. BM25F, which mixes per-field tfs before saturation and so
+        can't reuse the cached idf-free parts)."""
+        rows = self._segments_for([term])[term]
+        if not rows:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        dec = [self._decoded(term, i, r) for i, r in enumerate(segs)]
-        ids = np.concatenate([d[0] for d in dec])
-        tfs = np.concatenate([d[1] for d in dec]).astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        alive = self._alive[np.concatenate([d[4] for d in dec])[order]]
-        return ids[order][alive], tfs[order][alive]
+        p = self._decoded(term, rows)
+        alive = self._alive[p.didx]
+        return p.ids[alive], p.tfs[alive]
 
     def term_positions(self, term: str
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1469,7 +1444,9 @@ class QueryEngine:
         positions occupy flat_positions[Σtfs[:i] : Σtfs[:i+1]], sorted
         ascending. The positional-query primitive: phrase adjacency and
         NEAR/k run from the index alone, no text re-read. Requires an
-        index built with store_positions=True."""
+        index built with store_positions=True. It reads the positions
+        column, which the scoring read (``_segments_for``) skips, so it
+        merges its own rows once per term (``_pos_cache``)."""
         if not self.stats.get("store_positions"):
             raise ValueError(
                 "index was built without store_positions=True — "
@@ -1503,14 +1480,8 @@ class QueryEngine:
         # gather the variable-length position runs into that order
         order = np.argsort(ids, kind="stable")
         ends = np.cumsum(tfs)
-        starts = ends - tfs
-        sel_starts = starts[order]
-        sel_lens = tfs[order]
-        base = np.cumsum(sel_lens) - sel_lens
-        gather = (np.repeat(sel_starts, sel_lens)
-                  + np.arange(int(sel_lens.sum()))
-                  - np.repeat(base, sel_lens))
-        out = (ids[order], tfs[order], pos[gather])
+        out = (ids[order], tfs[order],
+               pos[gather_ranges(ends[order] - tfs[order], ends[order])])
         if len(self._pos_cache) < self.max_cached_segments:
             self._pos_cache[term] = out
         return out
@@ -1654,9 +1625,9 @@ class QueryEngine:
         for every doc containing ANY indexed term with the prefix —
         n_terms = distinct matching terms in the doc, n_tokens = their
         summed occurrences. Postings union across the matched terms'
-        segment rows; (term, doc) pairs are unique across rows (doc
-        sets per term are shard-disjoint), so one bincount per doc
-        counts terms exactly."""
+        merged postings; (term, doc) pairs are unique (``_decoded``
+        raises on a repeat), so one bincount per doc counts terms
+        exactly."""
         return self._union_terms(self.prefix_terms(prefix))
 
     def _union_terms(self, terms: list[str]
@@ -1667,10 +1638,10 @@ class QueryEngine:
         segs = self._segments_for(terms)
         ids_l, tf_l = [], []
         for t in terms:
-            for i, r in enumerate(segs[t]):
-                ids, tfs, *_ = self._decoded(t, i, r)
-                ids_l.append(ids)
-                tf_l.append(tfs)
+            if segs[t]:
+                p = self._decoded(t, segs[t])
+                ids_l.append(p.ids)
+                tf_l.append(p.tfs)
         if not ids_l:
             return empty
         ids = np.concatenate(ids_l)
@@ -1801,14 +1772,16 @@ class QueryEngine:
 
         method="auto" picks vectorized exhaustive scoring when the
         candidate posting count is small and vectorized block-max
-        (``bmax``) otherwise — on skewed (zipf) corpora bmax prunes to
-        ~3-4× faster than TAAT on 1-2-term hot queries, and falls back
-        to TAAT by itself when its bounds cannot prune
-        (scripts/scorer_shootout.py). All methods are rank-identical
-        (tested).
+        (``bmax``) otherwise (_route_auto) — on skewed (zipf) corpora
+        bmax's doc-id-interval bounds prune to 4-8× faster than TAAT
+        on queries holding a hot term, and bmax falls back to TAAT by
+        itself when its bounds cannot prune
+        (scripts/scorer_shootout.py). Either scorer reads each query
+        term as one merged posting list over all of its shards and
+        appended files. All methods are rank-identical (tested).
 
         ``scorer``: a registry.py scorer name (§2.10 pluggable-ranking
-        hook); non-bm25 scorers use the exhaustive path (bmax's block
+        hook); non-bm25 scorers use the exhaustive path (bmax's interval
         bounds only upper-bound BM25).
 
         With ``request_cache`` enabled at construction, results are
@@ -1844,24 +1817,20 @@ class QueryEngine:
         return self._search_exhaustive(terms, k)
 
     def _route_auto(self, terms: list[str], segs: dict[str, list[dict]]
-                    ) -> tuple[str, int, float]:
-        """The ``method="auto"`` decision as (method, physical postings,
-        df skew) — the one rule behind both ``search`` and ``plan``,
-        the same on clean, appended, deleted and merged indexes: bmax
-        for very large candidate sets, or below that when term dfs are
-        near-uniform and large and the corpus's doc lengths disperse
-        enough for pruning to pay (skew-sensing fast path — see the
-        knobs in __init__); TAAT is the default. bmax itself falls back
-        to exhaustive scoring when its bounds turn out not to prune
-        (_search_bmax)."""
-        dfs = [sum(r["df"] for r in segs[t]) for t in terms]
-        n_postings = int(sum(dfs))
-        skew = float(max(dfs) / max(1, min(dfs))) if dfs else 1.0
+                    ) -> tuple[str, int]:
+        """The ``method="auto"`` decision as (method, physical postings)
+        — the one rule behind both ``search`` and ``plan``, the same on
+        clean, appended, deleted and merged indexes: bmax for very large
+        candidate sets, or below that when the candidate set is large
+        and the corpus's doc lengths disperse enough for pruning to pay
+        (the fast path — see the knobs in __init__); TAAT is the
+        default. bmax itself falls back to exhaustive scoring when its
+        interval bounds turn out not to prune (_search_bmax)."""
+        n_postings = sum(r["df"] for t in terms for r in segs[t])
         bmax = (n_postings >= self.wand_min_postings
-                or (n_postings >= self.bmax_uniform_min_postings
-                    and skew <= self.bmax_uniform_max_skew
+                or (n_postings >= self.bmax_min_postings
                     and self._doclen_cv() >= self.bmax_min_dl_cv))
-        return ("bmax" if bmax else "exhaustive"), n_postings, skew
+        return ("bmax" if bmax else "exhaustive"), n_postings
 
     def export_matches(self, query: str, scorer: str = "bm25"
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -1890,14 +1859,13 @@ class QueryEngine:
             if not rows:
                 continue
             w = idf_fn(self.n_docs, dfs[t])
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                if custom is None:
-                    acc[didx] += w * part
-                else:
-                    acc[didx] += custom(tfs, dls, dfs[t], t)
-                hit[didx] = True
-                any_rows = True
+            p = self._decoded(t, rows)
+            if custom is None:
+                acc[p.didx] += w * p.part
+            else:
+                acc[p.didx] += custom(p.tfs, p.dls, dfs[t], t)
+            hit[p.didx] = True
+            any_rows = True
         if not any_rows:
             return empty
         m = np.flatnonzero(hit & self._alive)
@@ -1917,13 +1885,13 @@ class QueryEngine:
 
         ``plan``: "dense" scores every posting then masks (cost ~ Σ df +
         one pass over the local doc space); "selective" probes each
-        segment row's postings only at the allowed docs (cost ~
-        |allowed| · log df per row) — the SCALE.md postings-intersect
+        term's merged postings only at the allowed docs (cost ~
+        |allowed| · log df per term) — the SCALE.md postings-intersect
         plan for very selective filters. "auto" routes selective when
         the allowed set is a small fraction of the local doc space
         (``filtered_selective_factor``). Both plans are bitwise
         rank/score identical (per-doc accumulation order is the same
-        sorted-term row order)."""
+        sorted-term order)."""
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
@@ -2145,8 +2113,8 @@ class QueryEngine:
         """Query-plan introspection (the latency-debugging counterpart
         of ``explain``): what WOULD ``search(query, k)`` do and read,
         without scoring. Returns ``{"terms": [{"term", "df",
-        "segment_rows", "cached"}...], "n_postings", "df_skew",
-        "doclen_cv", "method", "candidate_files", "files_to_read"}``
+        "segment_rows", "cached"}...], "n_postings", "doclen_cv",
+        "method", "candidate_files", "files_to_read"}``
         — ``method`` reproduces the auto-router's exact decision
         (same thresholds, same inputs); the file counts expose the two
         cold-read pruning layers (term-bucket map, then the exact
@@ -2167,11 +2135,10 @@ class QueryEngine:
         per_term = [{"term": t, "df": int(dfs[t]),
                      "segment_rows": len(segs[t]),
                      "cached": t not in missing} for t in terms]
-        method, n_postings, skew = self._route_auto(terms, segs)
+        method, n_postings = self._route_auto(terms, segs)
         return {
             "terms": per_term,
             "n_postings": n_postings,
-            "df_skew": round(skew, 3),
             "doclen_cv": round(self._doclen_cv(), 4),
             "method": method,
             "candidate_files": (len(cand) if cand is not None else None),
@@ -2186,8 +2153,8 @@ class QueryEngine:
         Returns ``{"doc_id", "alive", "score", "scorer", "terms":
         [{"term", "df", "tf", "doc_len", "idf", "tf_part",
         "contribution"}, ...]}``. Contributions accumulate in the
-        exhaustive scorer's exact order (sorted terms, segment-row
-        order), so ``score`` is BITWISE equal to the doc's score in
+        exhaustive scorer's exact order (sorted terms, one add per
+        term), so ``score`` is BITWISE equal to the doc's score in
         ``search`` results (pytest-pinned). Terms absent from the doc
         contribute nothing and are reported with ``tf=0``. A tombstoned
         or unknown doc returns ``alive=False`` with no scoring (it can
@@ -2212,17 +2179,15 @@ class QueryEngine:
         for t in terms:
             w = idf_fn(self.n_docs, dfs[t])
             tf_sum, contrib, dl = 0, 0.0, int(self.doclens.lens[pos])
-            for i, r in enumerate(segs[t]):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                j = int(np.searchsorted(ids, doc_id))
-                if j < len(ids) and ids[j] == doc_id:
-                    # same float op as the accumulator add — one add
-                    # per containing row, row order preserved
-                    c = (w * part[j] if custom is None
-                         else float(custom(tfs, dls, dfs[t], t)[j]))
-                    score += c
-                    contrib += c
-                    tf_sum += int(tfs[j])
+            p = self._decoded(t, segs[t]) if segs[t] else None
+            j = -1 if p is None else int(np.searchsorted(p.didx, pos))
+            if 0 <= j < len(p.didx) and p.didx[j] == pos:
+                # same float op as the accumulator add
+                c = (w * p.part[j] if custom is None
+                     else float(custom(p.tfs, p.dls, dfs[t], t)[j]))
+                score += c
+                contrib += c
+                tf_sum = int(p.tfs[j])
             out["terms"].append({
                 "term": t, "df": int(dfs[t]), "tf": tf_sum, "doc_len": dl,
                 "idf": float(w) if custom is None else None,
@@ -2232,6 +2197,25 @@ class QueryEngine:
         out["score"] = score
         return out
 
+    def _bm25_and_matches(self, terms: list[str]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense BM25 accumulator over the local doc space and, per doc,
+        how many of ``terms`` it holds — a doc appears once in a term's
+        merged postings, so the count is a plain scatter-add alongside
+        the scores. The shared pass of the matched-term-count scorers
+        (min_should_match, terms_set, coord)."""
+        segs = self._segments_for(terms)
+        dfs = self._df_global(terms, segs)
+        n_local = len(self.doclens.ids)
+        acc = np.zeros(n_local, dtype=np.float64)
+        nmatch = np.zeros(n_local, dtype=np.int32)
+        for t in terms:  # sorted order → deterministic accumulation
+            if segs[t]:
+                p = self._decoded(t, segs[t])
+                acc[p.didx] += idf_fn(self.n_docs, dfs[t]) * p.part
+                nmatch[p.didx] += 1
+        return acc, nmatch
+
     def search_min_should_match(self, query: str, min_match: int,
                                 k: int = 10) -> list[tuple[int, float]]:
         """Minimum-should-match retrieval (the Lucene/ES
@@ -2240,30 +2224,13 @@ class QueryEngine:
         middle ground between OR (min_match=1 == plain search) and AND
         (min_match=n_terms == search_conjunctive). Surviving docs keep
         their full accumulated scores over the terms they DO match,
-        exactly SQL's HAVING count(DISTINCT term) >= m then ORDER BY.
-
-        A doc lives in exactly one shard and each (term, shard) segment
-        row carries it at most once, so the per-doc matched-term count
-        is a plain scatter-add alongside the score accumulator."""
+        exactly SQL's HAVING count(DISTINCT term) >= m then ORDER BY."""
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
         if min_match <= 1:
             return self._search_exhaustive(terms, k)
-        segs = self._segments_for(terms)
-        dfs = self._df_global(terms, segs)
-        n_local = len(self.doclens.ids)
-        acc = np.zeros(n_local, dtype=np.float64)
-        nmatch = np.zeros(n_local, dtype=np.int32)
-        for t in terms:  # sorted order → deterministic accumulation
-            rows = segs[t]
-            if not rows:
-                continue
-            w = idf_fn(self.n_docs, dfs[t])
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                acc[didx] += w * part
-                nmatch[didx] += 1
+        acc, nmatch = self._bm25_and_matches(terms)
         hit = nmatch >= min_match
         if not hit.any():
             return []
@@ -2284,20 +2251,7 @@ class QueryEngine:
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
-        segs = self._segments_for(terms)
-        dfs = self._df_global(terms, segs)
-        n_local = len(self.doclens.ids)
-        acc = np.zeros(n_local, dtype=np.float64)
-        nmatch = np.zeros(n_local, dtype=np.int32)
-        for t in terms:  # sorted order → deterministic accumulation
-            rows = segs[t]
-            if not rows:
-                continue
-            w = idf_fn(self.n_docs, dfs[t])
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                acc[didx] += w * part
-                nmatch[didx] += 1
+        acc, nmatch = self._bm25_and_matches(terms)
         m = np.asarray(msm_fn(self.doclens.ids), dtype=np.int64)
         hit = nmatch >= m
         if not hit.any():
@@ -2474,20 +2428,7 @@ class QueryEngine:
         terms = sorted(set(clean_query(query)))
         if not terms:
             return []
-        segs = self._segments_for(terms)
-        dfs = self._df_global(terms, segs)
-        n_local = len(self.doclens.ids)
-        acc = np.zeros(n_local, dtype=np.float64)
-        nmatch = np.zeros(n_local, dtype=np.int32)
-        for t in terms:  # sorted order → deterministic accumulation
-            rows = segs[t]
-            if not rows:
-                continue
-            w = idf_fn(self.n_docs, dfs[t])
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                acc[didx] += w * part
-                nmatch[didx] += 1
+        acc, nmatch = self._bm25_and_matches(terms)
         hit = nmatch > 0
         if not hit.any():
             return []
@@ -2525,11 +2466,12 @@ class QueryEngine:
                                    scorer: str, apos: np.ndarray
                                    ) -> list[tuple[int, float]]:
         """Selective-filter scoring: accumulate ONLY the allowed docs
-        (``apos`` = their sorted local indices). Each cached segment
+        (``apos`` = their sorted local indices). Each term's merged
         decode is probed at the allowed positions via one searchsorted —
         postings never scatter into the full doc space, so cost scales
-        with |allowed| · rows, not Σ df. Per-doc adds happen in the same
-        sorted-term row order as the dense path → bitwise identical."""
+        with |allowed| · log df per term, not Σ df. Per-doc adds happen
+        in the same sorted-term order as the dense path → bitwise
+        identical."""
         apos = apos[self._alive[apos]]
         if len(apos) == 0:
             return []
@@ -2544,32 +2486,20 @@ class QueryEngine:
                 continue
             df_global = dfs[t]
             w = idf_fn(self.n_docs, df_global)
-            for i, r in enumerate(rows):
-                ids, tfs, dls, part, didx = self._decoded(t, i, r)
-                j = np.searchsorted(didx, apos)  # didx ascends (ids sorted)
-                ok = j < len(didx)
-                jj = j[ok]
-                m = didx[jj] == apos[ok]
-                ai = np.flatnonzero(ok)[m]       # indices into apos
-                src = jj[m]                      # matching posting rows
-                if len(ai) == 0:
-                    continue
-                if custom is None:
-                    acc[ai] += w * part[src]
-                else:
-                    acc[ai] += custom(tfs, dls, df_global, t)[src]
-                hit[ai] = True
+            p = self._decoded(t, rows)
+            m, src = sorted_member_mask(p.didx, apos, return_idx=True)
+            src = src[m]                     # the matching postings
+            if custom is None:
+                acc[m] += w * p.part[src]
+            else:
+                acc[m] += custom(p.tfs, p.dls, df_global, t)[src]
+            hit |= m
         cand = np.flatnonzero(hit)
         if len(cand) == 0 or k < 1:
             return []
-        if len(cand) > 4 * k:
-            part_idx = np.argpartition(-acc[cand], k - 1)[:k]
-            thresh = acc[cand[part_idx]].min()
-            cand = cand[acc[cand] >= thresh]
-        order = np.lexsort((cand, -acc[cand]))[:k]  # apos asc == doc_id asc
-        sel = cand[order]
-        lid = self.doclens.ids
-        return [(int(lid[apos[i]]), float(acc[i])) for i in sel]
+        sel = _topk_select(acc, cand, k)     # apos ascends with doc id
+        return list(zip(self.doclens.ids[apos[sel]].tolist(),
+                        acc[sel].tolist()))
 
     def term_bucket_bitmap(self, bits: int) -> bytes:
         """``bits``-wide presence bitmap of the term hash-buckets in

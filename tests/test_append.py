@@ -97,7 +97,7 @@ def test_appended_index_routes_like_a_clean_one(appended):
     idx_inc, idx_full = appended
     inc, full = QueryEngine(idx_inc), QueryEngine(idx_full)
     for eng in (inc, full):
-        eng.bmax_uniform_min_postings, eng.bmax_min_dl_cv = 1, 0.0
+        eng.bmax_min_postings, eng.bmax_min_dl_cv = 1, 0.0
     for q in QUERIES:
         method = inc.plan(q, 10)["method"]
         assert method == full.plan(q, 10)["method"], q

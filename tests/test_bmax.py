@@ -3,7 +3,9 @@ the pure-Python oracle, bitwise, on a multi-shard zipf-term /
 lognormal-length corpus: the pruning path, the fallback to exhaustive
 scoring when the block bounds cannot prune, k above the match count,
 exact score ties at the k boundary, and the auto router on a clean and
-on an appended and deleted copy of the index."""
+on an appended and deleted copy of the index. A corpus of duplicated
+docs ties more than 4k hits at the k-th score, for the top-k selector
+of the dense and the selective scorers."""
 from unittest import mock
 
 import numpy as np
@@ -146,8 +148,8 @@ def test_auto_matches_plan_and_exhaustive(request, index):
     an appended and deleted index as on a clean one."""
     eng, _ = request.getfixturevalue(
         "zipf" if index == "clean" else "zipf_mutated")
-    saved = eng.bmax_uniform_min_postings
-    eng.bmax_uniform_min_postings = 1000
+    saved = eng.bmax_min_postings
+    eng.bmax_min_postings = 1000
     try:
         methods = []
         for q in AUTO_QUERIES:
@@ -159,4 +161,41 @@ def test_auto_matches_plan_and_exhaustive(request, index):
             assert got == eng.search(q, 10, method="exhaustive"), q
         assert "bmax" in methods and "exhaustive" in methods
     finally:
-        eng.bmax_uniform_min_postings = saved
+        eng.bmax_min_postings = saved
+
+
+@pytest.fixture(scope="module")
+def dup_ties(ray_session, tmp_path_factory):
+    """1,000 copies of one doc, whose score tops the 'tie' and the
+    'filler tie' query, among 300 docs that score lower on both; ids
+    shuffled across shards."""
+    from stacksearch_ray.build import build_index
+    from stacksearch_ray.query import QueryEngine
+
+    ids = np.random.default_rng(5).permutation(1300).tolist()
+    docs = {d: ("tie tie filler" if i < 1000 else
+                "tie filler " + " ".join(["pad"] * (i % 7)))
+            for i, d in enumerate(ids)}
+    root = tmp_path_factory.mktemp("dup_ties")
+    idx = str(root / "index")
+    build_index(_write(docs, str(root / "docs.parquet")), idx,
+                content_col="text", id_col="doc_id", num_shards=3)
+    return QueryEngine(idx), OracleBM25(docs)
+
+
+@pytest.mark.parametrize("k", [1, 10, 50])
+def test_topk_selector_keeps_ties_past_4k_hits(dup_ties, k):
+    """More than 4k hits tie at the k-th score, so the sampled
+    threshold equals it: every tied hit must survive the filter, and
+    doc_id order alone picks the k, for the dense scorers (auto,
+    exhaustive, bmax) and the selective one (search_conjunctive)."""
+    eng, oracle = dup_ties
+    want = oracle.search("tie", k)
+    assert len({s for _, s in oracle.search("tie", 1000)}) == 1
+    for method in ("auto", "exhaustive", "bmax"):
+        assert eng.search("tie", k, method=method) == want, method
+    # every doc holds both terms, so the conjunction is the oracle's
+    # plain ranking
+    want = oracle.search("filler tie", k)
+    assert len({s for _, s in oracle.search("filler tie", 1000)}) == 1
+    assert eng.search_conjunctive("filler tie", k) == want

@@ -1,13 +1,15 @@
 """bmax on mutated indexes: random sequences of append, delete (among
 them deletes of the current top hits), purge and ``merge_indexes`` over
-corpora of at most about 50 docs. After every step ``bmax`` equals
-``exhaustive`` equals ``OracleBM25`` over the alive docs, bitwise, at
-k in {1, 10, 50}, and fsck is clean.
+corpora of at most about 50 docs. After every step ``bmax``, ``auto``
+and ``exhaustive`` equal ``OracleBM25`` over the alive docs, bitwise,
+at k in {1, 10, 50}, and fsck is clean.
 
-One-doc blocks give every posting its own block-max segment, so a
-query term spans more segments than bmax's first batch and the scorer
+One-doc blocks give every doc its own block-max interval, so a query
+term spans more intervals than bmax's first batch and the scorer
 really prunes: a tombstoned top hit left in its threshold would cut off
-the live docs that replace it."""
+the live docs that replace it. With up to 8 shards and several appends
+a term spans many segment rows, which every scorer reads as one merged
+posting list."""
 import os
 import shutil
 import tempfile
@@ -15,7 +17,7 @@ import tempfile
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stacksearch_ray.oracle import OracleBM25
@@ -62,15 +64,21 @@ def _check(idx: str, alive: dict[int, str]) -> None:
     for q in QUERIES:
         for k in KS:
             want = oracle.search(q, k)
-            assert eng.search(q, k, "exhaustive") == want, (q, k)
-            assert eng.search(q, k, "bmax") == want, (q, k)
+            for method in ("exhaustive", "bmax", "auto"):
+                assert eng.search(q, k, method) == want, (q, k, method)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None,
           suppress_health_check=list(HealthCheck))
 @given(seed=st.integers(0, 2**16), n_base=st.integers(20, 34),
-       num_shards=st.integers(1, 2),
+       num_shards=st.sampled_from([1, 3, 8]),
        ops=st.lists(_OPS, min_size=1, max_size=4))
+@example(seed=3, n_base=30, num_shards=8,
+         ops=[("append", 5), ("append", 8), ("delete_top", "w0", 7),
+              ("append", 3)]).via("terms span many rows")
+@example(seed=4, n_base=24, num_shards=3,
+         ops=[("append", 6), ("merge", 7), ("append", 4),
+              ("delete", 5)]).via("terms span many rows")
 def test_bmax_equals_exhaustive_and_oracle_on_mutated_index(
         ray_session, seed, n_base, num_shards, ops):
     from stacksearch_ray.append import (

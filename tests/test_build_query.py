@@ -140,11 +140,11 @@ def test_batch_search_actor(built_index, oracle):
         assert list(zip(got["doc_id"], got["score"])) == expected
 
 
-def test_auto_routing_skew_sensing(built_index):
-    """method='auto' routes by posting volume AND df skew (measured in
-    scripts/scorer_shootout.py): near-uniform large queries go to bmax,
-    rare-term/skewed ones stay on TAAT — and both return identical
-    rankings either way."""
+def test_auto_routing_by_size_and_doclen_cv(built_index):
+    """method='auto' routes by posting volume AND the corpus's
+    doc-length dispersion (measured in scripts/scorer_shootout.py):
+    large queries on a dispersed corpus go to bmax, the rest stay on
+    TAAT — and both return identical rankings either way."""
     from unittest import mock
 
     from stacksearch_ray.query import QueryEngine
@@ -153,17 +153,16 @@ def test_auto_routing_skew_sensing(built_index):
     eng = QueryEngine(index_dir)
     q = "def import"  # hot corpus terms — nonzero postings guaranteed
     # thresholds scaled to the tiny corpus: everything qualifies by size
-    eng.bmax_uniform_min_postings = 1
+    eng.bmax_min_postings = 1
     eng.wand_min_postings = 10**12
-    eng.bmax_min_dl_cv = 0.0              # any dispersion qualifies
     with mock.patch.object(eng, "_search_bmax",
                            wraps=eng._search_bmax) as mb:
-        eng.bmax_uniform_max_skew = 1e9   # any skew → fast path
+        eng.bmax_min_dl_cv = 0.0          # any dispersion qualifies
         auto_res = eng.search(q, 10, method="auto")
         assert mb.called
     with mock.patch.object(eng, "_search_bmax",
                            wraps=eng._search_bmax) as mb:
-        eng.bmax_uniform_max_skew = 0.0   # nothing is uniform enough
+        eng.bmax_min_dl_cv = 1e9          # no corpus disperses enough
         taat_res = eng.search(q, 10, method="auto")
         assert not mb.called
     assert auto_res == taat_res == eng.search(q, 10, method="exhaustive")

@@ -18,19 +18,19 @@ from stacksearch_ray.codec import (
 from stacksearch_ray.query import QueryEngine
 
 
-def block_bounds(ids, tfs, lens, avgdl, block_size=128):
-    """``QueryEngine._blocks`` of one row whose local doc numbers are
-    its ranks in ``ids`` (the row's doc map), on an engine whose docs
-    are ``ids`` with lengths ``lens``."""
+def interval_postings(ids, tfs, lens, avgdl, block_size=128):
+    """``QueryEngine._decoded`` of one term held by one row whose local
+    doc numbers are its ranks in ``ids`` (the row's doc map), on an
+    engine whose docs are ``ids`` with lengths ``lens``."""
     eng = object.__new__(QueryEngine)
     eng.doclens = SimpleNamespace(ids=ids, lens=lens)
     eng.avgdl, eng.k1, eng.b = float(avgdl), 1.2, 0.75
-    eng.block_size = block_size
-    eng._dec_cache, eng._blk_cache, eng.max_cached_segments = {}, {}, 8
+    eng.block_size, eng.index_dir = block_size, "mem"
+    eng._dec_cache, eng.max_cached_segments = {}, 8
     local = np.arange(len(ids), dtype=np.int64)
     seg = encode_segment(local, tfs, block_size=block_size)
     row = {"doc_ids": seg.doc_ids, "tfs": seg.tfs, "doc_map": (ids, local)}
-    return eng._blocks("t", 0, row)
+    return eng._decoded("t", [row])
 
 
 def test_varint_roundtrip_edges():
@@ -73,23 +73,25 @@ def test_segment_roundtrip_and_skips():
         # doc is its raw varint and the blocks decode independently
         starts = np.arange(0, n, 128)
         assert varint_decode(seg.doc_ids)[starts].tolist() == ids[starts].tolist()
-        first, bmax0 = block_bounds(ids, tfs, lens, 120.0)
-        assert first.tolist() == ids[starts].tolist()
-        assert bmax0[0] == 0.0 and len(bmax0) == len(starts) + 1
+        # every engine doc holds the term, so bmax's intervals of 128
+        # dense positions are the row's blocks
+        p = interval_postings(ids, tfs, lens, 120.0)
+        assert p.iv.tolist() == list(range(len(starts)))
+        assert p.off.tolist() == starts.tolist() + [n]
         for blk, lo in enumerate(starts):
             hi = min(n, lo + 128)
-            # the block-max bound is the block's best score, exactly
+            # the interval bound is the interval's best score, exactly
             scores = bm25_tf_part(tfs[lo:hi], lens[lo:hi], 120.0)
-            assert bmax0[blk + 1] == scores.max()
+            assert p.ivmax[blk] == scores.max()
 
 
 def test_block_max_is_tight():
     ids = np.arange(1, 257, dtype=np.int64)
     tfs = np.ones(256, dtype=np.int64)
     lens = np.full(256, 100, dtype=np.int64)
-    _, bmax0 = block_bounds(ids, tfs, lens, 100.0)
+    p = interval_postings(ids, tfs, lens, 100.0)
     expect = bm25_tf_part(np.array([1]), np.array([100]), 100.0)[0]
-    assert bmax0[1:].tolist() == [expect, expect]
+    assert p.ivmax.tolist() == [expect, expect]
 
 
 def test_batched_decode_matches_per_row():

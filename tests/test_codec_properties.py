@@ -217,38 +217,59 @@ def test_encode_segment_adapter_equals_reference():
 @given(
     st.integers(min_value=1, max_value=600),
     st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=3),
     st.data(),
 )
-def test_blocks_equal_v5_stored_bounds(n_docs, block_size, data):
-    """bmax's block bounds, now derived from the decode by
-    ``QueryEngine._blocks``, equal bitwise what a v5 row stored: the
-    first doc of each block and the idf-free BM25 block maxima at the
-    build's avgdl. The engine holds ``n_docs`` docs, the row's file
-    maps a subset of them, and the row posts to a subset of that."""
+def test_interval_bounds_are_exact_maxima(n_docs, block_size, n_rows, data):
+    """``QueryEngine._decoded`` merges a term's rows (files with
+    disjoint doc maps, as shards and appends hold) into doc-id order,
+    and its interval summary for bmax is exact: over every interval of
+    ``block_size`` dense positions, the bound is the max idf-free BM25
+    part of the term's postings in it, bitwise, and 0 where the term
+    has none. The engine holds ``n_docs`` docs, each row's file maps a
+    subset of them, and each row posts to a subset of its map."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     doc_ids = np.unique(rng.choice(2**62, size=n_docs))
     lens = rng.integers(1, 5000, size=len(doc_ids)).astype(np.int64)
     avgdl = int(lens.sum()) / len(lens)  # as a build computes it
-    doc_map = np.sort(rng.choice(doc_ids, size=int(rng.integers(
-        1, len(doc_ids) + 1)), replace=False))
-    local = np.sort(rng.choice(len(doc_map), size=int(rng.integers(
-        1, len(doc_map) + 1)), replace=False)).astype(np.int64)
-    tfs = rng.integers(1, 300, size=len(local)).astype(np.int64)
-    dense = np.searchsorted(doc_ids, doc_map)
     k1, b = 1.2, 0.75
-    ref = _ref_encode_segment(local, tfs, lens[dense[local]], avgdl, k1, b,
-                              block_size)
+    owner = rng.integers(0, n_rows, size=len(doc_ids))
+    rows, posted, posted_tfs = [], [], []
+    for r in range(n_rows):
+        mapped = np.flatnonzero(owner == r)
+        if len(mapped) == 0:
+            continue
+        doc_map = np.sort(rng.choice(doc_ids[mapped], size=int(
+            rng.integers(1, len(mapped) + 1)), replace=False))
+        local = np.sort(rng.choice(len(doc_map), size=int(rng.integers(
+            1, len(doc_map) + 1)), replace=False)).astype(np.int64)
+        tfs = rng.integers(1, 300, size=len(local)).astype(np.int64)
+        seg = encode_segment(local, tfs, block_size=block_size)
+        rows.append({"doc_ids": seg.doc_ids, "tfs": seg.tfs,
+                     "doc_map": (doc_map, np.searchsorted(doc_ids, doc_map))})
+        posted.append(doc_map[local])
+        posted_tfs.append(tfs)
     eng = object.__new__(QueryEngine)
     eng.doclens = SimpleNamespace(ids=doc_ids, lens=lens)
     eng.avgdl, eng.k1, eng.b, eng.block_size = avgdl, k1, b, block_size
-    eng._dec_cache, eng._blk_cache, eng.max_cached_segments = {}, {}, 8
-    row = {"doc_ids": ref["doc_ids"], "tfs": ref["tfs"],
-           "doc_map": (doc_map, dense)}
-    first, bounds = eng._blocks("t", 0, row)
-    assert first.dtype == np.int64 and bounds.dtype == np.float64
-    assert np.array_equal(first, doc_map[ref["skip_first_doc"]])
-    assert np.array_equal(bounds, [0.0] + ref["block_max_score"])
-    assert eng._blocks("t", 0, row)[0] is first  # cached per row
+    eng.index_dir, eng._dec_cache, eng.max_cached_segments = "mem", {}, 8
+    p = eng._decoded("t", rows)
+    order = np.argsort(np.concatenate(posted))
+    assert np.array_equal(p.ids, np.concatenate(posted)[order])
+    assert np.array_equal(p.tfs, np.concatenate(posted_tfs)[order])
+    assert np.array_equal(p.didx, np.searchsorted(doc_ids, p.ids))
+    part = bm25_tf_part(p.tfs, lens[p.didx], avgdl, k1, b)
+    assert np.array_equal(p.part, part)
+    n_iv = -(-len(doc_ids) // block_size)
+    want = np.zeros(n_iv)
+    np.maximum.at(want, p.didx // block_size, part)
+    got = np.zeros(n_iv)
+    got[p.iv] = p.ivmax
+    assert p.ivmax.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(p.iv, np.unique(p.didx // block_size))
+    assert np.array_equal(np.diff(p.off), np.bincount(
+        p.didx // block_size, minlength=n_iv)[p.iv])
+    assert eng._decoded("t", rows) is p  # cached per term
 
 
 def test_encode_segments_rejects_non_contiguous_rows():

@@ -171,15 +171,17 @@ def test_bmax_bitwise_after_append_delete_compact(ray_session, tmp_path):
         assert eng.search(q, 10, "exhaustive") == want, q
         assert eng.search(q, 10, "bmax") == want, q
         assert eng_ref.search(q, 10, "bmax") == want, q
-    # every derived bound bounds its block's parts, and equals the best
+    # every derived interval bound is the best part in its interval,
+    # exactly, and 0 where the term has no posting
+    n_iv = -(-len(eng.doclens.ids) // eng.block_size)
     for t, rows in eng._segments_for(["t0000", "t0003"]).items():
-        for i, r in enumerate(rows):
-            ids_r, _, _, part, _ = eng._decoded(t, i, r)
-            first, bounds = eng._blocks(t, i, r)
-            starts = np.arange(0, len(ids_r), eng.block_size)
-            assert first.tolist() == ids_r[starts].tolist()
-            for b, lo in enumerate(starts):
-                assert bounds[b + 1] == part[lo:lo + eng.block_size].max()
+        p = eng._decoded(t, rows)
+        assert p.ids.tolist() == eng_ref.term_postings(t)[0].tolist()
+        want = np.zeros(n_iv)
+        np.maximum.at(want, p.didx // eng.block_size, p.part)
+        got = np.zeros(n_iv)
+        got[p.iv] = p.ivmax
+        assert np.array_equal(got, want), t
 
 
 def test_64_row_group_files_open_and_compact_to_current_size(ray_session,

@@ -6,6 +6,7 @@ another layout)."""
 
 import json
 import os
+import re
 import shutil
 
 import pyarrow.parquet as pq
@@ -128,12 +129,14 @@ def test_fsck_reports_copied_file_on_appended_index(fsck_idx, ray_session,
                                                     tmp_path):
     """An appended index holds several files per shard whose keys
     repeat; a segment file copied under a second append-style name is
-    still reported, because its docs are referenced twice."""
+    still reported, because its docs are referenced twice. A search for
+    one of its terms raises instead of scoring those docs twice."""
     import numpy as np
     import pyarrow as pa
 
     from stacksearch_ray.append import append_to_index
     from stacksearch_ray.fsck import fsck_index
+    from stacksearch_ray.query import QueryEngine
 
     idx = _copy(fsck_idx, tmp_path, "app_copy")
     dp = str(tmp_path / "delta.parquet")
@@ -147,6 +150,9 @@ def test_fsck_reports_copied_file_on_appended_index(fsck_idx, ray_session,
     src = sorted(f for f in os.listdir(seg_dir) if f.startswith("append-"))[0]
     dst = "append-feedbeef" + src[src.index("-shard-"):]
     shutil.copyfile(os.path.join(seg_dir, src), os.path.join(seg_dir, dst))
+    with pytest.raises(RuntimeError, match=r"term 'appended' posts doc \d+ "
+                       r"more than once .*" + re.escape(repr(idx))):
+        QueryEngine(idx).search("appended", 10)
     rep = fsck_index(idx)
     assert any("more than one segment file" in e and src in e and dst in e
                for e in rep.errors), rep.errors
