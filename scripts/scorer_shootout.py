@@ -7,12 +7,15 @@ on a query mix (hot, rare, hot+rare, many near-uniform hot terms) and
 asserts all methods return bitwise-identical rankings. Every shape is
 timed twice: on the clean index and on a copy of it with 1% of its docs
 deleted (also cached), where bmax must keep pruning. Each index also
-reports the method ``auto`` routes each shape to. Results feed the
-BASELINE.md shoot-out table and the BENCH/scorer_shootout_*.json and
-BENCH/one_path_*.json artifacts.
+reports the method ``auto`` routes each shape to. ``--flat-lengths``
+draws the doc lengths from normal(60, 6) instead (doc-length cv about
+0.1, the same zipf terms), cached under its own directory: the corpus
+where block maxima vary least. Results feed the BASELINE.md shoot-out
+table and the BENCH/scorer_shootout_*.json, BENCH/one_path_*.json and
+BENCH/champion_theta_*.json artifacts.
 
     python scripts/scorer_shootout.py [--n-docs 200000] [--repeats 5]
-        [--root /tmp/zipf_shootout]
+        [--root /tmp/zipf_shootout] [--flat-lengths]
 """
 
 from __future__ import annotations
@@ -40,13 +43,18 @@ QUERIES = {
 
 
 def gen_corpus(path: str, n_docs: int, seed: int = 42,
-               vocab_size: int = 50_000) -> None:
+               vocab_size: int = 50_000, flat: bool = False) -> None:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     rng = np.random.default_rng(seed)
     vocab = np.array([f"t{i:05d}" for i in range(vocab_size)], dtype=object)
-    lens = np.clip(rng.lognormal(4.0, 0.9, n_docs).astype(np.int64), 5, 3000)
+    if flat:
+        lens = np.clip(np.rint(rng.normal(60.0, 6.0, n_docs)), 5,
+                       3000).astype(np.int64)
+    else:
+        lens = np.clip(rng.lognormal(4.0, 0.9, n_docs).astype(np.int64),
+                       5, 3000)
     tot = int(lens.sum())
     ranks = np.minimum(rng.zipf(1.3, tot), vocab_size) - 1
     toks = vocab[ranks]
@@ -78,9 +86,10 @@ def deleted_copy(index_dir: str, n_docs: int, seed: int = 7) -> str:
     return out
 
 
-def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict]:
+def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict, dict]:
     """(p50 ms per shape and method, the method auto routes each shape
-    to); all methods must rank each shape bitwise alike."""
+    to, bmax's pre-test share for each shape auto routes to bmax); all
+    methods must rank each shape bitwise alike."""
     results: dict[str, dict[str, float]] = {}
     for qname, q in QUERIES.items():
         ref = None
@@ -100,8 +109,10 @@ def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict]:
         results[qname] = row
         print(f"{qname:12s} " + "  ".join(
             f"{m}={row[m]:8.2f}ms" for m in row))
-    return results, {qname: eng.plan(q, k)["method"]
-                     for qname, q in QUERIES.items()}
+    plans = {qname: eng.plan(q, k) for qname, q in QUERIES.items()}
+    return (results, {qname: p["method"] for qname, p in plans.items()},
+            {qname: p.get("bmax_pretest_share")
+             for qname, p in plans.items()})
 
 
 def main() -> int:
@@ -111,6 +122,8 @@ def main() -> int:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--root", default="/tmp/zipf_shootout",
                    help="cache directory for the corpus and index")
+    p.add_argument("--flat-lengths", action="store_true",
+                   help="normal(60, 6) doc lengths instead of lognormal")
     args = p.parse_args()
 
     import ray
@@ -127,26 +140,29 @@ def main() -> int:
     from stacksearch_ray.query import QueryEngine
     from stacksearch_ray.schema import INDEX_FORMAT_VERSION
 
-    root = os.path.join(args.root, f"n{args.n_docs}")
+    root = os.path.join(args.root, f"n{args.n_docs}"
+                        + ("_flat" if args.flat_lengths else ""))
     corpus = os.path.join(root, "docs.parquet")
     index_dir = os.path.join(root, f"index_v{INDEX_FORMAT_VERSION}")
     if not os.path.exists(corpus):
         print("generating corpus ...", file=sys.stderr)
-        gen_corpus(corpus, args.n_docs)
+        gen_corpus(corpus, args.n_docs, flat=args.flat_lengths)
     if not os.path.exists(os.path.join(index_dir, "stats.json")):
         print("building index ...", file=sys.stderr)
         build_index(corpus, index_dir, content_col="text", id_col="doc_id")
 
-    results, routes = time_shapes(QueryEngine(index_dir), args.k,
-                                  args.repeats)
+    results, routes, shares = time_shapes(QueryEngine(index_dir), args.k,
+                                          args.repeats)
     print("-- 1% of docs deleted --")
-    del_results, del_routes = time_shapes(
+    del_results, del_routes, del_shares = time_shapes(
         QueryEngine(deleted_copy(index_dir, args.n_docs)), args.k,
         args.repeats)
-    print(json.dumps({"n_docs": args.n_docs, "p50_ms": results,
-                      "auto_route": routes,
+    print(json.dumps({"n_docs": args.n_docs,
+                      "flat_lengths": args.flat_lengths, "p50_ms": results,
+                      "auto_route": routes, "bmax_pretest_share": shares,
                       "deleted_1pct": {"p50_ms": del_results,
-                                       "auto_route": del_routes}}))
+                                       "auto_route": del_routes,
+                                       "bmax_pretest_share": del_shares}}))
     ray.shutdown()
     return 0
 

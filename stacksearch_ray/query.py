@@ -14,14 +14,14 @@ Two scorers, verified rank-identical in tests:
   Python), sound early exit — candidate pruning with exact re-scoring,
   the analog of the reference's LSH-candidates → exact Jaccard re-rank
   (reference index/index_new.py:65-72). Bounds that cannot cut are pure
-  overhead, so when, after its first batch, more than half of the
-  query's postings still sit under bounds ≥ θ (the k-th best live
-  score), bmax hands the query to ``exhaustive``.
-  Measured on the 200k-doc zipf corpus (scripts/scorer_shootout.py,
-  BENCH/merged_postings_r17.json, p50 ms bmax vs exhaustive): hot1 0.8
-  vs 3.5, hot2 1.5 vs 5.9, hot3+rare 0.9 vs 6.2, hot8 11-21 vs 11-13
-  (the fallback). Tombstoned docs never enter θ, so bmax serves appended,
-  deleted and merged indexes like clean ones.
+  overhead, so when more than half of the query's postings sit under
+  bounds ≥ θ₀ — the k-th best exact score of each term's few
+  highest-part live postings, its "champions", a floor under the k-th
+  best live score — bmax hands the query to ``exhaustive`` before it
+  scores any interval, and otherwise starts pruning from θ₀.
+  Measured on the 200k-doc zipf corpus in scripts/scorer_shootout.py
+  (BENCH/champion_theta_r18.json). Tombstoned docs never enter θ, so
+  bmax serves appended, deleted and merged indexes like clean ones.
 
 Both read a term through one cache (``_decoded``): its postings over
 every segment row that holds it — each shard's, each appended file's —
@@ -105,18 +105,37 @@ class _Postings(NamedTuple):
     shard's, each appended file's), merged into dense doc order: entry
     i is doc ``ids[i]``, at position ``didx[i]`` (strictly increasing)
     of the engine's sorted doc ids, with ``part[i]`` its idf-free BM25
-    part. ``iv``/``ivmax``/``off`` summarize the postings over fixed
-    intervals of ``block_size`` dense positions, for bmax: the
-    intervals the term touches (ascending), its max ``part`` in each,
-    and where each one's postings start (``off[j]:off[j + 1]``)."""
+    part and ``wpart[i]`` = idf · ``part[i]`` its BM25 contribution
+    (idf is fixed per open engine). ``iv``/``ivmax``/``off`` summarize
+    the postings over fixed intervals of ``block_size`` dense positions,
+    for bmax: the intervals the term touches (ascending), its max
+    ``part`` in each, and where each one's postings start
+    (``off[j]:off[j + 1]``). ``champ`` holds the dense positions of the
+    term's ``CHAMPIONS`` highest-part live postings (``_champions``)."""
     ids: np.ndarray
     tfs: np.ndarray
     dls: np.ndarray
     part: np.ndarray
+    wpart: np.ndarray
     didx: np.ndarray
     iv: np.ndarray
     ivmax: np.ndarray
     off: np.ndarray
+    champ: np.ndarray
+
+
+# postings per term whose exact scores set bmax's first threshold
+CHAMPIONS = 16
+
+
+def _champions(wpart: np.ndarray, didx: np.ndarray, alive: np.ndarray,
+               c: int) -> np.ndarray:
+    """Dense positions of a term's ``c`` highest-``wpart`` live postings
+    (every live one when it has fewer), in no particular order."""
+    live = np.flatnonzero(alive[didx])
+    if len(live) > c:
+        live = live[np.argpartition(wpart[live], len(live) - c)[-c:]]
+    return didx[live]
 
 
 def _topk_select(acc: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
@@ -288,24 +307,26 @@ class QueryEngine:
         # suggests
         self.wand_min_postings = 20_000_000
         # Fast path (measured, scripts/scorer_shootout.py on the 200k-doc
-        # zipf corpus, BENCH/merged_postings_r17.json, p50 ms bmax vs
+        # zipf corpus, BENCH/champion_theta_r18.json, p50 ms bmax vs
         # exhaustive): over fixed doc-id intervals bmax wins BELOW the
-        # general threshold on every shape with a hot term (hot1 0.8 vs
-        # 3.5, hot2 1.5 vs 5.9, hot+rare 0.6 vs 4.2, hot3+rare 0.9 vs
-        # 6.2), whatever the df skew, and loses on small candidate sets
-        # (rare2 0.5 vs 0.3, mid2 0.9 vs 0.4), where its set-up is most
-        # of the work. So bmax routes early when the query holds
-        # ≥ bmax_min_postings postings AND the corpus's doc lengths
-        # disperse (doc-length cv ≥ bmax_min_dl_cv). Shapes whose bounds
-        # cannot prune (hot8: 8 hot terms) are caught inside bmax, which
-        # falls back to exhaustive after one batch (11-21 vs 11-13 ms
-        # over two runs) — see _search_bmax; the cv gate keeps that
-        # first batch off flat-length corpora, where hot8 cost 20.4 vs
-        # 15.6 ms, although interval bmax wins there too on the other
-        # hot shapes (hot1 0.7 vs 3.6 ms at cv 0.1; ROADMAP direction 2).
+        # general threshold on every shape with a hot term (hot1 0.4 vs
+        # 2.1, hot2 1.1 vs 4.3, hot+rare 0.6 vs 2.8, hot3+rare 1.2 vs
+        # 6.1), and loses on small candidate sets (rare2 0.4 vs 0.3,
+        # mid2 1.4 vs 0.5), where its set-up is most of the work. So
+        # bmax routes early when the query holds ≥ bmax_min_postings
+        # postings AND the corpus's doc lengths disperse (doc-length cv
+        # ≥ bmax_min_dl_cv). Shapes whose bounds cannot prune (hot8: 8
+        # hot terms) are sent on to exhaustive by bmax's champion
+        # pre-test before any interval is scored (see _search_bmax); the
+        # pre-test still costs hot8 about 11% over exhaustive (200k
+        # docs, 31 alternating repeats), so the cv gate keeps it off
+        # flat-length corpora, although interval bmax wins there too on
+        # the other hot shapes (hot1 0.6 vs 2.8 ms at cv 0.1).
         self.bmax_min_postings = 100_000
         self.bmax_min_dl_cv = 0.8
         self._dl_cv: float | None = None
+        # every posting's BM25 part is > 0 (see _search_exhaustive)
+        self._positive_parts = self.k1 >= 0.0 and 0.0 <= self.b <= 1.0
         # search_filtered plan="auto": route the postings-probe plan when
         # |allowed| * factor <= local doc count (selective cost is
         # |allowed|·log df per query term vs Σ df + an n_local pass for
@@ -469,27 +490,32 @@ class QueryEngine:
         ddf = self._deleted_df()
         return {m: self._df_cache[m] - ddf.get(m, 0) for m in terms}
 
+    def _physical_df(self, terms: list[str],
+                     segs: dict[str, list[dict]]) -> dict[str, int]:
+        """Global PHYSICAL df per term (tombstoned docs included),
+        memoized in ``_df_cache``. Full engine: sum over the term's
+        segment rows (all shards visible). Shard subset: term_dict
+        lookup."""
+        missing = [t for t in terms if t not in self._df_cache]
+        if missing and self.shard_subset is None:
+            for m in missing:
+                self._df_cache[m] = sum(r["df"] for r in segs[m])
+        elif missing:
+            t = pq.read_table(self._term_dict_dir, columns=["term", "df"],
+                              filters=[("term", "in", missing)])
+            found = dict(zip(t["term"].to_pylist(), t["df"].to_pylist()))
+            for m in missing:
+                self._df_cache[m] = int(found.get(m, 0))
+        return {t: self._df_cache[t] for t in terms}
+
     def _df_global(self, terms: list[str],
                    segs: dict[str, list[dict]]) -> dict[str, int]:
-        """Global df per term over ALIVE docs. Full engine: sum over the
-        term's segment rows (all shards visible). Shard subset:
-        term_dict lookup. With pending deletes, the physical dfs are
-        corrected by the delete-time per-term sidecar (the correction
-        must be global — a worker can't see other shards' postings), so
-        idf equals a rebuild without the deleted docs, bitwise."""
-        if self.shard_subset is None:
-            dfs = {t: sum(r["df"] for r in segs[t]) for t in terms}
-        else:
-            missing = [t for t in terms if t not in self._df_cache]
-            if missing:
-                t = pq.read_table(self._term_dict_dir,
-                                  columns=["term", "df"],
-                                  filters=[("term", "in", missing)])
-                found = dict(zip(t["term"].to_pylist(),
-                                 t["df"].to_pylist()))
-                for m in missing:
-                    self._df_cache[m] = int(found.get(m, 0))
-            dfs = {t: self._df_cache[t] for t in terms}
+        """Global df per term over ALIVE docs (see _physical_df). With
+        pending deletes, the physical dfs are corrected by the
+        delete-time per-term sidecar (the correction must be global — a
+        worker can't see other shards' postings), so idf equals a
+        rebuild without the deleted docs, bitwise."""
+        dfs = self._physical_df(terms, segs)
         ddf = self._deleted_df()
         return {t: dfs[t] - ddf.get(t, 0) for t in terms}
 
@@ -579,9 +605,9 @@ class QueryEngine:
         """The term's postings over all of its segment ``rows``, merged
         into dense doc order (``_Postings``) and cached per term: the
         engine's one decode cache, capped at ``max_cached_segments``
-        terms. idf is applied per query (it depends only on global df,
-        which is fixed), so the cache is query-independent, and every
-        kernel scatters once per term.
+        terms. Global df, and so idf, is fixed per open engine, so the
+        cache holds the idf-weighted parts too and stays
+        query-independent; every kernel scatters once per term.
 
         A doc posted twice for one term (a segment file copied under a
         second name) raises: a fancy-indexed ``acc[didx] += ...`` would
@@ -606,11 +632,15 @@ class QueryEngine:
                 " (run fsck_index)")
         dls = self.doclens.lens[didx]
         part = bm25_tf_part(tfs, dls, self.avgdl, self.k1, self.b)
+        # the same float op as idf_fn(...) * part at query time
+        wpart = idf_fn(self.n_docs,
+                       self._df_global([term], {term: rows})[term]) * part
         iv = didx // self.block_size
         first = np.flatnonzero(np.concatenate(([True], iv[1:] != iv[:-1])))
-        hit = _Postings(ids, tfs, dls, part, didx, iv[first],
+        hit = _Postings(ids, tfs, dls, part, wpart, didx, iv[first],
                         np.maximum.reduceat(part, first),
-                        np.append(first, len(didx)))
+                        np.append(first, len(didx)),
+                        _champions(wpart, didx, self._alive, CHAMPIONS))
         if len(self._dec_cache) < self.max_cached_segments:
             self._dec_cache[term] = hit
         return hit
@@ -653,7 +683,6 @@ class QueryEngine:
             return []
         all_terms = sorted({t for g in norm for t in g})
         segs = self._segments_for(all_terms)
-        dfs = self._df_global(all_terms, segs)
         n_local = len(self.doclens.ids)
         acc = np.zeros(n_local, dtype=np.float64)
         hit = np.zeros(n_local, dtype=bool)
@@ -667,10 +696,9 @@ class QueryEngine:
                 rows = segs[t]  # order-free anyway)
                 if not rows:
                     continue
-                w = idf_fn(self.n_docs, dfs[t])
                 p = self._decoded(t, rows)
                 tacc[:] = 0.0
-                tacc[p.didx] += w * p.part
+                tacc[p.didx] += p.wpart
                 hit[p.didx] = True
                 ghit = True
                 any_rows = True
@@ -1252,32 +1280,41 @@ class QueryEngine:
         # a closure fn(tfs, dls, df_global, term) -> float64 ndarray
         custom = (scorer if callable(scorer)
                   else self._resolve_scorer(scorer, terms, segs))
-        dfs = self._df_global(terms, segs)
+        if not any(segs[t] for t in terms):
+            return []
+        # plain BM25 adds each term's cached idf·part and reads the
+        # matched docs off the scores: idf > 0 and part > 0 for tf ≥ 1,
+        # so a doc matches iff its score is > 0. A boost (idf·boost)·part
+        # is not bitwise wpart·boost, and a boost or a custom scorer may
+        # score a match 0 or less, so those keep a hit mask.
+        plain = (custom is None and boosts is None and feature is None
+                 and self._positive_parts)
+        dfs = None if plain else self._df_global(terms, segs)
         # dense accumulator over the engine's sorted local doc-id space:
         # each term scatters once through its merged dense index (a doc
         # appears once per term, so plain fancy += is exact), and each
         # doc accumulates in sorted-term order
         n_local = len(self.doclens.ids)
         acc = np.zeros(n_local, dtype=np.float64)
-        hit = np.zeros(n_local, dtype=bool)
-        any_rows = False
+        hit = None if plain else np.zeros(n_local, dtype=bool)
         for t in terms:  # sorted order → deterministic accumulation
             rows = segs[t]
             if not rows:
                 continue
-            df_global = dfs[t]
-            w = idf_fn(self.n_docs, df_global)
+            p = self._decoded(t, rows)
+            if plain:
+                acc[p.didx] += p.wpart
+                continue
+            w = idf_fn(self.n_docs, dfs[t])
             if boosts is not None:
                 w = w * boosts[t]
-            p = self._decoded(t, rows)
             if custom is None:
                 acc[p.didx] += w * p.part
             else:
-                acc[p.didx] += custom(p.tfs, p.dls, df_global, t)
+                acc[p.didx] += custom(p.tfs, p.dls, dfs[t], t)
             hit[p.didx] = True
-            any_rows = True
-        if not any_rows:
-            return []
+        if plain:
+            hit = acc > 0
         if feature is not None:
             # doc-value combine over matched docs only — per-doc
             # expression is acc + weight·feat ("add", the boost shape)
@@ -1340,54 +1377,50 @@ class QueryEngine:
            scatters them into one dense accumulator, the way
            ``_search_exhaustive`` does; a doc lies in one interval, so
            it is scored once, all its terms in sorted-term order.
-        3. Bounds that cannot cut are pure overhead: if, after the first
-           batch, more than half of the query's postings sit in
-           intervals whose bound is ≥ θ, the query goes to
-           ``_search_exhaustive``.
+        3. Before any batch, θ₀ = the k-th best exact score of the query
+           terms' champions (each term's ``CHAMPIONS`` highest-part live
+           postings, or its top k when k is larger) is a floor under θ:
+           k live docs score at least θ₀. Bounds that cannot cut are
+           pure overhead, so if more than half of the query's postings
+           sit in intervals whose bound is ≥ θ₀, the query goes to
+           ``_search_exhaustive`` before any interval is scored;
+           otherwise the batches start from θ₀ (see _bmax_bounds).
 
         Tombstoned docs never enter θ. Contributions accumulate in
         sorted-term order → bitwise identical to exhaustive/oracle
         (tested)."""
         if k < 1:
             return []
-        segs = self._segments_for(terms)
-        dfs = self._df_global(terms, segs)
-        posts = [(idf_fn(self.n_docs, dfs[t]), self._decoded(t, segs[t]))
-                 for t in terms if segs[t]]
-        if not posts:
+        bounds = self._bmax_bounds(terms, k)
+        if bounds is None:
             return []
-        n_local = len(self.doclens.ids)
-        n_iv = -(-n_local // self.block_size)
-        ub = np.zeros(n_iv, dtype=np.float64)
-        n_post = np.zeros(n_iv, dtype=np.int64)
-        for w, p in posts:  # sorted-term order, as every doc's own sum
-            ub[p.iv] += w * p.ivmax
-            n_post[p.iv] += p.off[1:] - p.off[:-1]
-        order = np.flatnonzero(n_post)
+        posts, ub, n_post, theta0, n_hot = bounds
+        if 2 * n_hot > int(n_post.sum()):
+            return self._search_exhaustive(terms, k)
+        order = np.flatnonzero((n_post > 0) & (ub >= theta0))
         order = order[np.argsort(-ub[order], kind="stable")]
-        total = int(n_post.sum())
+        n_local = len(self.doclens.ids)
         acc = np.zeros(n_local, dtype=np.float64)
         hit = np.zeros(n_local, dtype=bool)
         top = np.empty(0, dtype=np.float64)  # the k best live scores so far
         i, batch_n = 0, 16
         while i < len(order):
-            theta = top.min() if len(top) >= k else -np.inf
+            theta = max(theta0, top.min()) if len(top) >= k else theta0
             if ub[order[i]] < theta:
                 break  # best-first: nothing further can beat theta
             batch = order[i:i + batch_n]
             batch = np.sort(batch[ub[batch] >= theta])
-            first_batch = i == 0
             i += batch_n
             batch_n *= 4  # establish theta cheaply, then go wide
             new = []
-            for w, p in posts:
+            for p in posts:
                 j = np.minimum(np.searchsorted(p.iv, batch), len(p.iv) - 1)
                 j = j[p.iv[j] == batch]
                 idx = gather_ranges(p.off[j], p.off[j + 1])
                 if len(idx) == 0:
                     continue
                 d = p.didx[idx]
-                acc[d] += w * p.part[idx]
+                acc[d] += p.wpart[idx]
                 fresh = d[~hit[d]]
                 hit[fresh] = True
                 new.append(fresh)
@@ -1397,11 +1430,42 @@ class QueryEngine:
             cand = np.concatenate((top, acc[fresh[self._alive[fresh]]]))
             top = (np.partition(cand, len(cand) - k)[-k:]
                    if len(cand) > k else cand)
-            if first_batch:
-                theta = top.min() if len(top) >= k else -np.inf
-                if 2 * int(n_post[ub >= theta].sum()) > total:
-                    return self._search_exhaustive(terms, k)
         return self._topk_dense(acc, hit, k)
+
+    def _bmax_bounds(self, terms: list[str], k: int):
+        """bmax's set-up and pre-test (``_search_bmax`` steps 1 and 3):
+        (the query terms' postings in sorted-term order, each interval's
+        bound ``ub``, its posting count ``n_post``, the champion floor
+        θ₀, the postings in intervals with ``ub`` ≥ θ₀), or None when no
+        term has postings. θ₀ is -inf when the champions hold fewer than
+        k docs. A champion's score adds its terms' ``wpart`` from 0.0 in
+        sorted-term order, as every scorer does, so θ₀ is a real live
+        score, bitwise."""
+        segs = self._segments_for(terms)
+        dfs = self._df_global(terms, segs)
+        ws = [(idf_fn(self.n_docs, dfs[t]), self._decoded(t, segs[t]))
+              for t in terms if segs[t]]
+        if not ws:
+            return None
+        n_iv = -(-len(self.doclens.ids) // self.block_size)
+        ub = np.zeros(n_iv, dtype=np.float64)
+        n_post = np.zeros(n_iv, dtype=np.int64)
+        for w, p in ws:  # sorted-term order, as every doc's own sum
+            ub[p.iv] += w * p.ivmax
+            n_post[p.iv] += p.off[1:] - p.off[:-1]
+        posts = [p for _, p in ws]
+        champ = np.unique(np.concatenate([
+            p.champ if k <= CHAMPIONS
+            else _champions(p.wpart, p.didx, self._alive, k)
+            for p in posts]))
+        sc = np.zeros(len(champ), dtype=np.float64)
+        for p in posts:
+            j = np.minimum(np.searchsorted(p.didx, champ), len(p.didx) - 1)
+            m = p.didx[j] == champ
+            sc[m] += p.wpart[j[m]]
+        theta0 = (float(np.partition(sc, len(sc) - k)[len(sc) - k])
+                  if len(sc) >= k else -np.inf)
+        return posts, ub, n_post, theta0, int(n_post[ub >= theta0].sum())
 
     def _doclen_cv(self) -> float:
         """Coefficient of variation of doc lengths (computed once per
@@ -1772,13 +1836,14 @@ class QueryEngine:
 
         method="auto" picks vectorized exhaustive scoring when the
         candidate posting count is small and vectorized block-max
-        (``bmax``) otherwise (_route_auto) — on skewed (zipf) corpora
-        bmax's doc-id-interval bounds prune to 4-8× faster than TAAT
-        on queries holding a hot term, and bmax falls back to TAAT by
-        itself when its bounds cannot prune
-        (scripts/scorer_shootout.py). Either scorer reads each query
-        term as one merged posting list over all of its shards and
-        appended files. All methods are rank-identical (tested).
+        (``bmax``) otherwise (_route_auto) — bmax's doc-id-interval
+        bounds prune to several times faster than TAAT on queries
+        holding a hot term, and bmax hands a query to TAAT before
+        scoring anything when the exact scores of the terms' champion
+        docs show its bounds cannot prune (scripts/scorer_shootout.py).
+        Either scorer reads each query term as one merged posting list
+        over all of its shards and appended files. All methods are
+        rank-identical (tested).
 
         ``scorer``: a registry.py scorer name (§2.10 pluggable-ranking
         hook); non-bm25 scorers use the exhaustive path (bmax's interval
@@ -1824,9 +1889,13 @@ class QueryEngine:
         candidate sets, or below that when the candidate set is large
         and the corpus's doc lengths disperse enough for pruning to pay
         (the fast path — see the knobs in __init__); TAAT is the
-        default. bmax itself falls back to exhaustive scoring when its
-        interval bounds turn out not to prune (_search_bmax)."""
-        n_postings = sum(r["df"] for t in terms for r in segs[t])
+        default. bmax itself hands the query to exhaustive scoring when
+        its champion pre-test says its interval bounds cannot prune
+        (_search_bmax)."""
+        if self.shard_subset is None:
+            n_postings = sum(self._physical_df(terms, segs).values())
+        else:  # this subset's own postings, not the global df
+            n_postings = sum(r["df"] for t in terms for r in segs[t])
         bmax = (n_postings >= self.wand_min_postings
                 or (n_postings >= self.bmax_min_postings
                     and self._doclen_cv() >= self.bmax_min_dl_cv))
@@ -1858,10 +1927,9 @@ class QueryEngine:
             rows = segs[t]
             if not rows:
                 continue
-            w = idf_fn(self.n_docs, dfs[t])
             p = self._decoded(t, rows)
             if custom is None:
-                acc[p.didx] += w * p.part
+                acc[p.didx] += p.wpart
             else:
                 acc[p.didx] += custom(p.tfs, p.dls, dfs[t], t)
             hit[p.didx] = True
@@ -2120,7 +2188,12 @@ class QueryEngine:
         cold-read pruning layers (term-bucket map, then the exact
         term-only verify). ``files_to_read`` is None when every needed
         term is already cached (no read would happen) and also when no
-        map exists (whole-directory read)."""
+        map exists (whole-directory read). When ``method`` is bmax, the
+        plan also holds bmax's pre-test (_bmax_bounds, which decodes the
+        terms): ``bmax_theta0``, the champion floor θ₀ (None when the
+        champions hold fewer than k docs), and ``bmax_pretest_share``,
+        the share of the query's postings in intervals whose bound is
+        ≥ θ₀ — above 0.5, bmax hands the query to exhaustive scoring."""
         terms = sorted(set(clean_query(query)))
         if not terms:
             return {"terms": [], "n_postings": 0, "method": None,
@@ -2136,7 +2209,7 @@ class QueryEngine:
                      "segment_rows": len(segs[t]),
                      "cached": t not in missing} for t in terms]
         method, n_postings = self._route_auto(terms, segs)
-        return {
+        out = {
             "terms": per_term,
             "n_postings": n_postings,
             "doclen_cv": round(self._doclen_cv(), 4),
@@ -2144,6 +2217,13 @@ class QueryEngine:
             "candidate_files": (len(cand) if cand is not None else None),
             "files_to_read": (len(reads) if reads is not None else None),
         }
+        bounds = (self._bmax_bounds(terms, k)
+                  if method == "bmax" and k >= 1 else None)
+        if bounds is not None:
+            _, _, n_post, theta0, n_hot = bounds
+            out["bmax_theta0"] = theta0 if theta0 > -np.inf else None
+            out["bmax_pretest_share"] = round(n_hot / int(n_post.sum()), 4)
+        return out
 
     def explain(self, query: str, doc_id: int,
                 scorer: str = "bm25") -> dict:
@@ -2205,14 +2285,13 @@ class QueryEngine:
         the scores. The shared pass of the matched-term-count scorers
         (min_should_match, terms_set, coord)."""
         segs = self._segments_for(terms)
-        dfs = self._df_global(terms, segs)
         n_local = len(self.doclens.ids)
         acc = np.zeros(n_local, dtype=np.float64)
         nmatch = np.zeros(n_local, dtype=np.int32)
         for t in terms:  # sorted order → deterministic accumulation
             if segs[t]:
                 p = self._decoded(t, segs[t])
-                acc[p.didx] += idf_fn(self.n_docs, dfs[t]) * p.part
+                acc[p.didx] += p.wpart
                 nmatch[p.didx] += 1
         return acc, nmatch
 
@@ -2484,15 +2563,13 @@ class QueryEngine:
             rows = segs[t]
             if not rows:
                 continue
-            df_global = dfs[t]
-            w = idf_fn(self.n_docs, df_global)
             p = self._decoded(t, rows)
             m, src = sorted_member_mask(p.didx, apos, return_idx=True)
             src = src[m]                     # the matching postings
             if custom is None:
-                acc[m] += w * p.part[src]
+                acc[m] += p.wpart[src]
             else:
-                acc[m] += custom(p.tfs, p.dls, df_global, t)[src]
+                acc[m] += custom(p.tfs, p.dls, dfs[t], t)[src]
             hit |= m
         cand = np.flatnonzero(hit)
         if len(cand) == 0 or k < 1:

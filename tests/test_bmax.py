@@ -5,13 +5,17 @@ scoring when the block bounds cannot prune, k above the match count,
 exact score ties at the k boundary, and the auto router on a clean and
 on an appended and deleted copy of the index. A corpus of duplicated
 docs ties more than 4k hits at the k-th score, for the top-k selector
-of the dense and the selective scorers."""
+of the dense and the selective scorers. bmax's champion floor θ₀ and
+the plain exhaustive path's score-derived match mask are checked on
+their own, the former also for a term whose champions are all
+tombstoned."""
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from stacksearch_ray.oracle import OracleBM25
+from stacksearch_ray.query import CHAMPIONS
 
 N_DOCS = 20_000
 N_TIES = 12          # docs scoring exactly alike on t00000, spread out
@@ -44,14 +48,19 @@ def _write(docs: dict[int, str], path: str) -> str:
     return path
 
 
+def _zipf_docs() -> dict[int, str]:
+    docs = _corpus()
+    for i in range(N_TIES):
+        docs[i * (N_DOCS // N_TIES) + 7] = TIE_TEXT
+    return docs
+
+
 @pytest.fixture(scope="module")
 def zipf(ray_session, tmp_path_factory):
     from stacksearch_ray.build import build_index
     from stacksearch_ray.query import QueryEngine
 
-    docs = _corpus()
-    for i in range(N_TIES):
-        docs[i * (N_DOCS // N_TIES) + 7] = TIE_TEXT
+    docs = _zipf_docs()
     root = tmp_path_factory.mktemp("bmax")
     idx = str(root / "index")
     build_index(_write(docs, str(root / "docs.parquet")), idx,
@@ -199,3 +208,121 @@ def test_topk_selector_keeps_ties_past_4k_hits(dup_ties, k):
     want = oracle.search("filler tie", k)
     assert len({s for _, s in oracle.search("filler tie", 1000)}) == 1
     assert eng.search_conjunctive("filler tie", k) == want
+
+
+def _bounds_theta0(eng, q: str, k: int) -> float:
+    return eng._bmax_bounds(sorted(set(q.split())), k)[3]
+
+
+@pytest.mark.parametrize("k", [1, 10, CHAMPIONS + 5])
+@pytest.mark.parametrize("index", ["clean", "mutated"])
+def test_champion_theta_is_a_floor(request, index, k):
+    """θ₀ never exceeds the exhaustive k-th best live score, is -inf
+    when fewer than k live docs match, and is that score exactly for a
+    one-term query (its champions are its top live postings)."""
+    eng, _ = request.getfixturevalue(
+        "zipf" if index == "clean" else "zipf_mutated")
+    for q in AUTO_QUERIES + ("t02998",):
+        theta0 = _bounds_theta0(eng, q, k)
+        ref = eng.search(q, k, method="exhaustive")
+        if len(ref) < k:
+            assert theta0 == -np.inf, q
+        elif " " in q:
+            assert theta0 <= ref[-1][1], q
+        else:
+            assert theta0 == ref[-1][1], q
+
+
+@pytest.mark.parametrize("k", [1, 10, CHAMPIONS + 5])
+def test_every_method_equals_oracle_around_champion_count(zipf, k):
+    """auto == bmax == exhaustive == oracle at k below and above the
+    cached champion count (above it bmax takes each term's top k
+    postings on the fly), with auto routing the large queries to
+    bmax."""
+    eng, oracle = zipf
+    saved = eng.bmax_min_postings
+    eng.bmax_min_postings = 1000
+    try:
+        for q in AUTO_QUERIES:
+            want = oracle.search(q, k)
+            for method in ("auto", "bmax", "exhaustive"):
+                assert eng.search(q, k, method=method) == want, (q, method)
+        got, fell_back = _bmax(eng, "t00001", k)
+        assert not fell_back and got == oracle.search("t00001", k)
+    finally:
+        eng.bmax_min_postings = saved
+
+
+@pytest.fixture(scope="module")
+def champions_dead(zipf, tmp_path_factory):
+    """A copy of the zipf index with every champion the clean engine
+    caches for t00001 deleted, and the term's exhaustive top
+    CHAMPIONS + 4 docs too."""
+    import shutil
+
+    from stacksearch_ray.append import delete_from_index
+    from stacksearch_ray.query import QueryEngine
+
+    eng = zipf[0]
+    rows = eng._segments_for(["t00001"])["t00001"]
+    clean_champ = set(eng.doclens.ids[eng._decoded("t00001", rows).champ]
+                      .tolist())
+    dead = sorted(clean_champ | {d for d, _ in eng.search(
+        "t00001", CHAMPIONS + 4, method="exhaustive")})
+    idx = str(tmp_path_factory.mktemp("champions_dead") / "index")
+    shutil.copytree(eng.index_dir, idx)
+    delete_from_index(idx, dead)
+    docs = _zipf_docs()
+    for d in dead:
+        del docs[d]
+    return QueryEngine(idx), OracleBM25(docs), set(dead)
+
+
+@pytest.mark.parametrize("k", [1, 10, CHAMPIONS + 5])
+def test_term_with_every_champion_tombstoned(champions_dead, k):
+    """The live engine's champions skip the tombstoned ones, θ₀ stays a
+    floor, and every method equals the oracle over the alive docs."""
+    eng, oracle, dead = champions_dead
+    rows = eng._segments_for(["t00001"])["t00001"]
+    champ = eng._decoded("t00001", rows).champ
+    assert len(champ) == CHAMPIONS and eng._alive[champ].all()
+    assert not dead & set(eng.doclens.ids[champ].tolist())
+    for q in ("t00001", "t00000 t00001", "t00001 t02998"):
+        want = oracle.search(q, k)
+        assert _bounds_theta0(eng, q, k) <= want[-1][1], q
+        for method in ("auto", "bmax", "exhaustive"):
+            assert eng.search(q, k, method=method) == want, (q, method)
+    got, fell_back = _bmax(eng, "t00001", k)
+    assert not fell_back and got == oracle.search("t00001", k)
+
+
+@pytest.mark.parametrize("q", ["t00000", "t00000 t00001", "t00001 t02998"])
+def test_plain_exhaustive_match_mask_is_positive_score(zipf_mutated, q):
+    """Plain BM25 exhaustive scoring reads the matched docs off its
+    scores (acc > 0); on an index with deletes that mask equals the
+    per-term scatter mask — tombstoned matches included — and the
+    scores equal idf · part summed in sorted-term order, bitwise."""
+    from stacksearch_ray.build import idf
+
+    eng, _ = zipf_mutated
+    seen = {}
+    real = eng._topk_dense
+
+    def spy(acc, hit, k, allowed=None):
+        seen["acc"], seen["hit"] = acc.copy(), hit.copy()
+        return real(acc, hit, k, allowed)
+
+    terms = sorted(set(q.split()))
+    with mock.patch.object(eng, "_topk_dense", side_effect=spy):
+        eng.search(q, 10, method="exhaustive")
+    segs = eng._segments_for(terms)
+    dfs = eng._df_global(terms, segs)
+    acc = np.zeros(len(eng.doclens.ids))
+    hit = np.zeros(len(eng.doclens.ids), dtype=bool)
+    for t in terms:
+        p = eng._decoded(t, segs[t])
+        acc[p.didx] += idf(eng.n_docs, dfs[t]) * p.part
+        hit[p.didx] = True
+    assert (hit & ~eng._alive).any()
+    assert np.array_equal(seen["hit"], hit)
+    assert np.array_equal(seen["acc"], acc)

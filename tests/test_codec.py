@@ -27,9 +27,13 @@ def interval_postings(ids, tfs, lens, avgdl, block_size=128):
     eng.avgdl, eng.k1, eng.b = float(avgdl), 1.2, 0.75
     eng.block_size, eng.index_dir = block_size, "mem"
     eng._dec_cache, eng.max_cached_segments = {}, 8
+    eng.n_docs, eng.shard_subset = len(ids), None
+    eng._df_cache, eng._ddf = {}, {}
+    eng._alive = np.ones(len(ids), dtype=bool)
     local = np.arange(len(ids), dtype=np.int64)
     seg = encode_segment(local, tfs, block_size=block_size)
-    row = {"doc_ids": seg.doc_ids, "tfs": seg.tfs, "doc_map": (ids, local)}
+    row = {"doc_ids": seg.doc_ids, "tfs": seg.tfs, "doc_map": (ids, local),
+           "df": len(ids)}
     return eng._decoded("t", [row])
 
 

@@ -246,13 +246,17 @@ def test_interval_bounds_are_exact_maxima(n_docs, block_size, n_rows, data):
         tfs = rng.integers(1, 300, size=len(local)).astype(np.int64)
         seg = encode_segment(local, tfs, block_size=block_size)
         rows.append({"doc_ids": seg.doc_ids, "tfs": seg.tfs,
-                     "doc_map": (doc_map, np.searchsorted(doc_ids, doc_map))})
+                     "doc_map": (doc_map, np.searchsorted(doc_ids, doc_map)),
+                     "df": len(local)})
         posted.append(doc_map[local])
         posted_tfs.append(tfs)
     eng = object.__new__(QueryEngine)
     eng.doclens = SimpleNamespace(ids=doc_ids, lens=lens)
     eng.avgdl, eng.k1, eng.b, eng.block_size = avgdl, k1, b, block_size
     eng.index_dir, eng._dec_cache, eng.max_cached_segments = "mem", {}, 8
+    eng.n_docs, eng.shard_subset = len(doc_ids), None
+    eng._df_cache, eng._ddf = {}, {}
+    eng._alive = np.ones(len(doc_ids), dtype=bool)
     p = eng._decoded("t", rows)
     order = np.argsort(np.concatenate(posted))
     assert np.array_equal(p.ids, np.concatenate(posted)[order])
