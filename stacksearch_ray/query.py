@@ -18,9 +18,9 @@ Two scorers, verified rank-identical in tests:
   bounds ≥ θ₀ — the k-th best exact score of each term's few
   highest-part live postings, its "champions", a floor under the k-th
   best live score — bmax hands the query to ``exhaustive`` before it
-  scores any interval, and otherwise starts pruning from θ₀.
-  Measured on the 200k-doc zipf corpus in scripts/scorer_shootout.py
-  (BENCH/champion_theta_r18.json). Tombstoned docs never enter θ, so
+  scores any interval, and otherwise starts pruning from θ₀ (timings:
+  scripts/scorer_shootout.py on the 200k-doc zipf corpus,
+  BENCH/champion_theta_r18.json). Tombstoned docs never enter θ, so
   bmax serves appended, deleted and merged indexes like clean ones.
 
 Both read a term through one cache (``_decoded``): its postings over
