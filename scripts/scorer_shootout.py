@@ -4,15 +4,18 @@ where block maxima genuinely vary and pruning can pay off.
 Generates (once, cached under ``--root``) a corpus with a heavily skewed
 term distribution, builds the index, then times exhaustive / bmax / auto
 on a query mix (hot, rare, hot+rare, many near-uniform hot terms) and
-asserts all methods return bitwise-identical rankings. Every shape is
-timed twice: on the clean index and on a copy of it with 1% of its docs
+asserts all methods return bitwise-identical rankings. Each repeat times
+the three methods back to back (interleaved, cycling through their six
+orders), so their p50s compare like with like, and the output counts the
+repeats in which ``auto`` beat ``exhaustive``. Every shape is timed
+twice: on the clean index and on a copy of it with 1% of its docs
 deleted (also cached), where bmax must keep pruning. Each index also
 reports the method ``auto`` routes each shape to. ``--flat-lengths``
 draws the doc lengths from normal(60, 6) instead (doc-length cv about
 0.1, the same zipf terms), cached under its own directory: the corpus
 where block maxima vary least. Results feed the BASELINE.md shoot-out
-table and the BENCH/scorer_shootout_*.json, BENCH/one_path_*.json and
-BENCH/champion_theta_*.json artifacts.
+table and the BENCH/scorer_shootout_*.json, BENCH/one_path_*.json,
+BENCH/champion_theta_*.json and BENCH/dense_terms_*.json artifacts.
 
     python scripts/scorer_shootout.py [--n-docs 200000] [--repeats 5]
         [--root /tmp/zipf_shootout] [--flat-lengths]
@@ -21,6 +24,7 @@ BENCH/champion_theta_*.json artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -86,29 +90,37 @@ def deleted_copy(index_dir: str, n_docs: int, seed: int = 7) -> str:
     return out
 
 
+METHODS = ("exhaustive", "bmax", "auto")
+ORDERS = list(itertools.permutations(METHODS))
+
+
 def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict, dict]:
-    """(p50 ms per shape and method, the method auto routes each shape
-    to, bmax's pre-test share for each shape auto routes to bmax); all
-    methods must rank each shape bitwise alike."""
+    """(p50 ms per shape and method, plus ``auto_lower``: the share of
+    repeats in which auto ran faster than exhaustive; the method auto
+    routes each shape to; bmax's pre-test share for each shape auto
+    routes to bmax). Each repeat runs the three methods back to back,
+    so every method sees the same stretch of machine time, in the next
+    of their six orders, so each follows each other equally often over
+    a multiple of six repeats; all methods must rank each shape bitwise
+    alike."""
     results: dict[str, dict[str, float]] = {}
     for qname, q in QUERIES.items():
-        ref = None
-        row: dict[str, float] = {}
-        for method in ("exhaustive", "bmax", "auto"):
-            # warm (decode caches shared across methods — measure compute)
-            eng.search(q, k, method=method)
-            times = []
-            for _ in range(repeats):
+        # warm (decode caches shared across methods — measure compute)
+        ref = eng.search(q, k, method=METHODS[0])
+        times: dict[str, list[float]] = {m: [] for m in METHODS}
+        for r in range(repeats):
+            for method in ORDERS[r % len(ORDERS)]:
                 t0 = time.perf_counter()
                 res = eng.search(q, k, method=method)
-                times.append(time.perf_counter() - t0)
-            if ref is None:
-                ref = res
-            assert res == ref, f"rank mismatch: {qname} {method}"
-            row[method] = sorted(times)[len(times) // 2] * 1e3
+                times[method].append(time.perf_counter() - t0)
+                assert res == ref, f"rank mismatch: {qname} {method}"
+        row = {m: float(np.median(times[m])) * 1e3 for m in METHODS}
+        row["auto_lower"] = float(np.mean(
+            np.array(times["auto"]) < np.array(times["exhaustive"])))
         results[qname] = row
         print(f"{qname:12s} " + "  ".join(
-            f"{m}={row[m]:8.2f}ms" for m in row))
+            f"{m}={row[m]:8.2f}ms" for m in METHODS)
+            + f"  auto_lower={row['auto_lower']:.2f}")
     plans = {qname: eng.plan(q, k) for qname, q in QUERIES.items()}
     return (results, {qname: p["method"] for qname, p in plans.items()},
             {qname: p.get("bmax_pretest_share")

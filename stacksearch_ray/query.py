@@ -20,12 +20,15 @@ Two scorers, verified rank-identical in tests:
   best live score — bmax hands the query to ``exhaustive`` before it
   scores any interval, and otherwise starts pruning from θ₀ (timings:
   scripts/scorer_shootout.py on the 200k-doc zipf corpus,
-  BENCH/champion_theta_r18.json). Tombstoned docs never enter θ, so
+  BENCH/dense_terms_r20.json). Tombstoned docs never enter θ, so
   bmax serves appended, deleted and merged indexes like clean ones.
 
 Both read a term through one cache (``_decoded``): its postings over
 every segment row that holds it — each shard's, each appended file's —
-decoded once per engine and merged into dense doc order.
+decoded once per engine and merged into dense doc order. A term posted
+in at least ``DENSE_SHARE`` of the docs also keeps its contributions as
+one dense vector, which plain BM25 adds contiguously instead of
+scattering (``_add_wpart``).
 
 Any other ``method`` name raises ``ValueError``.
 
@@ -111,7 +114,10 @@ class _Postings(NamedTuple):
     for bmax: the intervals the term touches (ascending), its max
     ``part`` in each, and where each one's postings start
     (``off[j]:off[j + 1]``). ``champ`` holds the dense positions of the
-    term's ``CHAMPIONS`` highest-part live postings (``_champions``)."""
+    term's ``CHAMPIONS`` highest-part live postings (``_champions``).
+    ``dense`` is ``wpart`` scattered over zeros across every dense
+    position when the term is posted in at least ``DENSE_SHARE`` of the
+    engine's docs (``QueryEngine._dense_term``), else None."""
     ids: np.ndarray
     tfs: np.ndarray
     dls: np.ndarray
@@ -122,10 +128,26 @@ class _Postings(NamedTuple):
     ivmax: np.ndarray
     off: np.ndarray
     champ: np.ndarray
+    dense: np.ndarray | None
 
 
 # postings per term whose exact scores set bmax's first threshold
 CHAMPIONS = 16
+# share of the engine's docs a term must be posted in to keep a dense
+# contribution vector (memory bound: see QueryEngine._decoded)
+DENSE_SHARE = 0.25
+
+
+def _add_wpart(acc: np.ndarray, p: _Postings) -> None:
+    """``acc += `` the term's plain BM25 contributions: one contiguous
+    add of its dense vector when it has one, else one scatter. Every
+    contribution is > 0 (the dense vector exists only then), so a doc
+    the term misses gains +0.0 and keeps its value bitwise, and each
+    doc still sums its terms in the caller's order."""
+    if p.dense is not None:
+        acc += p.dense
+    else:
+        acc[p.didx] += p.wpart
 
 
 def _champions(wpart: np.ndarray, didx: np.ndarray, alive: np.ndarray,
@@ -307,26 +329,25 @@ class QueryEngine:
         # suggests
         self.wand_min_postings = 20_000_000
         # Fast path (measured, scripts/scorer_shootout.py on the 200k-doc
-        # zipf corpus, BENCH/champion_theta_r18.json, p50 ms bmax vs
-        # exhaustive): over fixed doc-id intervals bmax wins BELOW the
-        # general threshold on every shape with a hot term (hot1 0.4 vs
-        # 2.1, hot2 1.1 vs 4.3, hot+rare 0.6 vs 2.8, hot3+rare 1.2 vs
-        # 6.1), and loses on small candidate sets (rare2 0.4 vs 0.3,
-        # mid2 1.4 vs 0.5), where its set-up is most of the work. So
-        # bmax routes early when the query holds ≥ bmax_min_postings
-        # postings AND the corpus's doc lengths disperse (doc-length cv
-        # ≥ bmax_min_dl_cv). Shapes whose bounds cannot prune (hot8: 8
-        # hot terms) are sent on to exhaustive by bmax's champion
-        # pre-test before any interval is scored (see _search_bmax); the
-        # pre-test still costs hot8 about 11% over exhaustive (200k
-        # docs, 31 alternating repeats), so the cv gate keeps it off
+        # zipf corpus, BENCH/dense_terms_r20.json, p50 ms bmax vs
+        # exhaustive over 30 interleaved repeats): over fixed doc-id
+        # intervals bmax wins BELOW the general threshold on every shape
+        # with a hot term (hot1 0.68 vs 1.8, hot2 1.1 vs 2.0, hot+rare
+        # 0.81 vs 2.0, hot3+rare 0.64 vs 3.2), and loses on small
+        # candidate sets (rare2 0.65 vs 0.36, mid2 1.3 vs 0.46), where
+        # its set-up is most of the work. So bmax routes early when the
+        # query holds ≥ bmax_min_postings postings AND the corpus's doc
+        # lengths disperse (doc-length cv ≥ bmax_min_dl_cv). Shapes
+        # whose bounds cannot prune (hot8: 8 hot terms) are sent on to
+        # exhaustive by bmax's champion pre-test before any interval is
+        # scored (see _search_bmax); the pre-test still costs hot8 about
+        # 10% over exhaustive (6.4 vs 5.8 ms at cv 0.1, auto lower in 0
+        # of 30 interleaved repeats), so the cv gate keeps it off
         # flat-length corpora, although interval bmax wins there too on
-        # the other hot shapes (hot1 0.6 vs 2.8 ms at cv 0.1).
+        # the other hot shapes (hot1 0.66 vs 1.8 ms at cv 0.1).
         self.bmax_min_postings = 100_000
         self.bmax_min_dl_cv = 0.8
         self._dl_cv: float | None = None
-        # every posting's BM25 part is > 0 (see _search_exhaustive)
-        self._positive_parts = self.k1 >= 0.0 and 0.0 <= self.b <= 1.0
         # search_filtered plan="auto": route the postings-probe plan when
         # |allowed| * factor <= local doc count (selective cost is
         # |allowed|·log df per query term vs Σ df + an n_local pass for
@@ -335,6 +356,11 @@ class QueryEngine:
         # 10/100/1000, crossover ≈ n/100 — factor 128 routes just inside
         # the winning region.
         self.filtered_selective_factor = 128
+
+    @property
+    def _positive_parts(self) -> bool:
+        """Every posting's BM25 part is > 0 (see _search_exhaustive)."""
+        return self.k1 >= 0.0 and 0.0 <= self.b <= 1.0
 
     # the scoring path never reads the (optional, heavy) positions
     # column — positional reads go through term_positions only
@@ -607,7 +633,14 @@ class QueryEngine:
         engine's one decode cache, capped at ``max_cached_segments``
         terms. Global df, and so idf, is fixed per open engine, so the
         cache holds the idf-weighted parts too and stays
-        query-independent; every kernel scatters once per term.
+        query-independent; every kernel adds each term once.
+
+        A term posted in at least ``DENSE_SHARE`` of the engine's docs
+        also keeps ``dense``, its ``wpart`` over every dense position:
+        8 bytes per local doc, so at most 8 / ``DENSE_SHARE`` = 32
+        bytes per posting, beside the 48 per posting of its six sparse
+        arrays. Plain scoring adds it contiguously (``_add_wpart``),
+        and bmax's champion probe gathers from it.
 
         A doc posted twice for one term (a segment file copied under a
         second name) raises: a fancy-indexed ``acc[didx] += ...`` would
@@ -637,13 +670,27 @@ class QueryEngine:
                        self._df_global([term], {term: rows})[term]) * part
         iv = didx // self.block_size
         first = np.flatnonzero(np.concatenate(([True], iv[1:] != iv[:-1])))
+        dense = None
+        if self._dense_term(len(didx)):
+            dense = np.zeros(len(self.doclens.ids), dtype=np.float64)
+            dense[didx] = wpart
         hit = _Postings(ids, tfs, dls, part, wpart, didx, iv[first],
                         np.maximum.reduceat(part, first),
                         np.append(first, len(didx)),
-                        _champions(wpart, didx, self._alive, CHAMPIONS))
+                        _champions(wpart, didx, self._alive, CHAMPIONS),
+                        dense)
         if len(self._dec_cache) < self.max_cached_segments:
             self._dec_cache[term] = hit
         return hit
+
+    def _dense_term(self, n_postings: int) -> bool:
+        """Whether a term with ``n_postings`` postings in this engine
+        keeps a dense contribution vector (``_Postings.dense``): it is
+        posted in at least ``DENSE_SHARE`` of the local docs, and every
+        BM25 part is > 0, so adding the vector's zeros changes no
+        score."""
+        return (self._positive_parts
+                and n_postings >= DENSE_SHARE * len(self.doclens.ids))
 
     def search_boosted(self, boosts: dict[str, float], k: int = 10
                        ) -> list[tuple[int, float]]:
@@ -697,12 +744,15 @@ class QueryEngine:
                 if not rows:
                     continue
                 p = self._decoded(t, rows)
-                tacc[:] = 0.0
-                tacc[p.didx] += p.wpart
+                tv = p.dense
+                if tv is None:
+                    tv = tacc
+                    tv[:] = 0.0
+                    _add_wpart(tv, p)
                 hit[p.didx] = True
                 ghit = True
                 any_rows = True
-                np.maximum(gacc, tacc, out=gacc)
+                np.maximum(gacc, tv, out=gacc)
             if ghit:
                 acc += gacc
         if not any_rows:
@@ -1303,7 +1353,7 @@ class QueryEngine:
                 continue
             p = self._decoded(t, rows)
             if plain:
-                acc[p.didx] += p.wpart
+                _add_wpart(acc, p)
                 continue
             w = idf_fn(self.n_docs, dfs[t])
             if boosts is not None:
@@ -1460,6 +1510,9 @@ class QueryEngine:
             for p in posts]))
         sc = np.zeros(len(champ), dtype=np.float64)
         for p in posts:
+            if p.dense is not None:
+                sc += p.dense[champ]  # +0.0 where the term is absent
+                continue
             j = np.minimum(np.searchsorted(p.didx, champ), len(p.didx) - 1)
             m = p.didx[j] == champ
             sc[m] += p.wpart[j[m]]
@@ -1929,7 +1982,7 @@ class QueryEngine:
                 continue
             p = self._decoded(t, rows)
             if custom is None:
-                acc[p.didx] += p.wpart
+                _add_wpart(acc, p)
             else:
                 acc[p.didx] += custom(p.tfs, p.dls, dfs[t], t)
             hit[p.didx] = True
@@ -2182,18 +2235,21 @@ class QueryEngine:
         of ``explain``): what WOULD ``search(query, k)`` do and read,
         without scoring. Returns ``{"terms": [{"term", "df",
         "segment_rows", "cached"}...], "n_postings", "doclen_cv",
-        "method", "candidate_files", "files_to_read"}``
+        "method", "dense_terms", "candidate_files", "files_to_read"}``
         — ``method`` reproduces the auto-router's exact decision
-        (same thresholds, same inputs); the file counts expose the two
-        cold-read pruning layers (term-bucket map, then the exact
-        term-only verify). ``files_to_read`` is None when every needed
-        term is already cached (no read would happen) and also when no
-        map exists (whole-directory read). When ``method`` is bmax, the
-        plan also holds bmax's pre-test (_bmax_bounds, which decodes the
-        terms): ``bmax_theta0``, the champion floor θ₀ (None when the
-        champions hold fewer than k docs), and ``bmax_pretest_share``,
-        the share of the query's postings in intervals whose bound is
-        ≥ θ₀ — above 0.5, bmax hands the query to exhaustive scoring."""
+        (same thresholds, same inputs); ``dense_terms`` lists the terms
+        scored through a dense contribution vector (``_dense_term`` of
+        the rows' df, so nothing is decoded); the file counts expose
+        the two cold-read pruning layers (term-bucket map, then the
+        exact term-only verify). ``files_to_read`` is None when every
+        needed term is already cached (no read would happen) and also
+        when no map exists (whole-directory read). When ``method`` is
+        bmax, the plan also holds bmax's pre-test (_bmax_bounds, which
+        decodes the terms): ``bmax_theta0``, the champion floor θ₀
+        (None when the champions hold fewer than k docs), and
+        ``bmax_pretest_share``, the share of the query's postings in
+        intervals whose bound is ≥ θ₀ — above 0.5, bmax hands the query
+        to exhaustive scoring."""
         terms = sorted(set(clean_query(query)))
         if not terms:
             return {"terms": [], "n_postings": 0, "method": None,
@@ -2214,6 +2270,8 @@ class QueryEngine:
             "n_postings": n_postings,
             "doclen_cv": round(self._doclen_cv(), 4),
             "method": method,
+            "dense_terms": [t for t in terms if segs[t] and self._dense_term(
+                sum(r["df"] for r in segs[t]))],
             "candidate_files": (len(cand) if cand is not None else None),
             "files_to_read": (len(reads) if reads is not None else None),
         }
@@ -2291,7 +2349,7 @@ class QueryEngine:
         for t in terms:  # sorted order → deterministic accumulation
             if segs[t]:
                 p = self._decoded(t, segs[t])
-                acc[p.didx] += p.wpart
+                _add_wpart(acc, p)
                 nmatch[p.didx] += 1
         return acc, nmatch
 

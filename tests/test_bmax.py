@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stacksearch_ray.oracle import OracleBM25
-from stacksearch_ray.query import CHAMPIONS
+from stacksearch_ray.query import CHAMPIONS, DENSE_SHARE
 
 N_DOCS = 20_000
 N_TIES = 12          # docs scoring exactly alike on t00000, spread out
@@ -326,3 +326,96 @@ def test_plain_exhaustive_match_mask_is_positive_score(zipf_mutated, q):
     assert (hit & ~eng._alive).any()
     assert np.array_equal(seen["hit"], hit)
     assert np.array_equal(seen["acc"], acc)
+
+
+# every term dense, the module's own share, no term dense
+SHARES = (0.0, DENSE_SHARE, 2.0)
+
+
+def _at_share(monkeypatch, share, index_dir):
+    """A fresh engine over ``index_dir`` whose terms decode while
+    ``DENSE_SHARE`` is ``share`` (the vector is built at decode time)."""
+    from stacksearch_ray import query
+
+    monkeypatch.setattr(query, "DENSE_SHARE", share)
+    eng = query.QueryEngine(index_dir)
+    eng.bmax_min_postings = 1000
+    return eng
+
+
+def _dense_cases(request, index):
+    """(index dir, oracle) of the clean zipf index, or of its copy with
+    t00001's champions and top hits deleted — docs inside a term that
+    is dense at every share below 1/2."""
+    if index == "clean":
+        eng, oracle = request.getfixturevalue("zipf")
+    else:
+        eng, oracle, _ = request.getfixturevalue("champions_dead")
+    return eng.index_dir, oracle
+
+
+@pytest.mark.parametrize("index", ["clean", "deleted"])
+def test_dense_vector_iff_share(request, monkeypatch, index):
+    """A decoded term keeps a dense vector iff df ≥ DENSE_SHARE · n_local,
+    that vector is wpart scattered over zeros, and plan() names exactly
+    those terms."""
+    idx, _ = _dense_cases(request, index)
+    q = "t00000 t00001 t00005 t00300 t02998"
+    terms = q.split()
+    for share in SHARES:
+        eng = _at_share(monkeypatch, share, idx)
+        n_local = len(eng.doclens.ids)
+        segs = eng._segments_for(terms)
+        dense = []
+        for t in terms:
+            p = eng._decoded(t, segs[t])
+            assert (p.dense is not None) == (len(p.didx) >= share * n_local)
+            if p.dense is not None:
+                want = np.zeros(n_local)
+                want[p.didx] = p.wpart
+                assert np.array_equal(p.dense, want)
+                dense.append(t)
+        assert eng.plan(q)["dense_terms"] == dense, share
+        if share == 0.0:
+            assert dense == terms
+        elif share == 2.0:
+            assert dense == []
+    if index == "deleted":  # the deletes hit a dense term
+        p = eng._decoded("t00001", eng._segments_for(["t00001"])["t00001"])
+        assert len(p.didx) >= 0.5 * n_local
+        assert not eng._alive[p.didx].all()
+
+
+@pytest.mark.parametrize("k", [1, 10, CHAMPIONS + 5])
+@pytest.mark.parametrize("index", ["clean", "deleted"])
+def test_methods_equal_oracle_dense_or_sparse(request, monkeypatch, index, k):
+    """auto == bmax == exhaustive == oracle, bitwise, whether every
+    query term is scored through a dense vector or none is."""
+    idx, oracle = _dense_cases(request, index)
+    queries = AUTO_QUERIES + ("t00001 t02998",)
+    for share in SHARES:
+        eng = _at_share(monkeypatch, share, idx)
+        for q in queries:
+            want = oracle.search(q, k)
+            for method in ("auto", "bmax", "exhaustive"):
+                assert eng.search(q, k, method=method) == want, (
+                    share, q, method)
+
+
+@pytest.mark.parametrize("index", ["clean", "deleted"])
+def test_match_surfaces_equal_dense_or_sparse(request, monkeypatch, index):
+    """export_matches, search_min_should_match and search_synonym_groups
+    return the same arrays and rankings at every share."""
+    idx, _ = _dense_cases(request, index)
+    out = []
+    for share in SHARES:
+        eng = _at_share(monkeypatch, share, idx)
+        got = []
+        for q in ("t00000 t00001", "t00001 t00005 t02998"):
+            ids, scores = eng.export_matches(q)
+            got += [ids.tolist(), scores.tobytes(),
+                    eng.search_min_should_match(q, 2, 20)]
+        got.append(eng.search_synonym_groups(
+            [["t00000", "t00001"], ["t00005", "t02998"], ["t00300"]], 20))
+        out.append(got)
+    assert out[0] == out[1] == out[2]
