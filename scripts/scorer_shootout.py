@@ -94,15 +94,16 @@ METHODS = ("exhaustive", "bmax", "auto")
 ORDERS = list(itertools.permutations(METHODS))
 
 
-def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict, dict]:
+def time_shapes(eng, k: int, repeats: int
+                ) -> tuple[dict, dict, dict, dict]:
     """(p50 ms per shape and method, plus ``auto_lower``: the share of
     repeats in which auto ran faster than exhaustive; the method auto
-    routes each shape to; bmax's pre-test share for each shape auto
-    routes to bmax). Each repeat runs the three methods back to back,
-    so every method sees the same stretch of machine time, in the next
-    of their six orders, so each follows each other equally often over
-    a multiple of six repeats; all methods must rank each shape bitwise
-    alike."""
+    routes each shape to; bmax's pre-test share and its interval floor
+    for each shape auto routes to bmax). Each repeat runs the three
+    methods back to back, so every method sees the same stretch of
+    machine time, in the next of their six orders, so each follows each
+    other equally often over a multiple of six repeats; all methods must
+    rank each shape bitwise alike."""
     results: dict[str, dict[str, float]] = {}
     for qname, q in QUERIES.items():
         # warm (decode caches shared across methods — measure compute)
@@ -124,7 +125,8 @@ def time_shapes(eng, k: int, repeats: int) -> tuple[dict, dict, dict]:
     plans = {qname: eng.plan(q, k) for qname, q in QUERIES.items()}
     return (results, {qname: p["method"] for qname, p in plans.items()},
             {qname: p.get("bmax_pretest_share")
-             for qname, p in plans.items()})
+             for qname, p in plans.items()},
+            {qname: p.get("bmax_floor") for qname, p in plans.items()})
 
 
 def main() -> int:
@@ -163,18 +165,20 @@ def main() -> int:
         print("building index ...", file=sys.stderr)
         build_index(corpus, index_dir, content_col="text", id_col="doc_id")
 
-    results, routes, shares = time_shapes(QueryEngine(index_dir), args.k,
-                                          args.repeats)
+    results, routes, shares, floors = time_shapes(
+        QueryEngine(index_dir), args.k, args.repeats)
     print("-- 1% of docs deleted --")
-    del_results, del_routes, del_shares = time_shapes(
+    del_results, del_routes, del_shares, del_floors = time_shapes(
         QueryEngine(deleted_copy(index_dir, args.n_docs)), args.k,
         args.repeats)
     print(json.dumps({"n_docs": args.n_docs,
                       "flat_lengths": args.flat_lengths, "p50_ms": results,
                       "auto_route": routes, "bmax_pretest_share": shares,
+                      "bmax_floor": floors,
                       "deleted_1pct": {"p50_ms": del_results,
                                        "auto_route": del_routes,
-                                       "bmax_pretest_share": del_shares}}))
+                                       "bmax_pretest_share": del_shares,
+                                       "bmax_floor": del_floors}}))
     ray.shutdown()
     return 0
 

@@ -224,16 +224,21 @@ def _run_query(engine, q: dict, k: int) -> list[tuple[int, float]]:
         if kind == "prefix":
             ids = engine.search_wildcard(pat.lower())[0]
         elif kind == "wildcard":
-            import re as _re
-
             if pat.endswith("*") and "*" not in pat[:-1] \
                     and "?" not in pat:
                 ids = engine.search_wildcard(pat[:-1].lower())[0]
             else:
                 rx = "".join(".*" if c == "*" else "." if c == "?"
-                             else _re.escape(c) for c in pat.lower())
+                             else re.escape(c) for c in pat.lower())
                 ids = engine.search_regex(rx)[0]
         else:
+            # the vocabulary is lowercase, so an uppercase literal could
+            # only match nothing; escapes (\S, \W, ...) stay legal
+            if any(c.isupper() for c in re.sub(r"\\.", "", pat,
+                                               flags=re.S)):
+                raise UnsupportedEsQuery(
+                    f"regexp {pat!r} holds an uppercase literal; the "
+                    "index vocabulary is lowercase")
             ids = engine.search_regex(pat)[0]
         return [(int(d), boost) for d in ids[:k]]
     if kind == "bool":

@@ -18,7 +18,9 @@ Two scorers, verified rank-identical in tests:
   bounds ≥ θ₀ — the k-th best exact score of each term's few
   highest-part live postings, its "champions", a floor under the k-th
   best live score — bmax hands the query to ``exhaustive`` before it
-  scores any interval, and otherwise starts pruning from θ₀ (timings:
+  scores any interval (before it builds the bounds at all when the
+  terms' least interval maxima already sum to θ₀ or more), and
+  otherwise starts pruning from θ₀ (timings:
   scripts/scorer_shootout.py on the 200k-doc zipf corpus,
   BENCH/dense_terms_r20.json). Tombstoned docs never enter θ, so
   bmax serves appended, deleted and merged indexes like clean ones.
@@ -35,6 +37,8 @@ Any other ``method`` name raises ``ValueError``.
 Scoring: float64, idf = ln((N-df+0.5)/(df+0.5)+1) from GLOBAL stats only,
 contributions accumulated in sorted-term order so scores are bitwise
 identical to the oracle (oracle.py). Tie-break: score desc, doc_id asc.
+Every scorer ends in one top-k tail (``_topk_select``): a sampled
+threshold under the k-th best score picks the few docs worth sorting.
 
 Query fan-out: the index is doc-sharded, so each shard's top-k is
 independent. ``ShardedQueryEngine`` serves it from long-lived
@@ -117,7 +121,9 @@ class _Postings(NamedTuple):
     term's ``CHAMPIONS`` highest-part live postings (``_champions``).
     ``dense`` is ``wpart`` scattered over zeros across every dense
     position when the term is posted in at least ``DENSE_SHARE`` of the
-    engine's docs (``QueryEngine._dense_term``), else None."""
+    engine's docs (``QueryEngine._dense_term``), else None. ``ivfloor``
+    is the least of ``ivmax`` when the term touches every interval,
+    else 0.0: no interval's max part for the term is below it."""
     ids: np.ndarray
     tfs: np.ndarray
     dls: np.ndarray
@@ -129,6 +135,7 @@ class _Postings(NamedTuple):
     off: np.ndarray
     champ: np.ndarray
     dense: np.ndarray | None
+    ivfloor: float
 
 
 # postings per term whose exact scores set bmax's first threshold
@@ -160,21 +167,34 @@ def _champions(wpart: np.ndarray, didx: np.ndarray, alive: np.ndarray,
     return didx[live]
 
 
-def _topk_select(acc: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` of ``cand`` (ascending positions into ``acc``,
-    ascending with doc id) in (score desc, doc id asc) order. Past 4k
-    candidates, the k-th largest score of a stride sample (every 16th
-    candidate, once that sample holds k) is a lower bound on the k-th
-    largest of all, so only candidates scoring at least that are sorted;
-    every candidate tied with the k-th score survives the filter, which
-    keeps the order exact."""
-    s = acc[cand]
-    if len(cand) > 4 * k:
-        sample = s[::16] if len(s) >= 16 * k else s
-        thresh = np.partition(sample, len(sample) - k)[len(sample) - k]
-        keep = s >= thresh
-        cand, s = cand[keep], s[keep]
-    return cand[np.lexsort((cand, -s))[:k]]
+def _topk_select(acc: np.ndarray, k: int, hit: np.ndarray | None = None,
+                 live: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the top ``k`` candidates of ``acc`` in (score desc,
+    position asc) order; a candidate is a matched position (``hit``, or
+    ``acc > 0`` when ``hit`` is None) that ``live`` allows (every one
+    when ``live`` is None). The k-th largest score of the candidates at
+    every 16th position is a real candidate's score, so it is a lower
+    bound ``t`` on the k-th largest of all: only positions scoring at
+    least ``t`` are gathered and sorted, and every tie with the k-th
+    score survives, which keeps the order exact. With fewer than k
+    sampled candidates every candidate is sorted. The full candidate
+    list is never built."""
+    if k < 1:
+        return np.empty(0, dtype=np.int64)
+    s = acc[::16]
+    m = s > 0 if hit is None else hit[::16]
+    if live is not None:
+        m = m & live[::16]  # m may be a view of hit
+    s = s[m]
+    if len(s) >= k:
+        cand = np.flatnonzero(acc >= np.partition(s, len(s) - k)[len(s) - k])
+        if hit is not None:  # t > 0 already implies acc > 0
+            cand = cand[hit[cand]]
+    else:
+        cand = np.flatnonzero(acc > 0 if hit is None else hit)
+    if live is not None:
+        cand = cand[live[cand]]
+    return cand[np.lexsort((cand, -acc[cand]))[:k]]
 
 
 def _file_version(path: str) -> tuple[int, int, int]:
@@ -329,22 +349,23 @@ class QueryEngine:
         # suggests
         self.wand_min_postings = 20_000_000
         # Fast path (measured, scripts/scorer_shootout.py on the 200k-doc
-        # zipf corpus, BENCH/dense_terms_r20.json, p50 ms bmax vs
-        # exhaustive over 30 interleaved repeats): over fixed doc-id
+        # zipf corpus, BENCH/topk_tail_r21.json, p50 ms bmax vs
+        # exhaustive over 18 interleaved repeats): over fixed doc-id
         # intervals bmax wins BELOW the general threshold on every shape
-        # with a hot term (hot1 0.68 vs 1.8, hot2 1.1 vs 2.0, hot+rare
-        # 0.81 vs 2.0, hot3+rare 0.64 vs 3.2), and loses on small
-        # candidate sets (rare2 0.65 vs 0.36, mid2 1.3 vs 0.46), where
+        # with a hot term (hot1 0.77 vs 1.00, hot2 1.12 vs 1.26, hot+rare
+        # 0.40 vs 0.53, hot3+rare 0.67 vs 0.99), and loses on small
+        # candidate sets (rare2 0.30 vs 0.22, mid2 1.26 vs 0.39), where
         # its set-up is most of the work. So bmax routes early when the
         # query holds ≥ bmax_min_postings postings AND the corpus's doc
         # lengths disperse (doc-length cv ≥ bmax_min_dl_cv). Shapes
         # whose bounds cannot prune (hot8: 8 hot terms) are sent on to
-        # exhaustive by bmax's champion pre-test before any interval is
-        # scored (see _search_bmax); the pre-test still costs hot8 about
-        # 10% over exhaustive (6.4 vs 5.8 ms at cv 0.1, auto lower in 0
-        # of 30 interleaved repeats), so the cv gate keeps it off
+        # exhaustive by bmax's pre-test, which ends at the interval floor
+        # before any bound is built (see _bmax_bounds); the champion
+        # probe it still runs costs hot8 about 7% over exhaustive at cv
+        # 0.1 (1.44 vs 1.34 ms, auto lower in 1 of 18 interleaved
+        # repeats with the gate open), so the cv gate keeps it off
         # flat-length corpora, although interval bmax wins there too on
-        # the other hot shapes (hot1 0.66 vs 1.8 ms at cv 0.1).
+        # the other hot shapes.
         self.bmax_min_postings = 100_000
         self.bmax_min_dl_cv = 0.8
         self._dl_cv: float | None = None
@@ -674,11 +695,13 @@ class QueryEngine:
         if self._dense_term(len(didx)):
             dense = np.zeros(len(self.doclens.ids), dtype=np.float64)
             dense[didx] = wpart
-        hit = _Postings(ids, tfs, dls, part, wpart, didx, iv[first],
-                        np.maximum.reduceat(part, first),
+        ivmax = np.maximum.reduceat(part, first)
+        n_iv = -(-len(self.doclens.ids) // self.block_size)
+        hit = _Postings(ids, tfs, dls, part, wpart, didx, iv[first], ivmax,
                         np.append(first, len(didx)),
                         _champions(wpart, didx, self._alive, CHAMPIONS),
-                        dense)
+                        dense,
+                        float(ivmax.min()) if len(first) == n_iv else 0.0)
         if len(self._dec_cache) < self.max_cached_segments:
             self._dec_cache[term] = hit
         return hit
@@ -1332,11 +1355,12 @@ class QueryEngine:
                   else self._resolve_scorer(scorer, terms, segs))
         if not any(segs[t] for t in terms):
             return []
-        # plain BM25 adds each term's cached idf·part and reads the
-        # matched docs off the scores: idf > 0 and part > 0 for tf ≥ 1,
-        # so a doc matches iff its score is > 0. A boost (idf·boost)·part
-        # is not bitwise wpart·boost, and a boost or a custom scorer may
-        # score a match 0 or less, so those keep a hit mask.
+        # plain BM25 adds each term's cached idf·part and the top-k tail
+        # reads the matched docs off the scores: idf > 0 and part > 0 for
+        # tf ≥ 1, so a doc matches iff its score is > 0. A boost
+        # (idf·boost)·part is not bitwise wpart·boost, and a boost or a
+        # custom scorer may score a match 0 or less, so those keep a hit
+        # mask.
         plain = (custom is None and boosts is None and feature is None
                  and self._positive_parts)
         dfs = None if plain else self._df_global(terms, segs)
@@ -1363,8 +1387,6 @@ class QueryEngine:
             else:
                 acc[p.didx] += custom(p.tfs, p.dls, dfs[t], t)
             hit[p.didx] = True
-        if plain:
-            hit = acc > 0
         if feature is not None:
             # doc-value combine over matched docs only — per-doc
             # expression is acc + weight·feat ("add", the boost shape)
@@ -1377,30 +1399,31 @@ class QueryEngine:
                 acc[m] = acc[m] + feature_weight * feature[m]
         return self._topk_dense(acc, hit, k, allowed)
 
-    def _topk_dense(self, acc: np.ndarray, hit: np.ndarray, k: int,
+    def _topk_dense(self, acc: np.ndarray, hit: np.ndarray | None, k: int,
                     allowed: np.ndarray | None = None
                     ) -> list[tuple[int, float]]:
         """(score desc, doc_id asc) top-k from a dense accumulator over
         the sorted local doc space — the shared tail of every dense
         scorer (exhaustive, bmax, boosted, synonym-group, ...): masking
-        and ordering only, scores untouched."""
-        n_local = len(self.doclens.ids)
-        hit &= self._alive  # tombstoned docs never surface
+        and ordering only, scores untouched. ``hit`` marks the matched
+        docs; None means the docs scoring > 0 (plain BM25, whose every
+        contribution is > 0). Tombstoned docs never surface, and
+        neither the match mask nor the candidate list is built in full
+        (_topk_select)."""
+        live = self._alive
         if allowed is not None:
             # dense allowed-set mask over the local doc space (sorted
             # membership probe — scores are untouched, so filtered
             # results are bitwise equal to the unfiltered scores of the
             # surviving docs, exactly SQL's WHERE-then-ORDER BY)
+            n_local = len(self.doclens.ids)
             amask = np.zeros(n_local, dtype=bool)
             pos = np.searchsorted(self.doclens.ids, allowed)
             ok = pos < n_local
             pos = pos[ok]
             amask[pos[self.doclens.ids[pos] == allowed[ok]]] = True
-            hit &= amask
-        cand = np.flatnonzero(hit)
-        if len(cand) == 0 or k < 1:
-            return []
-        sel = _topk_select(acc, cand, k)
+            live = live & amask
+        sel = _topk_select(acc, k, hit, live)
         return list(zip(self.doclens.ids[sel].tolist(), acc[sel].tolist()))
 
     # ---------- vectorized block-max scoring (best-first intervals) ----------
@@ -1435,6 +1458,10 @@ class QueryEngine:
            sit in intervals whose bound is ≥ θ₀, the query goes to
            ``_search_exhaustive`` before any interval is scored;
            otherwise the batches start from θ₀ (see _bmax_bounds).
+           When the interval floor (Σ_t idf_t · the term's least
+           interval max, 0 for a term that misses an interval) is
+           already ≥ θ₀, every bound is, and the query goes on without
+           the bounds ever being built.
 
         Tombstoned docs never enter θ. Contributions accumulate in
         sorted-term order → bitwise identical to exhaustive/oracle
@@ -1444,8 +1471,8 @@ class QueryEngine:
         bounds = self._bmax_bounds(terms, k)
         if bounds is None:
             return []
-        posts, ub, n_post, theta0, n_hot = bounds
-        if 2 * n_hot > int(n_post.sum()):
+        posts, ub, n_post, theta0, n_hot, _ = bounds
+        if ub is None or 2 * n_hot > int(n_post.sum()):
             return self._search_exhaustive(terms, k)
         order = np.flatnonzero((n_post > 0) & (ub >= theta0))
         order = order[np.argsort(-ub[order], kind="stable")]
@@ -1486,23 +1513,22 @@ class QueryEngine:
         """bmax's set-up and pre-test (``_search_bmax`` steps 1 and 3):
         (the query terms' postings in sorted-term order, each interval's
         bound ``ub``, its posting count ``n_post``, the champion floor
-        θ₀, the postings in intervals with ``ub`` ≥ θ₀), or None when no
-        term has postings. θ₀ is -inf when the champions hold fewer than
-        k docs. A champion's score adds its terms' ``wpart`` from 0.0 in
-        sorted-term order, as every scorer does, so θ₀ is a real live
-        score, bitwise."""
+        θ₀, the postings in intervals with ``ub`` ≥ θ₀, the interval
+        floor), or None when no term has postings. θ₀ is -inf when the
+        champions hold fewer than k docs. A champion's score adds its
+        terms' ``wpart`` from 0.0 in sorted-term order, as every scorer
+        does, so θ₀ is a real live score, bitwise. The interval floor
+        Σ_t w_t·ivfloor_t, summed in the same order, is ≤ every
+        interval's bound (float multiply and add are monotone, and a
+        term missing an interval has ivfloor 0.0); when it is ≥ θ₀,
+        every posting sits under a bound ≥ θ₀, so ``ub`` and ``n_post``
+        are None, never built, and the count is every posting."""
         segs = self._segments_for(terms)
         dfs = self._df_global(terms, segs)
         ws = [(idf_fn(self.n_docs, dfs[t]), self._decoded(t, segs[t]))
               for t in terms if segs[t]]
         if not ws:
             return None
-        n_iv = -(-len(self.doclens.ids) // self.block_size)
-        ub = np.zeros(n_iv, dtype=np.float64)
-        n_post = np.zeros(n_iv, dtype=np.int64)
-        for w, p in ws:  # sorted-term order, as every doc's own sum
-            ub[p.iv] += w * p.ivmax
-            n_post[p.iv] += p.off[1:] - p.off[:-1]
         posts = [p for _, p in ws]
         champ = np.unique(np.concatenate([
             p.champ if k <= CHAMPIONS
@@ -1518,7 +1544,20 @@ class QueryEngine:
             sc[m] += p.wpart[j[m]]
         theta0 = (float(np.partition(sc, len(sc) - k)[len(sc) - k])
                   if len(sc) >= k else -np.inf)
-        return posts, ub, n_post, theta0, int(n_post[ub >= theta0].sum())
+        floor = 0.0
+        for w, p in ws:  # sorted-term order, as every bound's own sum
+            floor += w * p.ivfloor
+        if floor >= theta0:
+            return (posts, None, None, theta0,
+                    sum(len(p.didx) for p in posts), floor)
+        n_iv = -(-len(self.doclens.ids) // self.block_size)
+        ub = np.zeros(n_iv, dtype=np.float64)
+        n_post = np.zeros(n_iv, dtype=np.int64)
+        for w, p in ws:  # sorted-term order, as every doc's own sum
+            ub[p.iv] += w * p.ivmax
+            n_post[p.iv] += p.off[1:] - p.off[:-1]
+        return (posts, ub, n_post, theta0, int(n_post[ub >= theta0].sum()),
+                floor)
 
     def _doclen_cv(self) -> float:
         """Coefficient of variation of doc lengths (computed once per
@@ -2246,7 +2285,9 @@ class QueryEngine:
         when no map exists (whole-directory read). When ``method`` is
         bmax, the plan also holds bmax's pre-test (_bmax_bounds, which
         decodes the terms): ``bmax_theta0``, the champion floor θ₀
-        (None when the champions hold fewer than k docs), and
+        (None when the champions hold fewer than k docs),
+        ``bmax_floor``, the interval floor under every bound (at or
+        above θ₀, the pre-test ends without building the bounds), and
         ``bmax_pretest_share``, the share of the query's postings in
         intervals whose bound is ≥ θ₀ — above 0.5, bmax hands the query
         to exhaustive scoring."""
@@ -2278,9 +2319,11 @@ class QueryEngine:
         bounds = (self._bmax_bounds(terms, k)
                   if method == "bmax" and k >= 1 else None)
         if bounds is not None:
-            _, _, n_post, theta0, n_hot = bounds
+            posts, _, _, theta0, n_hot, floor = bounds
             out["bmax_theta0"] = theta0 if theta0 > -np.inf else None
-            out["bmax_pretest_share"] = round(n_hot / int(n_post.sum()), 4)
+            out["bmax_floor"] = floor
+            out["bmax_pretest_share"] = round(
+                n_hot / sum(len(p.didx) for p in posts), 4)
         return out
 
     def explain(self, query: str, doc_id: int,
@@ -2629,10 +2672,7 @@ class QueryEngine:
             else:
                 acc[m] += custom(p.tfs, p.dls, dfs[t], t)[src]
             hit |= m
-        cand = np.flatnonzero(hit)
-        if len(cand) == 0 or k < 1:
-            return []
-        sel = _topk_select(acc, cand, k)     # apos ascends with doc id
+        sel = _topk_select(acc, k, hit)       # apos ascends with doc id
         return list(zip(self.doclens.ids[apos[sel]].tolist(),
                         acc[sel].tolist()))
 

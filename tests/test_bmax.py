@@ -85,7 +85,9 @@ def test_pruning_path_bitwise(zipf, q):
     with mock.patch.object(eng, "_topk_dense", wraps=eng._topk_dense) as tk:
         got, fell_back = _bmax(eng, q, 10)
     assert not fell_back
-    scored = int(tk.call_args.args[1].sum())  # the docs bmax scored
+    acc, hit = tk.call_args.args[:2]
+    assert np.array_equal(hit, acc > 0)       # the tail's match mask
+    scored = int(hit.sum())  # the docs bmax scored
     assert scored < len(eng.export_matches(q)[0]) // 2
     assert got == eng.search(q, 10, method="exhaustive") == oracle.search(q, 10)
 
@@ -296,12 +298,73 @@ def test_term_with_every_champion_tombstoned(champions_dead, k):
     assert not fell_back and got == oracle.search("t00001", k)
 
 
+def _full_pretest(eng, terms: list[str], k: int) -> tuple[bool, float]:
+    """bmax's pre-test from scratch: (falls back, θ₀), θ₀ the k-th best
+    exact live score over the union of the terms' champions, and every
+    interval's bound and posting count built in full."""
+    from stacksearch_ray.build import idf
+
+    segs = eng._segments_for(terms)
+    dfs = eng._df_global(terms, segs)
+    posts = [(idf(eng.n_docs, dfs[t]), eng._decoded(t, segs[t]))
+             for t in terms if segs[t]]
+    assert k <= CHAMPIONS  # the cached champions serve k
+    champ = set()
+    for _, p in posts:
+        champ |= set(p.champ.tolist())
+    ids, scores = eng.export_matches(" ".join(terms))
+    by_id = dict(zip(ids.tolist(), scores.tolist()))
+    sc = sorted((by_id[d] for d in eng.doclens.ids[sorted(champ)].tolist()
+                 if d in by_id), reverse=True)
+    n_iv = -(-len(eng.doclens.ids) // eng.block_size)
+    ub, n_post = np.zeros(n_iv), np.zeros(n_iv, dtype=np.int64)
+    for w, p in posts:
+        ub[p.iv] += w * p.ivmax
+        n_post[p.iv] += np.diff(p.off)
+    theta0 = sc[k - 1] if len(sc) >= k else -np.inf
+    return 2 * int(n_post[ub >= theta0].sum()) > int(n_post.sum()), theta0
+
+
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("index", ["zipf", "zipf_mutated", "champions_dead"])
+def test_interval_floor_short_circuit_keeps_the_decision(request, monkeypatch,
+                                                        index, k):
+    """The interval floor Σ w·ivfloor lies under every interval's bound:
+    ``ivfloor`` is the least interval max of a term that touches every
+    interval, else 0.0, and wherever the pre-test ends at the floor, or
+    not, its fallback decision and θ₀ equal those of the full interval
+    pass. The 8-hot-term query ends at the floor."""
+    eng = request.getfixturevalue(index)[0]
+    n_iv = -(-len(eng.doclens.ids) // eng.block_size)
+    hot8 = " ".join(f"t{i:05d}" for i in range(8))
+    assert hot8 in AUTO_QUERIES
+    for q in AUTO_QUERIES + ("t00001", "t00001 t02998"):
+        terms = sorted(set(q.split()))
+        posts, ub, n_post, theta0, n_hot, floor = eng._bmax_bounds(terms, k)
+        for p in posts:
+            assert p.ivfloor == (p.ivmax.min() if len(p.iv) == n_iv
+                                 else 0.0), q
+        want_fallback, want_theta0 = _full_pretest(eng, terms, k)
+        assert theta0 == want_theta0, q
+        n_total = sum(len(p.didx) for p in posts)
+        got_fallback = ub is None or 2 * n_hot > n_total
+        assert got_fallback == want_fallback, q
+        assert (ub is None) == (floor >= theta0), q
+    monkeypatch.setattr(eng, "bmax_min_postings", 1)  # plan() shows bmax
+    plan = eng.plan(hot8, k)
+    _, ub, _, _, _, floor = eng._bmax_bounds(sorted(hot8.split()), k)
+    assert ub is None and plan["method"] == "bmax"
+    assert plan["bmax_floor"] == floor >= plan["bmax_theta0"]
+    assert plan["bmax_pretest_share"] == 1.0
+
+
 @pytest.mark.parametrize("q", ["t00000", "t00000 t00001", "t00001 t02998"])
 def test_plain_exhaustive_match_mask_is_positive_score(zipf_mutated, q):
-    """Plain BM25 exhaustive scoring reads the matched docs off its
-    scores (acc > 0); on an index with deletes that mask equals the
-    per-term scatter mask — tombstoned matches included — and the
-    scores equal idf · part summed in sorted-term order, bitwise."""
+    """Plain BM25 exhaustive scoring hands the top-k tail no match mask,
+    so the tail reads the matched docs off the scores (acc > 0); on an
+    index with deletes that set equals the per-term scatter mask —
+    tombstoned matches included — and the scores equal idf · part
+    summed in sorted-term order, bitwise."""
     from stacksearch_ray.build import idf
 
     eng, _ = zipf_mutated
@@ -309,7 +372,8 @@ def test_plain_exhaustive_match_mask_is_positive_score(zipf_mutated, q):
     real = eng._topk_dense
 
     def spy(acc, hit, k, allowed=None):
-        seen["acc"], seen["hit"] = acc.copy(), hit.copy()
+        assert hit is None
+        seen["acc"], seen["hit"] = acc.copy(), acc > 0
         return real(acc, hit, k, allowed)
 
     terms = sorted(set(q.split()))

@@ -263,3 +263,15 @@ def test_prefix_wildcard_regexp(eng):
                                                       "mer.e"}}}))
     want_r = [int(d) for d in eng.search_regex("mer.e")[0][:10]]
     assert [d for d, _ in got_r] == want_r and want_r  # non-vacuous
+
+
+def test_regexp_uppercase_literal_raises(eng):
+    # the vocabulary is lowercase: an uppercase literal would silently
+    # match nothing, so it is refused; backslash escapes stay legal
+    for pat in ("Mer.e", "mer[A-Z]e", "MERGE"):
+        with pytest.raises(UnsupportedEsQuery, match="uppercase"):
+            es_search(eng, {"query": {"regexp": {"text": pat}}})
+    for pat in (r"mer\Se", r"\Wmerge|mer\w\w"):
+        want = [int(d) for d in eng.search_regex(pat)[0][:10]]
+        got = hits(es_search(eng, {"query": {"regexp": {"text": pat}}}))
+        assert [d for d, _ in got] == want and want  # "merge" matches
