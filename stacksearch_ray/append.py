@@ -45,7 +45,7 @@ from .build import (
     doc_totals,
     write_segment_file,
 )
-from .checkpoint import map_units, write_term_dict
+from .checkpoint import map_units, parquet_files, write_term_dict
 from .schema import SEG_MAP_NAME, read_seg_map_entry, write_seg_bucket_map
 
 
@@ -408,10 +408,11 @@ def purge_doc_ids(index_dir: str, doc_ids) -> dict:
             D, block_size, store_positions)} for u in units]
 
     # crossover (4-CPU host, 8k docs over 32 shards): serial work costs
-    # ~0.05 s/file, one map_units execution ~0.065 s of wall and
-    # ~0.085 s of machine CPU plus ~18 ms per further task. 16 files
-    # took 0.90 s serially, 17 fanned out 0.75 s of wall but 0.4 s more
-    # machine CPU, so only work lists past 16 files fan out
+    # ~0.05 s/file. Set when a fan-out was a Ray Data execution (~0.085 s
+    # of machine CPU plus ~18 ms per further task): 16 files took 0.90 s
+    # serially, 17 fanned out 0.75 s of wall but 0.4 s more machine CPU,
+    # so only work lists past 16 files fan out. map_units now costs
+    # ~0.01 s plus 2-3 ms per task; the threshold is not re-measured
     units = [{"fname": f} for f in cand_files]
     results = (_run_files(units) if len(units) <= 16
                else map_units(_run_files, units))
@@ -753,6 +754,11 @@ def append_to_index(source, index_dir: str,
                     **cfg_overrides) -> dict:
     """Append ``source`` documents to an existing index. Returns updated
     stats. New doc ids must be disjoint from existing ones (checked).
+    A path source (a parquet file, a directory or a list of files)
+    stages one part per input file through ``map_units``, as a
+    path-source build does; a ``ray.data.Dataset`` streams through Ray
+    Data in ``batch_size``-row batches. Both give the same term_dict and
+    scores, and byte-equal segment files once compacted (tested).
 
     Crash-safe: both the docs rows AND the new segment files are staged
     outside the live directories while the expensive work (tokenize,
@@ -810,10 +816,7 @@ def append_to_index(source, index_dir: str,
     segments_dir = os.path.join(index_dir, "segments")
     term_dict_dir = os.path.join(index_dir, "term_dict")
 
-    if isinstance(source, rd.Dataset):
-        src_ds = source
-    else:
-        src_ds = rd.read_parquet(source)
+    files = None if isinstance(source, rd.Dataset) else parquet_files(source)
 
     # STAGE outside docs/ and segments/ first — the collision check
     # below may reject this append, and new rows must not pollute the
@@ -821,7 +824,7 @@ def append_to_index(source, index_dir: str,
     # exactly as it was)
     import shutil
 
-    from .checkpoint import shard_phase, stage_dataset
+    from .checkpoint import shard_phase, stage_dataset, stage_files
 
     # heal any crashed prior append, then sweep journal-less staged
     # dirs (crash before the journal was written; single-writer
@@ -839,8 +842,12 @@ def append_to_index(source, index_dir: str,
     try:
         for d in scratch:
             os.makedirs(d)
-        # one tokenize per delta batch: docs parts + staged postings
-        stage_dataset(src_ds, cfg, staged_dir, post_staged)
+        # one tokenize per delta file or batch: docs parts + staged
+        # postings
+        if files is None:
+            stage_dataset(source, cfg, staged_dir, post_staged)
+        else:
+            stage_files(files, cfg, staged_dir, post_staged)
 
         # refresh stats over the UNION of old + staged docs; paths (not
         # a pads dataset) so the beyond-driver-scale distributed audit
@@ -1015,18 +1022,18 @@ def upsert_to_index(source, index_dir: str,
     from .build import _resolve_doc_ids
 
     if isinstance(source, rd.Dataset):
-        src_ds = source
+        def ids_only(b: pa.Table) -> pa.Table:
+            return pa.table({"doc_id": pa.array(
+                np.asarray(_resolve_doc_ids(b, cfg)), pa.int64())})
+
+        delta_ids = (source.map_batches(ids_only, batch_format="pyarrow")
+                     .to_pandas()["doc_id"].to_numpy())
     else:
-        src_ds = rd.read_parquet(source)
-
-    def ids_only(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        return pa.table({"doc_id": pa.array(
-            np.asarray(_resolve_doc_ids(b, cfg)), pa.int64())})
-
-    delta_ids = (src_ds.map_batches(ids_only, batch_format="pyarrow")
-                 .to_pandas()["doc_id"].to_numpy())
+        # a path source: read only the id (or key) columns, driver-side
+        delta_ids = _resolve_doc_ids(pads.dataset(
+            parquet_files(source), format="parquet").to_table(
+                columns=[cfg.id_col] if cfg.id_col else list(cfg.key_cols)),
+            cfg)
     docs_dir = os.path.join(index_dir, "docs")
     existing = pq.read_table(
         docs_dir, columns=["doc_id"],
@@ -1312,7 +1319,7 @@ def compact_index(index_dir: str, num_shards: int | None = None) -> dict:
     # the docs parts to rewrite into docs.compact (tombstoned rows
     # dropped, the new shard column on a reshard), dealt round-robin
     # onto the segment units: the rewrite rides the segment work's
-    # map_units execution and adds no task of its own
+    # map_units call and adds no task of its own
     docs_tmp = docs_dir + ".compact"
     docs_parts = []
     if reshard or len(tomb):

@@ -5,9 +5,10 @@
       groups align to shard boundaries, temp-then-rename.
       ``build_index_resumable`` runs it once per input-file partition and
       records lineage (input files, rows, postings, sha256 rollup, wall
-      seconds) in manifest.json; ``stage_dataset`` runs it once per batch
-      of a ``ray.data.Dataset`` (``build.build_index`` on a Dataset, and
-      ``append.append_to_index``).
+      seconds) in manifest.json; ``stage_files`` runs it once per input
+      file of a path-source append; ``stage_dataset`` runs it once per
+      batch of a ``ray.data.Dataset`` (``build.build_index`` and
+      ``append.append_to_index`` on a Dataset).
   stats: streaming scan of the docs parts → n_docs, total_len, avgdl.
   shards: ``shard_phase`` batches index shards into Ray tasks; each task
       reads its shards' row groups of the staged postings in one scan
@@ -29,15 +30,22 @@ skipped as well, so re-running a committed build does not re-tokenize to
 rebuild the staged postings its commit deleted. ``stop_after_partitions``
 injects a deterministic interrupt for the resume test (FIXTURES.md F6).
 
-Scale notes: every writer fan-out (the partition and shard phases
-here; append, purge and compaction in ``append.py``) runs through
-``map_units``, one Ray Data ``from_items → map_batches → take_all`` pass
-whose task count comes from one sizing rule (``task_plan``): units are
-batched so the phase runs in one wave of at most ``task_slots`` tasks
-while a task holds at most 4 units, and in at least four waves of
-``n // (4·slots)`` units per task beyond that. A Ray Data execution costs
-about 0.07 s plus about 18 ms of machine CPU per task, so one task per
-file or shard spent more CPU on fan-out than on tokenizing and encoding.
+Scale notes: every writer fan-out over parquet paths (the partition and
+shard phases here; a path-source append's staging, purge and compaction
+in ``append.py``) runs through ``map_units``: plain Ray tasks, at most
+``task_slots`` in flight, whose count comes from one sizing rule
+(``task_plan``): units are batched so the phase runs in one wave of at
+most ``task_slots`` tasks while a task holds at most 4 units, and in at
+least four waves of ``n // (4·slots)`` units per task beyond that. On a
+4-vCPU host a trivial ``map_units`` call costs about 0.01 s of machine
+CPU plus about 2-3 ms per task (1, 8 and 16 tasks: 0.01-0.02, 0.03-0.04
+and 0.04-0.05 s); the Ray Data ``from_items → map_batches → take_all``
+pass it replaced cost about 0.07 s plus 18-20 ms per task (0.07,
+0.19-0.24 and 0.35-0.39 s), most of it the driver's streaming executor,
+for a handful of file names and shard ids (``BENCH/plain_task_fanout.json``).
+A Dataset source keeps Ray Data (``stage_dataset``): its rows stream
+block by block from an upstream pipeline, and no driver-side plan can
+name its batches before they exist.
 A shard task materializes its shards' postings at once — choose
 num_shards so that a batch fits a worker (S grows with the corpus).
 Staged postings are columnar parquet (term dictionary-encodes well) —
@@ -98,14 +106,19 @@ def _since(t0: float) -> float:
     return round(time.time() - t0, 3)
 
 
-def _list_parquet_files(source: str | list[str]) -> list[str]:
+def parquet_files(source: str | list[str]) -> list[str]:
+    """The sorted parquet files of a path source: a file, a list of
+    files, or a directory walked for ``*.parquet``. Raises
+    FileNotFoundError when there are none."""
     if isinstance(source, list):
-        return sorted(source)
-    if os.path.isfile(source):
-        return [source]
-    out = []
-    for root, _, files in os.walk(source):
-        out.extend(os.path.join(root, f) for f in files if f.endswith(".parquet"))
+        out = list(source)
+    elif os.path.isfile(source):
+        out = [source]
+    else:
+        out = [os.path.join(root, f) for root, _, files in os.walk(source)
+               for f in files if f.endswith(".parquet")]
+    if not out:
+        raise FileNotFoundError(f"no parquet files found under {source!r}")
     return sorted(out)
 
 
@@ -147,31 +160,50 @@ def task_plan(n_units: int, slots: int) -> tuple[int, int]:
     return -(-n_units // per_task), per_task
 
 
-def map_units(fn: Callable[[list[dict]], list[dict]], units: list[dict],
-              concurrency: int | None = None) -> list[dict]:
-    """Run ``fn`` over ``units`` as Ray Data tasks sized by
-    ``task_plan``; each task gets its batch of units as dicts and
-    returns JSON-able records, which come back in no particular order.
-    Tasks run with one Arrow CPU thread: Ray already runs a task per
-    slot, so Arrow's pool would only oversubscribe (measured 2.8x
-    CPU-time inflation at 32 workers before this cap)."""
+@ray.remote
+def _run_units(fn: Callable[[list[dict]], list], units: list[dict]) -> list:
+    """One writer task: ``fn`` over its batch of units, with one Arrow
+    CPU thread. Ray already runs a task per slot, so Arrow's pool would
+    only oversubscribe (measured 2.8x CPU-time inflation at 32 workers
+    before this cap)."""
+    pa.set_cpu_count(1)
+    pa.set_io_thread_count(2)
+    return fn(units)
+
+
+def map_units(fn: Callable[[list[dict]], list], units: list[dict],
+              concurrency: int | None = None) -> list:
+    """Run ``fn`` over ``units`` as plain Ray tasks sized by
+    ``task_plan``, at most ``task_slots`` of them in flight; each task
+    gets its batch of units and returns a list of records, which come
+    back as Python objects, concatenated in unit order. A call costs
+    about 0.01 s of machine CPU plus 2-3 ms per task on a 4-vCPU host,
+    and starts no Ray Data execution (module docstring). A unit's
+    exception surfaces here with its own type (Ray's ``RayTaskError``
+    subclasses it); the tasks still in flight are cancelled first.
+    Retries are Ray's defaults: a task lost to a dead worker reruns, one
+    whose ``fn`` raises does not, so a unit's writes must be atomic and
+    idempotent."""
     if not units:
         return []
     slots = task_slots(concurrency)
-    n_tasks, _ = task_plan(len(units), slots)
-
-    def run(batch: pa.Table) -> pa.Table:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        recs = fn(batch.to_pylist())
-        return pa.table({"rec": pa.array([json.dumps(r) for r in recs],
-                                         pa.string())})
-
-    rows = (rd.from_items(units, override_num_blocks=n_tasks)
-            .map_batches(run, batch_size=None, batch_format="pyarrow",
-                         concurrency=min(n_tasks, slots))
-            .take_all())
-    return [json.loads(r["rec"]) for r in rows]
+    _, per_task = task_plan(len(units), slots)
+    fn_ref = ray.put(fn)
+    refs, inflight = [], []
+    try:
+        for i in range(0, len(units), per_task):
+            if len(inflight) == slots:
+                done, inflight = ray.wait(inflight, num_returns=1)
+                ray.get(done)  # a failed unit stops the submissions
+            inflight.append(_run_units.remote(fn_ref, units[i:i + per_task]))
+            refs.append(inflight[-1])
+        return [r for recs in ray.get(refs) for r in recs]
+    except BaseException:
+        for ref in inflight:
+            ray.cancel(ref)
+        if inflight:
+            ray.wait(inflight, num_returns=len(inflight))
+        raise
 
 
 def stage_partition(batch: pa.Table, cfg: IndexBuildConfig, docs_path: str,
@@ -247,35 +279,66 @@ def _process_partition(unit: dict, cfg: IndexBuildConfig,
             "wall_s": _since(t0)}
 
 
+def _stage_named(batch: pa.Table, cfg: IndexBuildConfig, docs_dir: str,
+                 postings_dir: str, tag: str) -> dict | None:
+    """``stage_partition`` on ``batch`` into parts named after its
+    smallest doc id and ``tag``, so the staged file order — and with it
+    the row order inside each segment file — does not depend on which
+    task finishes first. Returns the part's lineage record, or None for
+    an empty batch (nothing is written)."""
+    t0 = time.time()
+    doc_ids = _resolve_doc_ids(batch, cfg)
+    if len(doc_ids) == 0:
+        return None
+    pid = f"part-{int(doc_ids.min()) & 0xFFFFFFFFFFFFFFFF:016x}-{tag}"
+    rec = stage_partition(batch, cfg,
+                          os.path.join(docs_dir, f"{pid}.parquet"),
+                          os.path.join(postings_dir, f"{pid}.parquet"),
+                          doc_ids)
+    return {"pid": pid, **rec, "wall_s": _since(t0)}
+
+
 def stage_dataset(ds: rd.Dataset, cfg: IndexBuildConfig, docs_dir: str,
                   postings_dir: str) -> list[dict]:
     """``stage_partition`` once per ``cfg.batch_size``-row batch of
     ``ds``, task-side; returns one lineage record per written
-    partition. A part is named after its batch's smallest doc id, so
-    the staged file order — and with it the row order inside each
-    segment file — does not depend on which task finishes first."""
+    partition. A Dataset source streams, so it keeps Ray Data: its
+    batches are cut from blocks no driver-side plan can name in
+    advance, and an upstream pipeline may still be producing them."""
     columns = _source_columns(cfg, ds.schema().names)
 
     def stage(batch: pa.Table) -> pa.Table:
-        t0 = time.time()
         pa.set_cpu_count(1)
-        doc_ids = _resolve_doc_ids(batch, cfg)
-        if len(doc_ids) == 0:
-            return pa.table({"lineage": pa.array([], pa.string())})
-        pid = (f"part-{int(doc_ids.min()) & 0xFFFFFFFFFFFFFFFF:016x}"
-               f"-{uuid.uuid4().hex[:8]}")
-        rec = stage_partition(batch, cfg,
-                              os.path.join(docs_dir, f"{pid}.parquet"),
-                              os.path.join(postings_dir, f"{pid}.parquet"),
-                              doc_ids)
-        rec = {"pid": pid, **rec, "wall_s": _since(t0)}
-        return pa.table({"lineage": [json.dumps(rec)]})
+        rec = _stage_named(batch, cfg, docs_dir, postings_dir,
+                           uuid.uuid4().hex[:8])
+        return pa.table({"lineage": pa.array(
+            [] if rec is None else [json.dumps(rec)], pa.string())})
 
     rows = (ds.select_columns(columns)
             .map_batches(stage, batch_format="pyarrow",
                          batch_size=cfg.batch_size)
             .take_all())
     return [json.loads(r["lineage"]) for r in rows]
+
+
+def stage_files(files: list[str], cfg: IndexBuildConfig, docs_dir: str,
+                postings_dir: str) -> list[dict]:
+    """``stage_partition`` once per input file through ``map_units``,
+    as a path-source build partitions, with ``stage_dataset``'s part
+    names. Each unit's tag is drawn here on the driver, so a task Ray
+    reruns after a worker died rewrites the same parts (each write is
+    temp-then-rename) instead of adding a second copy."""
+    columns = _source_columns(cfg, pq.read_schema(files[0]).names)
+
+    def run(units: list[dict]) -> list[dict]:
+        recs = (_stage_named(pq.read_table(u["file"], columns=columns,
+                                           use_threads=False),
+                             cfg, docs_dir, postings_dir, u["tag"])
+                for u in units)
+        return [r for r in recs if r is not None]
+
+    return map_units(run, [{"file": f, "tag": uuid.uuid4().hex[:8]}
+                           for f in files])
 
 
 def encode_shard_files(shards: list[int], seg_paths: list[str],
@@ -495,9 +558,7 @@ def build_index_resumable(source: str | list[str], index_dir: str,
     segments_dir = os.path.join(index_dir, "segments")
     stage_postings = os.path.join(index_dir, "stage", "postings")
 
-    files = _list_parquet_files(source)
-    if not files:
-        raise FileNotFoundError(f"no parquet files found under {source!r}")
+    files = parquet_files(source)
 
     manifest = Manifest.load_or_create(index_dir)
     new_config = {

@@ -566,3 +566,52 @@ def test_sharded_engine_opens_alias(ray_session, tmp_path_factory):
     sharded = ShardedQueryEngine(alias, num_workers=2)
     assert (sharded.search("def return", 10)
             == QueryEngine(idx).search("def return", 10))
+
+
+def test_path_and_dataset_appends_give_one_index(ray_session, tmp_path):
+    """One delta file appended by path (one staged part per file, plain
+    Ray tasks) and as ``rd.read_parquet`` (one part per ``batch_size``
+    rows, Ray Data) gives one index: the same term_dict, bitwise the
+    same top-10 under every scorer, and byte-equal segment files once
+    compacted. The delta holds more than ``batch_size`` rows, so the two
+    sources stage it in different parts."""
+    import os
+    import shutil
+
+    import ray.data as rd
+    from test_bmax import AUTO_QUERIES, _corpus, _write
+
+    from stacksearch_ray.append import append_to_index, compact_index
+    from stacksearch_ray.build import IndexBuildConfig, build_index
+    from stacksearch_ray.query import QueryEngine
+
+    n_delta = IndexBuildConfig.batch_size + 452
+    base = _write(_corpus(3000, 11), str(tmp_path / "base.parquet"))
+    delta = _write(_corpus(n_delta, 12, 3000), str(tmp_path / "delta.parquet"))
+    by_path, by_ds = str(tmp_path / "by_path"), str(tmp_path / "by_ds")
+    build_index(base, by_path, content_col="text", id_col="doc_id",
+                num_shards=4)
+    shutil.copytree(by_path, by_ds)
+    append_to_index(delta, by_path)
+    append_to_index(rd.read_parquet(delta), by_ds)
+    parts = [len(os.listdir(os.path.join(d, "docs"))) for d in (by_path, by_ds)]
+    assert parts[1] > parts[0]
+
+    def term_dict(idx):
+        return pq.read_table(os.path.join(idx, "term_dict")).sort_by("term")
+
+    assert term_dict(by_path).equals(term_dict(by_ds))
+    engines = [QueryEngine(by_path), QueryEngine(by_ds)]
+    for method in ("auto", "exhaustive", "bmax"):
+        for q in AUTO_QUERIES:
+            a, b = (e.search(q, 10, method=method) for e in engines)
+            assert a and a == b, (method, q)
+
+    def segment_bytes(idx):
+        seg = os.path.join(idx, "segments")
+        return {f: open(os.path.join(seg, f), "rb").read()
+                for f in sorted(os.listdir(seg)) if f.endswith(".parquet")}
+
+    compact_index(by_path)
+    compact_index(by_ds)
+    assert segment_bytes(by_path) == segment_bytes(by_ds)
