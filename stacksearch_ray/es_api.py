@@ -29,10 +29,12 @@ Request-level: ``size`` / ``from`` pagination (retrieval runs at
 ``from + size`` then slices — ES's own deep-pagination cost model),
 ``min_score``. Anything else present in the body raises.
 
-Works identically over a ``ShardedQueryEngine`` (same method names),
-with two exceptions that raise ``UnsupportedEsQuery`` there: ``fuzzy``
-(expands over the engine's local term dictionary) and ``match_all``
-(enumerates the engine's local doc universe).
+Works identically over a ``ShardedQueryEngine``: the same method names
+and signatures, by construction (its pass-through surfaces are
+generated from the engine's methods, the rest are tested equal). Two
+exceptions raise ``UnsupportedEsQuery`` there: ``fuzzy`` (expands over
+the engine's local term dictionary) and ``match_all`` (enumerates the
+engine's local doc universe).
 """
 
 from __future__ import annotations

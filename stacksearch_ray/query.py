@@ -42,20 +42,28 @@ threshold under the k-th best score picks the few docs worth sorting.
 
 Query fan-out: the index is doc-sharded, so each shard's top-k is
 independent. ``ShardedQueryEngine`` serves it from long-lived
-``ray.remote(QueryEngine)`` actors, each owning a shard subset: every
-sharded surface is one ``_fanout`` call of the same-named engine method,
-merged by ``_topk`` (score desc, doc_id asc) or, for per-doc arrays, by
-``_concat_by_doc``; ``explain`` and pinned ids go to the one owning
-worker (``_owner``). ``FederatedQueryEngine`` merges independently
-built indexes through the same ``_topk``, and ``BM25SearchActor`` is
-the actor-pool stage (index loaded once per actor) for batch-query
-throughput via ``map_batches``.
+``ray.remote(QueryEngine)`` actors, each owning a shard subset. One
+table (``_FANOUT``) generates 27 of its surfaces from the same-named
+engine methods, with their signatures and docstrings: one ``_fanout``
+call, merged by ``_topk`` (score desc, doc_id asc) for 19 ranked
+lists, by ``_concat_by_doc`` for 7 per-doc arrays, or by a sorted
+concatenation for the boolean DSL. Five surfaces that only compose
+others are the engine's own definitions. Hand-written are the request
+cache, batching, warm-up, the owner-routed ``explain`` and pinned ids
+(``_owner``), and the custom merges of collapse and sort-by-field.
+``FederatedQueryEngine`` merges independently built indexes through
+the same ``_topk``, and ``BM25SearchActor`` is the actor-pool stage
+(index loaded once per actor) for batch-query throughput via
+``map_batches``.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import re
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -262,6 +270,32 @@ def _concat_by_doc(parts) -> tuple[np.ndarray, ...]:
     return tuple(c[order] for c in cols)
 
 
+class _RequestCache(OrderedDict):
+    """ES-style request cache: full ``search`` results memoized on the
+    call's arguments, LRU over ``size`` entries (0 = off). Both engines'
+    ``search`` serve through it; the freshness contract is
+    ``QueryEngine.__init__``'s."""
+
+    def __init__(self, size: int = 0):  # pickle rebuilds it with ()
+        super().__init__()
+        self.size = int(size)
+
+    def lookup(self, compute, *args) -> list:
+        """``compute(*args)``, memoized on ``args``; a hit returns a
+        copy so callers can never mutate a cached list."""
+        if not self.size:
+            return compute(*args)
+        hit = self.get(args)
+        if hit is not None:
+            self.move_to_end(args)
+            return list(hit)
+        res = compute(*args)
+        self[args] = list(res)
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return res
+
+
 def open_index(path: str, **kwargs) -> "QueryEngine":
     """Open an index OR an alias directory (append.set_index_alias):
     resolves one alias.json hop, then constructs a QueryEngine. The
@@ -334,10 +368,7 @@ class QueryEngine:
         # that), so a cached result can never go stale within one
         # engine lifetime. Fresh results appear by REOPENING, exactly
         # like ES's per-segment request cache keyed on refresh.
-        from collections import OrderedDict
-
-        self._req_cache_size = int(request_cache)
-        self._req_cache: "OrderedDict[tuple, list]" = OrderedDict()
+        self._req_cache = _RequestCache(request_cache)
         self.max_cached_segments = 20_000
         # candidate-postings threshold below which vectorized exhaustive
         # scoring beats pruning scorers (method="auto"): NumPy TAAT costs
@@ -1944,18 +1975,8 @@ class QueryEngine:
         With ``request_cache`` enabled at construction, results are
         LRU-memoized on (query, k, method, scorer) — see __init__ for
         the freshness contract."""
-        if self._req_cache_size:
-            key = (query, k, method, scorer)
-            hit = self._req_cache.get(key)
-            if hit is not None:
-                self._req_cache.move_to_end(key)
-                return list(hit)
-            res = self._search_uncached(query, k, method, scorer)
-            self._req_cache[key] = list(res)
-            if len(self._req_cache) > self._req_cache_size:
-                self._req_cache.popitem(last=False)
-            return res
-        return self._search_uncached(query, k, method, scorer)
+        return self._req_cache.lookup(self._search_uncached,
+                                      query, k, method, scorer)
 
     def _search_uncached(self, query: str, k: int, method: str,
                          scorer: str) -> list[tuple[int, float]]:
@@ -2713,12 +2734,13 @@ class ShardedQueryEngine:
     the single-process QueryEngine (global df from term_dict).
 
     Each worker IS a ``QueryEngine`` over its shard subset
-    (``ray.remote(QueryEngine)``), so a sharded surface is one
-    ``_fanout`` of the engine method of the same name plus a merge:
-    ``_topk`` for ranked lists, ``_concat_by_doc`` for per-doc arrays.
-    Large arrays travel as ``ray.put`` refs in top-level keyword
-    arguments, which Ray resolves on the worker — one object-store copy
-    however many workers read it."""
+    (``ray.remote(QueryEngine)``), so most sharded surfaces are one
+    ``_fanout`` of the engine method of the same name plus a merge.
+    Those are generated from the ``_FANOUT`` table below, with the
+    engine method's own signature and docstring; the surfaces that only
+    compose other surfaces are the engine's own definitions. What is
+    written here routes by doc owner, caches, batches, or merges in its
+    own way."""
 
     def __init__(self, index_dir: str, num_workers: int = 8,
                  num_cpus_per_worker: float = 1.0,
@@ -2742,10 +2764,7 @@ class ShardedQueryEngine:
         self._route_bits: np.ndarray | None = None
         # driver-side request cache over MERGED results (the workers'
         # open views are frozen — the single-engine cache contract)
-        from collections import OrderedDict
-
-        self._req_cache_size = int(request_cache)
-        self._req_cache: "OrderedDict[tuple, list]" = OrderedDict()
+        self._req_cache = _RequestCache(request_cache)
         if route_terms:
             self.enable_term_routing()
 
@@ -2810,19 +2829,13 @@ class ShardedQueryEngine:
 
     def search(self, query: str, k: int = 10, method: str = "auto",
                scorer: str = "bm25") -> list[tuple[int, float]]:
-        key = (query, k, method, scorer)
-        if self._req_cache_size:
-            hit = self._req_cache.get(key)
-            if hit is not None:
-                self._req_cache.move_to_end(key)
-                return list(hit)
-        merged = _topk(self._fanout("search", query, k, method, scorer,
-                                    route=[query]), k)
-        if self._req_cache_size:
-            self._req_cache[key] = list(merged)
-            if len(self._req_cache) > self._req_cache_size:
-                self._req_cache.popitem(last=False)
-        return merged
+        return self._req_cache.lookup(self._search_uncached,
+                                      query, k, method, scorer)
+
+    def _search_uncached(self, query: str, k: int, method: str,
+                         scorer: str) -> list[tuple[int, float]]:
+        return _topk(self._fanout("search", query, k, method, scorer,
+                                  route=[query]), k)
 
     def explain(self, query: str, doc_id: int,
                 scorer: str = "bm25") -> dict:
@@ -2871,340 +2884,16 @@ class ShardedQueryEngine:
         return [_topk([p[qi] for p in parts], k)
                 for qi in range(len(queries))]
 
-    def search_boosted(self, boosts: dict, k: int = 10
-                       ) -> list[tuple[int, float]]:
-        """Distributed boosted search: per-worker exhaustive boosted
-        scoring over disjoint shard subsets (global df via term_dict),
-        standard top-k merge — bitwise identical to the single engine."""
-        return _topk(self._fanout("search_boosted", boosts, k), k)
-
-    def search_synonym_groups(self, groups: list[list[str]], k: int = 10
-                              ) -> list[tuple[int, float]]:
-        """Distributed synonym-group search: per-doc group-max scores
-        are shard-local (a doc's postings live in one shard subset), so
-        the fan-out merge is the standard disjoint top-k — bitwise
-        identical to the single engine."""
-        return _topk(self._fanout("search_synonym_groups", groups, k), k)
-
-    def search_feature_boost(self, query: str, k: int = 10, *,
-                             feature_ids, feature_vals,
-                             weight: float = 1.0, scorer: str = "bm25"
-                             ) -> list[tuple[int, float]]:
-        """Distributed function-score search: the (doc_id → feature)
-        arrays ship to the object store ONCE (ray.put) and every worker
-        reads the same copy to boost its own disjoint shard subset —
-        combined per-doc scores are shard-local, so the merge is the
-        standard score-desc/doc-asc top-k, bitwise identical to the
-        single-engine search_feature_boost."""
-        import ray
-
-        return _topk(self._fanout(
-            "search_feature_boost", query, k,
-            feature_ids=ray.put(np.asarray(feature_ids, dtype=np.int64)),
-            feature_vals=ray.put(np.asarray(feature_vals, dtype=np.float64)),
-            weight=weight, scorer=scorer), k)
-
-    def search_min_should_match(self, query: str, min_match: int,
-                                k: int = 10) -> list[tuple[int, float]]:
-        """Distributed minimum-should-match: a doc's matched-term count
-        is shard-local (its postings live in one shard subset), so each
-        worker filters exactly and the merge is the standard disjoint
-        top-k — bitwise identical to the single engine."""
-        return _topk(self._fanout("search_min_should_match", query,
-                                  min_match, k), k)
-
-    def search_terms_set(self, query: str, msm_fn,
-                         k: int = 10) -> list[tuple[int, float]]:
-        """Distributed terms_set: thresholds derive from GLOBAL doc ids
-        (``msm_fn`` must be a picklable pure function of the id array),
-        so each worker gates its own shard subset exactly and the merge
-        is the standard disjoint top-k — bitwise identical to the
-        single engine."""
-        return _topk(self._fanout("search_terms_set", query, msm_fn, k), k)
-
-    def search_span_near(self, terms: list[str], k: int = 10, *,
-                         slop: int = 2, scorer: str = "bm25"
-                         ) -> list[tuple[int, float]]:
-        """Distributed unordered span-near: windows and filtered
-        scoring are both worker-local (a doc's positions live in one
-        shard; df comes from the term_dict), so the local top-k merge
-        is exact — the search_phrase_ranked argument verbatim."""
-        return _topk(self._fanout("search_span_near", list(terms), k,
-                                  slop=slop, scorer=scorer), k)
-
-    def search_intervals(self, terms: list[str], k: int = 10, *,
-                         max_gaps: int = 0,
-                         not_containing: str | None = None,
-                         scorer: str = "bm25"
-                         ) -> list[tuple[int, float]]:
-        """Distributed intervals query: the gate and filtered scoring
-        are both worker-local (a doc's positions live in one shard; df
-        comes from the global term_dict), so the local top-k merge is
-        exact — the search_span_near argument verbatim."""
-        return _topk(self._fanout("search_intervals", list(terms), k,
-                                  max_gaps=max_gaps,
-                                  not_containing=not_containing,
-                                  scorer=scorer), k)
-
-    def search_span_containing(self, big: list[str], little: str,
-                               k: int = 10, *, max_gaps: int = 0,
-                               scorer: str = "bm25"
-                               ) -> list[tuple[int, float]]:
-        """Distributed span_containing: gate + filtered scoring are
-        worker-local (positions live in one shard; df is global), so
-        the disjoint top-k merge is exact."""
-        return _topk(self._fanout("search_span_containing", list(big),
-                                  little, k, max_gaps=max_gaps,
-                                  scorer=scorer), k)
-
-    def search_constant_score(self, expr: str, boost: float = 1.0,
-                              k: int = 10) -> list[tuple[int, float]]:
-        """Distributed constant_score: the sharded boolean DSL already
-        returns the exact global matched set (local NOT complements
-        union exactly); scoring is the constant, order is doc_id."""
-        ids = self.search_boolean_dsl(expr)
-        return [(int(d), float(boost)) for d in ids[:k]]
-
-    def search_boosting(self, positive: str, negative: str,
-                        negative_boost: float = 0.3, k: int = 10,
-                        scorer: str = "bm25") -> list[tuple[int, float]]:
-        """Distributed boosting query: the negative matched set comes
-        from the EXACT sharded boolean DSL (local NOT complements union
-        exactly), ships once via the feature-scale ray.put path, and
-        each worker demotes its own shard subset — bitwise identical to
-        the single engine."""
-        neg = self.search_boolean_dsl(negative)
-        return self.search_feature_scale(
-            positive, k, feature_ids=neg,
-            feature_vals=np.full(len(neg), float(negative_boost)),
-            scorer=scorer)
-
-    def search_query_string(self, qs: str, k: int = 10
-                            ) -> list[tuple[int, float]]:
-        """Distributed query_string: matching, span gates and boosted
-        scoring are all worker-local (a doc's postings and positions
-        live in one shard subset; df/idf comes from the global
-        term_dict; local NOT complements the local alive universe —
-        disjoint complements union to the global one). Zero-scored
-        fills sort after every scored doc in the same (score desc,
-        doc_id asc) total order, so the disjoint top-k merge is exact
-        and bitwise identical to the single engine."""
-        return _topk(self._fanout("search_query_string", qs, k), k)
-
-    def search_match_bool_prefix(self, text: str, k: int = 10
-                                 ) -> list[tuple[int, float]]:
-        """Distributed match_bool_prefix: translation is driver-side,
-        the disjunction fans out through distributed query_string."""
-        terms = clean_query(text, max_tokens=None)
-        if not terms:
-            return []
-        atoms = terms[:-1] + [terms[-1] + "*"]
-        return self.search_query_string(" OR ".join(atoms), k)
-
-    def search_simple_query_string(self, qs: str, k: int = 10,
-                                   default_operator: str = "or"
-                                   ) -> list[tuple[int, float]]:
-        """Distributed simple_query_string: the grammar translation is
-        driver-side (pure string work); the translated expression fans
-        out through the proven distributed query_string path."""
-        dsl = simple_query_string_to_dsl(qs, default_operator)
-        if dsl is None:
-            return []  # only-MUST_NOT query matches nothing (Lucene)
-        return self.search_query_string(dsl, k)
-
-    def search_filtered(self, query: str, k: int = 10,
-                        allowed_doc_ids=None,
-                        plan: str = "auto") -> list[tuple[int, float]]:
-        """Distributed filtered retrieval: the allowed-id set ships to
-        the object store ONCE (ray.put) and every worker reads the same
-        copy to mask its own shard subset — never re-serialized per
-        worker. Results are bitwise identical to the single-engine
-        search_filtered (each worker scores/probes locally; the merge is
-        the standard score-desc/doc-asc top-k). ``plan`` routes each
-        worker's dense-mask vs selective postings-probe path."""
-        import ray
-
-        allowed = np.unique(np.asarray(allowed_doc_ids, dtype=np.int64))
-        return _topk(self._fanout("search_filtered", query, k,
-                                  allowed_doc_ids=ray.put(allowed),
-                                  plan=plan), k)
-
-    def search_span_first(self, query: str, k: int = 10, *,
-                          first_term: str, limit: int
-                          ) -> list[tuple[int, float]]:
-        """Distributed span-first ranking: both the positional gate and
-        the scoring are shard-local (a doc's postings AND positions live
-        in exactly one worker's shard subset), so each worker gates and
-        scores its own docs and the merge is the standard disjoint
-        top-k — bitwise identical to the single engine (tested)."""
-        return _topk(self._fanout("search_span_first", query, k,
-                                  first_term=first_term, limit=limit), k)
-
-    def search_span_not(self, query: str, k: int = 10, *,
-                        include_term: str, exclude_term: str, dist: int
-                        ) -> list[tuple[int, float]]:
-        """Distributed span-NOT ranking: the negative positional gate
-        is doc-local (both terms' positions for a doc live in one
-        worker's shard subset), so each worker gates and scores its own
-        docs; merge is the standard disjoint top-k — bitwise identical
-        to the single engine (tested)."""
-        return _topk(self._fanout("search_span_not", query, k,
-                                  include_term=include_term,
-                                  exclude_term=exclude_term, dist=dist), k)
-
-    def export_matches(self, query: str, scorer: str = "bm25"
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed retrieval→Dataset bridge: every worker exports
-        its shard subset's full matched set (doc_ids, scores); shards
-        partition docs so the parts are disjoint and one merge-sort by
-        doc_id reproduces the single-engine export bitwise (tested).
-        This is the hot-term answer to export_matches' scale note — no
-        single process ever holds more than its shard subset's matched
-        set until the driver-side concat (callers that can't afford
-        that keep the parts as separate refs)."""
-        return _concat_by_doc(self._fanout("export_matches", query,
-                                           scorer=scorer))
-
-    def search_phrase_prefix(self, phrase: str, k: int = 10, *,
-                             max_expansions: int = 50
-                             ) -> list[tuple[int, float]]:
-        """Distributed phrase-prefix: every worker expands the prefix
-        over the INDEX-GLOBAL term_dict (shard subsets restrict
-        postings, not vocabulary), so the capped expansion list is
-        identical across workers; the adjacency gate and scoring are
-        doc-local. Merge is the standard disjoint top-k — bitwise
-        identical to the single engine (tested)."""
-        return _topk(self._fanout("search_phrase_prefix", phrase, k,
-                                  max_expansions=max_expansions), k)
-
-    def search_wildcard(self, prefix: str
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distributed wildcard (prefix*) retrieval: each worker unions
-        the matched terms' postings over its shard subset; per-doc
-        (n_terms, n_tokens) are shard-local, so the disjoint concat is
-        bitwise the single-engine search_wildcard."""
-        return _concat_by_doc(self._fanout("search_wildcard", prefix))
-
-    def search_regex(self, pattern: str
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distributed regex retrieval: every worker expands ``pattern``
-        over the index-global term_dict and unions postings over its
-        shard subset; disjoint concat, as search_wildcard."""
-        return _concat_by_doc(self._fanout("search_regex", pattern))
-
     def warm(self, queries: list[str]) -> None:
         self._fanout("search_many", queries, 10)
 
-    def phrase_occurrences(self, phrase: str
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed exact-phrase serving from the positional sidecar:
-        each worker intersects its own shard subset's position streams;
-        the driver merges the disjoint per-shard results. Bitwise
-        identical to the single-engine phrase_occurrences (tested)."""
-        return _concat_by_doc(self._fanout("phrase_occurrences", phrase))
-
-    def near_min_gaps(self, term_a: str, term_b: str
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed NEAR/k: per-worker min-gap over its shard subset,
-        disjoint-merge on the driver."""
-        return _concat_by_doc(self._fanout("near_min_gaps", term_a, term_b))
-
-    def min_ordered_spans(self, terms: list[str]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed sloppy-phrase spans: per-worker ordered-span
-        minimum over its shard subset, disjoint-merge on the driver."""
-        return _concat_by_doc(self._fanout("min_ordered_spans", terms))
-
-    def search_proximity_boost(self, query: str, k: int = 10,
-                               weight: float = 1.0, scorer: str = "bm25"
-                               ) -> list[tuple[int, float]]:
-        """Distributed proximity-boosted ranking: the min-cover-window
-        feature is doc-local, so each worker boosts its own shard
-        subset (global df via term_dict keeps text scores bitwise);
-        driver merges local top-k."""
-        return _topk(self._fanout("search_proximity_boost", query, k,
-                                  weight, scorer), k)
-
-    def search_coord(self, query: str, k: int = 10
-                     ) -> list[tuple[int, float]]:
-        """Distributed coord-factor ranking: the matched-terms count is
-        doc-local and global df keeps text scores bitwise, so per-worker
-        coord top-k merge is exact."""
-        return _topk(self._fanout("search_coord", query, k,
-                                  route=[query]), k)
-
-    def search_feature_scale(self, query: str, k: int = 10, *,
-                             feature_ids, feature_vals,
-                             scorer: str = "bm25"
-                             ) -> list[tuple[int, float]]:
-        """Distributed multiplicative function-score: the doc-value
-        factor table ships to the object store ONCE (ray.put); each
-        worker scales its own shard subset. Bitwise == single engine."""
-        import ray
-
-        return _topk(self._fanout(
-            "search_feature_scale", query, k,
-            feature_ids=ray.put(np.asarray(feature_ids, dtype=np.int64)),
-            feature_vals=ray.put(np.asarray(feature_vals, dtype=np.float64)),
-            scorer=scorer, route=[query]), k)
-
-    def search_rescore(self, query: str, k: int = 10, *,
-                       window_size: int = 30, query_weight: float = 1.0,
-                       rescore_weight: float = 1.0, scorer: str = "bm25"
-                       ) -> list[tuple[int, float]]:
-        """Distributed ES rescore, exact in two fan-outs: (1) the
-        GLOBAL top-window is the merged cut of per-worker local
-        top-window lists (a doc's global rank ≤ its local rank, so the
-        union covers the global window); (2) the window's doc-id set
-        ships once via ray.put and each worker computes min-cover
-        windows restricted to the docs it owns (positions are
-        doc-local). The driver combines qw·score + rw·prox in the
-        single-engine float order — bitwise identical (tested)."""
-        import ray
-
-        window = _topk(self._fanout("search", query, window_size,
-                                    "exhaustive", scorer, route=[query]),
-                       window_size)
-        if not window:
-            return []
-        terms = sorted(set(clean_query(query)))
-        win_ids = np.fromiter((d for d, _ in window), np.int64, len(window))
-        parts = self._fanout("min_cover_windows", terms,
-                             within=ray.put(np.sort(win_ids)),
-                             route=[query])
-        prox = {int(d): 1.0 / (1.0 + float(x))
-                for ids, ws in parts for d, x in zip(ids, ws)}
-        return _topk([[(d, query_weight * s
-                        + rescore_weight * prox.get(d, 0.0))
-                       for d, s in window]], k)
-
-    def search_boolean_dsl(self, expr: str) -> np.ndarray:
-        """Distributed boolean retrieval: each worker evaluates the
-        expression over its shard subset (NOT complements against the
-        worker-LOCAL universe — shards partition docs, so the union of
-        local complements IS the global complement); driver concats the
-        disjoint results. Bitwise-identical to single-engine (tested)."""
-        return np.sort(np.concatenate(
-            self._fanout("search_boolean_dsl", expr)))
-
-    def search_bool_query(self, must, should=(), must_not=(),
-                          k: int = 10, scorer: str = "bm25"
-                          ) -> list[tuple[int, float]]:
-        """Distributed ES-bool query: per-worker set algebra + filtered
-        scoring over its shard subset (global df keeps scores bitwise);
-        driver merges local top-k."""
-        return _topk(self._fanout("search_bool_query", must, should,
-                                  must_not, k, scorer), k)
-
-    def search_phrase_ranked(self, phrase: str, k: int = 10,
-                             slop: int = 0, scorer: str = "bm25"
-                             ) -> list[tuple[int, float]]:
-        """Distributed phrase-ranked search: spans and the filtered
-        scoring are both worker-local (doc windows live in one shard;
-        df comes from the term_dict), so the local top-k merge is
-        exact and bitwise identical to single-engine."""
-        return _topk(self._fanout("search_phrase_ranked", phrase, k, slop,
-                                  scorer), k)
+    # surfaces that only compose other public surfaces: the engine's
+    # own definitions, exact because every surface they call is
+    search_constant_score = QueryEngine.search_constant_score
+    search_boosting = QueryEngine.search_boosting
+    search_match_bool_prefix = QueryEngine.search_match_bool_prefix
+    search_simple_query_string = QueryEngine.search_simple_query_string
+    search_rescore = QueryEngine.search_rescore
 
     def search_sorted_by(self, expr: str, k: int = 10, *,
                          field_ids, field_vals, descending: bool = True
@@ -3223,18 +2912,6 @@ class ShardedQueryEngine:
             descending=descending)
         return _topk(parts, k, key=(lambda x: (-x[1], x[0])) if descending
                      else (lambda x: (x[1], x[0])))
-
-    def search_after(self, query: str, after_score: float, after_doc: int,
-                     k: int = 10) -> list[tuple[int, float]]:
-        """Distributed cursor pagination: every worker applies the
-        cursor to its own disjoint doc subset and returns its local
-        next-k, the driver merges (score desc, doc_id asc) and takes k
-        — exact because the cursor predicate is per-doc, so the global
-        next-k is contained in the union of local next-ks. Deep pages
-        ship at most k rows per worker no matter the offset (the
-        offset-paging alternative ships page·k). Term routing applies."""
-        return _topk(self._fanout("search_after", query, after_score,
-                                  after_doc, k, route=[query]), k)
 
     def search_collapse(self, query: str, k: int = 10, *,
                         group_ids, group_codes, per_group: int = 1,
@@ -3260,6 +2937,98 @@ class ShardedQueryEngine:
                              per_group=per_group, scorer=scorer)
         return _collapse_walk(_topk(parts, None, key=lambda x: (-x[2], x[0])),
                               per_group, k)
+
+
+# The generated half of ShardedQueryEngine: engine method name →
+# (merge, term-routed, array keyword arguments shipped once).
+#
+# Why each merge is exact. Shards partition the docs, every doc's
+# postings and positions live in exactly one worker, and each worker
+# takes df from the index-global term_dict (and expands prefixes,
+# regexes and phrase prefixes over it), so whatever a surface computes
+# for one doc — its score, matched-term count, positional gate, feature
+# row or cursor test — is what the single engine computes for it.
+#   "topk"  ranked lists: the global top-k in (score desc, doc_id asc)
+#           order lies in the union of the workers' local top-ks; one
+#           sort of that union cut at k is the single engine's list.
+#   "doc"   per-doc arrays (doc_ids, col, ...) over disjoint doc sets:
+#           concatenate and stable-sort by doc id (_concat_by_doc).
+#   "ids"   boolean-DSL matched ids: a NOT complements each worker's
+#           local alive docs, and the disjoint local complements union
+#           to the global one; concatenate and sort.
+# Term routing skips a worker only when it holds no posting of any
+# word of the ``query`` argument; the routed surfaces return only docs
+# holding a query term, so the skipped workers' parts were all [].
+# Shipped arrays go to the object store once (ray.put); Ray resolves a
+# top-level ObjectRef argument on the worker, so every worker reads the
+# same copy. A None argument is passed as is.
+_MERGES = {
+    "topk": _topk,
+    "doc": lambda parts, k: _concat_by_doc(parts),
+    "ids": lambda parts, k: np.sort(np.concatenate(parts)),
+}
+_FEATURES = ("feature_ids", "feature_vals")
+_FANOUT: dict[str, tuple[str, bool, tuple[str, ...]]] = {
+    "search_boosted": ("topk", False, ()),
+    "search_synonym_groups": ("topk", False, ()),
+    "search_feature_boost": ("topk", False, _FEATURES),
+    "search_min_should_match": ("topk", False, ()),
+    "search_terms_set": ("topk", False, ()),
+    "search_span_near": ("topk", False, ()),
+    "search_intervals": ("topk", False, ()),
+    "search_span_containing": ("topk", False, ()),
+    "search_query_string": ("topk", False, ()),
+    "search_filtered": ("topk", False, ("allowed_doc_ids",)),
+    "search_span_first": ("topk", False, ()),
+    "search_span_not": ("topk", False, ()),
+    "search_phrase_prefix": ("topk", False, ()),
+    "search_proximity_boost": ("topk", False, ()),
+    "search_coord": ("topk", True, ()),
+    "search_feature_scale": ("topk", True, _FEATURES),
+    "search_bool_query": ("topk", False, ()),
+    "search_phrase_ranked": ("topk", False, ()),
+    "search_after": ("topk", True, ()),
+    "export_matches": ("doc", False, ()),
+    "search_wildcard": ("doc", False, ()),
+    "search_regex": ("doc", False, ()),
+    "phrase_occurrences": ("doc", False, ()),
+    "near_min_gaps": ("doc", False, ()),
+    "min_ordered_spans": ("doc", False, ()),
+    "min_cover_windows": ("doc", False, ("within",)),
+    "search_boolean_dsl": ("ids", False, ()),
+}
+
+
+def _fanned(name: str, merge: str, route: bool, ship: tuple[str, ...]):
+    """The ShardedQueryEngine method for engine method ``name``: bind
+    the call to the engine's signature, ship the ``ship`` arrays, fan
+    out, merge (see _FANOUT)."""
+    meth = getattr(QueryEngine, name)
+    sig = inspect.signature(meth)
+    combine = _MERGES[merge]
+
+    @functools.wraps(meth)
+    def fan(self, *args, **kwargs):
+        bound = sig.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        arg = bound.arguments
+        for a in ship:
+            if arg[a] is not None:
+                import ray
+
+                arg[a] = ray.put(np.asarray(arg[a]))
+        parts = self._fanout(name, *bound.args[1:],
+                             route=[arg["query"]] if route else None,
+                             **bound.kwargs)
+        return combine(parts, arg.get("k"))
+
+    fan.__qualname__ = f"ShardedQueryEngine.{name}"
+    return fan
+
+
+for _name, _spec in _FANOUT.items():
+    setattr(ShardedQueryEngine, _name, _fanned(_name, *_spec))
+del _name, _spec
 
 
 class BM25SearchActor:
@@ -3303,10 +3072,13 @@ class FederatedQueryEngine:
 
     The federation story at scale: per-epoch / per-tenant indexes each
     keep their own lifecycle (append, delete, compact) while serving
-    one query surface; each sub-engine can itself be a
-    ShardedQueryEngine pool on its own nodes. Scoring is exhaustive by
-    construction; a physical ``merge_indexes`` serves bmax as well, so
-    it remains the throughput option when block-max pruning matters."""
+    one query surface. It takes index (or alias) directories and opens
+    one in-process QueryEngine over each; a ShardedQueryEngine pool
+    cannot serve as a source (it has no ``_search_exhaustive``,
+    ``_df_only``, ``doclens`` or ``term_postings``). Scoring is
+    exhaustive by construction; a physical ``merge_indexes`` serves
+    bmax as well, so it remains the throughput option when block-max
+    pruning matters."""
 
     def __init__(self, index_dirs: list[str]):
         from .append import resolve_index_alias

@@ -303,8 +303,15 @@ def _cases(ids):
         return getattr(e, name, lambda *a: None)(*args)
 
     def after(e):
-        c = e.search(Q, 10, method="exhaustive")[-1]
-        return e.search_after(Q, c[1], c[0], 10)
+        out = []
+        for scorer in ("bm25", "tfidf"):
+            c = e.search(Q, 10, method="exhaustive", scorer=scorer)[-1]
+            out.append(e.search_after(Q, c[1], c[0], 10, scorer=scorer))
+        return out
+
+    # the engine's scorer/plan parameters, each through the pool too
+    plans = ({}, {"scorer": "tfidf"}, {"plan": "dense"},
+             {"plan": "selective"})
 
     return {
         "search": lambda e: [e.search(q, 10) for q in QUERIES]
@@ -350,20 +357,23 @@ def _cases(ids):
             for t in ("def retu", "helper_3 fie", "")],
         "search_simple_query_string": lambda e: e.search_simple_query_string(
             "def +return -import", 10),
-        "search_filtered": lambda e: e.search_filtered(
-            Q, 10, allowed_doc_ids=ids[::3]),
-        "search_span_first": lambda e: e.search_span_first(
-            Q, 10, first_term="def", limit=5),
-        "search_span_not": lambda e: e.search_span_not(
-            Q, 10, include_term="def", exclude_term="return", dist=2),
+        "search_filtered": lambda e: [e.search_filtered(
+            Q, 10, allowed_doc_ids=ids[::3], **kw) for kw in plans],
+        "search_span_first": lambda e: [e.search_span_first(
+            Q, 10, first_term="def", limit=5, **kw) for kw in plans],
+        "search_span_not": lambda e: [e.search_span_not(
+            Q, 10, include_term="def", exclude_term="return", dist=2, **kw)
+            for kw in plans],
         "export_matches": lambda e: e.export_matches(Q),
-        "search_phrase_prefix": lambda e: e.search_phrase_prefix(
-            "def ret", 10, max_expansions=5),
+        "search_phrase_prefix": lambda e: [e.search_phrase_prefix(
+            "def ret", 10, max_expansions=5, **kw) for kw in plans],
         "search_wildcard": lambda e: e.search_wildcard("help"),
         "search_regex": lambda e: e.search_regex("var1[0-9]"),
         "phrase_occurrences": lambda e: e.phrase_occurrences("def return"),
         "near_min_gaps": lambda e: e.near_min_gaps("def", "return"),
         "min_ordered_spans": lambda e: e.min_ordered_spans(["def", "return"]),
+        "min_cover_windows": lambda e: [e.min_cover_windows(
+            ["def", "return"], within=w) for w in (None, ids[::5])],
         "search_proximity_boost": lambda e: e.search_proximity_boost(
             Q, 10, weight=2.0),
         "search_coord": lambda e: [e.search_coord(q, 10) for q in QUERIES],
@@ -424,6 +434,28 @@ def test_parity_table_covers_every_public_method():
     assert public - cases == set(), "sharded methods with no parity case"
     assert cases - public == set()
     assert set(ROUTED) <= cases
+
+
+def test_sharded_signatures_match_the_engine():
+    """Every public name both classes define takes the engine's exact
+    signature on the pool (es_api relies on the same calls)."""
+    import inspect
+
+    from stacksearch_ray.query import QueryEngine, ShardedQueryEngine
+
+    def sig(cls, name):
+        # ray.remote(QueryEngine) adds a tracing keyword to the methods
+        # of the class it wraps; it is not part of the surface
+        s = inspect.signature(getattr(cls, name))
+        return s.replace(parameters=[p for p in s.parameters.values()
+                                     if p.name != "_ray_trace_ctx"])
+
+    shared = {n for n in dir(ShardedQueryEngine)
+              if not n.startswith("_") and hasattr(QueryEngine, n)}
+    assert shared
+    differ = sorted(n for n in shared if sig(QueryEngine, n)
+                    != sig(ShardedQueryEngine, n))
+    assert differ == []
 
 
 def _case_names() -> list[str]:
